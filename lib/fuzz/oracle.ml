@@ -70,31 +70,34 @@ let data_words mem =
 
 exception Wild of int
 
-(* Step the source program, screening every data access: negative,
-   misaligned, checkpoint-area or flight-recorder addresses mean the
-   mutant manufactured a pointer no sane program holds — such inputs are
+(* Screen the data access [m] is about to make: negative, misaligned,
+   checkpoint-area or flight-recorder addresses mean the mutant
+   manufactured a pointer no sane program holds — such inputs are
    discarded before they can fault the instrumented stack (or stomp the
    forensic ring) for uninteresting reasons. *)
+let screen_step (m : Machine.t) =
+  match m.frames with
+  | fr :: _ when fr.idx < Array.length fr.lf.code.(fr.blk) -> (
+    let screen base off =
+      let a = fr.regs.(base) + off in
+      if a < 0 || a land 7 <> 0 || Layout.is_ckpt_addr a || Layout.is_flight_addr a
+      then raise (Wild a)
+    in
+    match fr.lf.code.(fr.blk).(fr.idx) with
+    | Types.Load (_, b, o) | Types.Store (b, o, _) | Types.Flush (b, o) ->
+      screen b o
+    | Types.Atomic_rmw (_, _, b, o, _) | Types.Cas (_, b, o, _, _) -> screen b o
+    | _ -> ())
+  | _ -> ()
+
+(* Step the source program's [main] under the screen. *)
 let baseline_run (prog : Prog.t) : (base_run, string) result =
   let m = Machine.create (Machine.link prog) in
   let steps = ref 0 in
-  let screen base off (fr : Machine.frame) =
-    let a = fr.regs.(base) + off in
-    if a < 0 || a land 7 <> 0 || Layout.is_ckpt_addr a || Layout.is_flight_addr a
-    then raise (Wild a)
-  in
   try
     while m.status = Machine.Running && !steps < baseline_fuel do
       incr steps;
-      (match m.frames with
-      | fr :: _ when fr.idx < Array.length fr.lf.code.(fr.blk) -> (
-        match fr.lf.code.(fr.blk).(fr.idx) with
-        | Types.Load (_, b, o) | Types.Store (b, o, _) | Types.Flush (b, o) ->
-          screen b o fr
-        | Types.Atomic_rmw (_, _, b, o, _) | Types.Cas (_, b, o, _, _) ->
-          screen b o fr
-        | _ -> ())
-      | _ -> ());
+      screen_step m;
       Machine.step m Machine.no_hooks
     done;
     if m.status = Machine.Running then Error "fuel"
@@ -103,6 +106,17 @@ let baseline_run (prog : Prog.t) : (base_run, string) result =
   | Wild _ -> Error "wild"
   | Machine.Trap _ -> Error "trap"
   | _ -> Error "trap"
+
+(* The dynamic race monitor over an SPMD worker, every thread's accesses
+   under the same screen as [baseline_run]: the baseline only runs
+   [main], so a worker's wild pointer first shows up here. *)
+let monitor (prog : Prog.t) =
+  match
+    Cwsp_interp.Race_monitor.observe ~fuel:400_000 ~screen:screen_step prog
+      ~threads:3 ~worker:"worker"
+  with
+  | o -> Ok o
+  | exception Wild a -> Error a
 
 (* ---- crash-point schedule from the trace's boundary structure ---- *)
 
@@ -260,19 +274,18 @@ let evaluate ?(compile = default_compile) rng (prog : Prog.t) : eval =
                   [ i; j ];
                 (* dynamic race cross-check of a certified SPMD worker *)
                 if spmd_worker prog then begin
-                  let o =
-                    Cwsp_interp.Race_monitor.observe ~fuel:400_000 prog
-                      ~threads:3 ~worker:"worker"
-                  in
-                  if o.races <> [] then begin
-                    cell "monitor:raced";
-                    finding Verifier_escape
-                      (Printf.sprintf
-                         "monitor saw %d race(s) on a certified worker"
-                         (List.length o.races))
-                  end
-                  else if o.hung then cell "monitor:hung"
-                  else cell "monitor:clean"
+                  match monitor prog with
+                  | Error _ -> cell "monitor:wild"
+                  | Ok o ->
+                    if o.races <> [] then begin
+                      cell "monitor:raced";
+                      finding Verifier_escape
+                        (Printf.sprintf
+                           "monitor saw %d race(s) on a certified worker"
+                           (List.length o.races))
+                    end
+                    else if o.hung then cell "monitor:hung"
+                    else cell "monitor:clean"
                 end
               end
           end));
@@ -436,12 +449,10 @@ let reproduces ?(compile = default_compile) ~kind ~detail (prog : Prog.t) : bool
             else
               match certified_compile compile Pipeline.cwsp prog with
               | None -> false
-              | Some _ ->
-                let o =
-                  Cwsp_interp.Race_monitor.observe ~fuel:400_000 prog ~threads:3
-                    ~worker:"worker"
-                in
-                o.races <> [])
+              | Some _ -> (
+                match monitor prog with
+                | Ok o -> o.races <> []
+                | Error _ -> false))
           | _ -> false))
   with _ -> false
 

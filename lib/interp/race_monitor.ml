@@ -68,8 +68,8 @@ type cell = {
 let join dst src =
   Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src
 
-let observe ?(fuel = 200_000_000) ?(quantum = 32) (p : Prog.t) ~threads
-    ~worker : outcome =
+let observe ?(fuel = 200_000_000) ?(quantum = 32) ?screen (p : Prog.t)
+    ~threads ~worker : outcome =
   let linked = Machine.link p in
   let t = Multi.create ~quantum linked ~threads ~worker in
   let vc = Array.init threads (fun i ->
@@ -204,7 +204,7 @@ let observe ?(fuel = 200_000_000) ?(quantum = 32) (p : Prog.t) ~threads
     }
   in
   let hung =
-    match Multi.run ~fuel t hooks with
+    match Multi.run ~fuel ?screen t hooks with
     | () -> false
     | exception (Machine.Fuel_exhausted | Multi.Deadlock) -> true
   in

@@ -27,10 +27,12 @@ type outcome = {
     given round-robin [quantum] (default 32). [Fuel_exhausted] and
     [Deadlock] are reported as [hung], not raised: a mutant that drops
     an unlock leaves its siblings spinning forever, and that is a
-    verdict, not an error. *)
+    verdict, not an error. [screen] is handed to [Multi.run]: whatever
+    it raises propagates. *)
 val observe :
   ?fuel:int ->
   ?quantum:int ->
+  ?screen:(Machine.t -> unit) ->
   Prog.t ->
   threads:int ->
   worker:string ->

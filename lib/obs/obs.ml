@@ -112,6 +112,10 @@ let with_recorder sink f =
       ignore (Atomic.fetch_and_add recording (-1));
       r := prev)
 
+(** Is a sink installed on any domain? Sites whose arguments cost more
+    than a branch to compute test this first. *)
+let recording_on () = Atomic.get recording > 0
+
 (** Record one structured event: [record kind a0 a1 a2 a3]. No-op (one
     branch, no allocation) unless a sink is installed somewhere; a
     domain without its own sink stays a no-op even then. *)

@@ -32,6 +32,11 @@ val now_us : unit -> float
 val with_recorder :
   (int -> int -> int -> int -> int -> unit) -> (unit -> 'a) -> 'a
 
+(** Is a sink installed on any domain? Guard sites whose event
+    arguments are costly to compute: [record]'s own test only skips the
+    call, not the evaluation of its arguments. *)
+val recording_on : unit -> bool
+
 (** Record one structured event; no-op without an installed sink. *)
 val record : int -> int -> int -> int -> int -> unit
 

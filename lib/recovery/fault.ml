@@ -45,7 +45,7 @@ let combine = Cwsp_util.Checksum.combine
     value replay writes back, and the checksum of the NEW value (used to
     audit that a "persisted" store actually reached NVM). *)
 let record_sum ~region ~lsn ~addr ~old ~new_sum =
-  List.fold_left combine (combine 0 region) [ lsn; addr; old; new_sum ]
+  combine (combine (combine (combine (combine 0 region) lsn) addr) old) new_sum
 
 (** Tear a persisting 8-byte store: only a (possibly empty) byte prefix
     of [value] reaches NVM — low-order bytes, little-endian — and the

@@ -57,7 +57,9 @@ type region_record = {
   static_id : int;       (* global boundary id that opened this region;
                             -1 for region 0 (program start); -2 for the
                             resume point of a post-recovery execution *)
-  frames : Machine.frame list; (* snapshot at region entry *)
+  frames : Machine.frame list;
+    (* snapshot at region entry; for a boundary, the open frame's
+       register contents are dead ([boundary_frames]) *)
   depth : int;
   outputs_at_entry : int;
     (* device outputs produced before this region started: the I/O
@@ -69,17 +71,33 @@ type region_record = {
        crash-wise the unit is all-or-nothing *)
 }
 
+(* Checkpoint slots are distinct words, so the word index is a perfect
+   hash within the area. *)
+module Slots = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash a = a lsr 3
+end)
+
 type tracked = {
   machine : Machine.t;
   compiled : Cwsp_compiler.Pipeline.compiled;
-  window : int; (* RBT size: max concurrently-unpersisted regions *)
   io : Io_buffer.t;  (* region-buffered device I/O (Section VIII) *)
   logs : Mc_logs.t;  (* per-MC per-region undo-log arrays (Section V-B2) *)
-  slot_sums : (int, int) Hashtbl.t;
-    (* MC-side shadow metadata for the checkpoint area: slot address ->
-       checksum of its current value, updated atomically with each slot
-       persist. Recovery audits slice inputs against it (absent = zero) *)
-  mutable regions : region_record list; (* newest first, length <= window+1 *)
+  slot_vals : int Slots.t;
+    (* MC-side shadow metadata for the checkpoint area, updated
+       atomically with each slot persist: slot address -> the value it
+       last persisted. Its checksum is what the MC keeps; those are
+       taken once per slot at the power cut ([cs_slot_sums]) rather than
+       once per checkpoint store *)
+  ring : region_record array;
+    (* the tracked regions: a fixed ring of window+1 slots, where the
+       window is the RBT size (max concurrently-unpersisted regions) and
+       [head] is the newest. A boundary overwrites the oldest slot once
+       the ring is full, so tracking costs O(1) per boundary *)
+  mutable head : int;
+  mutable tracked_n : int; (* occupied slots, <= window+1 *)
   mutable region_count : int;
   mutable sync_floor : int;
     (* highest *closed* region that contained a sync primitive: stores
@@ -91,21 +109,18 @@ type tracked = {
 let copy_frame (fr : Machine.frame) = { fr with regs = Array.copy fr.regs }
 
 let make_tracked ~window ~compiled ~machine ~region0 =
-  let t =
-    {
-      machine;
-      compiled;
-      window;
-      io = Io_buffer.create ();
-      logs = Mc_logs.create ~n_mcs:2;
-      slot_sums = Hashtbl.create 64;
-      regions = [];
-      region_count = 0;
-      sync_floor = -1;
-    }
-  in
-  t.regions <- [ region0 ];
-  t
+  {
+    machine;
+    compiled;
+    io = Io_buffer.create ~capacity:(window + 1);
+    logs = Mc_logs.create ~n_mcs:2;
+    slot_vals = Slots.create 64;
+    ring = Array.make (window + 1) region0;
+    head = 0;
+    tracked_n = 1;
+    region_count = 0;
+    sync_floor = -1;
+  }
 
 let create ?(window = 16) (compiled : Cwsp_compiler.Pipeline.compiled) =
   let linked = Machine.link compiled.prog in
@@ -127,55 +142,63 @@ let create_resumed ?(window = 16) (compiled : Cwsp_compiler.Pipeline.compiled)
         frames = List.map copy_frame machine.frames; depth = machine.depth;
         outputs_at_entry = 0; has_sync = false }
 
-let current_region t = List.hd t.regions
+let current_region t = t.ring.(t.head)
+
+(* Call-stack snapshot at a boundary. The open frame's registers are
+   dead there — recovery poisons them and rebuilds the live-ins from the
+   region's slice — so that frame keeps only its position and shares the
+   live register array (resumes copy it before poisoning). Caller frames
+   are NVM-resident stack state and are copied whole. *)
+let boundary_frames = function
+  | (top : Machine.frame) :: callers ->
+    { top with regs = top.regs } :: List.map copy_frame callers
+  | [] -> []
+
+(* The tracked regions, newest first (position 0 is the open region). *)
+let tracked_regions t =
+  let cap = Array.length t.ring in
+  List.init t.tracked_n (fun back -> t.ring.((t.head - back + cap) mod cap))
 
 let on_boundary t static_id =
   (* closing a region that contained a sync primitive seals it: the drain
      semantics of Section VIII guarantee everything up to and including
      it is persistent *)
-  let closed_sync =
-    let cur = current_region t in
-    if cur.has_sync then t.sync_floor <- cur.region_index;
-    cur.has_sync
-  in
-  (* flight recorder: a boundary commit plus persist-path telemetry.
-     [Obs.record] is a single no-op branch unless a recorder sink is
-     installed (validate_fault ~flight:true), so untraced runs pay two
-     dead branches per region boundary. *)
-  let live = Mc_logs.live_entries t.logs in
-  Obs.record k_boundary t.machine.steps static_id live
-    (if closed_sync then 1 else 0);
-  Obs.record k_telemetry (List.length t.regions) live t.sync_floor
-    (Hashtbl.length t.slot_sums);
-  (* regions falling out of the tracking window are treated as persisted
-     (non-speculative): the MCs reclaim their log arrays, exactly the
-     hardware's deallocation protocol *)
-  let rec trim n = function
-    | [] -> []
-    | x :: rest ->
-      if n = 0 then begin
-        List.iter
-          (fun (r : region_record) ->
-            Mc_logs.deallocate t.logs ~region:r.region_index)
-          (x :: rest);
-        []
-      end
-      else x :: trim (n - 1) rest
-  in
+  let cur = current_region t in
+  if cur.has_sync then t.sync_floor <- cur.region_index;
+  (* flight recorder: a boundary commit plus persist-path telemetry. The
+     arguments cost a fold over every live log, so they are computed
+     only while a recorder sink is installed; unrecorded runs pay one
+     branch per region boundary. *)
+  if Obs.recording_on () then begin
+    let live = Mc_logs.live_entries t.logs in
+    Obs.record k_boundary t.machine.steps static_id live
+      (if cur.has_sync then 1 else 0);
+    Obs.record k_telemetry t.tracked_n live t.sync_floor
+      (Slots.length t.slot_vals)
+  end;
+  (* once the ring is full, the oldest region falls out of the tracking
+     window and is treated as persisted (non-speculative): the MCs
+     reclaim its log arrays, exactly the hardware's deallocation
+     protocol *)
+  let cap = Array.length t.ring in
+  let next = (t.head + 1) mod cap in
+  if t.tracked_n = cap then
+    Mc_logs.deallocate t.logs ~region:t.ring.(next).region_index
+  else t.tracked_n <- t.tracked_n + 1;
   t.region_count <- t.region_count + 1;
+  let outputs = List.length t.machine.outputs in
   Io_buffer.on_region_start t.io ~region_index:t.region_count
-    ~total_outputs:(List.length t.machine.outputs);
-  let snapshot = List.map copy_frame t.machine.frames in
-  t.regions <-
+    ~total_outputs:outputs;
+  t.ring.(next) <-
     {
       region_index = t.region_count;
       static_id;
-      frames = snapshot;
+      frames = boundary_frames t.machine.frames;
       depth = t.machine.depth;
-      outputs_at_entry = List.length t.machine.outputs;
+      outputs_at_entry = outputs;
       has_sync = false;
-    }
-    :: trim t.window t.regions
+    };
+  t.head <- next
 
 let hooks t : Machine.hooks =
   {
@@ -186,11 +209,10 @@ let hooks t : Machine.hooks =
         else if tag = Event.tag_atomic then (current_region t).has_sync <- true);
     on_store =
       (fun ~addr ~old ~value ->
-        (* every speculative store is undo-logged on arrival at its MC *)
-        Mc_logs.log t.logs ~region:(current_region t).region_index ~addr ~old
-          ~value;
-        if Layout.is_ckpt_addr addr then
-          Hashtbl.replace t.slot_sums addr (Fault.value_sum value));
+        (* every speculative store is undo-logged on arrival at its MC;
+           the open region is always the newest, [region_count] *)
+        Mc_logs.log t.logs ~region:t.region_count ~addr ~old ~value;
+        if Layout.is_ckpt_addr addr then Slots.replace t.slot_vals addr value);
   }
 
 (** Run for [steps] instructions (or to completion). Returns [true] if the
@@ -256,13 +278,14 @@ let crash_and_recover ?(n_mcs = 2) rng (t : tracked) :
     Machine.t * crash_report =
   let crash_step = t.machine.steps in
   let mem = Memory.snapshot t.machine.mem in
+  let regions = tracked_regions t in
   (* choose the oldest unpersisted region within the window; never at or
      before a closed sync region (its commit drained everything older) *)
   let eligible =
     List.length
       (List.filter
          (fun (r : region_record) -> r.region_index > t.sync_floor)
-         t.regions)
+         regions)
   in
   let avail = max 1 eligible in
   (* every eligible tracked region is a legal recovery point. (The bound
@@ -273,8 +296,8 @@ let crash_and_recover ?(n_mcs = 2) rng (t : tracked) :
      no rollback ever happened at all.) *)
   let back = Cwsp_util.Rng.int rng avail in
   (* regions list is newest first: element [back] is R_o *)
-  let younger = List.filteri (fun i _ -> i < back) t.regions in
-  let r_o = List.nth t.regions back in
+  let younger = List.filteri (fun i _ -> i < back) regions in
+  let r_o = List.nth regions back in
   let r_o_entries = Mc_logs.region_entries t.logs ~region:r_o.region_index in
   (* 1. revert speculative NVM updates of younger regions: the MCs replay
      their per-region log arrays in reverse chronological order *)
@@ -747,17 +770,25 @@ type crash_state = {
     in the image — reverting them is recovery's job, not the crash's. *)
 let cut_power ?(n_mcs = 2) rng (t : tracked) : crash_state =
   ignore n_mcs;
+  (* copies: the crash state is a value, and [has_sync] is mutable *)
+  let regions =
+    List.map (fun (r : region_record) -> { r with has_sync = r.has_sync })
+      (tracked_regions t)
+  in
   let eligible =
     List.length
       (List.filter
          (fun (r : region_record) -> r.region_index > t.sync_floor)
-         t.regions)
+         regions)
   in
   let avail = max 1 eligible in
   let back = Cwsp_util.Rng.int rng avail in
-  let r_o = List.nth t.regions back in
+  let r_o = List.nth regions back in
   let mem = Memory.snapshot t.machine.mem in
-  let slot_sums = Hashtbl.copy t.slot_sums in
+  let slot_sums = Hashtbl.create (Slots.length t.slot_vals) in
+  Slots.iter
+    (fun a v -> Hashtbl.replace slot_sums a (Fault.value_sum v))
+    t.slot_vals;
   let r_o_entries = Mc_logs.region_entries t.logs ~region:r_o.region_index in
   let younger_covers = Hashtbl.create 64 in
   List.iteri
@@ -766,7 +797,7 @@ let cut_power ?(n_mcs = 2) rng (t : tracked) : crash_state =
         List.iter
           (fun (e : Mc_logs.entry) -> Hashtbl.replace younger_covers e.e_addr ())
           (Mc_logs.region_entries t.logs ~region:r.region_index))
-    t.regions;
+    regions;
   let unpersist (e : Mc_logs.entry) =
     if not (Hashtbl.mem younger_covers e.e_addr) then begin
       Memory.write mem e.e_addr e.e_old;
@@ -817,7 +848,7 @@ let cut_power ?(n_mcs = 2) rng (t : tracked) : crash_state =
     cs_mem = mem;
     cs_logs = Mc_logs.copy t.logs;
     cs_slot_sums = slot_sums;
-    cs_regions = t.regions;
+    cs_regions = regions;
     cs_nominal = back;
     cs_released = released;
     cs_sync_floor = t.sync_floor;
@@ -1233,10 +1264,12 @@ let resume_at cs w ~back =
   end
 
 (* Run the resumed machine to completion and compare against the golden
-   run. A trap, a hang, or any NVM/IO divergence is a wrong outcome —
-   the oracle, independent of all checksums. The flight-recorder region
-   is excluded: it is observability state, written on the crashing path
-   only, and legitimately differs from the failure-free image. *)
+   run. A trap, a wild memory access (a poisoned or corrupted register
+   used as a pointer), a hang, or any NVM/IO divergence is a wrong
+   outcome — the oracle, independent of all checksums. The
+   flight-recorder region is excluded: it is observability state,
+   written on the crashing path only, and legitimately differs from the
+   failure-free image. *)
 let run_and_compare cs golden m =
   let fuel = (4 * golden.g_steps) + 10_000 in
   match Machine.run ~fuel m Machine.no_hooks with
@@ -1245,6 +1278,12 @@ let run_and_compare cs golden m =
       && cs.cs_released @ Machine.outputs m = golden.g_outputs
   | exception Machine.Trap _ -> false
   | exception Machine.Fuel_exhausted -> false
+  (* [Memory]'s fault on a misaligned or negative address. Only its own
+     messages are matched: an index error elsewhere is a harness bug and
+     must still escape. *)
+  | exception Invalid_argument msg
+    when String.starts_with ~prefix:"Memory: " msg ->
+      false
 
 type fault_outcome = Recovered | Degraded | Refused
 
@@ -1291,25 +1330,44 @@ let slice_cut_count plan cuts =
   List.length
     (List.filter (fun k -> match arr.(k) with S_slice _ -> true | _ -> false) cuts)
 
+let c_sweep_reused = Obs.Counter.make "recovery.sweep.reused"
+let c_sweep_rerun = Obs.Counter.make "recovery.sweep.rerun"
+
 (** One fault experiment against a crash state. [restart] receives the
     post-second-crash world and must bring recovery to completion the
     way the protocol under test would. Returns (all-runs-consistent,
     sweep stats). When [sweep] is empty only the crash-free recovery
-    runs. *)
+    runs.
+
+    Sweep resumes are memoized on the recovered image: [resume_at] and
+    [run_and_compare] read nothing of a world but its memory, so a sweep
+    world whose image equals the clean recovery's (the whole image,
+    flight region included) would replay the clean run step for step —
+    it takes the clean verdict instead of re-running it. *)
 let execute_recovery cs golden ~back ~plan ~restart ~sweep =
-  let once cut =
-    let w = world_of cs in
-    (match cut with
-    | None -> run_plan w plan
-    | Some k ->
-        List.iteri (fun i s -> if i <= k then exec_step w s) plan;
-        (* power failed; volatile state (loaded plan, registers) is gone *)
-        restart w);
-    run_and_compare cs golden (resume_at cs w ~back)
+  let verdict w = run_and_compare cs golden (resume_at cs w ~back) in
+  let clean = world_of cs in
+  run_plan clean plan;
+  (* the resumed run mutates the image, so keep the recovered one *)
+  let clean_image =
+    if sweep = [] then None else Some (Memory.snapshot clean.w_mem)
   in
-  let clean_ok = once None in
+  let clean_ok = verdict clean in
+  let once k =
+    let w = world_of cs in
+    List.iteri (fun i s -> if i <= k then exec_step w s) plan;
+    (* power failed; volatile state (loaded plan, registers) is gone *)
+    restart w;
+    match clean_image with
+    | Some img when Memory.equal img w.w_mem ->
+      Obs.Counter.incr c_sweep_reused;
+      clean_ok
+    | _ ->
+      Obs.Counter.incr c_sweep_rerun;
+      verdict w
+  in
   let failures =
-    List.length (List.filter (fun k -> not (once (Some k))) sweep)
+    List.length (List.filter (fun k -> not (once k)) sweep)
   in
   (clean_ok && failures = 0, failures)
 

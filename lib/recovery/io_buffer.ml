@@ -19,24 +19,45 @@
     output equals the failure-free output — the exactly-once property. *)
 
 type t = {
-  mutable per_region : (int * int) list;
-    (* (region_index, outputs produced by the end of that region),
-       newest first; counts are cumulative *)
+  regions : int array; (* ring: region index of each tracked entry *)
+  totals : int array;
+    (* outputs produced by the time that region began; cumulative *)
+  mutable newest : int; (* slot of the newest entry *)
+  mutable len : int;
 }
 
-let create () = { per_region = [ (0, 0) ] }
+(** A buffer remembering the newest [capacity] regions — the tracked
+    window: a crash never rolls back past it, so older entries are never
+    asked for. *)
+let create ~capacity =
+  {
+    regions = Array.make capacity 0;
+    totals = Array.make capacity 0;
+    newest = 0;
+    len = 1 (* region 0 begins with nothing produced *);
+  }
 
 (** Record that [total_outputs] had been produced when region
     [region_index] began. *)
 let on_region_start t ~region_index ~total_outputs =
-  t.per_region <- (region_index, total_outputs) :: t.per_region
+  let cap = Array.length t.regions in
+  t.newest <- (t.newest + 1) mod cap;
+  t.regions.(t.newest) <- region_index;
+  t.totals.(t.newest) <- total_outputs;
+  if t.len < cap then t.len <- t.len + 1
 
 (** Number of outputs already released to the device when the oldest
     unpersisted region is [region_index]: everything buffered by regions
-    that persisted before it. *)
+    that persisted before it. The region must be within the buffer's
+    window. *)
 let released t ~oldest_unpersisted =
-  let rec find = function
-    | [] -> 0
-    | (r, n) :: rest -> if r <= oldest_unpersisted then n else find rest
+  let cap = Array.length t.regions in
+  let rec find back =
+    if back >= t.len then
+      invalid_arg "Io_buffer.released: region older than the tracked window"
+    else
+      let i = (t.newest - back + cap) mod cap in
+      if t.regions.(i) <= oldest_unpersisted then t.totals.(i)
+      else find (back + 1)
   in
-  find t.per_region
+  find 0

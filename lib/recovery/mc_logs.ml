@@ -40,34 +40,67 @@ let entry_ok ~region e =
   = Fault.record_sum ~region ~lsn:e.e_lsn ~addr:e.e_addr ~old:e.e_old
       ~new_sum:e.e_new_sum
 
+(* One (MC, region) log array: its records, newest first, and its
+   durable count header (appends so far). *)
+type arr = { mutable es : entry list; mutable cnt : int }
+
 type t = {
   n_mcs : int;
-  (* per MC: region id -> reversed entry list (newest first) *)
-  arrays : (int, entry list) Hashtbl.t array;
-  (* per MC: region id -> durable count header (appends so far) *)
-  counts : (int, int) Hashtbl.t array;
+  arrays : (int, arr) Hashtbl.t array; (* per MC: region id -> array *)
+  last_region : int array;
+  last_arr : arr array;
+    (* per MC: the array the previous [log] appended to. Stores arrive
+       in runs of one region, so this skips the table on almost every
+       append. Only ever aliases an array installed in [arrays]. *)
   mutable logged_entries : int; (* lifetime counter, for stats *)
 }
+
+let no_region = min_int
+let no_arr = { es = []; cnt = 0 }
 
 let create ~n_mcs =
   {
     n_mcs;
     arrays = Array.init n_mcs (fun _ -> Hashtbl.create 64);
-    counts = Array.init n_mcs (fun _ -> Hashtbl.create 64);
+    last_region = Array.make n_mcs no_region;
+    last_arr = Array.make n_mcs no_arr;
     logged_entries = 0;
   }
 
 let mc_of t addr = (addr lsr 8) mod t.n_mcs
 
+let find_arr t mc region =
+  if t.last_region.(mc) = region then t.last_arr.(mc)
+  else begin
+    let a =
+      match Hashtbl.find t.arrays.(mc) region with
+      | a -> a
+      | exception Not_found ->
+        let a = { es = []; cnt = 0 } in
+        Hashtbl.add t.arrays.(mc) region a;
+        a
+    in
+    t.last_region.(mc) <- region;
+    t.last_arr.(mc) <- a;
+    a
+  end
+
+let entries_of t mc region =
+  match Hashtbl.find_opt t.arrays.(mc) region with
+  | Some a -> a.es
+  | None -> []
+
+let forget t mc =
+  t.last_region.(mc) <- no_region;
+  t.last_arr.(mc) <- no_arr
+
 (** A store of region [region] arrived at its MC: undo-log it. [value] is
     the new value being stored; only its checksum is kept. *)
 let log t ~region ~addr ~old ~value =
-  let mc = mc_of t addr in
-  let tbl = t.arrays.(mc) in
-  let cur = Option.value ~default:[] (Hashtbl.find_opt tbl region) in
-  let lsn = Option.value ~default:0 (Hashtbl.find_opt t.counts.(mc) region) in
+  let a = find_arr t (mc_of t addr) region in
+  let lsn = a.cnt in
   let new_sum = Fault.value_sum value in
-  let e =
+  a.es <-
     {
       e_lsn = lsn;
       e_addr = addr;
@@ -75,28 +108,26 @@ let log t ~region ~addr ~old ~value =
       e_new_sum = new_sum;
       e_sum = Fault.record_sum ~region ~lsn ~addr ~old ~new_sum;
     }
-  in
-  Hashtbl.replace tbl region (e :: cur);
-  Hashtbl.replace t.counts.(mc) region (lsn + 1);
+    :: a.es;
+  a.cnt <- lsn + 1;
   t.logged_entries <- t.logged_entries + 1
 
 (** The region became non-speculative: its own logs are no longer needed
     for recovery and every MC reclaims the region's array (and header). *)
 let deallocate t ~region =
-  Array.iter (fun tbl -> Hashtbl.remove tbl region) t.arrays;
-  Array.iter (fun tbl -> Hashtbl.remove tbl region) t.counts
+  for mc = 0 to t.n_mcs - 1 do
+    Hashtbl.remove t.arrays.(mc) region;
+    if t.last_region.(mc) = region then forget t mc
+  done
 
 (** Entries of one region across all MCs, newest first (program order is
     preserved per location because a location always maps to one MC). *)
 let region_entries t ~region =
-  Array.to_list t.arrays
-  |> List.concat_map (fun tbl ->
-         Option.value ~default:[] (Hashtbl.find_opt tbl region))
+  List.concat (List.init t.n_mcs (fun mc -> entries_of t mc region))
 
 (** Drop all logs and headers — recovery's final truncation step. *)
 let reset t =
-  Array.iter Hashtbl.reset t.arrays;
-  Array.iter Hashtbl.reset t.counts
+  Array.iteri (fun mc tbl -> Hashtbl.reset tbl; forget t mc) t.arrays
 
 (** Structural copy sharing no mutable state with [t] — recovery
     experiments snapshot the surviving log image at the crash point. *)
@@ -107,28 +138,35 @@ let copy t =
       Array.map
         (fun tbl ->
           let c = Hashtbl.copy tbl in
-          Hashtbl.iter (fun r es -> Hashtbl.replace c r (List.map (fun e -> { e with e_lsn = e.e_lsn }) es)) tbl;
+          Hashtbl.iter
+            (fun r a ->
+              Hashtbl.replace c r
+                { es = List.map (fun e -> { e with e_lsn = e.e_lsn }) a.es;
+                  cnt = a.cnt })
+            tbl;
           c)
         t.arrays;
-    counts = Array.map Hashtbl.copy t.counts;
+    last_region = Array.make t.n_mcs no_region;
+    last_arr = Array.make t.n_mcs no_arr;
     logged_entries = t.logged_entries;
   }
+
+(* Every region with an array on some MC, newest (highest id) first. *)
+let regions_newest_first t =
+  Array.to_list t.arrays
+  |> List.concat_map (fun tbl -> Hashtbl.fold (fun r _ acc -> r :: acc) tbl [])
+  |> List.sort_uniq compare |> List.rev
 
 (** Power failure: revert every logged region newer than (and NOT
     including) [oldest_unpersisted], processing regions in reverse
     chronological order of Region ID as the paper's recovery runtime
     does, then drop all logs. [apply] receives (addr, old value). *)
 let revert_speculative t ~oldest_unpersisted ~apply =
-  let regions =
-    Array.to_list t.arrays
-    |> List.concat_map (fun tbl -> Hashtbl.fold (fun r _ acc -> r :: acc) tbl [])
-    |> List.sort_uniq compare |> List.rev
-  in
   List.iter
     (fun r ->
       if r > oldest_unpersisted then
         List.iter (fun e -> apply e.e_addr e.e_old) (region_entries t ~region:r))
-    regions;
+    (regions_newest_first t);
   reset t
 
 (** Revert (reverse chronological region order) exactly the regions for
@@ -136,25 +174,20 @@ let revert_speculative t ~oldest_unpersisted ~apply =
     variant where each thread contributes its own unpersisted-region set
     (Section VIII). *)
 let revert_where t ~should_revert ~apply =
-  let regions =
-    Array.to_list t.arrays
-    |> List.concat_map (fun tbl -> Hashtbl.fold (fun r _ acc -> r :: acc) tbl [])
-    |> List.sort_uniq compare |> List.rev
-  in
   List.iter
     (fun r ->
       if should_revert r then begin
         List.iter (fun e -> apply e.e_addr e.e_old) (region_entries t ~region:r);
         deallocate t ~region:r
       end)
-    regions
+    (regions_newest_first t)
 
 (** Live (not yet deallocated) entries — bounded in hardware because each
     region holds only a handful of stores and the number of concurrently
     speculative regions is capped by the RBT size (Section V-B2). *)
 let live_entries t =
   Array.fold_left
-    (fun acc tbl -> Hashtbl.fold (fun _ es acc -> acc + List.length es) tbl acc)
+    (fun acc tbl -> Hashtbl.fold (fun _ a acc -> acc + List.length a.es) tbl acc)
     0 t.arrays
 
 (** Audit of one region's logs across all MCs. Three independent damage
@@ -168,8 +201,11 @@ type audit = { au_structural : string list; au_bad : entry list }
 let audit_region t ~region =
   let structural = ref [] and bad = ref [] in
   for mc = 0 to t.n_mcs - 1 do
-    let es = Option.value ~default:[] (Hashtbl.find_opt t.arrays.(mc) region) in
-    let header = Option.value ~default:0 (Hashtbl.find_opt t.counts.(mc) region) in
+    let es, header =
+      match Hashtbl.find_opt t.arrays.(mc) region with
+      | Some a -> (a.es, a.cnt)
+      | None -> ([], 0)
+    in
     let n = List.length es in
     if n <> header then
       structural :=
@@ -209,7 +245,7 @@ let inject_drop_tail t rng ~regions =
   let candidates =
     List.concat_map
       (fun r ->
-        List.filteri (fun mc _ -> Hashtbl.mem t.arrays.(mc) r)
+        List.filteri (fun mc _ -> entries_of t mc r <> [])
           (List.init t.n_mcs (fun mc -> (mc, r))))
       regions
   in
@@ -217,10 +253,10 @@ let inject_drop_tail t rng ~regions =
   | [] -> None
   | _ ->
       let mc, r = List.nth candidates (Cwsp_util.Rng.int rng (List.length candidates)) in
-      let es = Hashtbl.find t.arrays.(mc) r in
-      let k = 1 + Cwsp_util.Rng.int rng (List.length es) in
+      let a = Hashtbl.find t.arrays.(mc) r in
+      let k = 1 + Cwsp_util.Rng.int rng (List.length a.es) in
       let rec drop k es = if k = 0 then es else drop (k - 1) (List.tl es) in
-      Hashtbl.replace t.arrays.(mc) r (drop k es);
+      a.es <- drop k a.es;
       Some (Printf.sprintf "dropped %d newest log records of mc%d region %d" k mc r)
 
 (** Corrupt one record of one region in [regions]: flip a bit in its
@@ -233,9 +269,7 @@ let inject_corrupt t rng ~regions =
       (fun r ->
         List.filter_map
           (fun mc ->
-            match Hashtbl.find_opt t.arrays.(mc) r with
-            | Some (_ :: _) -> Some (mc, r)
-            | _ -> None)
+            if entries_of t mc r <> [] then Some (mc, r) else None)
           (List.init t.n_mcs (fun mc -> mc)))
       regions
   in
@@ -243,7 +277,8 @@ let inject_corrupt t rng ~regions =
   | [] -> None
   | _ ->
       let mc, r = List.nth candidates (Cwsp_util.Rng.int rng (List.length candidates)) in
-      let es = Hashtbl.find t.arrays.(mc) r in
+      let a = Hashtbl.find t.arrays.(mc) r in
+      let es = a.es in
       let i = Cwsp_util.Rng.int rng (List.length es) in
       let e = List.nth es i in
       (match Cwsp_util.Rng.int rng 4 with
@@ -257,6 +292,5 @@ let inject_corrupt t rng ~regions =
           e.e_sum <- Fault.flip_bit rng e.e_sum;
           Some (Printf.sprintf "flipped checksum bit of record lsn=%d mc%d region %d" e.e_lsn mc r)
       | _ ->
-          Hashtbl.replace t.arrays.(mc) r
-            (List.filteri (fun j _ -> j <> i) es);
+          a.es <- List.filteri (fun j _ -> j <> i) es;
           Some (Printf.sprintf "removed record lsn=%d from mc%d region %d (header intact)" e.e_lsn mc r))

@@ -262,6 +262,50 @@ let test_campaign_flight_deterministic () =
           (last.r_kind = Some Recorder.Cell))
     seq.Campaign.r_cells
 
+(* Byte-identity pin for recorder-on runs: the digests of every cell
+   dump of a small flight campaign, and of the Telemetry records alone
+   (window fill, live undo-log entries, sync floor, written slots —
+   the boundary telemetry must keep being written while recording). *)
+let test_campaign_flight_pinned () =
+  let target = Campaign.target ~name:"fft" (compiled_of "fft") in
+  let r = Campaign.run ~flight:true ~seeds:2 ~classes:Fault.all [ target ] in
+  let dumps =
+    String.concat "\n--\n"
+      (List.map
+         (fun (c : Campaign.cell) -> Option.value ~default:"" c.c_flight)
+         r.r_cells)
+  in
+  let tele = Buffer.create 4096 in
+  List.iter
+    (fun (c : Campaign.cell) ->
+      match Option.bind c.c_flight Recorder.load_dump_string with
+      | None -> Buffer.add_string tele "none\n"
+      | Some mem ->
+        List.iter
+          (fun (rc : Postmortem.record) ->
+            if rc.r_kind = Some Recorder.Telemetry then
+              let a0, a1, a2, a3 = rc.r_args in
+              Printf.bprintf tele "%d %d %d %d %d\n" rc.r_lsn a0 a1 a2 a3)
+          (Postmortem.audit mem).a_records)
+    r.r_cells;
+  let live_logged =
+    List.exists
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ _; _; live; _; _ ] -> int_of_string live > 0
+        | _ -> false)
+      (String.split_on_char '\n' (Buffer.contents tele))
+  in
+  Alcotest.(check bool) "live undo-log entries recorded" true live_logged;
+  let hex s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "cell dumps" "2ae332a9ec71d9d0d53911b499003f43"
+    (hex dumps);
+  Alcotest.(check string) "telemetry records"
+    "3d60c2d4a422d851773a6e82aa4c4646"
+    (hex (Buffer.contents tele));
+  Alcotest.(check string) "report" "1d9b2827994e88858f8221576a8ce158"
+    (hex (Campaign.to_json r))
+
 let () =
   Alcotest.run "flight"
     [
@@ -285,5 +329,7 @@ let () =
         [
           Alcotest.test_case "dumps deterministic across pool widths" `Quick
             test_campaign_flight_deterministic;
+          Alcotest.test_case "recorder-on dumps pinned" `Quick
+            test_campaign_flight_pinned;
         ] );
     ]

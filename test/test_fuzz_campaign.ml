@@ -291,6 +291,39 @@ let test_minimizer_corpus () =
         Alcotest.failf "%s: minimized program lost its diagnostic" (mutant_name m))
     [ Drop_acquire; Widen_stride; Drop_release; Plain_accum; Private_atomic ]
 
+(* ---- 4. wild SPMD workers ---- *)
+
+(* Minimized from fuzz master 17, exec 280: [main] is empty, so the
+   baseline screen never sees the worker, whose tid-striped store lands
+   on a misaligned address. The oracle used to die inside the race
+   monitor with [Invalid_argument "Memory: unaligned address ..."]; the
+   monitor now runs under the same screen and files a cell. *)
+let wild_worker =
+  {|global @sp_arr : 256 bytes
+main = main
+
+func worker(1 params, 4 regs):
+.b0:
+  r1 = la @sp_arr
+  r2 = shl r0, 6
+  r3 = add r1, r2
+  store [r3 + 4], r0
+  ret
+
+func main(0 params, 0 regs):
+.b0:
+  ret
+|}
+
+let test_wild_worker () =
+  let prog = Parse.program wild_worker in
+  let ev = Oracle.evaluate (Cwsp_util.Rng.create 1) prog in
+  Alcotest.(check bool) "monitor:wild cell" true
+    (List.mem "monitor:wild" ev.e_cells);
+  Alcotest.(check int) "not a finding" 0 (List.length ev.e_findings);
+  Alcotest.(check bool) "not a monitor reproduction" false
+    (Oracle.reproduces ~kind:Oracle.Verifier_escape ~detail:"monitor" prog)
+
 let () =
   Alcotest.run "fuzz-campaign"
     [
@@ -312,5 +345,7 @@ let () =
             test_reinject_drop_flush;
           Alcotest.test_case "minimizer corpus: 5 mutants to <= 25 instrs" `Quick
             test_minimizer_corpus;
+          Alcotest.test_case "wild SPMD worker is a cell, not a crash" `Quick
+            test_wild_worker;
         ] );
     ]

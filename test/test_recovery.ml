@@ -294,6 +294,193 @@ let test_mc_logs_copy_independent () =
   Alcotest.(check int) "snapshot records still verify" 0
     (List.length au.Cwsp_recovery.Mc_logs.au_bad)
 
+(* The region-buffered I/O keeps only the tracked window: a ring of
+   [capacity] region starts. Within it, [released] is the output count
+   at the newest region start not after the query; past it, asking is a
+   harness bug and raises. *)
+let test_io_buffer_ring () =
+  let module Io = Cwsp_recovery.Io_buffer in
+  let io = Io.create ~capacity:3 in
+  Alcotest.(check int) "region 0 released nothing" 0
+    (Io.released io ~oldest_unpersisted:0);
+  List.iter
+    (fun (r, n) -> Io.on_region_start io ~region_index:r ~total_outputs:n)
+    [ (1, 2); (2, 2); (3, 5); (4, 9) ];
+  Alcotest.(check (list int)) "window regions 2..4" [ 2; 5; 9 ]
+    (List.map (fun r -> Io.released io ~oldest_unpersisted:r) [ 2; 3; 4 ]);
+  Alcotest.(check int) "a later query sees the newest start" 9
+    (Io.released io ~oldest_unpersisted:7);
+  Alcotest.check_raises "older than the window"
+    (Invalid_argument "Io_buffer.released: region older than the tracked window")
+    (fun () -> ignore (Io.released io ~oldest_unpersisted:1))
+
+(* ---- model-based check of the undo-log arrays ---- *)
+
+(* A naive reference for [Mc_logs]: per MC an association list from
+   region to (records newest first, count header), records as immutable
+   tuples (lsn, addr, old, new_sum, sum). Random operation sequences run
+   against both; every live instance — including copies, which later
+   operations keep mutating — must agree on every region's entries, its
+   audit and the live count. A copy that shared any mutable state with
+   its source (an array, a record, the last-region cache) would drift
+   from its model. *)
+module Ref_logs = struct
+  type r = int * int * int * int * int
+  type t = { n : int; mcs : (int * (r list * int)) list array }
+
+  let create n = { n; mcs = Array.make n [] }
+  let copy t = { t with mcs = Array.copy t.mcs }
+  let mc_of t addr = (addr lsr 8) mod t.n
+  let get t mc region = List.assoc_opt region t.mcs.(mc)
+  let set t mc region v =
+    t.mcs.(mc) <- (region, v) :: List.remove_assoc region t.mcs.(mc)
+
+  let log t ~region ~addr ~old ~value =
+    let mc = mc_of t addr in
+    let es, cnt = Option.value ~default:([], 0) (get t mc region) in
+    let new_sum = Cwsp_recovery.Fault.value_sum value in
+    let sum =
+      Cwsp_recovery.Fault.record_sum ~region ~lsn:cnt ~addr ~old ~new_sum
+    in
+    set t mc region ((cnt, addr, old, new_sum, sum) :: es, cnt + 1)
+
+  let deallocate t ~region =
+    Array.iteri (fun mc l -> t.mcs.(mc) <- List.remove_assoc region l) t.mcs
+
+  let reset t = Array.fill t.mcs 0 t.n []
+  let entries t mc region = match get t mc region with Some (es, _) -> es | None -> []
+  let region_entries t ~region =
+    List.concat (List.init t.n (fun mc -> entries t mc region))
+
+  let live t =
+    Array.fold_left
+      (fun acc l -> List.fold_left (fun a (_, (es, _)) -> a + List.length es) acc l)
+      0 t.mcs
+
+  let ok region (lsn, addr, old, new_sum, sum) =
+    sum = Cwsp_recovery.Fault.record_sum ~region ~lsn ~addr ~old ~new_sum
+
+  let audit t ~region =
+    let structural = ref [] and bad = ref [] in
+    for mc = 0 to t.n - 1 do
+      let es, header = Option.value ~default:([], 0) (get t mc region) in
+      let n = List.length es in
+      if n <> header then
+        structural :=
+          Printf.sprintf "mc%d region %d: count header %d but %d records" mc
+            region header n
+          :: !structural;
+      List.iter (fun e -> if not (ok region e) then bad := e :: !bad) es;
+      List.iteri
+        (fun i ((lsn, _, _, _, _) as e) ->
+          if ok region e && lsn <> n - 1 - i then
+            structural :=
+              Printf.sprintf "mc%d region %d: lsn %d where %d expected" mc
+                region lsn (n - 1 - i)
+              :: !structural)
+        es
+    done;
+    (!structural, !bad)
+
+  let drop_tail t rng ~regions =
+    let cands =
+      List.concat_map
+        (fun r ->
+          List.filter_map
+            (fun mc -> if entries t mc r <> [] then Some (mc, r) else None)
+            (List.init t.n Fun.id))
+        regions
+    in
+    if cands <> [] then begin
+      let mc, r = List.nth cands (Cwsp_util.Rng.int rng (List.length cands)) in
+      let es, cnt = Option.get (get t mc r) in
+      let k = 1 + Cwsp_util.Rng.int rng (List.length es) in
+      set t mc r (List.filteri (fun i _ -> i >= k) es, cnt)
+    end
+
+  let corrupt t rng ~regions =
+    let cands =
+      List.concat_map
+        (fun r ->
+          List.filter_map
+            (fun mc -> if entries t mc r <> [] then Some (mc, r) else None)
+            (List.init t.n Fun.id))
+        regions
+    in
+    if cands <> [] then begin
+      let mc, r = List.nth cands (Cwsp_util.Rng.int rng (List.length cands)) in
+      let es, cnt = Option.get (get t mc r) in
+      let i = Cwsp_util.Rng.int rng (List.length es) in
+      let lsn, addr, old, ns, sum = List.nth es i in
+      let replace e = List.mapi (fun j x -> if j = i then e else x) es in
+      let flip = Cwsp_recovery.Fault.flip_bit in
+      let es' =
+        match Cwsp_util.Rng.int rng 4 with
+        | 0 -> replace (lsn, flip rng addr, old, ns, sum)
+        | 1 -> replace (lsn, addr, flip rng old, ns, sum)
+        | 2 -> replace (lsn, addr, old, ns, flip rng sum)
+        | _ -> List.filteri (fun j _ -> j <> i) es
+      in
+      set t mc r (es', cnt)
+    end
+end
+
+let test_mc_logs_model () =
+  let module L = Cwsp_recovery.Mc_logs in
+  let as_tuple (e : L.entry) = (e.e_lsn, e.e_addr, e.e_old, e.e_new_sum, e.e_sum) in
+  let n_regions = 6 in
+  for seed = 0 to 59 do
+    let rng = Cwsp_util.Rng.create seed in
+    let n_mcs = 1 + Cwsp_util.Rng.int rng 3 in
+    let live = ref [ (L.create ~n_mcs, Ref_logs.create n_mcs) ] in
+    let check step =
+      List.iteri
+        (fun k (impl, model) ->
+          let got =
+            ( L.live_entries impl,
+              List.init n_regions (fun region ->
+                  let au = L.audit_region impl ~region in
+                  ( List.map as_tuple (L.region_entries impl ~region),
+                    au.au_structural,
+                    List.map as_tuple au.au_bad )) )
+          and want =
+            ( Ref_logs.live model,
+              List.init n_regions (fun region ->
+                  let st, bad = Ref_logs.audit model ~region in
+                  (Ref_logs.region_entries model ~region, st, bad)) )
+          in
+          if got <> want then
+            Alcotest.failf "seed %d step %d: instance %d diverged from the model"
+              seed step k)
+        !live
+    in
+    for step = 1 to 80 do
+      let arr = Array.of_list !live in
+      let impl, model = arr.(Cwsp_util.Rng.int rng (Array.length arr)) in
+      let region = Cwsp_util.Rng.int rng n_regions in
+      let regions = [ region; (region + 1) mod n_regions ] in
+      (match Cwsp_util.Rng.int rng 20 with
+      | 0 | 1 -> L.deallocate impl ~region; Ref_logs.deallocate model ~region
+      | 2 -> L.reset impl; Ref_logs.reset model
+      | 3 when List.length !live < 4 ->
+        live := !live @ [ (L.copy impl, Ref_logs.copy model) ]
+      | 4 ->
+        let r2 = Cwsp_util.Rng.copy rng in
+        ignore (L.inject_drop_tail impl rng ~regions);
+        Ref_logs.drop_tail model r2 ~regions
+      | 5 ->
+        let r2 = Cwsp_util.Rng.copy rng in
+        ignore (L.inject_corrupt impl rng ~regions);
+        Ref_logs.corrupt model r2 ~regions
+      | _ ->
+        let addr = 8 * Cwsp_util.Rng.int rng 128 in
+        let old = Cwsp_util.Rng.int rng 1000 and value = Cwsp_util.Rng.int rng 1000 in
+        L.log impl ~region ~addr ~old ~value;
+        Ref_logs.log model ~region ~addr ~old ~value);
+      check step
+    done
+  done
+
 (* ---- adversarial fault model ---- *)
 
 let fault_compiled = lazy (compiled_of "lu-ncg")
@@ -395,6 +582,93 @@ let test_recovery_crash_sweep () =
   Alcotest.(check bool) "swept recovery-slice instructions" true
     (!slice_points > 0)
 
+(* The sweep memo is outcome-neutral and does what it claims: under the
+   hardened protocol every mid-recovery restart rebuilds exactly the
+   clean recovery's image, so every sweep point reuses the clean
+   verdict; blind restarts re-read a prematurely truncated log, their
+   images differ, and they run in full. The counters only count while
+   telemetry is on. *)
+let test_sweep_memo () =
+  let module Obs = Cwsp_obs.Obs in
+  let compiled = Lazy.force fault_compiled in
+  let golden = Lazy.force fault_golden in
+  let reused = Obs.Counter.make "recovery.sweep.reused"
+  and rerun = Obs.Counter.make "recovery.sweep.rerun" in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.reset (fun () ->
+      let sweep ~hardened =
+        let r0 = Obs.Counter.value reused and x0 = Obs.Counter.value rerun in
+        let points = ref 0 in
+        for seed = 0 to 5 do
+          match
+            Cwsp_recovery.Harness.validate_fault ~golden ~hardened
+              ~fault:Cwsp_recovery.Fault.Recovery_crash ~seed
+              ~crash_at:(4_000 + (seed * 4_000)) compiled
+          with
+          | Ok r -> points := !points + r.fr_sweep_points
+          | Error e -> Alcotest.failf "seed %d: %s" seed e
+        done;
+        (!points, Obs.Counter.value reused - r0, Obs.Counter.value rerun - x0)
+      in
+      let points, re, run = sweep ~hardened:true in
+      Alcotest.(check bool) "hardened sweep has points" true (points > 0);
+      Alcotest.(check (pair int int)) "hardened: every point reused"
+        (points, 0) (re, run);
+      let points, re, run = sweep ~hardened:false in
+      Alcotest.(check int) "blind: every point counted" points (re + run);
+      Alcotest.(check bool) "blind: restarts re-run" true (run > 0))
+
+(* A resumed run that dereferences a poisoned or corrupted register
+   faults on a wild address inside [Memory]. That is a wrong outcome of
+   recovery, like a trap: the harness must report it, not let the
+   exception escape. Every slice here claims its registers hold 0xBAD,
+   a misaligned pointer. *)
+let test_wild_resume_is_wrong_outcome () =
+  let compiled = compiled_of "bzip2" in
+  let corrupted =
+    {
+      compiled with
+      Pipeline.slices =
+        Array.map
+          (List.map (fun (r, _) -> (r, Cwsp_ckpt.Slice.EImm 0xBAD)))
+          compiled.Pipeline.slices;
+    }
+  in
+  let golden = Cwsp_recovery.Harness.golden_of compiled in
+  let wrong = ref 0 in
+  for i = 1 to 20 do
+    let crash_at = i * golden.g_steps / 21 in
+    match
+      Cwsp_recovery.Harness.validate_fault ~golden ~hardened:true ~seed:i
+        ~crash_at corrupted
+    with
+    | Ok r -> if not r.fr_state_ok then incr wrong
+    | Error e -> Alcotest.failf "crash@%d: %s" crash_at e
+  done;
+  Alcotest.(check bool) "corrupt slices give wrong outcomes" true (!wrong > 0)
+
+(* Byte-identity pin: the [Campaign.to_json] digests of a small matrix
+   (lu-ncg + fft, all five classes, two repetitions, window 8), hardened
+   and blind. Both matrices include Recovery_crash cells with sweep
+   points, so any change to the tracked run, the crash state, the
+   ladder or the mid-recovery sweep that moves a single report byte
+   fails here. *)
+let pinned_targets =
+  lazy
+    (List.map
+       (fun n -> Cwsp_recovery.Campaign.target ~name:n (compiled_of n))
+       [ "lu-ncg"; "fft" ])
+
+let test_campaign_pinned ~hardened ~digest ~sweep_points () =
+  let r =
+    Cwsp_recovery.Campaign.run ~window:8 ~hardened ~master_seed:77 ~seeds:2
+      ~classes:Cwsp_recovery.Fault.all (Lazy.force pinned_targets)
+  in
+  Alcotest.(check int) "sweep points" sweep_points
+    (fst (Cwsp_recovery.Campaign.sweep_coverage r));
+  Alcotest.(check string) "report digest" digest
+    (Digest.to_hex (Digest.string (Cwsp_recovery.Campaign.to_json r)))
+
 let () =
   Alcotest.run "recovery"
     [
@@ -416,6 +690,7 @@ let () =
           Alcotest.test_case "corruption detected" `Slow test_corrupted_slice_detected;
           Alcotest.test_case "double crash" `Slow test_double_crash;
           Alcotest.test_case "triple crash" `Slow test_triple_crash;
+          Alcotest.test_case "io buffer keeps the window" `Quick test_io_buffer_ring;
         ] );
       ( "mc-logs",
         [
@@ -426,6 +701,7 @@ let () =
           Alcotest.test_case "audit sees corruption" `Quick test_mc_logs_audit_corruption;
           Alcotest.test_case "audit sees dropped tail" `Quick test_mc_logs_audit_drop_tail;
           Alcotest.test_case "copy is independent" `Quick test_mc_logs_copy_independent;
+          Alcotest.test_case "agrees with a list model" `Quick test_mc_logs_model;
         ] );
       ( "faults",
         [
@@ -445,5 +721,15 @@ let () =
             test_hardened_campaign;
           Alcotest.test_case "recovery-crash sweep" `Slow
             test_recovery_crash_sweep;
+          Alcotest.test_case "sweep memo: hardened reuses, blind re-runs" `Quick
+            test_sweep_memo;
+          Alcotest.test_case "wild resumed access is a wrong outcome" `Quick
+            test_wild_resume_is_wrong_outcome;
+          Alcotest.test_case "pinned report: hardened" `Quick
+            (test_campaign_pinned ~hardened:true
+               ~digest:"0780e818ebe7bc89b3b27e14ed4d06eb" ~sweep_points:49);
+          Alcotest.test_case "pinned report: blind" `Quick
+            (test_campaign_pinned ~hardened:false
+               ~digest:"bd04025a803a0e7281f35bb31eb3b4da" ~sweep_points:45);
         ] );
     ]
