@@ -120,48 +120,62 @@ let run_inner list workload input emit config persist_mode dump_ir report
             Printf.printf "normalized slowdown: %.3f\n"
               (Cwsp_sim.Stats.slowdown st ~baseline:base)
           end;
-          (match validate with
-          | 0 -> ()
-          | points ->
-            let _, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
-            let total = Cwsp_interp.Trace.length tr in
-            let ok = ref 0 in
-            for i = 0 to points - 1 do
-              let crash_at = 1 + (i * (max 1 (total - 2)) / points) in
-              (* explicit-mode binaries are checked against the explicit
-                 (flush/fence) durability oracle, implicit ones against
-                 the cWSP hardware model *)
-              match
-                if cc.Pipeline.persist_mode = Pipeline.Explicit then
-                  Cwsp_recovery.Harness.validate_explicit ~crash_at compiled
-                else
-                  Cwsp_recovery.Harness.validate ~seed:(100 + i) ~crash_at
-                    compiled
-              with
-              | Ok _ -> incr ok
-              | Error e -> Printf.printf "FAIL @%d: %s\n" crash_at e
-            done;
-            Printf.printf "recovery validation: %d/%d crash points ok\n" !ok points);
-          if verify then begin
-            let diags = Cwsp_verify.Verify.(normalize (run compiled)) in
-            let errs = Cwsp_verify.Verify.errors diags in
-            (match format with
-            | `Json -> print_endline (Cwsp_verify.Verify.report_json diags)
-            | `Text ->
-              if diags <> [] then
-                print_endline (Cwsp_verify.Verify.report diags);
-              if errs = [] then
-                Printf.printf "verify: ok (%d regions, %d warnings)\n"
-                  (Pipeline.nboundaries compiled)
-                  (List.length diags));
-            if errs <> [] then
-              `Error
-                ( false,
-                  Printf.sprintf "verification failed with %d error(s)"
-                    (List.length errs) )
+          let validation_failures =
+            match validate with
+            | 0 -> 0
+            | points ->
+              let _, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
+              let total = Cwsp_interp.Trace.length tr in
+              let ok = ref 0 in
+              for i = 0 to points - 1 do
+                let crash_at = 1 + (i * (max 1 (total - 2)) / points) in
+                (* explicit-mode binaries are checked against the explicit
+                   (flush/fence) durability oracle, implicit ones against
+                   the cWSP hardware model *)
+                match
+                  if cc.Pipeline.persist_mode = Pipeline.Explicit then
+                    Cwsp_recovery.Harness.validate_explicit ~crash_at compiled
+                  else
+                    Cwsp_recovery.Harness.validate ~seed:(100 + i) ~crash_at
+                      compiled
+                with
+                | Ok _ -> incr ok
+                | Error e -> Printf.printf "FAIL @%d: %s\n" crash_at e
+              done;
+              Printf.printf "recovery validation: %d/%d crash points ok\n" !ok
+                points;
+              points - !ok
+          in
+          let verified =
+            if verify then begin
+              let diags = Cwsp_verify.Verify.(normalize (run compiled)) in
+              let errs = Cwsp_verify.Verify.errors diags in
+              (match format with
+              | `Json -> print_endline (Cwsp_verify.Verify.report_json diags)
+              | `Text ->
+                if diags <> [] then
+                  print_endline (Cwsp_verify.Verify.report diags);
+                if errs = [] then
+                  Printf.printf "verify: ok (%d regions, %d warnings)\n"
+                    (Pipeline.nboundaries compiled)
+                    (List.length diags));
+              if errs <> [] then
+                `Error
+                  ( false,
+                    Printf.sprintf "verification failed with %d error(s)"
+                      (List.length errs) )
+              else `Ok ()
+            end
             else `Ok ()
-          end
-          else `Ok ())
+          in
+          (* any diverging crash point fails the run *)
+          match verified with
+          | `Ok () when validation_failures > 0 ->
+            `Error
+              ( false,
+                Printf.sprintf "recovery validation failed at %d crash point(s)"
+                  validation_failures )
+          | v -> v)
 
 (* Telemetry wrapper: configure before any compile/simulate work so the
    spans land in the ring buffers, finalize after the last exit path. *)

@@ -58,7 +58,7 @@ val validate_recovery :
   seed:int ->
   crash_at:int ->
   Defs.t ->
-  (Cwsp_recovery.Harness.crash_report, string) result
+  (Cwsp_recovery.Harness.fault_report, string) result
 
 (** Adversarial crash-consistency validation: inject a persistence-path
     fault ([Cwsp_recovery.Fault]) at the crash and recover with the

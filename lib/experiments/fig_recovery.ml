@@ -34,7 +34,7 @@ let validate_workload ?(crashes = 12) (w : Defs.t) =
     match Cwsp_core.Api.validate_recovery ~seed:(7000 + i) ~crash_at w with
     | Ok r ->
       incr ok;
-      restored := !restored + r.restored_registers
+      restored := !restored + r.fr_restored
     | Error _ -> incr failed
   done;
   (!ok, !failed, float_of_int !restored /. float_of_int (max 1 !ok))

@@ -11,17 +11,22 @@
       checkpoint area made by the program itself;
     - the recovery-slice table produced by the compiler.
 
-    At a random instruction it "cuts power": it picks the oldest
-    unpersisted region R_o within the RBT window, reverts all speculative
-    NVM updates of younger regions with the undo logs, un-persists a
-    random per-MC FIFO prefix-complement of R_o's own stores (stores to
-    the same location always target the same MC, so per-location
-    visibility is a prefix — matching real persist-path FIFOs), reverts
-    R_o's checkpoint-area stores, and then runs the recovery protocol:
-    evaluate R_o's recovery slice to restore its live-in registers
-    (every other register is poisoned to catch liveness bugs) and resume
-    execution from R_o's entry. Crash consistency holds iff the final NVM
-    state equals a failure-free run's.
+    Every crash experiment runs through one skeleton: run to the crash
+    point, [cut_power], optionally [inject] a persistence-path fault,
+    execute a recovery plan, [resume_at] the chosen region and
+    [run_and_compare]. The cut picks the oldest unpersisted region R_o
+    within the RBT window and un-persists a random per-MC FIFO suffix of
+    R_o's own stores (stores to the same location always target the
+    same MC, so per-location visibility is a prefix — matching real
+    persist-path FIFOs) plus R_o's checkpoint-area stores. The blind plan
+    then reverts the younger regions' speculative NVM updates with the
+    undo logs; the hardened plan audits first ([check_rung]). The resume
+    evaluates the region's recovery slice to restore its live-in
+    registers (every other register is poisoned to catch liveness bugs)
+    and runs from the region's entry. Crash consistency holds iff the
+    final NVM state and device output equal a failure-free run's. The
+    explicit-persistency oracle keeps its own durability model and hands
+    its crash image to the same resume and compare.
 
     Call frames *below* the recovery point are restored from the boundary
     snapshot: they model the NVM-resident stack (spilled registers and
@@ -225,501 +230,125 @@ let run_until t steps =
   done;
   t.machine.status = Machine.Halted
 
-(* ---- crash-state construction ---- *)
+(* ---- shared crash helpers ---- *)
 
-let revert_ckpt_stores mem entries =
-  List.iter
-    (fun (e : Mc_logs.entry) ->
-      if Layout.is_ckpt_addr e.e_addr then Memory.write mem e.e_addr e.e_old)
-    entries
+(* Run [f] with [frec]'s ring installed as the [Obs.record] sink. *)
+let with_flight_sink frec f =
+  match frec with
+  | None -> f ()
+  | Some fr ->
+    Obs.with_recorder
+      (fun k a b c d ->
+        match Recorder.kind_of_code k with
+        | Some kind -> Recorder.append fr ~kind a b c d
+        | None -> ())
+      f
 
-(* Un-persist a random per-MC suffix of the oldest unpersisted region's
-   data stores. Entries come newest-first per MC, so a per-MC *suffix*
-   in program order is a per-MC *prefix* of the reversed lists. *)
-let revert_partial rng mem (entries : Mc_logs.entry list) ~n_mcs =
-  let mc_of addr = (addr lsr 8) mod n_mcs in
-  (* how many of each MC's stores persisted (in program order) *)
-  let per_mc_total = Array.make n_mcs 0 in
+(** Un-persist a random per-MC FIFO suffix of one region's data stores:
+    draw, MC by MC, how many of its stores persisted in program order,
+    and hand every later one to [f]. [entries] come newest first per MC,
+    so a suffix in program order is a prefix of each MC's list.
+    Checkpoint-area stores are left to the caller. *)
+let fifo_suffix rng logs (entries : Mc_logs.entry list) f =
+  let mc_of = Mc_logs.mc_of logs in
+  let data (e : Mc_logs.entry) = not (Layout.is_ckpt_addr e.e_addr) in
+  let total = Array.make (Mc_logs.n_mcs logs) 0 in
   List.iter
-    (fun (e : Mc_logs.entry) ->
-      if not (Layout.is_ckpt_addr e.e_addr) then
-        per_mc_total.(mc_of e.e_addr) <- per_mc_total.(mc_of e.e_addr) + 1)
+    (fun e -> if data e then total.(mc_of e.e_addr) <- total.(mc_of e.e_addr) + 1)
     entries;
-  let persisted_prefix =
-    Array.map (fun n -> if n = 0 then 0 else Cwsp_util.Rng.int rng (n + 1)) per_mc_total
+  let persisted =
+    Array.map (fun n -> if n = 0 then 0 else Cwsp_util.Rng.int rng (n + 1)) total
   in
-  let seen_from_end = Array.make n_mcs 0 in
+  let seen_from_end = Array.make (Array.length total) 0 in
   List.iter
     (fun (e : Mc_logs.entry) ->
-      if not (Layout.is_ckpt_addr e.e_addr) then begin
+      if data e then begin
         let mc = mc_of e.e_addr in
-        let pos_from_start = per_mc_total.(mc) - seen_from_end.(mc) in
+        let pos_from_start = total.(mc) - seen_from_end.(mc) in
         seen_from_end.(mc) <- seen_from_end.(mc) + 1;
-        if pos_from_start > persisted_prefix.(mc) then
-          Memory.write mem e.e_addr e.e_old
+        if pos_from_start > persisted.(mc) then f e
       end)
     entries
 
-type crash_report = {
-  crash_step : int;
-  recovery_region : int;      (* dynamic index of the oldest unpersisted region *)
-  reverted_regions : int;
-  reexecuted_instructions : int; (* instructions between recovery point and crash *)
-  restored_registers : int;
-  released_outputs : int list;
-    (* device I/O already released at the crash (Section VIII: the redo
-       buffers of persisted regions were flushed); oldest first *)
-}
+(** Resume thread [tid] of [linked] on [mem] at a region entry whose call
+    stack is [frames] (copied, so a snapshot can be resumed again). With
+    [Some slice] the open frame's registers are poisoned and the
+    recovery slice rebuilds its live-ins from the thread's checkpoint
+    slots; with [None] the snapshot's registers resume as they are. *)
+let resume_slice ~tid (linked : Machine.linked) ~mem ~frames ~depth slice =
+  let frames = List.map copy_frame frames in
+  Option.iter
+    (fun slice ->
+      let fr = List.hd frames in
+      Array.fill fr.regs 0 (Array.length fr.regs) poison;
+      let slot r = Memory.read mem (Layout.ckpt_slot ~tid ~depth r) in
+      let addr_of g =
+        match Hashtbl.find_opt linked.global_addr g with
+        | Some a -> a
+        | None -> failwith ("recovery slice references unknown global " ^ g)
+      in
+      List.iter
+        (fun (r, expr) -> fr.regs.(r) <- Cwsp_ckpt.Slice.eval ~slot ~addr_of expr)
+        slice)
+    slice;
+  Machine.resume ~tid linked ~mem ~frames:(`Frames frames) ~depth
 
-(** Cut power now, build the surviving NVM state, run the recovery
-    protocol, and return a machine resumed at the recovery point plus a
-    report. [rng] drives which regions/stores are treated as persisted. *)
-let crash_and_recover ?(n_mcs = 2) rng (t : tracked) :
-    Machine.t * crash_report =
-  let crash_step = t.machine.steps in
-  let mem = Memory.snapshot t.machine.mem in
-  let regions = tracked_regions t in
-  (* choose the oldest unpersisted region within the window; never at or
-     before a closed sync region (its commit drained everything older) *)
-  let eligible =
-    List.length
-      (List.filter
-         (fun (r : region_record) -> r.region_index > t.sync_floor)
-         regions)
-  in
-  let avail = max 1 eligible in
-  (* every eligible tracked region is a legal recovery point. (The bound
-     used to be [min avail t.window], which could never select the oldest
-     tracked region: right after a boundary step the list legitimately
-     holds window+1 regions, so a crash landing exactly on a region
-     boundary silently skipped the just-closed region — and at window=1
-     no rollback ever happened at all.) *)
-  let back = Cwsp_util.Rng.int rng avail in
-  (* regions list is newest first: element [back] is R_o *)
-  let younger = List.filteri (fun i _ -> i < back) regions in
-  let r_o = List.nth regions back in
-  let r_o_entries = Mc_logs.region_entries t.logs ~region:r_o.region_index in
-  (* 1. revert speculative NVM updates of younger regions: the MCs replay
-     their per-region log arrays in reverse chronological order *)
-  Mc_logs.revert_speculative t.logs ~oldest_unpersisted:r_o.region_index
-    ~apply:(fun addr old -> Memory.write mem addr old);
-  (* 2. un-persist R_o's own stores: a random per-MC FIFO suffix for
-     ordinary regions; everything for a still-open sync region (the
-     atomic + trailing checkpoints are one failure-atomic unit that did
-     not complete) *)
-  if r_o.has_sync then
-    List.iter
-      (fun (e : Mc_logs.entry) -> Memory.write mem e.e_addr e.e_old)
-      r_o_entries
-  else revert_partial rng mem r_o_entries ~n_mcs;
-  (* 3. checkpoint-area stores of unpersisted regions are reverted too:
-     the recovery slice must see the slots as of R_o's entry *)
-  revert_ckpt_stores mem r_o_entries;
-  let linked = t.machine.linked in
-  (* I/O of persisted regions was released to the device; the rest was
-     still buffered and is discarded with the crash *)
-  let released_outputs =
-    let n = Io_buffer.released t.io ~oldest_unpersisted:r_o.region_index in
-    assert (n = r_o.outputs_at_entry);
-    let all = List.rev t.machine.outputs in
-    List.filteri (fun i _ -> i < n) all
-  in
-  if r_o.static_id = -2 then begin
-    (* crash before the first boundary of a post-recovery execution:
-       roll back to the resume point (registers were restored by the
-       previous recovery and live in the snapshot) *)
-    let m =
-      Machine.resume linked ~mem
-        ~frames:(`Frames (List.map copy_frame r_o.frames))
-        ~depth:r_o.depth
-    in
-    ( m,
-      {
-        crash_step;
-        recovery_region = 0;
-        reverted_regions = List.length younger;
-        reexecuted_instructions = crash_step;
-        restored_registers = 0;
-        released_outputs;
-      } )
-  end
-  else if r_o.static_id < 0 then begin
-    (* crash before the first boundary: restart the program from scratch
-       on the surviving memory *)
-    let m = Machine.resume linked ~mem ~frames:`Fresh ~depth:0 in
-    ( m,
-      {
-        crash_step;
-        recovery_region = 0;
-        reverted_regions = List.length younger;
-        reexecuted_instructions = crash_step;
-        restored_registers = 0;
-        released_outputs;
-      } )
-  end
-  else begin
-    (* 4. recovery slice: restore R_o's live-in registers *)
-    let slice = t.compiled.slices.(r_o.static_id) in
-    let frames = List.map copy_frame r_o.frames in
-    let fr = List.hd frames in
-    Array.fill fr.regs 0 (Array.length fr.regs) poison;
-    let slot r2 = Memory.read mem (Layout.ckpt_slot ~tid:0 ~depth:r_o.depth r2) in
-    let addr_of g =
-      match Hashtbl.find_opt linked.global_addr g with
-      | Some a -> a
-      | None -> failwith ("recovery slice references unknown global " ^ g)
-    in
-    List.iter
-      (fun (r, expr) -> fr.regs.(r) <- Cwsp_ckpt.Slice.eval ~slot ~addr_of expr)
-      slice;
-    let m = Machine.resume linked ~mem ~frames:(`Frames frames) ~depth:r_o.depth in
-    ( m,
-      {
-        crash_step;
-        recovery_region = r_o.region_index;
-        reverted_regions = List.length younger;
-        reexecuted_instructions = crash_step - 0;
-        restored_registers = List.length slice;
-        released_outputs;
-      } )
-  end
+type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
 
-(** Full experiment: run [compiled] to completion twice — once undisturbed
-    (golden) and once with a power failure at [crash_at] instructions —
-    and compare the final NVM states. Returns [Ok report] on bitwise
-    equality. *)
-let validate ?(window = 16) ?(n_mcs = 2) ~seed ~crash_at
-    (compiled : Cwsp_compiler.Pipeline.compiled) :
-    (crash_report, string) result =
-  let rng = Cwsp_util.Rng.create seed in
-  (* golden run *)
-  let golden = Machine.create (Machine.link compiled.prog) in
-  Machine.run golden Machine.no_hooks;
-  (* crashing run *)
-  let t = create ~window compiled in
-  let halted = run_until t crash_at in
-  if halted then Error "program halted before the crash point"
-  else begin
-    let recovered, report = crash_and_recover ~n_mcs rng t in
-    (* a recovered run that never halts is a divergence to report, not a
-       hang: allow a generous multiple of the failure-free step count *)
-    let fuel = (4 * golden.steps) + 10_000 in
-    match Machine.run ~fuel recovered Machine.no_hooks with
-    | exception Machine.Fuel_exhausted ->
+(** Failure-free reference run, shared across a campaign's cells. *)
+let golden_of (compiled : Cwsp_compiler.Pipeline.compiled) =
+  let m = Machine.create (Machine.link compiled.prog) in
+  Machine.run m Machine.no_hooks;
+  { g_mem = m.mem; g_outputs = Machine.outputs m; g_steps = m.steps }
+
+(* Run [f], which steps a resumed machine. A trap, a wild memory access
+   (a poisoned or corrupted register used as a pointer) or a hang is a
+   wrong outcome of recovery, not a harness failure. *)
+let stepping f =
+  match f () with
+  | v -> Ok v
+  | exception Machine.Trap msg -> Error ("recovered run trapped: " ^ msg)
+  | exception Machine.Fuel_exhausted -> Error "recovered run failed to halt"
+  (* [Memory]'s fault on a misaligned or negative address. Only its own
+     messages are matched: an index error elsewhere is a harness bug and
+     must still escape. *)
+  | exception Invalid_argument msg when String.starts_with ~prefix:"Memory: " msg
+    ->
+    Error ("recovered run faulted: " ^ msg)
+
+(* Run the resumed machine to completion and compare against the golden
+   run: [released] (the device output released before the crash) plus
+   the resumed run's output must be the golden stream, and the final NVM
+   image the golden image. Any failure to get there ([stepping]) or any
+   NVM/IO divergence is a wrong outcome — the oracle, independent of all
+   checksums — reported with its first difference. A hang is bounded by
+   a generous multiple of the failure-free step count. The
+   flight-recorder region is excluded: it is observability state,
+   written on the crashing path only, and legitimately differs from the
+   failure-free image. *)
+let run_and_compare golden ~released m : (unit, string) result =
+  let fuel = (4 * golden.g_steps) + 10_000 in
+  match stepping (fun () -> Machine.run ~fuel m Machine.no_hooks) with
+  | Error e -> Error e
+  | Ok () ->
+    let outputs = Machine.outputs m in
+    if released @ outputs <> golden.g_outputs then
       Error
         (Printf.sprintf
-           "recovered run failed to halt within %d steps (crash@%d, region %d)"
-           fuel report.crash_step report.recovery_region)
-    | () ->
-    let io_ok =
-      (* exactly-once device I/O (Section VIII): released prefix plus the
-         recovered run's output must equal the failure-free output *)
-      report.released_outputs @ Machine.outputs recovered
-      = Machine.outputs golden
-    in
-    if not io_ok then
-      Error
-        (Printf.sprintf
-           "device I/O diverged after recovery (crash@%d, region %d): %d             released + %d regenerated vs %d golden"
-           report.crash_step report.recovery_region
-           (List.length report.released_outputs)
-           (List.length (Machine.outputs recovered))
-           (List.length (Machine.outputs golden)))
-    else if Memory.equal golden.mem recovered.mem then Ok report
-    else
-      match Memory.first_diff golden.mem recovered.mem with
-      | Some (addr, g, r) ->
-        Error
-          (Printf.sprintf
-             "NVM mismatch after recovery at 0x%x: golden=%d recovered=%d \
-              (crash@%d, region %d)"
-             addr g r report.crash_step report.recovery_region)
-      | None -> Error "memories differ but no diff found"
-  end
-
-(** Multi-failure validation: run to [c], crash, recover, resume, crash
-    again at the next point of [crash_points] — recovery itself must be
-    crash consistent. Compares the final NVM state and the exactly-once
-    I/O stream against a failure-free run. *)
-let validate_chain ?(window = 16) ?(n_mcs = 2) ~seed ~crash_points
-    (compiled : Cwsp_compiler.Pipeline.compiled) :
-    (int, string) result =
-  let rng = Cwsp_util.Rng.create seed in
-  let golden = Machine.create (Machine.link compiled.prog) in
-  Machine.run golden Machine.no_hooks;
-  let rec go tracked crash_points released_acc crashes =
-    let t = tracked in
-    match crash_points with
-    | [] ->
-      (* no more failures: run to completion through the harness hooks *)
-      let h = hooks t in
-      while t.machine.status = Machine.Running do
-        Machine.step t.machine h
-      done;
-      let final_io = released_acc @ Machine.outputs t.machine in
-      if final_io <> Machine.outputs golden then
-        Error
-          (Printf.sprintf "device I/O diverged after %d crashes" crashes)
-      else if Memory.equal golden.mem t.machine.mem then Ok crashes
-      else (
-        match Memory.first_diff golden.mem t.machine.mem with
-        | Some (addr, g, r) ->
-          Error
-            (Printf.sprintf
-               "NVM mismatch after %d crashes at 0x%x: golden=%d got=%d"
-               crashes addr g r)
-        | None -> Error "memories differ but no diff found")
-    | c :: rest ->
-      if run_until t c then
-        (* halted before this crash point: just check the final state *)
-        go t [] released_acc crashes
-      else begin
-        let recovered, report = crash_and_recover ~n_mcs rng t in
-        let t' = create_resumed ~window t.compiled recovered in
-        go t' rest (released_acc @ report.released_outputs) (crashes + 1)
-      end
-  in
-  go (create ~window compiled) crash_points [] 0
-
-(* ==================================================================== *)
-(* Explicit-persistency oracle: the dynamic ground truth for the        *)
-(* Persist_check static tier. Models hardware WITHOUT the cWSP persist  *)
-(* path: a data store is durable only once a flush captured its line    *)
-(* AND a later pfence (or sync primitive) drained it. Register          *)
-(* checkpoints keep their hardware path (write-through, undo-logged per *)
-(* open region so a crash can't leave a half-written ckpt run), and an  *)
-(* atomic is a failure-atomic unit that completes with its closing      *)
-(* boundary. The crash is maximally adversarial and deterministic:      *)
-(* cache contents AND the flushed-but-unfenced set are lost. Recovery   *)
-(* is blind — resume at the newest boundary, no undo logs to roll back  *)
-(* with — so the final state is right iff the compiler really did make  *)
-(* every prior store durable: exactly the obligation Persist_check      *)
-(* discharges statically. A mutant that drops/moves one flush or fence  *)
-(* escapes here dynamically at some crash point.                        *)
-(* ==================================================================== *)
-
-type explicit_tracked = {
-  e_machine : Machine.t;
-  e_compiled : Cwsp_compiler.Pipeline.compiled;
-  e_nvm : Memory.t; (* the durable image, maintained alongside the run *)
-  e_pending : (int, int) Hashtbl.t; (* flushed, not yet fenced: addr -> value *)
-  mutable e_pending_atomic : (int * int) option;
-      (* an atomic's (addr, value) awaiting its closing boundary *)
-  mutable e_last_store : (int * int) option;
-      (* the store the current instruction just performed, so the atomic
-         event can claim its value (hook order is store-then-event) *)
-  mutable e_ckpt_undo : (int * int) list; (* open region's ckpt (addr, old) *)
-  mutable e_boundary : (int * Machine.frame list * int * int) option;
-      (* newest boundary: static id, frame snapshot, depth, outputs *)
-}
-
-let explicit_drain e =
-  Hashtbl.iter (fun addr v -> Memory.write e.e_nvm addr v) e.e_pending;
-  Hashtbl.reset e.e_pending
-
-let explicit_hooks e : Machine.hooks =
-  {
-    on_store =
-      (fun ~addr ~old:_ ~value ->
-        if Layout.is_ckpt_addr addr then begin
-          (* hardware persist path of the checkpoint engine: write-through,
-             journaled until the region's boundary commits the run *)
-          let nold = Memory.read e.e_nvm addr in
-          Memory.write e.e_nvm addr value;
-          e.e_ckpt_undo <- (addr, nold) :: e.e_ckpt_undo
-        end
-        else e.e_last_store <- Some (addr, value));
-    on_event =
-      (fun ev ->
-        let tag = Event.tag ev in
-        if tag = Event.tag_flush then begin
-          let addr = Event.payload ev in
-          if not (Layout.is_ckpt_addr addr) then
-            (* the writeback captures the line's current cache contents *)
-            Hashtbl.replace e.e_pending addr (Memory.read e.e_machine.mem addr);
-          e.e_last_store <- None
-        end
-        else if tag = Event.tag_pfence || tag = Event.tag_fence then begin
-          explicit_drain e;
-          e.e_last_store <- None
-        end
-        else if tag = Event.tag_atomic then begin
-          (* full sync: drains the persist stream; its own write is a
-             failure-atomic unit completing at the closing boundary *)
-          explicit_drain e;
-          (match e.e_last_store with
-          | Some (a, v) when a = Event.payload ev ->
-            e.e_pending_atomic <- Some (a, v)
-          | _ -> ());
-          e.e_last_store <- None
-        end
-        else if tag = Event.tag_boundary then begin
-          (* flight recorder: boundary commit in the explicit model,
-             with the flushed-but-unfenced set as persist telemetry *)
-          Obs.record k_boundary e.e_machine.steps (Event.payload ev)
-            (Hashtbl.length e.e_pending)
-            (match e.e_pending_atomic with Some _ -> 1 | None -> 0);
-          (match e.e_pending_atomic with
-          | Some (a, v) -> Memory.write e.e_nvm a v
-          | None -> ());
-          e.e_pending_atomic <- None;
-          e.e_ckpt_undo <- [];
-          e.e_boundary <-
-            Some
-              ( Event.payload ev,
-                List.map copy_frame e.e_machine.frames,
-                e.e_machine.depth,
-                List.length e.e_machine.outputs );
-          e.e_last_store <- None
-        end
-        else e.e_last_store <- None);
-  }
-
-(** Explicit-persistency crash experiment: run [compiled] (an
-    [Explicit]-mode binary) to [crash_at] instructions, cut power —
-    losing the caches, the flushed-but-unfenced set and any uncommitted
-    atomic, and reverting the open region's checkpoint-area stores —
-    then blindly resume at the newest boundary via its recovery slice
-    and compare the final NVM state and the exactly-once device output
-    stream against a failure-free run. Deterministic: the adversary
-    always takes everything a fence had not sealed. *)
-let validate_explicit ?(flight = false) ?on_flight ~crash_at
-    (compiled : Cwsp_compiler.Pipeline.compiled) : (crash_report, string) result
-    =
-  let flight = flight || flight_env in
-  let golden = Machine.create (Machine.link compiled.prog) in
-  Machine.run golden Machine.no_hooks;
-  let linked = Machine.link compiled.prog in
-  let machine = Machine.create linked in
-  let e =
-    {
-      e_machine = machine;
-      e_compiled = compiled;
-      e_nvm = Memory.snapshot machine.mem;
-      e_pending = Hashtbl.create 64;
-      e_pending_atomic = None;
-      e_last_store = None;
-      e_ckpt_undo = [];
-      e_boundary = None;
-    }
-  in
-  (* In the explicit model the recorder lives in the durable image
-     directly: each append is its own flush+fence (the commit-word
-     ordering is the failure-atomicity), so the ring survives the
-     deterministic crash whole. *)
-  let frec = if flight then Some (Recorder.format e.e_nvm) else None in
-  let with_sink f =
-    match frec with
-    | Some fr ->
-      Obs.with_recorder
-        (fun k a b c d ->
-          match Recorder.kind_of_code k with
-          | Some kind -> Recorder.append fr ~kind a b c d
-          | None -> ())
-        f
-    | None -> f ()
-  in
-  with_sink @@ fun () ->
-  let h = explicit_hooks e in
-  while e.e_machine.status = Machine.Running && e.e_machine.steps < crash_at do
-    Machine.step e.e_machine h
-  done;
-  if e.e_machine.status = Machine.Halted then
-    Error "program halted before the crash point"
-  else begin
-    let crash_step = e.e_machine.steps in
-    (* power is lost: only [e_nvm] survives; the open region's ckpt run
-       is rolled back so the recovery slice sees the slots as of the
-       newest boundary (newest-first replay restores the oldest value) *)
-    let image = Memory.snapshot e.e_nvm in
-    List.iter (fun (addr, old) -> Memory.write image addr old) e.e_ckpt_undo;
-    let recovered, recovery_region, restored, released_outputs =
-      match e.e_boundary with
-      | None ->
-        ( Machine.resume linked ~mem:image ~frames:`Fresh ~depth:0,
-          0, 0, [] )
-      | Some (static_id, frames, depth, outs) ->
-        let slice = compiled.slices.(static_id) in
-        let frames = List.map copy_frame frames in
-        let fr = List.hd frames in
-        Array.fill fr.regs 0 (Array.length fr.regs) poison;
-        let slot r = Memory.read image (Layout.ckpt_slot ~tid:0 ~depth r) in
-        let addr_of g =
-          match Hashtbl.find_opt linked.global_addr g with
-          | Some a -> a
-          | None -> failwith ("recovery slice references unknown global " ^ g)
-        in
-        List.iter
-          (fun (r, expr) ->
-            fr.regs.(r) <- Cwsp_ckpt.Slice.eval ~slot ~addr_of expr)
-          slice;
-        let released =
-          List.filteri (fun i _ -> i < outs) (Machine.outputs e.e_machine)
-        in
-        ( Machine.resume linked ~mem:image ~frames:(`Frames frames) ~depth,
-          static_id, List.length slice, released )
-    in
-    (* recovery-side flight events: new crash epoch on the surviving
-       image, then the crash record and the blind-resume decision *)
-    if flight then begin
-      (match Recorder.attach image with
-      | Some r ->
-        Recorder.bump_epoch r;
-        Recorder.append r ~kind:Recorder.Crash crash_step recovery_region 0 0;
-        Recorder.append r ~kind:Recorder.Resume recovery_region restored 0 0
-      | None -> ());
-      match on_flight with
-      | Some f -> f (Recorder.dump_string image)
-      | None -> ()
-    end;
-    (* bound the blind re-execution the same way [validate] bounds its
-       recovered run: non-termination is a reportable divergence *)
-    let fuel = (4 * golden.steps) + 10_000 in
-    match Machine.run ~fuel recovered Machine.no_hooks with
-    | exception Machine.Fuel_exhausted ->
-      Error
-        (Printf.sprintf
-           "explicit-mode recovered run failed to halt within %d steps \
-            (crash@%d)"
-           fuel crash_step)
-    | () ->
-    let report =
-      {
-        crash_step;
-        recovery_region;
-        reverted_regions = 0;
-        reexecuted_instructions = crash_step;
-        restored_registers = restored;
-        released_outputs;
-      }
-    in
-    if released_outputs @ Machine.outputs recovered <> Machine.outputs golden
-    then
-      Error
-        (Printf.sprintf
-           "device I/O diverged after explicit-mode recovery (crash@%d): %d \
-            released + %d regenerated vs %d golden"
-           crash_step
-           (List.length released_outputs)
-           (List.length (Machine.outputs recovered))
-           (List.length (Machine.outputs golden)))
-    else if
-      Memory.equal_except ~except:Layout.is_flight_addr golden.mem
-        recovered.mem
-    then Ok report
+           "device I/O diverged: %d released + %d regenerated vs %d golden"
+           (List.length released) (List.length outputs)
+           (List.length golden.g_outputs))
+    else if Memory.equal_except ~except:Layout.is_flight_addr golden.g_mem m.mem
+    then Ok ()
     else
       match
-        Memory.first_diff_except ~except:Layout.is_flight_addr golden.mem
-          recovered.mem
+        Memory.first_diff_except ~except:Layout.is_flight_addr golden.g_mem m.mem
       with
       | Some (addr, g, r) ->
         Error
-          (Printf.sprintf
-             "NVM mismatch after explicit-mode recovery at 0x%x: golden=%d \
-              recovered=%d (crash@%d, boundary %d)"
-             addr g r crash_step recovery_region)
+          (Printf.sprintf "NVM mismatch at 0x%x: golden=%d recovered=%d" addr g
+             r)
       | None -> Error "memories differ but no diff found"
-  end
 
 (* ==================================================================== *)
 (* Adversarial fault model: crashes where the persistence path itself   *)
@@ -732,23 +361,14 @@ let validate_explicit ?(flight = false) ?on_flight ~crash_at
 (* producing a wrong final NVM image.                                   *)
 (* ==================================================================== *)
 
-type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
-
-(** Failure-free reference run, shared across a campaign's cells. *)
-let golden_of (compiled : Cwsp_compiler.Pipeline.compiled) =
-  let m = Machine.create (Machine.link compiled.prog) in
-  Machine.run m Machine.no_hooks;
-  { g_mem = m.mem; g_outputs = Machine.outputs m; g_steps = m.steps }
-
 (** The surviving durable state at the instant power is lost, before any
     recovery runs and before any fault is injected into it: the NVM
     image (with the chosen un-persisted suffix of R_o's stores removed),
     the MC log arrays, the checkpoint-area shadow checksums, and the
-    tracking metadata recovery needs. Unlike [crash_and_recover], which
-    interleaves crash construction with recovery, this is a pure value —
-    injectors mutate it, and both the blind and the hardened protocols
-    can be run (repeatedly, for the crash-during-recovery sweep) against
-    copies of it. *)
+    tracking metadata recovery needs. It is a pure value — injectors
+    mutate it, and both the blind and the hardened protocols can be run
+    (repeatedly, for the crash-during-recovery sweep) against copies of
+    it. *)
 type crash_state = {
   cs_mem : Memory.t;
   cs_logs : Mc_logs.t;
@@ -768,8 +388,7 @@ type crash_state = {
     persisted store to the same location implies R_o's earlier store
     persisted first), and younger regions' speculative stores are left
     in the image — reverting them is recovery's job, not the crash's. *)
-let cut_power ?(n_mcs = 2) rng (t : tracked) : crash_state =
-  ignore n_mcs;
+let cut_power rng (t : tracked) : crash_state =
   (* copies: the crash state is a value, and [has_sync] is mutable *)
   let regions =
     List.map (fun (r : region_record) -> { r with has_sync = r.has_sync })
@@ -815,28 +434,9 @@ let cut_power ?(n_mcs = 2) rng (t : tracked) : crash_state =
     (* random per-MC FIFO suffix of R_o's data stores un-persists, and
        R_o's checkpoint-area stores are treated as unpersisted (the
        trailing checkpoint of R_o's opening boundary had not drained) *)
-    let mc_of addr = Mc_logs.mc_of t.logs addr in
-    let per_mc_total = Array.make 8 0 in
+    fifo_suffix rng t.logs r_o_entries unpersist;
     List.iter
-      (fun (e : Mc_logs.entry) ->
-        if not (Layout.is_ckpt_addr e.e_addr) then
-          per_mc_total.(mc_of e.e_addr) <- per_mc_total.(mc_of e.e_addr) + 1)
-      r_o_entries;
-    let persisted_prefix =
-      Array.map
-        (fun n -> if n = 0 then 0 else Cwsp_util.Rng.int rng (n + 1))
-        per_mc_total
-    in
-    let seen_from_end = Array.make 8 0 in
-    List.iter
-      (fun (e : Mc_logs.entry) ->
-        if Layout.is_ckpt_addr e.e_addr then unpersist e
-        else begin
-          let mc = mc_of e.e_addr in
-          let pos_from_start = per_mc_total.(mc) - seen_from_end.(mc) in
-          seen_from_end.(mc) <- seen_from_end.(mc) + 1;
-          if pos_from_start > persisted_prefix.(mc) then unpersist e
-        end)
+      (fun (e : Mc_logs.entry) -> if Layout.is_ckpt_addr e.e_addr then unpersist e)
       r_o_entries
   end;
   let released =
@@ -1178,6 +778,25 @@ let exec_step w = function
 
 let run_plan w plan = List.iter (exec_step w) plan
 
+(* Undo-log reverts of the regions at positions <= [back], the records
+   [keep] selects, newest region first and newest record first. *)
+let revert_steps cs ~logs ~back keep =
+  List.concat
+    (List.mapi
+       (fun i (r : region_record) ->
+         if i > back then []
+         else
+           Mc_logs.region_entries logs ~region:r.region_index
+           |> List.filter (keep i)
+           |> List.map (fun (e : Mc_logs.entry) -> S_revert (e.e_addr, e.e_old)))
+       cs.cs_regions)
+
+(* The rung's recovery slice, one step per restored register. *)
+let slice_steps cs (rung : region_record) =
+  if rung.static_id < 0 then []
+  else
+    List.map (fun (r, e) -> S_slice (r, e)) cs.cs_compiled.slices.(rung.static_id)
+
 (** Hardened full-revert plan for rung [back]: replay EVERY record of
     every region at positions <= back (minus proven-immaterial corrupt
     ones), newest region first, newest record first — after which every
@@ -1185,23 +804,9 @@ let run_plan w plan = List.iter (exec_step w) plan
     re-execution regenerates the rest. *)
 let build_plan cs ~back ~skip =
   let rung = List.nth cs.cs_regions back in
-  let reverts =
-    List.concat
-      (List.filteri (fun i _ -> i <= back) cs.cs_regions
-      |> List.map (fun (r : region_record) ->
-             Mc_logs.region_entries cs.cs_logs ~region:r.region_index
-             |> List.filter (fun e -> not (List.memq e skip))
-             |> List.map (fun (e : Mc_logs.entry) ->
-                    S_revert (e.e_addr, e.e_old))))
-  in
-  let slices =
-    if rung.static_id < 0 then []
-    else
-      List.map
-        (fun (r, e) -> S_slice (r, e))
-        cs.cs_compiled.slices.(rung.static_id)
-  in
-  (S_intent rung.region_index :: reverts) @ (S_truncate :: slices)
+  (S_intent rung.region_index
+   :: revert_steps cs ~logs:cs.cs_logs ~back (fun _ e -> not (List.memq e skip)))
+  @ (S_truncate :: slice_steps cs rung)
 
 (** Blind (legacy-ordering) plan: trust every record, revert only the
     younger regions plus R_o's checkpoint stores, and — the vulnerability
@@ -1211,79 +816,24 @@ let build_plan cs ~back ~skip =
     log state survived. *)
 let blind_plan cs ~logs =
   let back = cs.cs_nominal in
-  let rung = List.nth cs.cs_regions back in
-  let reverts =
-    List.concat
-      (List.mapi
-         (fun i (r : region_record) ->
-           if i > back then []
-           else
-             Mc_logs.region_entries logs ~region:r.region_index
-             |> List.filter (fun (e : Mc_logs.entry) ->
-                    i < back || Layout.is_ckpt_addr e.e_addr)
-             |> List.map (fun (e : Mc_logs.entry) ->
-                    S_revert (e.e_addr, e.e_old)))
-         cs.cs_regions)
-  in
-  let slices =
-    if rung.static_id < 0 then []
-    else
-      List.map
-        (fun (r, e) -> S_slice (r, e))
-        cs.cs_compiled.slices.(rung.static_id)
-  in
-  (S_truncate :: reverts) @ slices
+  (S_truncate
+   :: revert_steps cs ~logs ~back (fun i (e : Mc_logs.entry) ->
+          i < back || Layout.is_ckpt_addr e.e_addr))
+  @ slice_steps cs (List.nth cs.cs_regions back)
 
 (** Resume execution at rung [back] on [w]'s memory: evaluate the rung's
     recovery slice into a poisoned register file (or restart/rewind for
     the pre-first-boundary cases). *)
 let resume_at cs w ~back =
   let rung = List.nth cs.cs_regions back in
-  let linked = cs.cs_linked in
-  if rung.static_id = -2 then
-    Machine.resume linked ~mem:w.w_mem
-      ~frames:(`Frames (List.map copy_frame rung.frames))
+  let resume =
+    resume_slice ~tid:0 cs.cs_linked ~mem:w.w_mem ~frames:rung.frames
       ~depth:rung.depth
-  else if rung.static_id < 0 then
-    Machine.resume linked ~mem:w.w_mem ~frames:`Fresh ~depth:0
-  else begin
-    let slice = cs.cs_compiled.slices.(rung.static_id) in
-    let frames = List.map copy_frame rung.frames in
-    let fr = List.hd frames in
-    Array.fill fr.regs 0 (Array.length fr.regs) poison;
-    let slot r = Memory.read w.w_mem (Layout.ckpt_slot ~tid:0 ~depth:rung.depth r) in
-    let addr_of g =
-      match Hashtbl.find_opt linked.global_addr g with
-      | Some a -> a
-      | None -> failwith ("recovery slice references unknown global " ^ g)
-    in
-    List.iter
-      (fun (r, expr) -> fr.regs.(r) <- Cwsp_ckpt.Slice.eval ~slot ~addr_of expr)
-      slice;
-    Machine.resume linked ~mem:w.w_mem ~frames:(`Frames frames) ~depth:rung.depth
-  end
-
-(* Run the resumed machine to completion and compare against the golden
-   run. A trap, a wild memory access (a poisoned or corrupted register
-   used as a pointer), a hang, or any NVM/IO divergence is a wrong
-   outcome — the oracle, independent of all checksums. The
-   flight-recorder region is excluded: it is observability state,
-   written on the crashing path only, and legitimately differs from the
-   failure-free image. *)
-let run_and_compare cs golden m =
-  let fuel = (4 * golden.g_steps) + 10_000 in
-  match Machine.run ~fuel m Machine.no_hooks with
-  | () ->
-      Memory.equal_except ~except:Layout.is_flight_addr golden.g_mem m.mem
-      && cs.cs_released @ Machine.outputs m = golden.g_outputs
-  | exception Machine.Trap _ -> false
-  | exception Machine.Fuel_exhausted -> false
-  (* [Memory]'s fault on a misaligned or negative address. Only its own
-     messages are matched: an index error elsewhere is a harness bug and
-     must still escape. *)
-  | exception Invalid_argument msg
-    when String.starts_with ~prefix:"Memory: " msg ->
-      false
+  in
+  match rung.static_id with
+  | -1 -> Machine.resume cs.cs_linked ~mem:w.w_mem ~frames:`Fresh ~depth:0
+  | -2 -> resume None
+  | id -> resume (Some cs.cs_compiled.slices.(id))
 
 type fault_outcome = Recovered | Degraded | Refused
 
@@ -1298,6 +848,8 @@ type fault_report = {
   fr_sweep_points : int; (* mid-recovery crash sites exercised *)
   fr_sweep_slice_points : int; (* ... of which were slice instructions *)
   fr_sweep_failures : int; (* sweep runs with a wrong final state *)
+  fr_rollback : int; (* regions rolled back past to reach the rung; -1 if refused *)
+  fr_restored : int; (* live-in registers the rung's recovery slice restored *)
   fr_flight : string option;
     (* flight-recorder dump (text artifact) when recording was enabled:
        the ring's surviving words after the crash, the recovery-side
@@ -1333,11 +885,11 @@ let slice_cut_count plan cuts =
 let c_sweep_reused = Obs.Counter.make "recovery.sweep.reused"
 let c_sweep_rerun = Obs.Counter.make "recovery.sweep.rerun"
 
-(** One fault experiment against a crash state. [restart] receives the
+(** One recovery against a crash state. [restart] receives the
     post-second-crash world and must bring recovery to completion the
-    way the protocol under test would. Returns (all-runs-consistent,
-    sweep stats). When [sweep] is empty only the crash-free recovery
-    runs.
+    way the protocol under test would. Returns the crash-free recovery's
+    comparison and the number of sweep runs that ended wrong. When
+    [sweep] is empty only the crash-free recovery runs.
 
     Sweep resumes are memoized on the recovered image: [resume_at] and
     [run_and_compare] read nothing of a world but its memory, so a sweep
@@ -1345,14 +897,16 @@ let c_sweep_rerun = Obs.Counter.make "recovery.sweep.rerun"
     flight region included) would replay the clean run step for step —
     it takes the clean verdict instead of re-running it. *)
 let execute_recovery cs golden ~back ~plan ~restart ~sweep =
-  let verdict w = run_and_compare cs golden (resume_at cs w ~back) in
+  let verdict w =
+    run_and_compare golden ~released:cs.cs_released (resume_at cs w ~back)
+  in
   let clean = world_of cs in
   run_plan clean plan;
   (* the resumed run mutates the image, so keep the recovered one *)
   let clean_image =
     if sweep = [] then None else Some (Memory.snapshot clean.w_mem)
   in
-  let clean_ok = verdict clean in
+  let clean_verdict = verdict clean in
   let once k =
     let w = world_of cs in
     List.iteri (fun i s -> if i <= k then exec_step w s) plan;
@@ -1361,33 +915,21 @@ let execute_recovery cs golden ~back ~plan ~restart ~sweep =
     match clean_image with
     | Some img when Memory.equal img w.w_mem ->
       Obs.Counter.incr c_sweep_reused;
-      clean_ok
+      Result.is_ok clean_verdict
     | _ ->
       Obs.Counter.incr c_sweep_rerun;
-      verdict w
+      Result.is_ok (verdict w)
   in
-  let failures =
-    List.length (List.filter (fun k -> not (once k)) sweep)
-  in
-  (clean_ok && failures = 0, failures)
+  (clean_verdict, List.length (List.filter (fun k -> not (once k)) sweep))
 
-(** Validate one adversarial crash. Runs [compiled] to [crash_at], cuts
-    power, injects [fault] into the surviving state (for
-    [Recovery_crash] the injection IS a second power failure swept
-    across every recovery step), then recovers — hardened (audit +
-    degradation ladder + staged idempotent plan) or blind (trust
-    everything, legacy ordering) — and compares the final state against
-    a failure-free run. The returned report says what the adversary did,
-    what the audits detected, and whether the final state is right;
-    [Refused] means recovery proved it could not proceed safely and
-    stopped without committing any image. *)
-let validate_fault ?(window = 16) ?(n_mcs = 2) ?golden ?(flight = false)
-    ~hardened ?fault ~seed ~crash_at
-    (compiled : Cwsp_compiler.Pipeline.compiled) : (fault_report, string) result
-    =
-  let flight = flight || flight_env in
+(* The crash skeleton of the single-crash implicit-mode experiments: run
+   [compiled] to [crash_at], cut power, inject [fault], recover blind or
+   hardened, resume and compare. Returns the report and the crash-free
+   recovery's comparison, whose diagnostic the clean-crash experiments
+   report. *)
+let crash_experiment ~window ~golden ~flight ~hardened ~fault ~seed ~crash_at
+    (compiled : Cwsp_compiler.Pipeline.compiled) =
   let rng = Cwsp_util.Rng.create seed in
-  let golden = match golden with Some g -> g | None -> golden_of compiled in
   let t = create ~window compiled in
   (* The recorder ring is formatted inside the tracked machine's own NVM
      image and fed through [Obs.record] sites; its writes bypass the
@@ -1396,21 +938,10 @@ let validate_fault ?(window = 16) ?(n_mcs = 2) ?golden ?(flight = false)
      come from a dedicated stream so the main [rng]'s draw sequence is
      byte-identical with recording on or off. *)
   let frec = if flight then Some (Recorder.format t.machine.mem) else None in
-  let with_sink f =
-    match frec with
-    | Some fr ->
-      Obs.with_recorder
-        (fun k a b c d ->
-          match Recorder.kind_of_code k with
-          | Some kind -> Recorder.append fr ~kind a b c d
-          | None -> ())
-        f
-    | None -> f ()
-  in
-  with_sink @@ fun () ->
+  with_flight_sink frec @@ fun () ->
   if run_until t crash_at then Error "program halted before the crash point"
   else begin
-    let cs = cut_power ~n_mcs rng t in
+    let cs = cut_power rng t in
     (* the ring is ordinary NVM: the in-flight append can tear at the
        crash, leaving a frontier slot that fails its checksum *)
     (match frec with
@@ -1427,9 +958,8 @@ let validate_fault ?(window = 16) ?(n_mcs = 2) ?golden ?(flight = false)
     let injected =
       match fault with None -> None | Some cls -> inject rng cls cs
     in
-    let nominal_region =
-      (List.nth cs.cs_regions cs.cs_nominal).region_index
-    in
+    let region_at back = (List.nth cs.cs_regions back).region_index in
+    let nominal_region = region_at cs.cs_nominal in
     let want_sweep = fault = Some Fault.Recovery_crash in
     (* recovery-side recorder: re-attach on the surviving image (cursor
        rebuilt by slot scan), open a new crash epoch, and log what the
@@ -1441,137 +971,376 @@ let validate_fault ?(window = 16) ?(n_mcs = 2) ?golden ?(flight = false)
       | Some r -> Recorder.append r ~kind a b c d
       | None -> ()
     in
-    rapp Recorder.Crash cs.cs_crash_step nominal_region n_mcs 0;
+    rapp Recorder.Crash cs.cs_crash_step nominal_region
+      (Mc_logs.n_mcs cs.cs_logs) 0;
     (match fault with
     | Some cls when injected <> None || cls = Fault.Recovery_crash ->
       rapp Recorder.Inject (fault_code cls) 0 0 0
     | _ -> ());
-    let report ~rung_region ~outcome ~detections ~state_ok ~sweep ~plan
-        ~failures =
-      {
-        fr_crash_step = cs.cs_crash_step;
-        fr_nominal_region = nominal_region;
-        fr_rung_region = rung_region;
-        fr_outcome = outcome;
-        fr_injected =
-          (if want_sweep then Some "power failure during recovery (sweep)"
-           else injected);
-        fr_detections = detections;
-        fr_state_ok = state_ok;
-        fr_sweep_points = List.length sweep;
-        fr_sweep_slice_points = slice_cut_count plan sweep;
-        fr_sweep_failures = failures;
-        fr_flight =
-          (if flight then Some (Recorder.dump_string cs.cs_mem) else None);
-      }
+    let count p plan = List.length (List.filter p plan) in
+    let is_slice = function S_slice _ -> true | _ -> false in
+    (* [back] is the rung recovery used, -1 when it refused *)
+    let report ~back ~outcome ~detections ~verdict ~sweep ~plan ~failures =
+      ( {
+          fr_crash_step = cs.cs_crash_step;
+          fr_nominal_region = nominal_region;
+          fr_rung_region = (if back < 0 then -1 else region_at back);
+          fr_outcome = outcome;
+          fr_injected =
+            (if want_sweep then Some "power failure during recovery (sweep)"
+             else injected);
+          fr_detections = detections;
+          fr_state_ok = Result.is_ok verdict && failures = 0;
+          fr_sweep_points = List.length sweep;
+          fr_sweep_slice_points = slice_cut_count plan sweep;
+          fr_sweep_failures = failures;
+          fr_rollback = back;
+          fr_restored = count is_slice plan;
+          fr_flight =
+            (if flight then Some (Recorder.dump_string cs.cs_mem) else None);
+        },
+        verdict )
     in
-    (* mid-recovery power failures re-attach the ring of the sweep
-       world's image and open yet another epoch before replaying *)
-    let flight_restart w =
-      if flight then
-        match Recorder.attach w.w_mem with
-        | Some r ->
-          Recorder.bump_epoch r;
-          Recorder.append r ~kind:Recorder.Restart 0 0 0 0
-        | None -> ()
-    in
-    if not hardened then begin
-      (* blind protocol: trust every surviving byte *)
-      let plan = blind_plan cs ~logs:cs.cs_logs in
-      let sweep =
-        if want_sweep then sweep_cuts plan ~max_reverts:8 else []
-      in
-      let restart w =
-        (* a blind restart re-reads whatever logs survived — after the
-           premature truncation, usually nothing *)
-        flight_restart w;
-        run_plan w (blind_plan cs ~logs:w.w_logs)
-      in
-      let ok, failures =
-        execute_recovery cs golden ~back:cs.cs_nominal ~plan ~restart ~sweep
-      in
-      rapp Recorder.Decision 0 cs.cs_nominal 0 (if ok then 1 else 0);
-      rapp Recorder.Resume nominal_region 0 (List.length plan) 0;
+    let refuse ~back detections =
+      rapp Recorder.Decision 2 back (List.length detections) 1;
       Ok
-        (report ~rung_region:nominal_region ~outcome:Recovered ~detections:[]
-           ~state_ok:ok ~sweep ~plan ~failures)
-    end
+        (report ~back:(-1) ~outcome:Refused ~detections ~verdict:(Ok ())
+           ~sweep:[] ~plan:[] ~failures:0)
+    in
+    (* run [plan] at rung [back] (swept by mid-recovery power failures,
+       each followed by [restart]), resume, compare and record *)
+    let recover ~back ~outcome ~detections ~plan ~restart =
+      let sweep = if want_sweep then sweep_cuts plan ~max_reverts:8 else [] in
+      (* mid-recovery power failures re-attach the ring of the sweep
+         world's image and open yet another epoch before replaying *)
+      let restart w =
+        (if flight then
+           match Recorder.attach w.w_mem with
+           | Some r ->
+             Recorder.bump_epoch r;
+             Recorder.append r ~kind:Recorder.Restart 0 0 0 0
+           | None -> ());
+        restart w
+      in
+      let verdict, failures =
+        execute_recovery cs golden ~back ~plan ~restart ~sweep
+      in
+      rapp Recorder.Decision
+        (if outcome = Recovered then 0 else 1)
+        back (List.length detections)
+        (if Result.is_ok verdict && failures = 0 then 1 else 0);
+      let slices, steps =
+        if hardened then
+          ( count is_slice plan,
+            count (function S_revert _ -> true | _ -> false) plan )
+        else (0, List.length plan)
+      in
+      rapp Recorder.Resume (region_at back) slices steps 0;
+      Ok (report ~back ~outcome ~detections ~verdict ~sweep ~plan ~failures)
+    in
+    if not hardened then
+      (* blind protocol: trust every surviving byte. A restart re-reads
+         whatever logs survived — after the premature truncation,
+         usually nothing. *)
+      recover ~back:cs.cs_nominal ~outcome:Recovered ~detections:[]
+        ~plan:(blind_plan cs ~logs:cs.cs_logs)
+        ~restart:(fun w -> run_plan w (blind_plan cs ~logs:w.w_logs))
     else begin
       (* hardened protocol: audit, degrade, or refuse *)
       let n = List.length cs.cs_regions in
       let rec ladder back detections =
-        if back >= n then begin
-          rapp Recorder.Decision 2 n (List.length detections + 1) 1;
-          Ok
-            (report ~rung_region:(-1) ~outcome:Refused
-               ~detections:
-                 (detections @ [ "no verifiable rollback boundary left" ])
-               ~state_ok:true ~sweep:[] ~plan:[] ~failures:0)
-        end
+        if back >= n then
+          refuse ~back:n
+            (detections @ [ "no verifiable rollback boundary left" ])
         else begin
           let rc = check_rung cs ~back in
           rapp Recorder.Rung back
             (if rc.rc_usable then 1 else 0)
             (if rc.rc_fatal then 1 else 0)
             (List.length rc.rc_skip);
-          if rc.rc_fatal then begin
-            rapp Recorder.Decision 2 back
-              (List.length (detections @ rc.rc_notes))
-              1;
-            Ok
-              (report ~rung_region:(-1) ~outcome:Refused
-                 ~detections:(detections @ rc.rc_notes) ~state_ok:true
-                 ~sweep:[] ~plan:[] ~failures:0)
-          end
-          else if not rc.rc_usable then
-            ladder (back + 1) (detections @ rc.rc_notes)
+          let detections = detections @ rc.rc_notes in
+          if rc.rc_fatal then refuse ~back detections
+          else if not rc.rc_usable then ladder (back + 1) detections
           else begin
-            let detections = detections @ rc.rc_notes in
             let plan = build_plan cs ~back ~skip:rc.rc_skip in
-            let sweep =
-              if want_sweep then sweep_cuts plan ~max_reverts:8 else []
-            in
+            (* the durable intent record makes the plan idempotent: no
+               intent yet -> recovery never started, run it all; intent
+               + live logs -> reverts are absolute writes, replay them
+               and truncate; intent + empty logs -> all durable work is
+               done, only the volatile slice remains *)
             let restart w =
-              flight_restart w;
-              (* the durable intent record makes the plan idempotent:
-                 no intent yet -> recovery never started, run it all;
-                 intent + live logs -> reverts are absolute writes,
-                 replay them and truncate; intent + empty logs -> all
-                 durable work is done, only the volatile slice remains *)
               match w.w_intent with
               | None -> run_plan w plan
               | Some _ ->
-                  if Mc_logs.live_entries w.w_logs > 0 then
-                    List.iter
-                      (fun s ->
-                        match s with
-                        | S_revert _ | S_truncate -> exec_step w s
-                        | _ -> ())
-                      plan
+                if Mc_logs.live_entries w.w_logs > 0 then
+                  List.iter
+                    (function
+                      | (S_revert _ | S_truncate) as s -> exec_step w s
+                      | _ -> ())
+                    plan
             in
-            let ok, failures =
-              execute_recovery cs golden ~back ~plan ~restart ~sweep
-            in
-            let rung_region = (List.nth cs.cs_regions back).region_index in
-            let outcome =
-              if back = cs.cs_nominal then Recovered else Degraded
-            in
-            rapp Recorder.Decision
-              (if outcome = Recovered then 0 else 1)
-              back
-              (List.length detections)
-              (if ok then 1 else 0);
-            let count p = List.length (List.filter p plan) in
-            rapp Recorder.Resume rung_region
-              (count (function S_slice _ -> true | _ -> false))
-              (count (function S_revert _ -> true | _ -> false))
-              0;
-            Ok
-              (report ~rung_region ~outcome ~detections ~state_ok:ok ~sweep
-                 ~plan ~failures)
+            recover ~back
+              ~outcome:(if back = cs.cs_nominal then Recovered else Degraded)
+              ~detections ~plan ~restart
           end
         end
       in
       ladder cs.cs_nominal []
     end
+  end
+
+(** Validate one adversarial crash. Runs [compiled] to [crash_at], cuts
+    power, injects [fault] into the surviving state (for
+    [Recovery_crash] the injection IS a second power failure swept
+    across every recovery step), then recovers — hardened (audit +
+    degradation ladder + staged idempotent plan) or blind (trust
+    everything, legacy ordering) — and compares the final state against
+    a failure-free run. The returned report says what the adversary did,
+    what the audits detected, and whether the final state is right;
+    [Refused] means recovery proved it could not proceed safely and
+    stopped without committing any image. *)
+let validate_fault ?(window = 16) ?golden ?(flight = false) ~hardened ?fault
+    ~seed ~crash_at (compiled : Cwsp_compiler.Pipeline.compiled) :
+    (fault_report, string) result =
+  let golden = match golden with Some g -> g | None -> golden_of compiled in
+  Result.map fst
+    (crash_experiment ~window ~golden ~flight:(flight || flight_env) ~hardened
+       ~fault ~seed ~crash_at compiled)
+
+(** Clean crash: [validate_fault] with no fault and the blind plan — the
+    nominal protocol on a correct persistence path. A wrong final state
+    is an [Error] carrying the first difference. *)
+let validate ?(window = 16) ~seed ~crash_at
+    (compiled : Cwsp_compiler.Pipeline.compiled) : (fault_report, string) result
+    =
+  match
+    crash_experiment ~window ~golden:(golden_of compiled) ~flight:false
+      ~hardened:false ~fault:None ~seed ~crash_at compiled
+  with
+  | Error e -> Error e
+  | Ok (r, Ok ()) -> Ok r
+  | Ok (r, Error e) ->
+    Error
+      (Printf.sprintf "%s (crash@%d, region %d)" e r.fr_crash_step
+         r.fr_nominal_region)
+
+(** Multi-failure validation: run to [c], crash, recover with the blind
+    plan, resume, crash again at the next point of [crash_points] —
+    recovery itself must be crash consistent. Compares the final NVM
+    state and the exactly-once I/O stream against a failure-free run. *)
+let validate_chain ?(window = 16) ~seed ~crash_points
+    (compiled : Cwsp_compiler.Pipeline.compiled) : (int, string) result =
+  let rng = Cwsp_util.Rng.create seed in
+  let golden = golden_of compiled in
+  let rec go t crash_points released crashes =
+    let next =
+      match crash_points with
+      | [] -> Ok None
+      | c :: rest ->
+        stepping (fun () -> if run_until t c then None else Some rest)
+    in
+    match next with
+    | Ok (Some rest) ->
+      let cs = cut_power rng t in
+      let w = world_of cs in
+      run_plan w (blind_plan cs ~logs:cs.cs_logs);
+      let m = resume_at cs w ~back:cs.cs_nominal in
+      go (create_resumed ~window compiled m) rest (released @ cs.cs_released)
+        (crashes + 1)
+    | verdict -> (
+      (* no more failures, or the program halted before the next one *)
+      match
+        Result.bind verdict (fun _ -> run_and_compare golden ~released t.machine)
+      with
+      | Ok () -> Ok crashes
+      | Error e -> Error (Printf.sprintf "%s (after %d crashes)" e crashes))
+  in
+  go (create ~window compiled) crash_points [] 0
+
+(* ==================================================================== *)
+(* Explicit-persistency oracle: the dynamic ground truth for the        *)
+(* Persist_check static tier. Models hardware WITHOUT the cWSP persist  *)
+(* path: a data store is durable only once a flush captured its line    *)
+(* AND a later pfence (or sync primitive) drained it. Register          *)
+(* checkpoints keep their hardware path (write-through, undo-logged per *)
+(* open region so a crash can't leave a half-written ckpt run), and an  *)
+(* atomic is a failure-atomic unit that completes with its closing      *)
+(* boundary. The crash is maximally adversarial and deterministic:      *)
+(* cache contents AND the flushed-but-unfenced set are lost. Recovery   *)
+(* is blind — resume at the newest boundary, no undo logs to roll back  *)
+(* with — so the final state is right iff the compiler really did make  *)
+(* every prior store durable: exactly the obligation Persist_check      *)
+(* discharges statically. A mutant that drops/moves one flush or fence  *)
+(* escapes here dynamically at some crash point.                        *)
+(* ==================================================================== *)
+
+type explicit_tracked = {
+  e_machine : Machine.t;
+  e_nvm : Memory.t; (* the durable image, maintained alongside the run *)
+  e_pending : (int, int) Hashtbl.t; (* flushed, not yet fenced: addr -> value *)
+  mutable e_pending_atomic : (int * int) option;
+      (* an atomic's (addr, value) awaiting its closing boundary *)
+  mutable e_last_store : (int * int) option;
+      (* the store the current instruction just performed, so the atomic
+         event can claim its value (hook order is store-then-event) *)
+  mutable e_ckpt_undo : (int * int) list; (* open region's ckpt (addr, old) *)
+  mutable e_boundary : (int * Machine.frame list * int * int) option;
+      (* newest boundary: static id, frame snapshot, depth, outputs *)
+}
+
+let explicit_drain e =
+  Hashtbl.iter (fun addr v -> Memory.write e.e_nvm addr v) e.e_pending;
+  Hashtbl.reset e.e_pending
+
+let explicit_hooks e : Machine.hooks =
+  {
+    on_store =
+      (fun ~addr ~old:_ ~value ->
+        if Layout.is_ckpt_addr addr then begin
+          (* hardware persist path of the checkpoint engine: write-through,
+             journaled until the region's boundary commits the run *)
+          let nold = Memory.read e.e_nvm addr in
+          Memory.write e.e_nvm addr value;
+          e.e_ckpt_undo <- (addr, nold) :: e.e_ckpt_undo
+        end
+        else e.e_last_store <- Some (addr, value));
+    on_event =
+      (fun ev ->
+        let tag = Event.tag ev in
+        if tag = Event.tag_flush then begin
+          let addr = Event.payload ev in
+          if not (Layout.is_ckpt_addr addr) then
+            (* the writeback captures the line's current cache contents *)
+            Hashtbl.replace e.e_pending addr (Memory.read e.e_machine.mem addr);
+          e.e_last_store <- None
+        end
+        else if tag = Event.tag_pfence || tag = Event.tag_fence then begin
+          explicit_drain e;
+          e.e_last_store <- None
+        end
+        else if tag = Event.tag_atomic then begin
+          (* full sync: drains the persist stream; its own write is a
+             failure-atomic unit completing at the closing boundary *)
+          explicit_drain e;
+          (match e.e_last_store with
+          | Some (a, v) when a = Event.payload ev ->
+            e.e_pending_atomic <- Some (a, v)
+          | _ -> ());
+          e.e_last_store <- None
+        end
+        else if tag = Event.tag_boundary then begin
+          (* flight recorder: boundary commit in the explicit model,
+             with the flushed-but-unfenced set as persist telemetry *)
+          Obs.record k_boundary e.e_machine.steps (Event.payload ev)
+            (Hashtbl.length e.e_pending)
+            (match e.e_pending_atomic with Some _ -> 1 | None -> 0);
+          (match e.e_pending_atomic with
+          | Some (a, v) -> Memory.write e.e_nvm a v
+          | None -> ());
+          e.e_pending_atomic <- None;
+          e.e_ckpt_undo <- [];
+          e.e_boundary <-
+            Some
+              ( Event.payload ev,
+                List.map copy_frame e.e_machine.frames,
+                e.e_machine.depth,
+                List.length e.e_machine.outputs );
+          e.e_last_store <- None
+        end
+        else e.e_last_store <- None);
+  }
+
+(** Explicit-persistency crash experiment: run [compiled] (an
+    [Explicit]-mode binary) to [crash_at] instructions, cut power —
+    losing the caches, the flushed-but-unfenced set and any uncommitted
+    atomic, and reverting the open region's checkpoint-area stores —
+    then blindly resume at the newest boundary via its recovery slice
+    and compare the final NVM state and the exactly-once device output
+    stream against a failure-free run. Deterministic: the adversary
+    always takes everything a fence had not sealed. *)
+let validate_explicit ?(flight = false) ?on_flight ~crash_at
+    (compiled : Cwsp_compiler.Pipeline.compiled) : (fault_report, string) result
+    =
+  let flight = flight || flight_env in
+  let golden = golden_of compiled in
+  let linked = Machine.link compiled.prog in
+  let machine = Machine.create linked in
+  let e =
+    {
+      e_machine = machine;
+      e_nvm = Memory.snapshot machine.mem;
+      e_pending = Hashtbl.create 64;
+      e_pending_atomic = None;
+      e_last_store = None;
+      e_ckpt_undo = [];
+      e_boundary = None;
+    }
+  in
+  (* In the explicit model the recorder lives in the durable image
+     directly: each append is its own flush+fence (the commit-word
+     ordering is the failure-atomicity), so the ring survives the
+     deterministic crash whole. *)
+  let frec = if flight then Some (Recorder.format e.e_nvm) else None in
+  with_flight_sink frec @@ fun () ->
+  let h = explicit_hooks e in
+  while e.e_machine.status = Machine.Running && e.e_machine.steps < crash_at do
+    Machine.step e.e_machine h
+  done;
+  if e.e_machine.status = Machine.Halted then
+    Error "program halted before the crash point"
+  else begin
+    let crash_step = e.e_machine.steps in
+    (* power is lost: only [e_nvm] survives; the open region's ckpt run
+       is rolled back so the recovery slice sees the slots as of the
+       newest boundary (newest-first replay restores the oldest value) *)
+    let image = Memory.snapshot e.e_nvm in
+    List.iter (fun (addr, old) -> Memory.write image addr old) e.e_ckpt_undo;
+    let recovered, boundary, restored, released =
+      match e.e_boundary with
+      | None ->
+        (Machine.resume linked ~mem:image ~frames:`Fresh ~depth:0, 0, 0, [])
+      | Some (static_id, frames, depth, outs) ->
+        let slice = compiled.slices.(static_id) in
+        ( resume_slice ~tid:0 linked ~mem:image ~frames ~depth (Some slice),
+          static_id,
+          List.length slice,
+          List.filteri (fun i _ -> i < outs) (Machine.outputs e.e_machine) )
+    in
+    (* recovery-side flight events: new crash epoch on the surviving
+       image, then the crash record and the blind-resume decision *)
+    let dump =
+      if flight then begin
+        (match Recorder.attach image with
+        | Some r ->
+          Recorder.bump_epoch r;
+          Recorder.append r ~kind:Recorder.Crash crash_step boundary 0 0;
+          Recorder.append r ~kind:Recorder.Resume boundary restored 0 0
+        | None -> ());
+        Some (Recorder.dump_string image)
+      end
+      else None
+    in
+    Option.iter (fun d -> Option.iter (fun f -> f d) on_flight) dump;
+    match run_and_compare golden ~released recovered with
+    | Error msg ->
+      Error
+        (Printf.sprintf "explicit-mode %s (crash@%d, boundary %d)" msg
+           crash_step boundary)
+    | Ok () ->
+      Ok
+        {
+          fr_crash_step = crash_step;
+          fr_nominal_region = boundary;
+          fr_rung_region = boundary;
+          fr_outcome = Recovered;
+          fr_injected = None;
+          fr_detections = [];
+          fr_state_ok = true;
+          fr_sweep_points = 0;
+          fr_sweep_slice_points = 0;
+          fr_sweep_failures = 0;
+          fr_rollback = 0;
+          fr_restored = restored;
+          fr_flight = dump;
+        }
   end

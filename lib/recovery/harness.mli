@@ -7,68 +7,82 @@
     ([Mc_logs]), the register checkpoints (ordinary stores to the NVM
     checkpoint area made by the instrumented program itself), the
     region-buffered I/O ([Io_buffer]) and the compiler's recovery-slice
-    table. At a "power failure" it picks the oldest unpersisted region
-    within the RBT window (never at or before a committed sync point),
-    reverts speculative NVM updates with the undo logs, un-persists a
-    random per-MC FIFO suffix of that region's own stores, evaluates its
-    recovery slice into a poisoned register file, and resumes. *)
+    table. Every crash experiment runs one skeleton: run to the crash
+    point; cut power (pick the oldest unpersisted region within the RBT
+    window, never at or before a committed sync point, and un-persist a
+    random per-MC FIFO suffix of its stores); optionally inject a
+    persistence-path fault; execute a recovery plan (blind: revert the
+    younger regions with the undo logs; hardened: audit first); resume
+    at the chosen region, evaluating its recovery slice into a poisoned
+    register file; and compare the final NVM image and device output
+    with a failure-free run. *)
 
 open Cwsp_interp
 
-type region_record
-type tracked
+(** A failure-free reference run: final NVM image, device outputs and
+    step count. Compute once per workload and share across cells. *)
+type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
 
-(** Start tracking a fresh execution of [compiled]. [window] is the RBT
-    size: the maximum number of concurrently unpersisted regions. *)
-val create : ?window:int -> Cwsp_compiler.Pipeline.compiled -> tracked
+val golden_of : Cwsp_compiler.Pipeline.compiled -> golden
 
-(** Track a machine that is itself resuming after a recovery: crashes
-    before its first boundary roll back to the resume point, enabling
-    crash-during-recovery validation. *)
-val create_resumed :
-  ?window:int -> Cwsp_compiler.Pipeline.compiled -> Machine.t -> tracked
+type fault_outcome =
+  | Recovered  (** recovered at the nominal boundary *)
+  | Degraded  (** recovered at a deeper boundary whose logs verify *)
+  | Refused  (** structured refusal: no trustworthy boundary remained *)
 
-(** The tracked machine's instrumentation hooks. *)
-val hooks : tracked -> Machine.hooks
-
-(** Run for at most [steps] more instructions; [true] if the program
-    halted first. *)
-val run_until : tracked -> int -> bool
-
-type crash_report = {
-  crash_step : int;
-  recovery_region : int; (** dynamic index of the oldest unpersisted region *)
-  reverted_regions : int;
-  reexecuted_instructions : int;
-  restored_registers : int;
-  released_outputs : int list;
-    (** device I/O already released at the crash, oldest first *)
+(** What one crash experiment did and found. The clean-crash and
+    explicit experiments fill it too: no fault, outcome [Recovered]. *)
+type fault_report = {
+  fr_crash_step : int;
+  fr_nominal_region : int;
+      (** dynamic index of the nominal (fault-free) recovery point; for
+          [validate_explicit], the static id of the boundary it resumed
+          at (0 before the first one) *)
+  fr_rung_region : int;  (** region recovery actually used; -1 if refused *)
+  fr_outcome : fault_outcome;
+  fr_injected : string option;
+      (** what the adversary did; [None] if the fault found no target *)
+  fr_detections : string list;  (** what the hardening audits saw *)
+  fr_state_ok : bool;
+      (** final NVM + exactly-once I/O match the failure-free run
+          (vacuously true for [Refused]: no image was committed) *)
+  fr_sweep_points : int;  (** mid-recovery crash sites exercised *)
+  fr_sweep_slice_points : int;
+      (** ... of which were recovery-slice instructions (the acceptance
+          sweep covers every slice index) *)
+  fr_sweep_failures : int;  (** sweep runs ending in a wrong final state *)
+  fr_rollback : int;
+      (** tracked regions rolled back past to reach the rung (its
+          position, newest first); -1 if refused *)
+  fr_restored : int;  (** live-in registers the rung's recovery slice restored *)
+  fr_flight : string option;
+      (** flight-recorder dump (the [Cwsp_flight.Recorder] text
+          artifact) when recording was enabled: pre-crash boundary and
+          telemetry records in epoch 0, the crash/injection/ladder
+          events in epoch 1 — ready for [cwsp_postmortem] *)
 }
 
-(** Cut power now; build the surviving NVM state and run the recovery
-    protocol. Returns a machine resumed at the recovery point. [rng]
-    drives which regions/stores count as persisted. *)
-val crash_and_recover :
-  ?n_mcs:int -> Cwsp_util.Rng.t -> tracked -> Machine.t * crash_report
-
-(** Full experiment: run [compiled] to completion twice — once
-    undisturbed, once with a power failure after [crash_at] instructions
-    — and require a bit-exact final NVM state plus an exactly-once
-    device-output stream. *)
+(** Clean crash: run [compiled] with a power failure after [crash_at]
+    instructions, recover with the blind plan on the faultless
+    persistence path, and require a bit-exact final NVM state plus an
+    exactly-once device-output stream. [window] is the RBT size: the
+    maximum number of concurrently unpersisted regions. A divergence,
+    trap, wild access or hang of the resumed run is an [Error] carrying
+    the first difference. *)
 val validate :
   ?window:int ->
-  ?n_mcs:int ->
   seed:int ->
   crash_at:int ->
   Cwsp_compiler.Pipeline.compiled ->
-  (crash_report, string) result
+  (fault_report, string) result
 
-(** Multi-failure variant: [crash_points] are instruction-count deltas
-    between consecutive failures (a failure may interrupt the previous
-    recovery's re-execution). Returns the number of failures injected. *)
+(** Chained crashes: [crash_points] are instruction-count deltas between
+    consecutive failures (a failure may interrupt the previous
+    recovery's re-execution). Each is a cut, the blind plan and a
+    resume that is itself tracked; the last resume runs to completion
+    and is compared. Returns the number of failures injected. *)
 val validate_chain :
   ?window:int ->
-  ?n_mcs:int ->
   seed:int ->
   crash_points:int list ->
   Cwsp_compiler.Pipeline.compiled ->
@@ -88,15 +102,20 @@ val validate_chain :
     [flight:true] formats a flight-recorder ring inside the durable
     image, records each boundary commit (with the flushed-but-unfenced
     set as telemetry) and the crash/resume decision, and hands the dump
-    artifact to [on_flight]. Recording never changes the verdict: the
+    artifact to [on_flight] (also on a failed comparison; [fr_flight]
+    carries the same dump). Recording never changes the verdict: the
     ring region is excluded from the golden comparison and nothing
-    reads it. *)
+    reads it.
+
+    Only the persistence model is its own: the crash image goes through
+    the same slice resume and comparison as [validate], so a wrong final
+    state, trap, wild access or hang is an [Error]. *)
 val validate_explicit :
   ?flight:bool ->
   ?on_flight:(string -> unit) ->
   crash_at:int ->
   Cwsp_compiler.Pipeline.compiled ->
-  (crash_report, string) result
+  (fault_report, string) result
 
 (** {2 Adversarial fault model}
 
@@ -106,41 +125,6 @@ val validate_explicit :
     rollback boundary, walks a degradation ladder to deeper boundaries
     whose logs verify, and refuses outright — never committing a wrong
     final NVM image — when none is left. *)
-
-(** A failure-free reference run: final NVM image, device outputs and
-    step count. Compute once per workload and share across cells. *)
-type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
-
-val golden_of : Cwsp_compiler.Pipeline.compiled -> golden
-
-type fault_outcome =
-  | Recovered  (** recovered at the nominal boundary *)
-  | Degraded  (** recovered at a deeper boundary whose logs verify *)
-  | Refused  (** structured refusal: no trustworthy boundary remained *)
-
-type fault_report = {
-  fr_crash_step : int;
-  fr_nominal_region : int;
-      (** dynamic index of the nominal (fault-free) recovery point *)
-  fr_rung_region : int;  (** region recovery actually used; -1 if refused *)
-  fr_outcome : fault_outcome;
-  fr_injected : string option;
-      (** what the adversary did; [None] if the fault found no target *)
-  fr_detections : string list;  (** what the hardening audits saw *)
-  fr_state_ok : bool;
-      (** final NVM + exactly-once I/O match the failure-free run
-          (vacuously true for [Refused]: no image was committed) *)
-  fr_sweep_points : int;  (** mid-recovery crash sites exercised *)
-  fr_sweep_slice_points : int;
-      (** ... of which were recovery-slice instructions (the acceptance
-          sweep covers every slice index) *)
-  fr_sweep_failures : int;  (** sweep runs ending in a wrong final state *)
-  fr_flight : string option;
-      (** flight-recorder dump (the [Cwsp_flight.Recorder] text
-          artifact) when recording was enabled: pre-crash boundary and
-          telemetry records in epoch 0, the crash/injection/ladder
-          events in epoch 1 — ready for [cwsp_postmortem] *)
-}
 
 (** Validate one adversarial crash: run to [crash_at], cut power, inject
     [fault] into the surviving durable state ([Fault.Recovery_crash] is
@@ -164,7 +148,6 @@ type fault_report = {
     the recorder-off goldens and perf baselines. *)
 val validate_fault :
   ?window:int ->
-  ?n_mcs:int ->
   ?golden:golden ->
   ?flight:bool ->
   hardened:bool ->
@@ -173,3 +156,29 @@ val validate_fault :
   crash_at:int ->
   Cwsp_compiler.Pipeline.compiled ->
   (fault_report, string) result
+
+(** {2 Shared crash helpers} (the multi-core harness, [Harness_mp])
+
+    [fifo_suffix rng logs entries f] un-persists a random per-MC FIFO
+    suffix of one region's data stores: per MC, in MC order, it draws
+    how many stores persisted in program order and passes each later
+    one to [f]. Checkpoint-area stores are left to the caller. *)
+val fifo_suffix :
+  Cwsp_util.Rng.t ->
+  Mc_logs.t ->
+  Mc_logs.entry list ->
+  (Mc_logs.entry -> unit) ->
+  unit
+
+(** [resume_slice ~tid linked ~mem ~frames ~depth slice] resumes thread
+    [tid] at a region entry with call stack [frames] (copied). With
+    [Some slice] the open frame's registers are poisoned and the slice
+    rebuilds its live-ins from the thread's checkpoint slots in [mem]. *)
+val resume_slice :
+  tid:int ->
+  Machine.linked ->
+  mem:Memory.t ->
+  frames:Machine.frame list ->
+  depth:int ->
+  Cwsp_ckpt.Slice.t option ->
+  Machine.t

@@ -141,33 +141,9 @@ let run_until (t : tracked) steps =
   done;
   not (live ())
 
-(* per-MC FIFO-suffix un-persistence of one region's data stores *)
-let revert_partial rng mem (entries : Mc_logs.entry list) ~n_mcs =
-  let mc_of addr = (addr lsr 8) mod n_mcs in
-  let per_mc_total = Array.make n_mcs 0 in
-  List.iter
-    (fun (e : Mc_logs.entry) ->
-      if not (Layout.is_ckpt_addr e.e_addr) then
-        per_mc_total.(mc_of e.e_addr) <- per_mc_total.(mc_of e.e_addr) + 1)
-    entries;
-  let persisted_prefix =
-    Array.map (fun n -> if n = 0 then 0 else Cwsp_util.Rng.int rng (n + 1)) per_mc_total
-  in
-  let seen_from_end = Array.make n_mcs 0 in
-  List.iter
-    (fun (e : Mc_logs.entry) ->
-      if not (Layout.is_ckpt_addr e.e_addr) then begin
-        let mc = mc_of e.e_addr in
-        let pos_from_start = per_mc_total.(mc) - seen_from_end.(mc) in
-        seen_from_end.(mc) <- seen_from_end.(mc) + 1;
-        if pos_from_start > persisted_prefix.(mc) then
-          Memory.write mem e.e_addr e.e_old
-      end)
-    entries
-
 (** Cut power on the whole machine and recover every thread. Returns the
     resumed [Multi.t]. *)
-let crash_and_recover ?(n_mcs = 2) rng (t : tracked) : Multi.t =
+let crash_and_recover rng (t : tracked) : Multi.t =
   let mem = Memory.snapshot t.multi.mem in
   let linked = t.multi.linked in
   (* each thread picks its own oldest unpersisted region *)
@@ -209,24 +185,16 @@ let crash_and_recover ?(n_mcs = 2) rng (t : tracked) : Multi.t =
     Array.mapi
       (fun tid r_o ->
         let entries = Mc_logs.region_entries t.logs ~region:r_o.region_index in
-        revert_partial rng mem entries ~n_mcs;
+        let unpersist (e : Mc_logs.entry) = Memory.write mem e.e_addr e.e_old in
+        Harness.fifo_suffix rng t.logs entries unpersist;
         List.iter
           (fun (e : Mc_logs.entry) ->
-            if Layout.is_ckpt_addr e.e_addr then Memory.write mem e.e_addr e.e_old)
+            if Layout.is_ckpt_addr e.e_addr then unpersist e)
           entries;
-        let frames = List.map copy_frame r_o.frames in
-        if r_o.static_id >= 0 then begin
-          let fr = List.hd frames in
-          Array.fill fr.regs 0 (Array.length fr.regs) 0x5F5F5F5F;
-          let slot r2 =
-            Memory.read mem (Layout.ckpt_slot ~tid ~depth:r_o.depth r2)
-          in
-          let addr_of g = Hashtbl.find linked.Machine.global_addr g in
-          List.iter
-            (fun (r, expr) -> fr.regs.(r) <- Cwsp_ckpt.Slice.eval ~slot ~addr_of expr)
-            t.compiled.slices.(r_o.static_id)
-        end;
-        Machine.resume ~tid linked ~mem ~frames:(`Frames frames) ~depth:r_o.depth)
+        Harness.resume_slice ~tid linked ~mem ~frames:r_o.frames
+          ~depth:r_o.depth
+          (if r_o.static_id >= 0 then Some t.compiled.slices.(r_o.static_id)
+           else None))
       chosen
   in
   { t.multi with mem; machines }
@@ -238,7 +206,7 @@ let crash_and_recover ?(n_mcs = 2) rng (t : tracked) : Multi.t =
     legitimately rewinds some per-thread slots, and re-execution under a
     different interleaving is entitled to a different checkpoint
     history). *)
-let validate ?(window = 16) ?(n_mcs = 2) ~seed ~crash_at
+let validate ?(window = 16) ~seed ~crash_at
     (compiled : Cwsp_compiler.Pipeline.compiled) ~threads ~worker :
     (unit, string) result =
   let rng = Cwsp_util.Rng.create seed in
@@ -247,7 +215,7 @@ let validate ?(window = 16) ?(n_mcs = 2) ~seed ~crash_at
   let halted = run_until t crash_at in
   if halted then Error "program halted before the crash point"
   else begin
-    let resumed = crash_and_recover ~n_mcs rng t in
+    let resumed = crash_and_recover rng t in
     Multi.run resumed (fun _ -> Machine.no_hooks);
     let data mem =
       let out = ref [] in

@@ -7,28 +7,6 @@
     irrevocable (otherwise another thread that already observed it could
     be left inconsistent; see DESIGN.md §5a). *)
 
-open Cwsp_interp
-
-type tracked
-
-val create :
-  ?window:int ->
-  Cwsp_compiler.Pipeline.compiled ->
-  threads:int ->
-  worker:string ->
-  tracked
-
-(** Per-thread instrumentation hooks. *)
-val hooks : tracked -> int -> Machine.hooks
-
-(** Run round-robin for roughly [steps] more total instructions; [true]
-    when every thread halted. *)
-val run_until : tracked -> int -> bool
-
-(** Cut power on the whole machine and recover every thread
-    independently; returns the resumed execution. *)
-val crash_and_recover : ?n_mcs:int -> Cwsp_util.Rng.t -> tracked -> Multi.t
-
 (** Full experiment for schedule-deterministic DRF workloads: compare the
     final program-visible NVM state of a crashed-and-recovered run with a
     failure-free run (the checkpoint area is excluded — re-execution
@@ -36,7 +14,6 @@ val crash_and_recover : ?n_mcs:int -> Cwsp_util.Rng.t -> tracked -> Multi.t
     history). *)
 val validate :
   ?window:int ->
-  ?n_mcs:int ->
   seed:int ->
   crash_at:int ->
   Cwsp_compiler.Pipeline.compiled ->

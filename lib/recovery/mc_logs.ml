@@ -68,6 +68,7 @@ let create ~n_mcs =
   }
 
 let mc_of t addr = (addr lsr 8) mod t.n_mcs
+let n_mcs t = t.n_mcs
 
 let find_arr t mc region =
   if t.last_region.(mc) = region then t.last_arr.(mc)
@@ -156,18 +157,6 @@ let regions_newest_first t =
   Array.to_list t.arrays
   |> List.concat_map (fun tbl -> Hashtbl.fold (fun r _ acc -> r :: acc) tbl [])
   |> List.sort_uniq compare |> List.rev
-
-(** Power failure: revert every logged region newer than (and NOT
-    including) [oldest_unpersisted], processing regions in reverse
-    chronological order of Region ID as the paper's recovery runtime
-    does, then drop all logs. [apply] receives (addr, old value). *)
-let revert_speculative t ~oldest_unpersisted ~apply =
-  List.iter
-    (fun r ->
-      if r > oldest_unpersisted then
-        List.iter (fun e -> apply e.e_addr e.e_old) (region_entries t ~region:r))
-    (regions_newest_first t);
-  reset t
 
 (** Revert (reverse chronological region order) exactly the regions for
     which [should_revert] holds, then remove their logs — the multi-core

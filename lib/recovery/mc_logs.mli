@@ -28,6 +28,9 @@ val create : n_mcs:int -> t
 (** The MC an address belongs to (256-byte channel interleave). *)
 val mc_of : t -> int -> int
 
+(** The number of memory controllers. *)
+val n_mcs : t -> int
+
 (** A store of [region] arrived at its MC: undo-log the old value.
     [value] is the new value being stored (only its checksum is kept). *)
 val log : t -> region:int -> addr:int -> old:int -> value:int -> unit
@@ -45,12 +48,6 @@ val reset : t -> unit
 (** Structural copy sharing no mutable state with [t] — used to snapshot
     the surviving log image at a crash point. *)
 val copy : t -> t
-
-(** Power failure: revert every logged region strictly newer than
-    [oldest_unpersisted], in reverse chronological Region-ID order, then
-    drop all logs. [apply] receives (address, old value). *)
-val revert_speculative :
-  t -> oldest_unpersisted:int -> apply:(int -> int -> unit) -> unit
 
 (** Revert exactly the regions for which [should_revert] holds, in
     reverse chronological Region-ID order, removing their logs — the
