@@ -1,7 +1,9 @@
 (** Set-associative write-back, write-allocate cache with LRU
-    replacement. Tag storage is a hash table keyed by set index, so a
-    multi-gigabyte direct-mapped DRAM cache costs memory proportional to
-    the sets actually touched. *)
+    replacement. Tag storage is paged: each page of whole sets (512
+    ways) is allocated by the first probe that lands in it, so memory
+    and set-up cost are proportional to the pages touched, not to the
+    cache's capacity — a 64MB direct-mapped DRAM cache costs only the
+    pages its lines fall in. *)
 
 type t
 
@@ -9,18 +11,10 @@ val line_bytes : int
 
 val create : Config.cache_level -> t
 
-type result = {
-  hit : bool;
-  evicted_dirty_line : int option; (** line address of a dirty eviction *)
-}
-
-(** Access the line containing [addr], allocating on miss; [write] marks
-    it dirty. *)
-val access : t -> addr:int -> write:bool -> result
-
-(** Allocation-free [access] (the engines' hot path): returns the hit
-    flag; a dirty eviction's line address is left in [last_dirty_evict]
-    (-1 when none) until the next probe. *)
+(** Access the line containing [addr], allocating it on miss; [write]
+    marks it dirty. Returns the hit flag; a dirty eviction's line
+    address is left in [last_dirty_evict] (-1 when none) until the next
+    probe. Allocation-free except for the first probe of a page. *)
 val probe : t -> addr:int -> write:bool -> bool
 
 val last_dirty_evict : t -> int

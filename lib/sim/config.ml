@@ -81,7 +81,8 @@ let with_l3 =
 let psp_no_dram_cache = { default with levels = [ l1d; l2_shared ] }
 
 (** Fig. 1 hierarchies: 2..5 levels in front of the main memory. The
-    5-level configuration appends the 4GB DRAM cache. *)
+    5-level configuration appends the DRAM cache (64MB, the paper's 4GB
+    scaled). *)
 let fig1_levels n =
   let base =
     match n with

@@ -29,14 +29,6 @@ let create (cfg : Config.t) =
     last_l1_evict = -1;
   }
 
-type outcome = {
-  latency_ns : float;             (* serving-point latency, before MLP scaling *)
-  hit_level : int;                (* 0-based; number of levels = memory *)
-  l1_dirty_eviction : int option; (* line address entering the L1D WB *)
-  from_memory : bool;             (* served by main memory *)
-  llc_eviction : bool;            (* caused a dirty LLC eviction *)
-}
-
 (* packed [probe] result *)
 let level_mask = 63
 let from_memory_bit = 64
@@ -83,21 +75,6 @@ let probe t ~addr ~write : int =
   probe_walk t ~addr ~write (Array.length t.caches) 0 0
 
 let last_l1_evict t = t.last_l1_evict
-
-let access t ~addr ~write : outcome =
-  let n = Array.length t.caches in
-  let code = probe t ~addr ~write in
-  let hit_level = code land level_mask in
-  {
-    latency_ns =
-      (if code land from_memory_bit <> 0 then t.cfg.mem.read_ns
-       else t.hit_ns.(hit_level));
-    hit_level;
-    l1_dirty_eviction =
-      (if code land l1_evict_bit <> 0 then Some t.last_l1_evict else None);
-    from_memory = hit_level >= n;
-    llc_eviction = code land llc_evict_bit <> 0;
-  }
 
 (** A writeback arriving from the L1D write buffer installs into L2 (or
     is dropped to memory accounting when the L1 is the only level). *)

@@ -16,17 +16,7 @@ type t = {
 
 val create : Config.t -> t
 
-type outcome = {
-  latency_ns : float;             (** serving-point latency, pre-MLP *)
-  hit_level : int;                (** 0-based; = number of levels for memory *)
-  l1_dirty_eviction : int option; (** line entering the L1D write buffer *)
-  from_memory : bool;
-  llc_eviction : bool;
-}
-
-val access : t -> addr:int -> write:bool -> outcome
-
-(** {2 Allocation-free access (the engines' hot path)} *)
+(** {2 Access (the engines' hot path)} *)
 
 (** Flags packed into a [probe] result alongside the hit level
     ([land level_mask], = number of levels when served by memory). *)
@@ -36,10 +26,10 @@ val from_memory_bit : int
 val l1_evict_bit : int
 val llc_evict_bit : int
 
-(** [access] without the record: the caller unpacks the level and flags
-    and reads the serving latency from [hit_ns]/[cfg.mem.read_ns]
-    itself. A dirty L1 eviction's line address is left in
-    [last_l1_evict] until the next probe. *)
+(** Access [addr] through the hierarchy. The caller unpacks the level
+    and flags and reads the serving latency from
+    [hit_ns]/[cfg.mem.read_ns] itself. A dirty L1 eviction's line
+    address is left in [last_l1_evict] until the next probe. *)
 val probe : t -> addr:int -> write:bool -> int
 
 val last_l1_evict : t -> int

@@ -60,33 +60,30 @@ let test_tsq_occupancy_bounded () =
 
 let test_cache_hit_after_fill () =
   let c = Cache.create { cname = "t"; size_bytes = 1024; assoc = 2; hit_ns = 1.0 } in
-  let r1 = Cache.access c ~addr:0 ~write:false in
-  Alcotest.(check bool) "first is miss" false r1.hit;
-  let r2 = Cache.access c ~addr:8 ~write:false in
-  Alcotest.(check bool) "same line hits" true r2.hit
+  Alcotest.(check bool) "first is miss" false (Cache.probe c ~addr:0 ~write:false);
+  Alcotest.(check bool) "same line hits" true (Cache.probe c ~addr:8 ~write:false)
 
 let test_cache_dirty_eviction () =
   (* direct-mapped 2-set cache: two lines conflicting in set 0 *)
   let c = Cache.create { cname = "t"; size_bytes = 128; assoc = 1; hit_ns = 1.0 } in
-  ignore (Cache.access c ~addr:0 ~write:true);
-  let r = Cache.access c ~addr:128 ~write:false in
-  Alcotest.(check (option int)) "dirty line evicted" (Some 0) r.evicted_dirty_line
+  ignore (Cache.probe c ~addr:0 ~write:true);
+  ignore (Cache.probe c ~addr:128 ~write:false);
+  Alcotest.(check int) "dirty line evicted" 0 (Cache.last_dirty_evict c)
 
 let test_cache_lru () =
   (* 2-way, 1 set (128B): touch A, B, re-touch A, insert C -> B evicted *)
   let c = Cache.create { cname = "t"; size_bytes = 128; assoc = 2; hit_ns = 1.0 } in
-  ignore (Cache.access c ~addr:0 ~write:true) (* A *);
-  ignore (Cache.access c ~addr:128 ~write:true) (* B *);
-  ignore (Cache.access c ~addr:0 ~write:false) (* refresh A *);
-  let r = Cache.access c ~addr:256 ~write:false (* C *) in
-  Alcotest.(check (option int)) "LRU (B) evicted" (Some 128) r.evicted_dirty_line;
-  let ra = Cache.access c ~addr:0 ~write:false in
-  Alcotest.(check bool) "A survives" true ra.hit
+  ignore (Cache.probe c ~addr:0 ~write:true) (* A *);
+  ignore (Cache.probe c ~addr:128 ~write:true) (* B *);
+  ignore (Cache.probe c ~addr:0 ~write:false) (* refresh A *);
+  ignore (Cache.probe c ~addr:256 ~write:false) (* C *);
+  Alcotest.(check int) "LRU (B) evicted" 128 (Cache.last_dirty_evict c);
+  Alcotest.(check bool) "A survives" true (Cache.probe c ~addr:0 ~write:false)
 
 let test_cache_miss_rate () =
   let c = Cache.create { cname = "t"; size_bytes = 1024; assoc = 2; hit_ns = 1.0 } in
-  ignore (Cache.access c ~addr:0 ~write:false);
-  ignore (Cache.access c ~addr:0 ~write:false);
+  ignore (Cache.probe c ~addr:0 ~write:false);
+  ignore (Cache.probe c ~addr:0 ~write:false);
   Alcotest.(check (float 1e-9)) "1 of 2" 0.5 (Cache.miss_rate c)
 
 (* ---- Hierarchy ---- *)
@@ -103,15 +100,18 @@ let test_hierarchy_levels () =
     }
   in
   let h = Hierarchy.create cfg in
-  let o1 = Hierarchy.access h ~addr:0 ~write:false in
-  Alcotest.(check bool) "cold miss reaches memory" true o1.from_memory;
-  Alcotest.(check (float 1e-9)) "memory latency" cfg.mem.read_ns o1.latency_ns;
-  let o2 = Hierarchy.access h ~addr:0 ~write:false in
-  Alcotest.(check (float 1e-9)) "l1 hit" 1.0 o2.latency_ns;
+  (* serving latency, as the engines derive it from a probe's level *)
+  let latency addr =
+    let code = Hierarchy.probe h ~addr ~write:false in
+    if code land Hierarchy.from_memory_bit <> 0 then cfg.mem.read_ns
+    else h.hit_ns.(code land Hierarchy.level_mask)
+  in
+  Alcotest.(check (float 1e-9)) "cold miss: memory latency" cfg.mem.read_ns
+    (latency 0);
+  Alcotest.(check (float 1e-9)) "l1 hit" 1.0 (latency 0);
   (* evict addr 0 from l1 (conflict), it should then hit in l2 *)
-  ignore (Hierarchy.access h ~addr:128 ~write:false);
-  let o3 = Hierarchy.access h ~addr:0 ~write:false in
-  Alcotest.(check (float 1e-9)) "l2 hit" 10.0 o3.latency_ns
+  ignore (latency 128);
+  Alcotest.(check (float 1e-9)) "l2 hit" 10.0 (latency 0)
 
 (* ---- engine properties over a fixed synthetic trace ---- *)
 
@@ -192,6 +192,186 @@ let test_deterministic_replay () =
   let b = cycles Config.default (Engine.Cwsp Engine.cwsp_full) tr in
   Alcotest.(check (float 0.0)) "bit-identical" a b
 
+(* ---- Cache against a naive LRU model ---- *)
+
+(* Each set is a list of (tag, dirty) ordered most- to least-recently
+   used: a hit moves the line to the front, a miss inserts it there and,
+   when the set is full, evicts the last line. Returns the hit flag and
+   the evicted dirty line address (-1 when none). *)
+let model_probe sets ~nsets ~assoc ~addr ~write =
+  let line = addr / Cache.line_bytes in
+  let set_idx = line mod nsets and tag = line / nsets in
+  let ways = sets.(set_idx) in
+  match List.assoc_opt tag ways with
+  | Some dirty ->
+    sets.(set_idx) <- (tag, dirty || write) :: List.remove_assoc tag ways;
+    (true, -1)
+  | None ->
+    let keep, evicted =
+      if List.length ways < assoc then (ways, -1)
+      else
+        let rev = List.rev ways in
+        let vtag, vdirty = List.hd rev in
+        ( List.rev (List.tl rev),
+          if vdirty then ((vtag * nsets) + set_idx) * Cache.line_bytes else -1 )
+    in
+    sets.(set_idx) <- (tag, write) :: keep;
+    (false, evicted)
+
+(* (sets, ways): direct-mapped; set counts that are not a power of two
+   and not a multiple of the sets per tag-store page; ways filling a
+   whole page *)
+let model_geometries =
+  [ (64, 1); (1000, 1); (3, 2); (200, 3); (100, 8); (37, 16); (2, 600); (1, 1030) ]
+
+let prop_cache_matches_lru_model =
+  let gen =
+    QCheck.Gen.(
+      oneofl model_geometries >>= fun (nsets, assoc) ->
+      let lines = 2 * nsets * assoc in
+      list_size (int_range 1 (3 * lines))
+        (triple (int_bound (lines - 1)) (int_bound 63) bool)
+      >|= fun probes -> (nsets, assoc, probes))
+  in
+  let print (nsets, assoc, probes) =
+    Printf.sprintf "%d sets x %d ways, %d probes" nsets assoc (List.length probes)
+  in
+  QCheck.Test.make ~name:"Cache matches naive LRU model" ~count:60
+    (QCheck.make ~print gen)
+    (fun (nsets, assoc, probes) ->
+      let c =
+        Cache.create
+          { cname = "m"; size_bytes = nsets * assoc * Cache.line_bytes; assoc;
+            hit_ns = 1.0 }
+      in
+      let sets = Array.make nsets [] in
+      let hits = ref 0 and n = ref 0 in
+      List.for_all
+        (fun (line, off, write) ->
+          let addr = (line * Cache.line_bytes) + off in
+          let hit = Cache.probe c ~addr ~write in
+          let mhit, mevict = model_probe sets ~nsets ~assoc ~addr ~write in
+          incr n;
+          if mhit then incr hits;
+          let mrate = float_of_int (!n - !hits) /. float_of_int !n in
+          hit = mhit
+          && Cache.last_dirty_evict c = mevict
+          && Cache.miss_rate c = mrate)
+        probes)
+
+(* The tag store costs memory in proportion to the lines touched, not
+   to the cache's capacity: the 64MB direct-mapped DRAM cache has 1M
+   ways, 16MB of tags and LRU clocks if preallocated. *)
+let test_cache_footprint_tracks_touched_lines () =
+  let before = Gc.allocated_bytes () in
+  let c = Cache.create Config.dram_cache in
+  for i = 0 to 9_999 do
+    let addr = (i * 7919 * 64) land ((1 lsl 20) - 1) in
+    ignore (Cache.probe c ~addr ~write:(i land 1 = 0))
+  done;
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f bytes < 2MB" bytes)
+    true
+    (bytes < float_of_int (2 * 1024 * 1024))
+
+(* ---- replay outputs pinned ---- *)
+
+(* Every [Stats.t] field, floats in hex so the pin is bit-exact. *)
+let stats_fields (s : Stats.t) =
+  Printf.sprintf "%h %d %d %d %d %d %d %d %d %h %h %d %d %d %h %h %h %h %h %h %h %h %d"
+    s.elapsed_ns s.instructions s.loads s.stores s.ckpt_stores s.boundaries
+    s.atomics s.fences s.nvm_reads s.l1_miss_rate s.llc_miss_rate s.nvm_writes
+    s.log_writes s.wpq_hits s.stall_pb_ns s.stall_rbt_ns s.stall_drain_ns
+    s.stall_sync_ns s.stall_wb_ns s.stall_wpq_hit_ns s.stall_redo_ns
+    (Cwsp_util.Stats.Acc.mean s.wb_occupancy)
+    (Cwsp_util.Stats.Acc.count s.wb_occupancy)
+
+let pin_schemes =
+  let open Cwsp_schemes.Schemes in
+  [ baseline ] @ List.map snd fig15_stages
+  @ [ ido; capri; replaycache; explicit_flush ]
+
+let pin_platforms =
+  [
+    ("default", Config.default);
+    ("with_l3", Config.with_l3);
+    ("psp", Config.psp_no_dram_cache);
+    ("fig1-2", Config.fig1_levels 2);
+    ("fig1-3", Config.fig1_levels 3);
+    ("fig1-4", Config.fig1_levels 4);
+    ("fig1-5", Config.fig1_levels 5);
+    ("cxl-a", Config.cxl Nvm.cxl_a);
+  ]
+
+(* One digest per (workload, platform) over every scheme's stats: a
+   simulator change that moves any field of any run fails here. *)
+let stats_pins =
+  [
+    ("radix@default", "cf589f63d7d6249477c8f70b8f2ba0fd");
+    ("radix@with_l3", "678b159f99d3f40bcdf09438395be27a");
+    ("radix@psp", "deed0ac3e4e336ca750b27494dc833c1");
+    ("radix@fig1-2", "c197d10278c0e5f79aafb5751282a314");
+    ("radix@fig1-3", "678b159f99d3f40bcdf09438395be27a");
+    ("radix@fig1-4", "678b159f99d3f40bcdf09438395be27a");
+    ("radix@fig1-5", "678b159f99d3f40bcdf09438395be27a");
+    ("radix@cxl-a", "36ce8bbf4bcb2cb24a0ec9fc42ba6edd");
+    ("tatp@default", "301ba7612bfe3b8974ccc7bb6f404c30");
+    ("tatp@with_l3", "5c09d1aa43d79b421de6fc0ef5814216");
+    ("tatp@psp", "e30e8bbcf837c87eced7bd117cb9a7f7");
+    ("tatp@fig1-2", "6d68e8e43d20b2e07431fa30e0218f80");
+    ("tatp@fig1-3", "041549beaab1ecee49caf93f392aed76");
+    ("tatp@fig1-4", "adfca4f698f282cccbd782d76c463426");
+    ("tatp@fig1-5", "f49882bd93a7609bd0d41b0b01323e4b");
+    ("tatp@cxl-a", "82b95439781ab5a22ba25e962bc14573");
+    ("sps@default", "34ec64bd646ec8221ec66e0029a720b6");
+    ("sps@with_l3", "d856dcdd9651b26f04ed310c88c66431");
+    ("sps@psp", "c09f710b440567dd958c73df79f90c8a");
+    ("sps@fig1-2", "bee32299ab3916a273b2956c32ba70a8");
+    ("sps@fig1-3", "ebb7d4f88a3f206408c6e237b3ca64c7");
+    ("sps@fig1-4", "777164476d63bec127da675b36a7867d");
+    ("sps@fig1-5", "3a7fda6c7b4da5295b9806284a1836b2");
+    ("sps@cxl-a", "c4b4d9f9ac496ced678e479d7b02e8f2");
+  ]
+
+let test_stats_pinned () =
+  let got =
+    List.concat_map
+      (fun wname ->
+        let w = Cwsp_workloads.Registry.find_exn wname in
+        List.map
+          (fun (pname, cfg) ->
+            let fields =
+              List.map
+                (fun s -> stats_fields (Cwsp_core.Api.stats w s cfg))
+                pin_schemes
+            in
+            ( wname ^ "@" ^ pname,
+              Digest.to_hex (Digest.string (String.concat "\n" fields)) ))
+          pin_platforms)
+      [ "radix"; "tatp"; "sps" ]
+  in
+  Alcotest.(check (list (pair string string))) "stats digests" stats_pins got
+
+let mp_pin = "7b385eb21a9ac2d128047771748bf26a"
+
+let test_mp_stats_pinned () =
+  let w = Cwsp_workloads.W_parallel.psweep in
+  let threads = 2 in
+  let prog =
+    (Cwsp_compiler.Pipeline.compile ~config:Cwsp_compiler.Pipeline.cwsp
+       (w.pbuild ~scale:1 ~threads))
+      .prog
+  in
+  let _, traces = Multi.traces_of_program prog ~threads ~worker:w.worker in
+  let r = Engine_mp.run_traces Config.default `Cwsp traces in
+  let fields =
+    Printf.sprintf "%h" r.elapsed_ns
+    :: Array.to_list (Array.map stats_fields r.per_core)
+  in
+  let got = Digest.to_hex (Digest.string (String.concat "\n" fields)) in
+  Alcotest.(check string) "mp stats digest" mp_pin got
+
 let () =
   Alcotest.run "sim"
     [
@@ -208,6 +388,9 @@ let () =
           Alcotest.test_case "dirty eviction" `Quick test_cache_dirty_eviction;
           Alcotest.test_case "lru" `Quick test_cache_lru;
           Alcotest.test_case "miss rate" `Quick test_cache_miss_rate;
+          qtest prop_cache_matches_lru_model;
+          Alcotest.test_case "footprint tracks touched lines" `Quick
+            test_cache_footprint_tracks_touched_lines;
         ] );
       ("hierarchy", [ Alcotest.test_case "levels" `Quick test_hierarchy_levels ]);
       ( "engine",
@@ -221,5 +404,10 @@ let () =
           Alcotest.test_case "ido slower" `Quick test_ido_slower_than_cwsp;
           Alcotest.test_case "rbt storage = 176B" `Quick test_storage_bytes;
           Alcotest.test_case "deterministic" `Quick test_deterministic_replay;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "stats per scheme and platform" `Quick test_stats_pinned;
+          Alcotest.test_case "multi-core stats" `Quick test_mp_stats_pinned;
         ] );
     ]
