@@ -1,15 +1,14 @@
 (** The benchmark harness: regenerates every table and figure of the
-    paper's evaluation (Section IX) and runs Bechamel micro-benchmarks of
-    this repository's own machinery.
+    paper's evaluation (Section IX).
 
     Usage:
-      dune exec bench/main.exe                    # every figure + microbenches
+      dune exec bench/main.exe                    # every figure
       dune exec bench/main.exe -- list            # list experiment ids
       dune exec bench/main.exe -- fig13 hw        # selected experiments only
       dune exec bench/main.exe -- --jobs 4        # domain-parallel execution
       dune exec bench/main.exe -- json [id..]     # timed run -> BENCH_<run>.json
       dune exec bench/main.exe -- compare A B     # perf trajectory A -> B
-      dune exec bench/main.exe -- bechamel        # microbenches only
+      dune exec bench/main.exe -- history         # trajectory over BENCH_*.json
 
     [--jobs N] sets the executor's domain-pool width for every
     experiment plan (plan/execute/render split, DESIGN.md §5); the
@@ -27,62 +26,7 @@
 
 open Cwsp_experiments
 
-(* ---- Bechamel micro-benchmarks of the infrastructure itself ---- *)
-
-let microbenches () =
-  let open Bechamel in
-  let open Toolkit in
-  let w = Cwsp_workloads.Registry.find_exn "sjeng" in
-  let prog = w.build ~scale:1 in
-  let compiled =
-    Cwsp_compiler.Pipeline.compile ~config:Cwsp_compiler.Pipeline.cwsp prog
-  in
-  let trace =
-    let _, t = Cwsp_interp.Machine.trace_of_program compiled.prog in
-    t
-  in
-  let tests =
-    [
-      Test.make ~name:"compile:cwsp-pipeline(sjeng)"
-        (Staged.stage (fun () ->
-             ignore
-               (Cwsp_compiler.Pipeline.compile
-                  ~config:Cwsp_compiler.Pipeline.cwsp prog)));
-      Test.make ~name:"interp:trace-generation(sjeng)"
-        (Staged.stage (fun () ->
-             ignore (Cwsp_interp.Machine.trace_of_program compiled.prog)));
-      Test.make ~name:"engine:replay-cwsp(sjeng)"
-        (Staged.stage (fun () ->
-             ignore
-               (Cwsp_sim.Engine.run_trace Cwsp_sim.Config.default
-                  (Cwsp_sim.Engine.Cwsp Cwsp_sim.Engine.cwsp_full)
-                  trace)));
-      Test.make ~name:"engine:replay-baseline(sjeng)"
-        (Staged.stage (fun () ->
-             ignore
-               (Cwsp_sim.Engine.run_trace Cwsp_sim.Config.default
-                  Cwsp_sim.Engine.Baseline trace)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
-  Printf.printf "\nBechamel micro-benchmarks (per-call wall time)\n";
-  Printf.printf "----------------------------------------------\n";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~r_square:false ~bootstrap:0
-             ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ ns ] -> Printf.printf "%-36s %12.0f ns\n" name ns
-          | _ -> Printf.printf "%-36s (no estimate)\n" name)
-        ols)
-    tests
+module Json = Cwsp_util.Json
 
 (* ---- machine-readable timing runs ---- *)
 
@@ -95,20 +39,6 @@ let wall_hist =
       0.001; 0.002; 0.005; 0.01; 0.02; 0.05; 0.1; 0.2; 0.5; 1.0; 2.0; 5.0;
       10.0; 20.0; 50.0; 100.0; 200.0; 500.0; 1000.0; 2000.0;
     |]
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (** Run every experiment (or the [ids] subset) separately, timing
     plan+execute+render, and write BENCH_<timestamp>.json. *)
@@ -144,24 +74,50 @@ let json_run ~jobs ?(ids = []) () =
   in
   let path = Printf.sprintf "BENCH_%s.json" run_id in
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"run\": \"%s\",\n  \"jobs\": %d,\n" run_id jobs;
+  Printf.fprintf oc "{\n  \"run\": %s,\n  \"jobs\": %d,\n" (Json.quote run_id)
+    jobs;
   Printf.fprintf oc "  \"overall_elapsed_s\": %.3f,\n" overall;
   Printf.fprintf oc "  \"experiments\": [\n";
   List.iteri
     (fun i ((x : Index.entry), dt, headline) ->
-      Printf.fprintf oc
-        "    {\"id\": \"%s\", \"title\": \"%s\", \"wall_s\": %.3f, \
-         \"headline\": %s}%s\n"
-        (json_escape x.id) (json_escape x.etitle) dt
-        (match headline with
-        | Some h when Float.is_finite h -> Printf.sprintf "%.6g" h
-        | Some _ | None -> "null")
+      Printf.fprintf oc "    %s%s\n"
+        (Json.to_string
+           (Obj
+              [
+                ("id", Str x.id); ("title", Str x.etitle);
+                ("wall_s", Num (Printf.sprintf "%.3f" dt));
+                ( "headline",
+                  Option.fold ~none:Json.Null ~some:Json.float headline );
+              ]))
         (if i = List.length results - 1 then "" else ","))
     results;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   Printf.printf "\nwrote %s (overall %.1fs, %d experiments, jobs=%d)\n" path
     overall (List.length results) jobs
+
+(* ---- reading BENCH json files ---- *)
+
+(** One BENCH file: its run id (the file name when absent) and, per
+    experiment in file order, [(id, (wall_s, headline))]. *)
+let load_run path =
+  let j = Json.of_file path in
+  let get key conv v = Option.bind (Json.member key v) conv in
+  let run =
+    Option.value ~default:(Filename.remove_extension path)
+      (get "run" Json.to_string_opt j)
+  in
+  let exp e =
+    Option.map
+      (fun id ->
+        ( id,
+          (get "wall_s" Json.to_float_opt e, get "headline" Json.to_float_opt e)
+        ))
+      (get "id" Json.to_string_opt e)
+  in
+  ( run,
+    List.filter_map exp
+      (Option.fold ~none:[] ~some:Json.to_list (Json.member "experiments" j)) )
 
 (* ---- perf trajectory across every committed BENCH json file ---- *)
 
@@ -184,33 +140,11 @@ let history () =
   let runs =
     List.filter_map
       (fun path ->
-        match Bjson.of_file path with
-        | exception _ ->
+        match load_run path with
+        | exception (Sys_error _ | Json.Parse_error _) ->
           Printf.eprintf "history: skipping unreadable %s\n" path;
           None
-        | j ->
-          let run =
-            Option.value ~default:(Filename.remove_extension path)
-              (Option.bind (Bjson.member "run" j) Bjson.to_string_opt)
-          in
-          let exps =
-            List.filter_map
-              (fun e ->
-                match Option.bind (Bjson.member "id" e) Bjson.to_string_opt with
-                | None -> None
-                | Some id ->
-                  let wall =
-                    Option.bind (Bjson.member "wall_s" e) Bjson.to_float_opt
-                  in
-                  let headline =
-                    Option.bind (Bjson.member "headline" e) Bjson.to_float_opt
-                  in
-                  Some (id, (wall, headline)))
-              (Bjson.to_list
-                 (Option.value ~default:(Bjson.List [])
-                    (Bjson.member "experiments" j)))
-          in
-          Some (run, exps))
+        | run -> Some run)
       files
   in
   (* experiment rows in first-appearance order across runs *)
@@ -264,22 +198,10 @@ let history () =
     lacked is progress, not drift). *)
 let compare_runs old_path new_path =
   let load path =
-    let j = Bjson.of_file path in
-    let exps =
-      Option.value ~default:(Bjson.List []) (Bjson.member "experiments" j)
-    in
-    List.filter_map
-      (fun e ->
-        match Option.bind (Bjson.member "id" e) Bjson.to_string_opt with
-        | None -> None
-        | Some id ->
-          let wall =
-            Option.value ~default:0.0
-              (Option.bind (Bjson.member "wall_s" e) Bjson.to_float_opt)
-          in
-          let headline = Option.bind (Bjson.member "headline" e) Bjson.to_float_opt in
-          Some (id, (wall, headline)))
-      (Bjson.to_list exps)
+    List.map
+      (fun (id, (wall, headline)) ->
+        (id, (Option.value ~default:0.0 wall, headline)))
+      (snd (load_run path))
   in
   let old_run = load old_path and new_run = load new_path in
   let fmt_h = function Some h -> Printf.sprintf "%.4g" h | None -> "-" in
@@ -398,17 +320,13 @@ let () =
   Cwsp_core.Executor.set_default_jobs !jobs;
   Cwsp_obs.Obs.configure ?trace:!trace ?metrics:!metrics ();
   (match args with
-  | [] ->
-    Index.run_all ();
-    microbenches ()
+  | [] -> Index.run_all ()
   | [ "list" ] ->
     List.iter (fun (e : Index.entry) -> Printf.printf "%-10s %s\n" e.id e.etitle)
       Index.all;
-    print_endline "bechamel   Bechamel micro-benchmarks";
     print_endline "json       timed full run -> BENCH_<run>.json";
     print_endline "compare    delta table of two BENCH json files";
     print_endline "history    trajectory table over all BENCH_*.json"
-  | [ "bechamel" ] -> microbenches ()
   | "json" :: ids -> json_run ~jobs:!jobs ~ids ()
   | [ "history" ] ->
     history ();
@@ -422,13 +340,11 @@ let () =
   | ids ->
     List.iter
       (fun id ->
-        if id = "bechamel" then microbenches ()
-        else
-          match Index.find id with
-          | Some e -> ignore (Index.run_one e)
-          | None ->
-            Printf.eprintf "unknown experiment %S (try 'list')\n" id;
-            exit 1)
+        match Index.find id with
+        | Some e -> ignore (Index.run_one e)
+        | None ->
+          Printf.eprintf "unknown experiment %S (try 'list')\n" id;
+          exit 1)
       ids);
   print_cache_summary ();
   Cwsp_obs.Obs.finalize ()

@@ -96,14 +96,21 @@ let print_text rows =
     rows
 
 let print_json rows =
+  (* The diagnostics array keeps its one-record-per-line layout. *)
   let row_json row =
     let errs = Cwsp_verify.Verify.errors row.diags in
-    Printf.sprintf
-      "{\"workload\":\"%s\",\"config\":\"%s\",\"regions\":%d,\"errors\":%d,\
-       \"warnings\":%d,\"expected_racy\":%b,\"failed\":%b,\"diagnostics\":%s}"
-      row.workload row.config row.regions (List.length errs)
-      (List.length row.diags - List.length errs)
-      row.expect_racy (row_failed row)
+    let open Cwsp_util.Json in
+    let fields =
+      [
+        ("workload", Str row.workload); ("config", Str row.config);
+        ("regions", int row.regions); ("errors", int (List.length errs));
+        ("warnings", int (List.length row.diags - List.length errs));
+        ("expected_racy", Bool row.expect_racy);
+        ("failed", Bool (row_failed row));
+      ]
+    in
+    Printf.sprintf "{%s,\"diagnostics\":%s}"
+      (String.concat "," (List.map (fun (k, v) -> kv k v) fields))
       (Cwsp_verify.Verify.report_json row.diags)
   in
   print_string "[\n";

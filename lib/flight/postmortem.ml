@@ -269,37 +269,34 @@ let render_text a =
    bit-deterministic. Complete events ("X", dur 1) render every record
    as a visible slice in about:tracing / Perfetto. *)
 let render_chrome a =
-  let b = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let esc s =
-    String.concat ""
-      (List.map
-         (function
-           | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
+  let open Cwsp_util.Json in
+  let events =
+    List.map
+      (fun e ->
+        Obj
+          [
+            ("ph", Str "M"); ("pid", int e); ("tid", int 0);
+            ("name", Str "process_name");
+            ("args", Obj [ ("name", Str (Printf.sprintf "crash epoch %d" e)) ]);
+          ])
+      a.a_epochs
+    @ List.map
+        (fun r ->
+          let a0, a1, a2, a3 = r.r_args in
+          Obj
+            [
+              ("ph", Str "X"); ("pid", int r.r_epoch); ("tid", int 1);
+              ("ts", int r.r_lsn); ("dur", int 1); ("name", Str (kind_label r));
+              ( "args",
+                Obj
+                  [
+                    ("lsn", int r.r_lsn); ("detail", Str (describe r));
+                    ("a0", int a0); ("a1", int a1); ("a2", int a2);
+                    ("a3", int a3);
+                  ] );
+            ])
+        a.a_records
   in
-  add "[";
-  let first = ref true in
-  let emit fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !first then first := false else Buffer.add_string b ",";
-        Buffer.add_string b "\n";
-        Buffer.add_string b s)
-      fmt
-  in
-  List.iter
-    (fun e ->
-      emit
-        "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"crash epoch %d\"}}"
-        e e)
-    a.a_epochs;
-  List.iter
-    (fun r ->
-      let a0, a1, a2, a3 = r.r_args in
-      emit
-        "{\"ph\":\"X\",\"pid\":%d,\"tid\":1,\"ts\":%d,\"dur\":1,\"name\":\"%s\",\"args\":{\"lsn\":%d,\"detail\":\"%s\",\"a0\":%d,\"a1\":%d,\"a2\":%d,\"a3\":%d}}"
-        r.r_epoch r.r_lsn (kind_label r) r.r_lsn (esc (describe r)) a0 a1 a2 a3)
-    a.a_records;
-  add "\n]\n";
-  Buffer.contents b
+  "["
+  ^ String.concat "," (List.map (fun ev -> "\n" ^ to_string ev) events)
+  ^ "\n]\n"

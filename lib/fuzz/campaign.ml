@@ -85,20 +85,6 @@ let build_item ~master ~corpus j : Coverage.origin * Prog.t =
 
 (* ---- report ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let is_fatal_state (st : Corpus.state) =
   List.exists
     (fun (f : Corpus.saved_finding) ->
@@ -106,13 +92,16 @@ let is_fatal_state (st : Corpus.state) =
     st.s_findings
 
 (* Deterministic: no timestamps, findings in discovery order, cells
-   sorted. Byte-identical across [--jobs] widths and kill/resume. *)
+   sorted. Byte-identical across [--jobs] widths and kill/resume. The
+   spaced layout is pinned by the benchmark's expected digests. *)
 let report_json (st : Corpus.state) =
+  let quote = Cwsp_util.Json.quote in
   let b = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
   add "  \"master_seed\": %d,\n" st.s_master_seed;
-  add "  \"shard\": \"%d/%d\",\n" (fst st.s_shard) (snd st.s_shard);
+  add "  \"shard\": %s,\n"
+    (quote (Printf.sprintf "%d/%d" (fst st.s_shard) (snd st.s_shard)));
   add "  \"batch\": %d,\n" st.s_batch;
   add "  \"batches_done\": %d,\n" st.s_next_batch;
   add "  \"execs\": %d,\n" st.s_execs;
@@ -128,23 +117,23 @@ let report_json (st : Corpus.state) =
   add "  \"by_category\": {";
   List.iteri
     (fun i (cat, n) ->
-      add "%s\"%s\": %d" (if i = 0 then " " else ", ") (json_escape cat) n)
+      add "%s%s: %d" (if i = 0 then " " else ", ") (quote cat) n)
     (Coverage.by_category st.s_cov);
   add " },\n";
   add "  \"findings\": [";
   List.iteri
     (fun i (f : Corpus.saved_finding) ->
-      add "%s\n    { \"key\": \"%s\", \"kind\": \"%s\", \"fp\": \"%s\", \
-           \"instrs\": %d, \"detail\": \"%s\" }"
+      add "%s\n    { \"key\": %s, \"kind\": %s, \"fp\": %s, \
+           \"instrs\": %d, \"detail\": %s }"
         (if i = 0 then "" else ",")
-        (json_escape f.sf_key) (json_escape f.sf_kind) f.sf_fp f.sf_instrs
-        (json_escape f.sf_detail))
+        (quote f.sf_key) (quote f.sf_kind) (quote f.sf_fp) f.sf_instrs
+        (quote f.sf_detail))
     (List.rev st.s_findings);
   add "%s],\n" (if st.s_findings = [] then "" else "\n  ");
   add "  \"fatal\": %b,\n" (is_fatal_state st);
   add "  \"cells\": [";
   List.iteri
-    (fun i c -> add "%s\n    \"%s\"" (if i = 0 then "" else ",") (json_escape c))
+    (fun i c -> add "%s\n    %s" (if i = 0 then "" else ",") (quote c))
     (Coverage.cells_sorted st.s_cov);
   add "%s]\n" (if Coverage.count st.s_cov = 0 then "" else "\n  ");
   add "}\n";

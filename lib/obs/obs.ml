@@ -301,74 +301,60 @@ let snapshot_spans () =
 
 (* ---- JSON emission ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Cwsp_util.Json
 
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+let event ph ~pid ~tid rest =
+  Json.(Obj ([ ("ph", Str ph); ("pid", int pid); ("tid", int tid) ] @ rest))
 
-let args_json args =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (json_float v))
-         args)
-  ^ "}"
+(* trace timestamps and durations, µs *)
+let us t = Json.Num (Printf.sprintf "%.3f" t)
+
+let args_json args = Json.Obj (List.map (fun (k, v) -> (k, Json.float v)) args)
+
+let process_name pid name =
+  event "M" ~pid ~tid:0
+    Json.[ ("name", Str "process_name"); ("args", Obj [ ("name", Str name) ]) ]
 
 (** Write the Chrome trace-event file ([{"traceEvents":[...]}]): "M"
     process-name metadata for the root process and every [alloc_track],
-    "X" complete events for spans, "C" counter samples. *)
+    "X" complete events for spans, "C" counter samples. Streamed one
+    event per line. *)
 let write_trace path =
   let oc = open_out path in
   output_string oc "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   let first = ref true in
-  let emit line =
+  let emit v =
     if !first then first := false else output_string oc ",\n";
-    output_string oc line
+    output_string oc (Json.to_string v)
   in
-  emit
-    "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-     \"args\":{\"name\":\"cwsp\"}}";
+  emit (process_name 0 "cwsp");
   let tks = Mutex.protect mu (fun () -> List.rev !tracks) in
-  List.iter
-    (fun (pid, name) ->
-      emit
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\
-            \"args\":{\"name\":\"%s\"}}"
-           pid (json_escape name)))
-    tks;
+  List.iter (fun (pid, name) -> emit (process_name pid name)) tks;
   List.iter
     (fun ev ->
       match ev with
       | Span { name; cat; ts; dur; tid; args } ->
         emit
-          (Printf.sprintf
-             "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\
-              \"name\":\"%s\",\"cat\":\"%s\"%s}"
-             tid ts (Float.max 0.0 dur) (json_escape name) (json_escape cat)
-             (if args = [] then "" else ",\"args\":" ^ args_json args))
+          (event "X" ~pid:0 ~tid
+             ([
+                ("ts", us ts); ("dur", us (Float.max 0.0 dur));
+                ("name", Json.Str name); ("cat", Json.Str cat);
+              ]
+             @ if args = [] then [] else [ ("args", args_json args) ]))
       | Count { name; ts; pid; args } ->
         emit
-          (Printf.sprintf
-             "{\"ph\":\"C\",\"pid\":%d,\"tid\":0,\"ts\":%.3f,\"name\":\"%s\",\
-              \"args\":%s}"
-             pid ts (json_escape name) (args_json args)))
+          (event "C" ~pid ~tid:0
+             [
+               ("ts", us ts); ("name", Json.Str name); ("args", args_json args);
+             ]))
     (snapshot_events ());
   output_string oc "\n]}\n";
   close_out oc
 
 (** Write the flat metrics file: counters, histogram summaries
     (count/sum/mean/p50/p90/p99/buckets), sampled gauges, and span
-    accounting. Keys are sorted for deterministic layout. *)
+    accounting. Keys are sorted for deterministic layout; one key per
+    line inside each section. *)
 let write_metrics path =
   let oc = open_out path in
   let counters =
@@ -386,53 +372,51 @@ let write_metrics path =
     List.concat_map (fun f -> f ()) (List.rev !gauge_providers)
     |> List.sort compare
   in
-  output_string oc "{\n\"counters\":{";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "%s\n  \"%s\":%d" (if i > 0 then "," else "")
-        (json_escape k) v)
-    counters;
-  output_string oc "\n},\n\"histograms\":{";
-  List.iteri
-    (fun i (k, (h : Hist.t)) ->
-      let open Cwsp_util.Stats in
-      Mutex.protect h.Hist.hmu (fun () ->
-          let q p = json_float (Histogram.quantile h.Hist.h p) in
-          Printf.fprintf oc
-            "%s\n  \"%s\":{\"count\":%d,\"sum\":%s,\"mean\":%s,\"p50\":%s,\
-             \"p90\":%s,\"p99\":%s,\"p999\":%s,\"buckets\":["
-            (if i > 0 then "," else "")
-            (json_escape k)
-            (Histogram.count h.Hist.h)
-            (json_float (Histogram.sum h.Hist.h))
-            (json_float (Histogram.mean h.Hist.h))
-            (q 0.5) (q 0.9) (q 0.99) (q 0.999);
-          List.iteri
-            (fun j (ub, n) ->
-              Printf.fprintf oc "%s{\"le\":%s,\"n\":%d}"
-                (if j > 0 then "," else "")
-                (if Float.is_finite ub then json_float ub else "\"inf\"")
-                n)
-            (Histogram.buckets h.Hist.h);
-          output_string oc "]}"))
-    hists;
-  output_string oc "\n},\n\"gauges\":{";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "%s\n  \"%s\":%s" (if i > 0 then "," else "")
-        (json_escape k) (json_float v))
-    gauges;
-  Printf.fprintf oc
-    "\n},\n\"spans\":{\"recorded\":%d,\"dropped\":%d,\"unbalanced\":%d,\
-     \"dropped_per_domain\":{"
-    (List.length (snapshot_spans ()))
-    (dropped_events ())
-    (Atomic.get unbalanced);
-  List.iteri
-    (fun i (tid, n) ->
-      Printf.fprintf oc "%s\"d%d\":%d" (if i > 0 then "," else "") tid n)
-    (dropped_per_domain ());
-  output_string oc "}}\n}\n";
+  let section name kvs =
+    output_string oc (Json.quote name ^ ":{");
+    List.iteri
+      (fun i (k, v) ->
+        Printf.fprintf oc "%s\n  %s" (if i > 0 then "," else "") (Json.kv k v))
+      kvs;
+    output_string oc "\n},\n"
+  in
+  let bucket (ub, n) =
+    let le = if Float.is_finite ub then Json.float ub else Json.Str "inf" in
+    Json.(Obj [ ("le", le); ("n", int n) ])
+  in
+  let hist_json (h : Hist.t) =
+    let module H = Cwsp_util.Stats.Histogram in
+    Mutex.protect h.Hist.hmu (fun () ->
+        let q p = Json.float (H.quantile h.Hist.h p) in
+        Json.(
+          Obj
+            [
+              ("count", int (H.count h.Hist.h));
+              ("sum", float (H.sum h.Hist.h));
+              ("mean", float (H.mean h.Hist.h)); ("p50", q 0.5); ("p90", q 0.9);
+              ("p99", q 0.99); ("p999", q 0.999);
+              ("buckets", List (List.map bucket (H.buckets h.Hist.h)));
+            ]))
+  in
+  output_string oc "{\n";
+  section "counters" (List.map (fun (k, v) -> (k, Json.int v)) counters);
+  section "histograms" (List.map (fun (k, h) -> (k, hist_json h)) hists);
+  section "gauges" (List.map (fun (k, v) -> (k, Json.float v)) gauges);
+  let per_domain =
+    List.map (fun (tid, n) -> (Printf.sprintf "d%d" tid, Json.int n))
+      (dropped_per_domain ())
+  in
+  let spans =
+    Json.(
+      Obj
+        [
+          ("recorded", int (List.length (snapshot_spans ())));
+          ("dropped", int (dropped_events ()));
+          ("unbalanced", int (Atomic.get unbalanced));
+          ("dropped_per_domain", Obj per_domain);
+        ])
+  in
+  output_string oc (Json.kv "spans" spans ^ "\n}\n");
   close_out oc
 
 (* ---- CLI wiring ---- *)

@@ -306,56 +306,55 @@ let render report =
         l);
   Buffer.contents b
 
-(* Hand-rolled JSON, matching the repo's other report emitters. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Header members on the first lines, then one class and one cell per
+   line. *)
 let to_json report =
+  let open Cwsp_util.Json in
   let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\"hardened\":%b,\"master_seed\":%d,\"window\":%d,\"seeds\":%d,\n"
-    report.r_hardened report.r_master_seed report.r_window report.r_seeds;
-  Printf.bprintf b "\"workloads\":[%s],\n"
-    (String.concat ","
-       (List.map (fun w -> "\"" ^ json_escape w ^ "\"") report.r_workloads));
-  Printf.bprintf b "\"classes\":{";
-  List.iteri
-    (fun i (cls, st) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "\n\"%s\":{\"cells\":%d,\"injected\":%d,\"detected\":%d,\
-         \"recovered\":%d,\"degraded\":%d,\"refused\":%d,\"escaped\":%d,\
-         \"masked\":%d}"
-        (Fault.name cls) st.st_cells st.st_injected st.st_detected
-        st.st_recovered st.st_degraded st.st_refused st.st_escaped st.st_masked)
+  let line fmt = Printf.bprintf b fmt in
+  let rows f xs =
+    List.iteri (fun i x -> line "%s\n%s" (if i > 0 then "," else "") (f x)) xs
+  in
+  line "{%s,%s,%s,%s,\n"
+    (kv "hardened" (Bool report.r_hardened))
+    (kv "master_seed" (int report.r_master_seed))
+    (kv "window" (int report.r_window))
+    (kv "seeds" (int report.r_seeds));
+  line "%s,\n"
+    (kv "workloads" (List (List.map (fun w -> Str w) report.r_workloads)));
+  line "\"classes\":{";
+  rows
+    (fun (cls, st) ->
+      kv (Fault.name cls)
+        (Obj
+           [
+             ("cells", int st.st_cells); ("injected", int st.st_injected);
+             ("detected", int st.st_detected);
+             ("recovered", int st.st_recovered);
+             ("degraded", int st.st_degraded); ("refused", int st.st_refused);
+             ("escaped", int st.st_escaped); ("masked", int st.st_masked);
+           ]))
     (summarize report);
-  Buffer.add_string b "},\n";
   let pts, slice_pts = sweep_coverage report in
-  Printf.bprintf b "\"sweep\":{\"points\":%d,\"slice_points\":%d},\n" pts
-    slice_pts;
-  Printf.bprintf b "\"escaped_total\":%d,\n"
-    (List.length (escaped report));
-  Printf.bprintf b "\"cells\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "\n{\"workload\":\"%s\",\"class\":\"%s\",\"rep\":%d,\"seed\":%d,\
-         \"crash_at\":%d,\"outcome\":\"%s\",\"injected\":%b,\"detected\":%b,\
-         \"sweep_points\":%d,\"sweep_failures\":%d,\"detail\":\"%s\"}"
-        (json_escape c.c_workload)
-        (Fault.name c.c_cls) c.c_rep c.c_seed c.c_crash_at
-        (outcome_name c.c_outcome) c.c_injected c.c_detected c.c_sweep_points
-        c.c_sweep_failures (json_escape c.c_detail))
+  line "},\n%s,\n"
+    (kv "sweep" (Obj [ ("points", int pts); ("slice_points", int slice_pts) ]));
+  line "%s,\n" (kv "escaped_total" (int (List.length (escaped report))));
+  line "\"cells\":[";
+  rows
+    (fun c ->
+      to_string
+        (Obj
+           [
+             ("workload", Str c.c_workload);
+             ("class", Str (Fault.name c.c_cls)); ("rep", int c.c_rep);
+             ("seed", int c.c_seed);
+             ("crash_at", int c.c_crash_at);
+             ("outcome", Str (outcome_name c.c_outcome));
+             ("injected", Bool c.c_injected); ("detected", Bool c.c_detected);
+             ("sweep_points", int c.c_sweep_points);
+             ("sweep_failures", int c.c_sweep_failures);
+             ("detail", Str c.c_detail);
+           ]))
     report.r_cells;
-  Buffer.add_string b "\n]}\n";
+  line "\n]}\n";
   Buffer.contents b

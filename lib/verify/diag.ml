@@ -89,29 +89,15 @@ let to_string d =
   Printf.sprintf "[%s] %s %s: %s" (severity_name d.severity) (rule_name d.rule)
     pos d.message
 
-(* RFC 8259 string escaping; messages embed register/position text only,
-   but escape defensively so the JSON stream is always well-formed. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    {|{"rule":"%s","severity":"%s","func":"%s","block":%d,"instr":%d,"message":"%s"}|}
-    (rule_name d.rule) (severity_name d.severity) (json_escape d.func) d.block
-    d.instr (json_escape d.message)
+  Cwsp_util.Json.(
+    Obj
+      [
+        ("rule", Str (rule_name d.rule));
+        ("severity", Str (severity_name d.severity)); ("func", Str d.func);
+        ("block", int d.block); ("instr", int d.instr);
+        ("message", Str d.message);
+      ])
 
 (* Variant declaration order for the rule component; Stdlib.compare on
    constant constructors follows it. *)

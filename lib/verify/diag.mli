@@ -62,10 +62,9 @@ val warning :
 
 val to_string : t -> string
 
-(** One-line JSON record [{"rule":…,"severity":…,"func":…,"block":…,
-    "instr":…,"message":…}] for CI annotation; strings are escaped per
-    RFC 8259. *)
-val to_json : t -> string
+(** The JSON record [{"rule":…,"severity":…,"func":…,"block":…,
+    "instr":…,"message":…}] for CI annotation. *)
+val to_json : t -> Cwsp_util.Json.t
 
 (** Total order for stable reports: (rule, func, block, instr, severity,
     message). Rule order follows the variant declaration order. *)

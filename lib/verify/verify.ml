@@ -105,7 +105,8 @@ let report_json diags =
   | [] -> "[]"
   | ds ->
     Printf.sprintf "[\n  %s\n]"
-      (String.concat ",\n  " (List.map Diag.to_json ds))
+      (String.concat ",\n  "
+         (List.map (fun d -> Cwsp_util.Json.to_string (Diag.to_json d)) ds))
 
 let check_exn c =
   match errors (run c) with

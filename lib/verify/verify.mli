@@ -24,7 +24,8 @@ val fired : Diag.t list -> (string * string) list
 val report : Diag.t list -> string
 
 (** Render the normalized diagnostics as a JSON array of records
-    ([rule] / [severity] / [func] / [block] / [instr] / [message]). *)
+    ([rule] / [severity] / [func] / [block] / [instr] / [message]), one
+    compact record per line. *)
 val report_json : Diag.t list -> string
 
 (** Raise [Failure] with a rendered report if [run] yields any error. *)

@@ -228,7 +228,9 @@ let test_explicit_flight () =
     Alcotest.(check bool) "chrome render shape" true
       (String.length chrome > 2
       && chrome.[0] = '['
-      && String.ends_with ~suffix:"]\n" chrome)
+      && String.ends_with ~suffix:"]\n" chrome);
+    Alcotest.(check string) "chrome render bytes pinned" "358b735939dcf4a1467a14f2d1dd0596"
+      (Digest.to_hex (Digest.string chrome))
 
 (* ---- campaign dumps are identical at any pool width ---- *)
 

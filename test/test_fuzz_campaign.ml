@@ -59,6 +59,8 @@ let test_jobs_identical () =
   let o4 = Campaign.run (params ~jobs:4 d4) ~execs:120 in
   if o1.o_report <> o4.o_report then
     Alcotest.fail "coverage reports differ between --jobs 1 and --jobs 4";
+  Alcotest.(check string) "report bytes pinned" "18eab3fba36e621fb421dcecd552ec9e"
+    (Digest.to_hex (Digest.string o1.o_report));
   rm_rf d1;
   rm_rf d4
 

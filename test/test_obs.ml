@@ -161,150 +161,7 @@ let test_traced_matches_untraced () =
 
 (* ---- Chrome trace-event JSON schema ---- *)
 
-(* Minimal recursive-descent JSON parser (no external deps): enough to
-   validate the exported trace structurally. *)
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise (Bad_json "eof") in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if !pos < n then
-      match s.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-  in
-  let expect c =
-    if peek () <> c then
-      raise (Bad_json (Printf.sprintf "expected %c at %d" c !pos));
-    advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-          (* keep the raw escape; fidelity is irrelevant for the schema *)
-          advance ();
-          advance ();
-          advance ();
-          Buffer.add_char b '?'
-        | c -> Buffer.add_char b c);
-        advance ();
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> raise (Bad_json (Printf.sprintf "bad number at %d" start))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then (
-        advance ();
-        Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | c -> raise (Bad_json (Printf.sprintf "bad object char %c" c))
-        in
-        members []
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then (
-        advance ();
-        Arr [])
-      else
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            elems (v :: acc)
-          | ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | c -> raise (Bad_json (Printf.sprintf "bad array char %c" c))
-        in
-        elems []
-    | '"' -> Str (parse_string ())
-    | 't' ->
-      pos := !pos + 4;
-      Bool true
-    | 'f' ->
-      pos := !pos + 5;
-      Bool false
-    | 'n' ->
-      pos := !pos + 4;
-      Null
-    | _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad_json "trailing garbage");
-  v
-
-let field name = function
-  | Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+module Json = Cwsp_util.Json
 
 (* Exercise every instrumented layer in-process, export the trace, and
    validate it against the Chrome trace-event schema. *)
@@ -327,12 +184,12 @@ let test_trace_schema () =
     (List.length report.Cwsp_recovery.Campaign.r_cells);
   let tmp = Filename.temp_file "cwsp_obs_trace" ".json" in
   Obs.write_trace tmp;
-  let j = parse_json (read_file tmp) in
+  let j = Json.of_file tmp in
   Sys.remove tmp;
   Obs.reset ();
   let events =
-    match field "traceEvents" j with
-    | Some (Arr evs) -> evs
+    match Json.member "traceEvents" j with
+    | Some (List evs) -> evs
     | _ -> Alcotest.fail "traceEvents array missing"
   in
   Alcotest.(check bool) "has events" true (events <> []);
@@ -340,14 +197,14 @@ let test_trace_schema () =
   List.iter
     (fun ev ->
       let str k =
-        match field k ev with
+        match Json.member k ev with
         | Some (Str s) -> s
         | _ -> Alcotest.fail (Printf.sprintf "event missing string %S" k)
       in
       let num k =
-        match field k ev with
-        | Some (Num f) -> f
-        | _ -> Alcotest.fail (Printf.sprintf "event missing number %S" k)
+        match Option.bind (Json.member k ev) Json.to_float_opt with
+        | Some f -> f
+        | None -> Alcotest.fail (Printf.sprintf "event missing number %S" k)
       in
       ignore (str "name");
       ignore (num "pid");
@@ -359,12 +216,12 @@ let test_trace_schema () =
         Alcotest.(check bool) "duration non-negative" true (num "dur" >= 0.0)
       | "C" -> (
         ignore (num "ts");
-        match field "args" ev with
+        match Json.member "args" ev with
         | Some (Obj kvs) ->
           List.iter
             (fun (_, v) ->
               match v with
-              | Num _ -> ()
+              | Json.Num _ -> ()
               | _ -> Alcotest.fail "counter arg not a number")
             kvs
         | _ -> Alcotest.fail "counter event without args object")
@@ -388,21 +245,23 @@ let test_metrics_schema () =
   Obs.Hist.add h 500.0;
   let tmp = Filename.temp_file "cwsp_obs_metrics" ".json" in
   Obs.write_metrics tmp;
-  let j = parse_json (read_file tmp) in
+  let j = Json.of_file tmp in
   Sys.remove tmp;
   Obs.reset ();
-  (match field "counters" j with
+  (match Json.member "counters" j with
   | Some (Obj kvs) ->
     Alcotest.(check bool) "counter exported" true
-      (List.assoc_opt "test.metrics.counter" kvs = Some (Num 3.0))
+      (Option.bind (List.assoc_opt "test.metrics.counter" kvs) Json.to_int_opt
+      = Some 3)
   | _ -> Alcotest.fail "counters object missing");
-  match field "histograms" j with
+  match Json.member "histograms" j with
   | Some (Obj kvs) -> (
     match List.assoc_opt "test.metrics.hist" kvs with
     | Some hist ->
-      Alcotest.(check bool) "hist count" true (field "count" hist = Some (Num 2.0));
-      (match field "p50" hist with
-      | Some (Num _) -> ()
+      Alcotest.(check bool) "hist count" true
+        (Option.bind (Json.member "count" hist) Json.to_int_opt = Some 2);
+      (match Json.member "p50" hist with
+      | Some (Json.Num _) -> ()
       | _ -> Alcotest.fail "hist p50 missing")
     | None -> Alcotest.fail "histogram not exported")
   | _ -> Alcotest.fail "histograms object missing"

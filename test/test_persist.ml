@@ -131,7 +131,10 @@ let test_jobs_determinism () =
         Cwsp_verify.Verify.(report_json (normalize (run c))))
       pairs
   in
-  Alcotest.(check (array string)) "jobs=1 equals jobs=4" (rows 1) (rows 4)
+  let rows1 = rows 1 in
+  Alcotest.(check (array string)) "jobs=1 equals jobs=4" rows1 (rows 4);
+  Alcotest.(check string) "report_json bytes pinned" "6227b75b22b56149f66582a2a414d64b"
+    (Digest.to_hex (Digest.string (String.concat "\n" (Array.to_list rows1))))
 
 (* ---- positive: the oracle recovers at every strided crash point ---- *)
 

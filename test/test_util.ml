@@ -241,6 +241,131 @@ let test_table_ragged_rejected () =
   Alcotest.check_raises "ragged" (Invalid_argument "Table.render: ragged row")
     (fun () -> ignore (Table.render ~headers:[ "a" ] [ [ "1"; "2" ] ]))
 
+(* ---- Json ---- *)
+
+let all_ascii = String.init 128 Char.chr
+
+let gen_json =
+  let open QCheck.Gen in
+  let str =
+    frequency
+      [
+        (9, string_size ~gen:(char_range '\000' '\127') (int_range 0 12));
+        (1, return all_ascii);
+      ]
+  in
+  let num =
+    oneof
+      [
+        map Json.int int; map Json.float float;
+        map
+          (fun f -> Json.Num (Printf.sprintf "%.3f" f))
+          (float_range (-1e6) 1e6);
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null; map (fun b -> Json.Bool b) bool; num;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map
+                   (fun vs -> Json.List vs)
+                   (list_size (int_range 0 4) (self (n - 1))) );
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_range 0 4) (pair str (self (n - 1)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"Json.parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
+let test_json_quote () =
+  Alcotest.(check string) "escapes" {|"a\"b\\c\nd\u0001\u000d/"|}
+    (Json.quote "a\"b\\c\nd\001\r/");
+  Alcotest.(check bool) "every ASCII byte round-trips" true
+    (Json.parse (Json.quote all_ascii) = Json.Str all_ascii);
+  Alcotest.(check string) "non-finite float is null" "null"
+    (Json.to_string (Json.float Float.nan))
+
+let test_json_decode () =
+  let str s = Json.to_string_opt (Json.parse s) in
+  Alcotest.(check (option string)) "\\u0041" (Some "A") (str {|"\u0041"|});
+  Alcotest.(check (option string)) "utf-8" (Some "\xc3\xa9") (str {|"\u00e9"|});
+  let v = Json.parse {| {"n": -0.5e+3, "i": 12, "l": [true, null]} |} in
+  let get k = Option.get (Json.member k v) in
+  Alcotest.(check bool) "literal kept" true (get "n" = Json.Num "-0.5e+3");
+  Alcotest.(check (option (float 0.0))) "to_float_opt" (Some (-500.0))
+    (Json.to_float_opt (get "n"));
+  Alcotest.(check (option int)) "to_int_opt" (Some 12)
+    (Json.to_int_opt (get "i"));
+  Alcotest.(check (option int)) "to_int_opt fraction" None
+    (Json.to_int_opt (get "n"));
+  Alcotest.(check int) "to_list" 2 (List.length (Json.to_list (get "l")));
+  Alcotest.(check bool) "member of non-object" true
+    (Json.member "x" (get "l") = None)
+
+let test_json_rejects () =
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | exception Json.Parse_error _ -> ()
+      | v -> Alcotest.failf "accepted %S as %s" s (Json.to_string v))
+    [
+      "[1] x"; {|"abc|}; {|"\u00|}; {|"\u12"|}; "+1"; ".5"; "01"; "0x10";
+      "1."; "-"; "1e"; "[1,]"; "nul"; "\"a\nb\""; {|"\ud83d\ude00"|}; "";
+    ];
+  Alcotest.check_raises "byte offset" (Json.Parse_error (7, "trailing garbage"))
+    (fun () -> ignore (Json.parse "[1, 2] x"))
+
+(* The committed BENCH_<run>.json snapshots, old spaced and new compact
+   layouts alike (copied next to the test directory by dune). *)
+let test_json_bench_files () =
+  let bench_in dir =
+    if Sys.file_exists dir && Sys.is_directory dir then
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f ->
+             String.starts_with ~prefix:"BENCH_" f
+             && Filename.check_suffix f ".json")
+      |> List.map (Filename.concat dir)
+    else []
+  in
+  let files =
+    match List.filter (( <> ) []) (List.map bench_in [ ".."; "." ]) with
+    | fs :: _ -> fs
+    | [] -> []
+  in
+  Alcotest.(check bool) "at least 5 BENCH files" true (List.length files >= 5);
+  List.iter
+    (fun path ->
+      let j = Json.of_file path in
+      let exps =
+        Option.fold ~none:[] ~some:Json.to_list (Json.member "experiments" j)
+      in
+      if exps = [] then Alcotest.failf "%s: no experiments" path;
+      List.iter
+        (fun e ->
+          match
+            ( Option.bind (Json.member "id" e) Json.to_string_opt,
+              Option.bind (Json.member "wall_s" e) Json.to_float_opt )
+          with
+          | Some _, Some _ -> ()
+          | _ -> Alcotest.failf "%s: experiment without id/wall_s" path)
+        exps)
+    files
+
 let () =
   Alcotest.run "util"
     [
@@ -279,5 +404,14 @@ let () =
         [
           Alcotest.test_case "alignment" `Quick test_table_alignment;
           Alcotest.test_case "ragged rejected" `Quick test_table_ragged_rejected;
+        ] );
+      ( "json",
+        [
+          qtest prop_json_roundtrip;
+          Alcotest.test_case "quote" `Quick test_json_quote;
+          Alcotest.test_case "decode" `Quick test_json_decode;
+          Alcotest.test_case "rejects" `Quick test_json_rejects;
+          Alcotest.test_case "committed BENCH files" `Quick
+            test_json_bench_files;
         ] );
     ]
