@@ -119,10 +119,6 @@ let fingerprint t =
        t.rbt_entries t.cycle_ns t.atomic_ns t.mlp);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let entry_gap_ns t = 8.0 /. t.path_bandwidth_gbs
-(* WPQ media drain per 8-byte entry *)
-let wpq_service_ns t = 8.0 /. t.mem.write_bw_gbs
-
 (* 256-byte channel interleave across memory controllers. *)
 let mc_of_line t line_addr = (line_addr lsr 8) mod t.n_mcs
 let numa_of_mc t mc =

@@ -57,12 +57,6 @@ val cxl : Nvm.t -> t
     memoization-key component (two distinct platforms can never alias). *)
 val fingerprint : t -> string
 
-(** Persist-path send slot per 8-byte entry. *)
-val entry_gap_ns : t -> float
-
-(** WPQ media drain per 8-byte entry. *)
-val wpq_service_ns : t -> float
-
 (** 256-byte channel interleave across memory controllers. *)
 val mc_of_line : t -> int -> int
 

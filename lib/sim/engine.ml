@@ -1,6 +1,6 @@
-(** The timing engine: replays a commit-event trace under a persistence
-    scheme, advancing a nanosecond timeline and charging stalls where the
-    modeled hardware would produce backpressure.
+(** The timing engine: replays commit-event traces under a persistence
+    scheme, advancing a nanosecond timeline per core and charging stalls
+    where the modeled hardware would produce backpressure.
 
     The modeled cWSP hardware follows Figure 9 of the paper:
 
@@ -20,6 +20,20 @@
       has persisted (stale-read prevention); loads that miss every cache
       level and hit a pending WPQ entry wait for the entry to drain.
 
+    One core or N: each core owns its L1D, write buffer, PB, Capri redo
+    buffer, RBT, clocks, stats and trace; the L2 and deeper levels, the
+    memory controllers' WPQs and the persist/drain tables behind them are
+    shared. [run_traces] replays per-thread traces in global time order
+    (the core with the smallest clock steps next, ties to the lowest
+    index), so shared-queue contention is observed in the order a real
+    machine would produce it; [run_trace] is its one-core case. No
+    coherence traffic is modeled — the PB is coherence-agnostic by design
+    (Section V-A1) and the workloads are data-race-free, so coherence
+    misses would add a scheme-independent constant to both sides of
+    every ratio. Known modeling gap: the multi-core experiment
+    ([Exp_mp]) runs cWSP without stage 5 ([wpq_delay = false]), so its
+    loads that hit a pending WPQ entry are counted but not delayed.
+
     Performance shape (DESIGN.md §12): the replay loop runs once per
     event across ~1700 simulation points, so this file keeps the per-
     event path allocation-free. All hot floats live in [clocks] — a
@@ -31,6 +45,9 @@
     accumulate in [clocks] and are flushed to [Stats.t] once per run. *)
 
 module Obs = Cwsp_obs.Obs
+module Trace = Cwsp_ir.Trace
+module Event = Cwsp_ir.Event
+module Layout = Cwsp_ir.Layout
 
 type cwsp_flags = {
   persist_path : bool;    (* stage 2 of Fig. 15: persist committed stores *)
@@ -76,10 +93,11 @@ let[@inline] fmax (a : float) (b : float) = if b > a then b else a
 (** All-float mutable timeline state. Every field being float gives the
     record OCaml's flat double representation: field assignment writes
     the raw double in place instead of allocating a box, which is what
-    the once-per-event [now <- now + cycle] update needs. Shared with
-    the multi-core engine (one [clocks] per core there). *)
+    the once-per-event [now <- now + cycle] update needs. One per core. *)
 type clocks = {
   mutable now : float;
+  mutable until : float;       (* the scheduler's bound on [now], see
+                                  [run_core] *)
   mutable all_pm : float;      (* drain point for fences *)
   mutable region_pm : float;   (* max persist of current region *)
   (* stall breakdown, flushed to [Stats.t] at end of run *)
@@ -90,7 +108,7 @@ type clocks = {
   mutable s_wb : float;
   mutable s_wpq_hit : float;
   mutable s_redo : float;
-  (* WB-occupancy samples (sum; the count is an int on the engine) *)
+  (* WB-occupancy samples (sum; the count is an int on the core) *)
   mutable wb_occ_sum : float;
   (* out-param of [persist_store] (a float return would be boxed) *)
   mutable pstall : float;
@@ -99,6 +117,7 @@ type clocks = {
 let clocks_create () =
   {
     now = 0.0;
+    until = infinity;
     all_pm = 0.0;
     region_pm = 0.0;
     s_pb = 0.0;
@@ -172,23 +191,13 @@ let storage_bytes ~rbt_entries =
      (Section IX-N) *)
   rbt_entries * 11
 
-type t = {
-  cfg : Config.t;
-  scheme : scheme;
-  stats : Stats.t;
-  hier : Hierarchy.t;
-  c : clocks;
-  (* persist machinery *)
-  pb : pb;
+(* Shared by every core: the memory controllers and the persist/drain
+   tables behind them (the shared cache levels sit in each core's
+   [Hierarchy]). *)
+type shared = {
   wpqs : Tsq.t array; (* one per MC *)
-  rbt : rbt;
   line_persist : Imap.t; (* line -> last persist time *)
   word_wpq_done : Imap.t; (* word -> WPQ drain completion *)
-  (* L1D write buffer *)
-  wb : Tsq.t;
-  mutable wb_occ_n : int; (* occupancy sample count *)
-  (* Capri redo buffer *)
-  redo : pb;
   (* per-MC last line seen, for line-granularity write coalescing *)
   mc_last_line : int array;
   (* per-MC copy of [Config.numa_of_mc] (unboxed reads on the persist
@@ -196,24 +205,55 @@ type t = {
   numa_ns : float array;
 }
 
-let create (cfg : Config.t) (scheme : scheme) =
-  {
-    cfg;
-    scheme;
-    stats = Stats.create ();
-    hier = Hierarchy.create cfg;
-    c = clocks_create ();
-    pb = pb_create cfg.pb_entries;
-    wpqs = Array.init cfg.n_mcs (fun _ -> Tsq.create ~size:cfg.wpq_entries);
-    rbt = rbt_create cfg.rbt_entries;
-    line_persist = Imap.create 4096;
-    word_wpq_done = Imap.create 4096;
-    wb = Tsq.create ~size:cfg.wb_entries;
-    wb_occ_n = 0;
-    redo = pb_create 288 (* 18KB Capri redo buffer / 64B lines *);
-    mc_last_line = Array.make cfg.n_mcs (-1);
-    numa_ns = Array.init cfg.n_mcs (fun mc -> Config.numa_of_mc cfg mc);
-  }
+(* One core. *)
+type t = {
+  cfg : Config.t;
+  scheme : scheme;
+  sh : shared;
+  stats : Stats.t;
+  hier : Hierarchy.t; (* private L1 + the shared levels *)
+  c : clocks;
+  pb : pb;
+  rbt : rbt;
+  (* L1D write buffer *)
+  wb : Tsq.t;
+  mutable wb_occ_n : int; (* occupancy sample count *)
+  (* Capri redo buffer *)
+  redo : pb;
+  trace : Trace.t;
+  mutable pos : int; (* next event *)
+}
+
+(* One core per trace over one shared machine. *)
+let create (cfg : Config.t) (scheme : scheme) (traces : Trace.t array) =
+  let sh =
+    {
+      wpqs = Array.init cfg.n_mcs (fun _ -> Tsq.create ~size:cfg.wpq_entries);
+      line_persist = Imap.create 4096;
+      word_wpq_done = Imap.create 4096;
+      mc_last_line = Array.make cfg.n_mcs (-1);
+      numa_ns = Array.init cfg.n_mcs (fun mc -> Config.numa_of_mc cfg mc);
+    }
+  in
+  let hier = Hierarchy.create cfg in
+  Array.mapi
+    (fun i trace ->
+      {
+        cfg;
+        scheme;
+        sh;
+        stats = Stats.create ();
+        hier = (if i = 0 then hier else Hierarchy.sibling hier);
+        c = clocks_create ();
+        pb = pb_create cfg.pb_entries;
+        rbt = rbt_create cfg.rbt_entries;
+        wb = Tsq.create ~size:cfg.wb_entries;
+        wb_occ_n = 0;
+        redo = pb_create 288 (* 18KB Capri redo buffer / 64B lines *);
+        trace;
+        pos = 0;
+      })
+    traces
 
 (* ---- persist path ---- *)
 
@@ -227,25 +267,25 @@ let persist_store t ~addr ~commit ~bytes ~logged ~use_redo ?(coalesce = false) (
   let buffer = if use_redo then t.redo else t.pb in
   pb_admit_send buffer ~ready:commit ~gap;
   let admit = Array.unsafe_get buffer.fs 1 and send = Array.unsafe_get buffer.fs 2 in
-  let line = Cwsp_interp.Layout.line_of_addr addr in
+  let line = Layout.line_of_addr addr in
   let mc = Config.mc_of_line cfg line in
-  let arrive = send +. cfg.path_latency_ns +. Array.unsafe_get t.numa_ns mc in
+  let arrive = send +. cfg.path_latency_ns +. Array.unsafe_get t.sh.numa_ns mc in
   let drain_service =
     let per_entry = float_of_int bytes /. cfg.mem.write_bw_gbs in
     (* Line-granularity schemes (Capri/ReplayCache) coalesce consecutive
        writes to the same line at the media: back-to-back same-line
        entries merge into the pending line write. *)
     let per_entry =
-      if coalesce && t.mc_last_line.(mc) = line then per_entry /. 8.0
+      if coalesce && t.sh.mc_last_line.(mc) = line then per_entry /. 8.0
       else per_entry
     in
-    t.mc_last_line.(mc) <- line;
+    t.sh.mc_last_line.(mc) <- line;
     (* Undo-log writes are append-only per region (Section V-B2), so they
        write-combine into full lines at the media: 8 log entries share one
        64-byte line write, costing 1/8 extra media bandwidth per entry. *)
     if logged then per_entry *. 1.125 else per_entry
   in
-  let q = t.wpqs.(mc) in
+  let q = t.sh.wpqs.(mc) in
   Tsq.push_u q ~ready:arrive ~service:drain_service;
   let qts = Tsq.times q in
   let wpq_admit = Array.unsafe_get qts 1 and wpq_done = Array.unsafe_get qts 0 in
@@ -254,8 +294,8 @@ let persist_store t ~addr ~commit ~bytes ~logged ~use_redo ?(coalesce = false) (
   let persist_time = wpq_admit in
   t.c.all_pm <- fmax t.c.all_pm persist_time;
   t.c.region_pm <- fmax t.c.region_pm persist_time;
-  Imap.put t.line_persist line persist_time;
-  Imap.put t.word_wpq_done addr wpq_done;
+  Imap.put t.sh.line_persist line persist_time;
+  Imap.put t.sh.word_wpq_done addr wpq_done;
   t.stats.nvm_writes <- t.stats.nvm_writes + 1;
   if logged then t.stats.log_writes <- t.stats.log_writes + 1;
   t.c.pstall <- fmax 0.0 (admit -. commit)
@@ -272,7 +312,7 @@ let handle_cache_write t ~addr ~count_wb_occupancy =
      let delay_start =
        match t.scheme with
        | Cwsp f when f.persist_path && f.wb_delay ->
-         fmax t.c.now (Imap.find_def t.line_persist line neg_infinity)
+         fmax t.c.now (Imap.find_def t.sh.line_persist line neg_infinity)
        | Baseline | Cwsp _ | Ido | Capri | Replaycache | Explicit_flush ->
          t.c.now
      in
@@ -302,7 +342,7 @@ let handle_load t ~addr =
   t.c.now <- t.c.now +. t.cfg.cycle_ns +. latency;
   (* loads reaching main memory may hit a pending WPQ entry *)
   if code land Hierarchy.from_memory_bit <> 0 then begin
-    let d = Imap.find_def t.word_wpq_done addr neg_infinity in
+    let d = Imap.find_def t.sh.word_wpq_done addr neg_infinity in
     if d > t.c.now then begin
       t.stats.wpq_hits <- t.stats.wpq_hits + 1;
       let delays =
@@ -499,25 +539,16 @@ let emit_epoch t track =
   Obs.counter_event ~pid:track ~name:"wb_occupancy" ~ts_us
     [ ("entries", float_of_int (Tsq.occupancy t.wb ~now:t.c.now)) ]
 
-let run_trace (cfg : Config.t) (scheme : scheme) (trace : Cwsp_interp.Trace.t) :
-    Stats.t =
-  let t = create cfg scheme in
-  let open Cwsp_interp in
+(* Replay [t]'s events while its clock stays below [t.c.until] — or
+   equal to it when [wins_tie] — leaving [t.pos] at the first event not
+   replayed. *)
+let run_core t ~wins_tie ~track =
+  let trace = t.trace in
   let n = Trace.length trace in
-  (* [track < 0] is the single disabled-path branch per epoch check *)
-  let track =
-    if not !Obs.on then -1
-    else begin
-      let pid = Obs.alloc_track (Printf.sprintf "sim:%s" (scheme_name scheme)) in
-      Obs.span_begin ~cat:"sim"
-        ~args:[ ("events", float_of_int n); ("track", float_of_int pid) ]
-        ("replay:" ^ scheme_name scheme);
-      pid
-    end
-  in
-  let cycle_ns = cfg.cycle_ns in
-  for i = 0 to n - 1 do
-    let ev = Trace.get trace i in
+  let cycle_ns = t.cfg.cycle_ns in
+  let i = ref t.pos in
+  while !i < n && (t.c.now < t.c.until || (wins_tie && t.c.now = t.c.until)) do
+    let ev = Trace.get trace !i in
     let tag = Event.tag ev in
     if tag = Event.tag_alu then t.c.now <- t.c.now +. cycle_ns
     else if tag = Event.tag_load then handle_load t ~addr:(Event.payload ev)
@@ -530,17 +561,83 @@ let run_trace (cfg : Config.t) (scheme : scheme) (trace : Cwsp_interp.Trace.t) :
     else if tag = Event.tag_flush then handle_flush t ~addr:(Event.payload ev)
     else if tag = Event.tag_pfence then handle_pfence t
     else handle_sync t ~addr:(Event.payload ev);
-    if track >= 0 && i land epoch_mask = epoch_mask then emit_epoch t track
+    if track >= 0 && !i land epoch_mask = epoch_mask then emit_epoch t track;
+    incr i
   done;
-  t.stats.instructions <- n;
-  clocks_flush t.c t.stats;
-  Cwsp_util.Stats.Acc.add_sum t.stats.wb_occupancy ~sum:t.c.wb_occ_sum
-    ~count:t.wb_occ_n;
-  t.stats.nvm_reads <- t.hier.nvm_reads;
-  t.stats.l1_miss_rate <- Hierarchy.l1_miss_rate t.hier;
-  t.stats.llc_miss_rate <- Hierarchy.llc_miss_rate t.hier;
-  if track >= 0 then begin
-    emit_epoch t track;
-    Obs.span_end ()
-  end;
-  t.stats
+  t.pos <- !i
+
+type result = {
+  per_core : Stats.t array;
+  elapsed_ns : float; (* completion of the slowest core *)
+}
+
+let run_traces (cfg : Config.t) (scheme : scheme) (traces : Trace.t array) :
+    result =
+  if Array.length traces = 0 then invalid_arg "Engine.run_traces: no traces";
+  let cores = create cfg scheme traces in
+  let ncores = Array.length cores in
+  let name = scheme_name scheme in
+  let traced = !Obs.on in
+  (* [track < 0] is the single disabled-path branch per epoch check *)
+  let tracks =
+    if not traced then Array.make ncores (-1)
+    else begin
+      let tracks =
+        Array.init ncores (fun i ->
+            Obs.alloc_track
+              (if ncores = 1 then "sim:" ^ name
+               else Printf.sprintf "sim:%s#%d" name i))
+      in
+      let events = Array.fold_left (fun a tr -> a + Trace.length tr) 0 traces in
+      Obs.span_begin ~cat:"sim"
+        ~args:[ ("events", float_of_int events); ("track", float_of_int tracks.(0)) ]
+        ("replay:" ^ name);
+      tracks
+    end
+  in
+  (* The live core with the smallest clock, ties to the lowest index;
+     -1 when none. *)
+  let earliest ~skip =
+    let best = ref (-1) in
+    for i = 0 to ncores - 1 do
+      let c = cores.(i) in
+      if
+        i <> skip
+        && c.pos < Trace.length c.trace
+        && (!best < 0 || c.c.now < cores.(!best).c.now)
+      then best := i
+    done;
+    !best
+  in
+  (* Global time order without a per-event scan: the earliest core keeps
+     stepping until its clock passes the next-earliest live core's. With
+     one core the bound is +inf and this is one replay loop. *)
+  let rec loop () =
+    let b = earliest ~skip:(-1) in
+    if b >= 0 then begin
+      let t = cores.(b) in
+      let next = earliest ~skip:b in
+      t.c.until <- (if next < 0 then infinity else cores.(next).c.now);
+      run_core t ~wins_tie:(b < next) ~track:tracks.(b);
+      loop ()
+    end
+  in
+  loop ();
+  Array.iteri
+    (fun i t ->
+      t.stats.instructions <- Trace.length t.trace;
+      clocks_flush t.c t.stats;
+      Cwsp_util.Stats.Acc.add_sum t.stats.wb_occupancy ~sum:t.c.wb_occ_sum
+        ~count:t.wb_occ_n;
+      t.stats.nvm_reads <- t.hier.nvm_reads;
+      t.stats.l1_miss_rate <- Hierarchy.l1_miss_rate t.hier;
+      t.stats.llc_miss_rate <- Hierarchy.llc_miss_rate t.hier;
+      if tracks.(i) >= 0 then emit_epoch t tracks.(i))
+    cores;
+  if traced then Obs.span_end ();
+  {
+    per_core = Array.map (fun t -> t.stats) cores;
+    elapsed_ns = Array.fold_left (fun acc t -> fmax acc t.c.now) 0.0 cores;
+  }
+
+let run_trace cfg scheme trace = (run_traces cfg scheme [| trace |]).per_core.(0)

@@ -1,9 +1,11 @@
-(** The single-core timing engine: replays a commit-event trace under a
-    persistence scheme, advancing a nanosecond timeline and charging
-    stalls where the modeled hardware produces backpressure (the cWSP
-    hardware of Fig. 9: PB -> persist path -> per-MC WPQs with
+(** The timing engine: replays commit-event traces on one core or N
+    under a persistence scheme, advancing a nanosecond timeline per core
+    and charging stalls where the modeled hardware produces backpressure
+    (the cWSP hardware of Fig. 9: PB -> persist path -> per-MC WPQs with
     asynchronous undo logging; RBT admission for MC speculation; WB
-    stale-read delaying; WPQ-hit load delaying). *)
+    stale-read delaying; WPQ-hit load delaying). Each core owns its L1D,
+    write buffer, PB, redo buffer and RBT; the L2+ levels and the WPQs
+    are shared. *)
 
 type cwsp_flags = {
   persist_path : bool;   (** Fig. 15 stage 2: persist committed stores *)
@@ -29,64 +31,22 @@ type scheme =
 
 val scheme_name : scheme -> string
 
-(** {2 Hardware sub-models (shared with the multi-core engine)} *)
-
-(** All-float mutable timeline state (flat, unboxed representation —
-    DESIGN.md §12): current time, persist high-water marks, the stall
-    breakdown accumulated during a run, and the out-params of the
-    allocation-free helpers. The multi-core engine keeps one per core. *)
-type clocks = {
-  mutable now : float;
-  mutable all_pm : float;     (** drain point for fences *)
-  mutable region_pm : float;  (** max persist of current region *)
-  mutable s_pb : float;
-  mutable s_rbt : float;
-  mutable s_drain : float;
-  mutable s_sync : float;
-  mutable s_wb : float;
-  mutable s_wpq_hit : float;
-  mutable s_redo : float;
-  mutable wb_occ_sum : float;
-  mutable pstall : float;     (** out-param of the persist helpers *)
-}
-
-val clocks_create : unit -> clocks
-
-(** Flush the accumulated stall breakdown (and [now] as elapsed) into a
-    [Stats.t]. *)
-val clocks_flush : clocks -> Stats.t -> unit
-
-(** Persist-buffer: bounded slots freed on WPQ admission; sends
-    serialized at the persist-path bandwidth. The record is transparent
-    so the multi-core engine can read the [fs] result cells with
-    unboxed array loads. *)
-type pb = {
-  free_at : float array;
-  size : int;
-  mutable count : int;
-  fs : float array;  (** 0 = last send; 1 = admit out; 2 = send out *)
-}
-
-val pb_create : int -> pb
-
-(** Admit an entry ready at [ready]; the resulting slot-admit and send
-    times are left in [fs.(1)] / [fs.(2)] (allocation-free). *)
-val pb_admit_send : pb -> ready:float -> gap:float -> unit
-
-val pb_record_free : pb -> float -> unit
-
-(** Region-boundary table: ring of region persist-completion times;
-    admission stalls only when all entries hold unpersisted regions. *)
-type rbt = { comp : float array; rsize : int; mutable rcount : int }
-
-val rbt_create : int -> rbt
-
-(** Returns the admission stall. *)
-val rbt_push : rbt -> now:float -> completion:float -> float
-
 (** 11 bytes per RBT entry (Section IX-N): 176 bytes at the default 16. *)
 val storage_bytes : rbt_entries:int -> int
 
 (** {2 Running} *)
 
-val run_trace : Config.t -> scheme -> Cwsp_interp.Trace.t -> Stats.t
+type result = {
+  per_core : Stats.t array;
+  elapsed_ns : float;  (** completion of the slowest core *)
+}
+
+(** Replay per-thread traces (e.g. from [Oracle.spmd_traces_of_program])
+    on an N-core machine: one core per trace over shared L2+ levels, WPQs
+    and persist tables, stepped in global time order (smallest clock
+    first, ties to the lowest core index). Raises [Invalid_argument] on
+    an empty array. *)
+val run_traces : Config.t -> scheme -> Cwsp_ir.Trace.t array -> result
+
+(** The one-core case of [run_traces]. *)
+val run_trace : Config.t -> scheme -> Cwsp_ir.Trace.t -> Stats.t

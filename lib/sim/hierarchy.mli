@@ -1,14 +1,16 @@
-(** The cache-hierarchy walker: one [Cache.t] per configured level; an
-    access is served by the first hitting level and allocates the line in
-    every level above. Dirty L1 evictions are surfaced to the engine (they
-    enter the L1D write buffer); inner-level evictions install one level
-    down; LLC evictions are counted (persist-path schemes silently drop
-    them — the data already traveled the persist path). *)
+(** The cache-hierarchy walker: a core's private L1 in front of the
+    shared levels (L2 and deeper). An access is served by the first
+    hitting level and allocates the line in every level above. Dirty L1
+    evictions are surfaced to the engine (they enter the L1D write
+    buffer); inner-level evictions install one level down; LLC evictions
+    are counted (persist-path schemes silently drop them — the data
+    already traveled the persist path). *)
 
 type t = {
   cfg : Config.t;
-  caches : Cache.t array;
-  hit_ns : float array;
+  l1 : Cache.t;
+  shared : Cache.t array; (** L2 and deeper; the same caches on every core *)
+  hit_ns : float array;   (** per level, L1 first *)
   mutable nvm_reads : int;
   mutable llc_dirty_evictions : int;
   mutable last_l1_evict : int; (** line address, -1 = none; see [probe] *)
@@ -16,7 +18,11 @@ type t = {
 
 val create : Config.t -> t
 
-(** {2 Access (the engines' hot path)} *)
+(** Another core's view of the same machine: a fresh private L1 and
+    counters over the same shared levels. *)
+val sibling : t -> t
+
+(** {2 Access (the engine's hot path)} *)
 
 (** Flags packed into a [probe] result alongside the hit level
     ([land level_mask], = number of levels when served by memory). *)

@@ -138,21 +138,21 @@ let test_mp_recovery_ptx () =
 let mp_elapsed w ~threads ~scheme ~config =
   let prog = compile_parallel w ~threads ~config in
   let _, traces = run_parallel prog ~threads ~worker:w.W_parallel.worker in
-  (Cwsp_sim.Engine_mp.run_traces Cwsp_sim.Config.default scheme traces).elapsed_ns
+  (Cwsp_sim.Engine.run_traces Cwsp_sim.Config.default scheme traces).elapsed_ns
 
 let test_mp_cwsp_slower_than_baseline () =
   let w = W_parallel.psweep in
   let b =
-    mp_elapsed w ~threads:4 ~scheme:`Baseline ~config:Cwsp_compiler.Pipeline.baseline
+    mp_elapsed w ~threads:4 ~scheme:Cwsp_sim.Engine.Baseline ~config:Cwsp_compiler.Pipeline.baseline
   in
-  let c = mp_elapsed w ~threads:4 ~scheme:`Cwsp ~config:Cwsp_compiler.Pipeline.cwsp in
+  let c = mp_elapsed w ~threads:4 ~scheme:Cwsp_experiments.Exp_mp.cwsp ~config:Cwsp_compiler.Pipeline.cwsp in
   Alcotest.(check bool) "cwsp >= baseline" true (c >= b)
 
 let test_mp_contention_grows () =
   let w = W_parallel.psweep in
   let ratio threads =
-    mp_elapsed w ~threads ~scheme:`Cwsp ~config:Cwsp_compiler.Pipeline.cwsp
-    /. mp_elapsed w ~threads ~scheme:`Baseline ~config:Cwsp_compiler.Pipeline.baseline
+    mp_elapsed w ~threads ~scheme:Cwsp_experiments.Exp_mp.cwsp ~config:Cwsp_compiler.Pipeline.cwsp
+    /. mp_elapsed w ~threads ~scheme:Cwsp_sim.Engine.Baseline ~config:Cwsp_compiler.Pipeline.baseline
   in
   Alcotest.(check bool) "8 cores contend more than 1" true (ratio 8 > ratio 1)
 
@@ -161,7 +161,10 @@ let test_mp_per_core_stats () =
   let threads = 2 in
   let prog = compile_parallel w ~threads ~config:Cwsp_compiler.Pipeline.cwsp in
   let _, traces = run_parallel prog ~threads ~worker:w.worker in
-  let r = Cwsp_sim.Engine_mp.run_traces Cwsp_sim.Config.default `Cwsp traces in
+  let r =
+    Cwsp_sim.Engine.run_traces Cwsp_sim.Config.default Cwsp_experiments.Exp_mp.cwsp
+      traces
+  in
   Alcotest.(check int) "one stats record per core" threads (Array.length r.per_core);
   Array.iter
     (fun (s : Cwsp_sim.Stats.t) ->
