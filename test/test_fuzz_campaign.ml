@@ -9,7 +9,7 @@
    3. bug reinjection: three deliberately broken pipelines (dropping a
       checkpoint, a boundary, a flush from the compiled binary) are each
       caught by a small fixed-seed campaign, with an auto-minimized
-      counterexample persisted under findings/;
+      counterexample persisted under findings/ and the report pinned;
    4. minimizer corpus: five hand-written defective programs (the race
       tier's mutation corpus idioms) each shrink to <= 25 instructions
       while still reproducing their diagnostic.
@@ -144,12 +144,16 @@ let drop_first pred (compiled : Pipeline.compiled) : Pipeline.compiled =
   in
   { compiled with prog = { compiled.prog with funcs } }
 
-let reinject tag pred =
+(* [digest] pins the report: every finding of these campaigns is static,
+   so the bytes hold the static path unchanged. *)
+let reinject tag ~digest pred =
   let compile config prog = drop_first pred (Pipeline.compile ~config prog) in
   let d = scratch ("inject-" ^ tag) in
   let o = Campaign.run ~compile (params d) ~execs:100 in
   if o.o_findings = 0 then
     Alcotest.failf "injected %s bug survived 100 execs undetected" tag;
+  Alcotest.(check string) "report bytes pinned" digest
+    (Digest.to_hex (Digest.string o.o_report));
   (* the counterexample is persisted, minimized, and reloadable *)
   let c = Corpus.open_dir d in
   (match Corpus.load_state c ~master_seed:97 ~shard:(0, 1) ~batch:40 with
@@ -167,13 +171,19 @@ let reinject tag pred =
   rm_rf d
 
 let test_reinject_drop_ckpt () =
-  reinject "ckpt" (function Types.Ckpt _ -> true | _ -> false)
+  reinject "ckpt" ~digest:"dbc0356d65c2444cad78b8fcb80e6ff4" (function
+    | Types.Ckpt _ -> true
+    | _ -> false)
 
 let test_reinject_drop_boundary () =
-  reinject "boundary" (function Types.Boundary _ -> true | _ -> false)
+  reinject "boundary" ~digest:"d45229baf8cf50d8fd41e1c80289cb9e" (function
+    | Types.Boundary _ -> true
+    | _ -> false)
 
 let test_reinject_drop_flush () =
-  reinject "flush" (function Types.Flush _ -> true | _ -> false)
+  reinject "flush" ~digest:"e571e74278ce5420fcba9588b589886c" (function
+    | Types.Flush _ -> true
+    | _ -> false)
 
 (* ---- 4. minimizer corpus ---- *)
 
