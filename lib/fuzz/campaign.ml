@@ -235,9 +235,7 @@ let run ?(compile = Oracle.default_compile) ?max_seconds (p : params) ~execs =
                    (fun (sf : Corpus.saved_finding) -> sf.sf_key = key)
                    st.s_findings)
             then begin
-              let pred =
-                Oracle.reproduces ~compile ~kind:f.fk ~detail:f.detail
-              in
+              let pred = Oracle.reproduces ~compile f in
               let mini =
                 (* only shrink when the signature deterministically
                    reproduces on the unminimized program *)
@@ -248,9 +246,7 @@ let run ?(compile = Oracle.default_compile) ?max_seconds (p : params) ~execs =
               let ffp = Corpus.save_finding c mini in
               (* forensic companion: replay the failing experiment with
                  the flight recorder on and ship the dump with the .ir *)
-              (match
-                 Oracle.flight_dump ~compile ~kind:f.fk ~detail:f.detail mini
-               with
+              (match Oracle.flight_dump ~compile f mini with
               | Some dump -> Corpus.save_flight c ~fp:ffp dump
               | None -> ());
               st.s_findings <-

@@ -30,7 +30,12 @@ let kind_of_name = function
   | "verifier-escape" -> Some Verifier_escape
   | _ -> None
 
-type finding = { fk : finding_kind; detail : string }
+(* One experiment of a dynamic stage: where power fails, the harness
+   seed, and (fault stage) the injected class. *)
+type stage = Crash | Fault of Fault.cls | Explicit
+type probe = { p_stage : stage; p_crash_at : int; p_seed : int }
+
+type finding = { fk : finding_kind; detail : string; probe : probe option }
 
 let first_token s =
   match String.index_opt s ' ' with
@@ -156,7 +161,7 @@ let boundary_crash_points rng ~trace ~max_points =
     end
   end
 
-(* ---- the full oracle stack ---- *)
+(* ---- certify, then the instrumented run ---- *)
 
 let race_rule = function
   | Diag.Data_race | Diag.Unlocked_shared_write | Diag.Tid_overlap_unprovable
@@ -169,16 +174,129 @@ let spmd_worker (prog : Prog.t) =
   | Some w when w.nparams = 1 -> true
   | _ -> false
 
+(* Compile under [mode] (its name labels cells and details) and verify:
+   rule firings become cells, the first non-race error a static finding.
+   The compile when the verifier certified it. *)
+let certify ~compile ~cell ~finding (name, config) prog =
+  match compile config prog with
+  | exception e ->
+    finding Compile_crash (name ^ ": " ^ Printexc.to_string e);
+    None
+  | compiled -> (
+    match Verify.run compiled with
+    | exception _ ->
+      finding Compile_crash (name ^ ": verifier raised");
+      None
+    | diags ->
+      List.iter
+        (fun (r, s) -> cell (Printf.sprintf "rule:%s:%s:%s" name r s))
+        (Verify.fired diags);
+      let errs = Verify.errors diags in
+      (match List.find_opt (fun (d : Diag.t) -> not (race_rule d.rule)) errs with
+      | Some d ->
+        finding Static_reject
+          (Printf.sprintf "%s %s: %s" (Diag.rule_name d.rule) name d.message)
+      | None -> ());
+      if errs = [] then Some compiled else None)
+
+let implicit = ("cwsp", Pipeline.cwsp)
+let explicit = ("cwsp-explicit", Pipeline.cwsp_explicit)
+
+(* [certify] for a predicate: no cells, no findings *)
+let certified ~compile mode prog =
+  certify ~compile ~cell:ignore ~finding:(fun _ _ -> ()) mode prog
+
+(* The certified binary's failure-free run against the source baseline:
+   the run as the probes' golden, its trace, and what differs ([None]:
+   nothing). Raises if the binary traps or runs out of fuel. *)
+let instrumented_run base (compiled : Pipeline.compiled) =
+  let m, tr = Machine.trace_of_program ~fuel:instrumented_fuel compiled.prog in
+  let golden =
+    { Harness.g_mem = m.mem; g_outputs = Machine.outputs m; g_steps = Machine.steps m }
+  in
+  let diff =
+    if golden.g_outputs <> base.br_outputs then Some `Outputs
+    else if data_words m.mem <> base.br_data then Some `Memory
+    else None
+  in
+  (golden, tr, diff)
+
+(* ---- the probe runner: the one place a dynamic stage meets the harness ---- *)
+
+(* Crash probes run the blind plan on a faultless persistence path,
+   fault probes the hardened ladder against their class, explicit probes
+   the explicit persistency model; [flight] turns the recorder on
+   (recording never changes a verdict). The harness verdict and the
+   recorder's dump. *)
+let run_probe ~flight ~golden compiled p =
+  let seed = p.p_seed and crash_at = p.p_crash_at in
+  match p.p_stage with
+  | Crash when not flight -> (Harness.validate ~seed ~crash_at compiled, None)
+  | Crash | Fault _ ->
+    let fault = match p.p_stage with Fault cls -> Some cls | _ -> None in
+    let res =
+      Harness.validate_fault ~golden ~flight ~hardened:(fault <> None) ?fault
+        ~seed ~crash_at compiled
+    in
+    (res, match res with Ok r -> r.fr_flight | Error _ -> None)
+  | Explicit ->
+    let dump = ref None in
+    let res =
+      Harness.validate_explicit ~flight
+        ~on_flight:(fun d -> dump := Some d)
+        ~crash_at compiled
+    in
+    (res, !dump)
+
+(* Did [p] catch recovery giving back a wrong state? A fault probe the
+   harness could not stage is skipped, not broken. *)
+let broke p = function
+  | Ok (r : Harness.fault_report) -> (not r.fr_state_ok) || r.fr_sweep_failures > 0
+  | Error _ -> ( match p.p_stage with Fault _ -> false | Crash | Explicit -> true)
+
+let outcome_name = function
+  | Harness.Recovered -> "recovered"
+  | Harness.Degraded -> "degraded"
+  | Harness.Refused -> "refused"
+
+(* ---- the full oracle stack ---- *)
+
 let evaluate ?(compile = default_compile) rng (prog : Prog.t) : eval =
   let cells = ref [] and findings = ref [] in
   let cell c = cells := c :: !cells in
-  let finding fk detail = findings := { fk; detail = clean detail } :: !findings in
+  let finding ?probe fk detail =
+    findings := { fk; detail = clean detail; probe } :: !findings
+  in
   let finish discarded =
     {
       e_cells = List.sort_uniq compare !cells;
       e_findings = List.rev !findings;
       e_discarded = discarded;
     }
+  in
+  (* one probe: its coverage cell and, when it broke, its finding *)
+  let probe ~golden compiled p =
+    let res, _ = run_probe ~flight:false ~golden compiled p in
+    match (p.p_stage, res) with
+    | Crash, Ok _ -> cell "crash:recovered"
+    | Crash, Error e ->
+      cell "crash:diverged";
+      finding ~probe:p Verifier_escape
+        (Printf.sprintf "crash @%d: %s" p.p_crash_at e)
+    | Fault cls, Ok r ->
+      let oname = outcome_name r.fr_outcome in
+      cell (Printf.sprintf "fault:%s:%s" (Fault.name cls) oname);
+      if broke p res then
+        finding ~probe:p Fault_escape
+          (Printf.sprintf "%s crash@%d: wrong final state (%s)" (Fault.name cls)
+             p.p_crash_at oname)
+    | Fault cls, Error _ ->
+      cell (Printf.sprintf "fault:%s:skipped" (Fault.name cls))
+    | Explicit, Ok _ -> cell "explicit:recovered"
+    | Explicit, Error e ->
+      cell "explicit:diverged";
+      finding ~probe:p Verifier_escape
+        (Printf.sprintf "explicit @%d: %s" p.p_crash_at e)
   in
   if Validate.check prog <> [] then begin
     cell "outcome:invalid";
@@ -198,348 +316,183 @@ let evaluate ?(compile = default_compile) rng (prog : Prog.t) : eval =
     | Ok base ->
       cell "outcome:ok";
       (* ---- implicit mode: the full cWSP pipeline ---- *)
-      (match compile Pipeline.cwsp prog with
-      | exception e -> finding Compile_crash ("cwsp: " ^ Printexc.to_string e)
-      | compiled -> (
-        let diags = try Some (Verify.run compiled) with _ -> None in
-        match diags with
-        | None -> finding Compile_crash "cwsp: verifier raised"
-        | Some diags ->
-          List.iter
-            (fun (r, s) -> cell (Printf.sprintf "rule:cwsp:%s:%s" r s))
-            (Verify.fired diags);
-          let errs = Verify.errors diags in
-          let compiler_errs =
-            List.filter (fun (d : Diag.t) -> not (race_rule d.rule)) errs
-          in
-          (match compiler_errs with
-          | d :: _ ->
-            finding Static_reject
-              (Printf.sprintf "%s cwsp: %s" (Diag.rule_name d.rule) d.message)
-          | [] -> ());
-          if errs = [] then begin
-            (* statically certified: every dynamic divergence from here
-               on is a verifier escape *)
-            match Machine.trace_of_program ~fuel:instrumented_fuel compiled.prog with
-            | exception e ->
-              cell "crash:trap";
-              finding Verifier_escape
-                ("semantic instrumented run failed: " ^ Printexc.to_string e)
-            | m, tr ->
-              List.iter cell (Coverage.shape_cells compiled ~trace:tr);
-              if Machine.outputs m <> base.br_outputs then
-                finding Verifier_escape "semantic outputs diverge (cwsp vs source)"
-              else if data_words m.mem <> base.br_data then
-                finding Verifier_escape "semantic final data memory diverges"
-              else begin
-                (* WITCHER sweep: crash once per inter-boundary interval *)
-                List.iter
-                  (fun crash_at ->
-                    match
-                      Harness.validate ~seed:(Rng.int rng 1_000_000) ~crash_at
-                        compiled
-                    with
-                    | Ok _ -> cell "crash:recovered"
-                    | Error e ->
-                      cell "crash:diverged";
-                      finding Verifier_escape (Printf.sprintf "crash @%d: %s" crash_at e))
-                  (boundary_crash_points rng ~trace:tr ~max_points:12);
-                (* adversarial fault classes: two per exec *)
-                let classes = Array.of_list Fault.all in
-                let steps = Machine.steps m in
-                let i = Rng.int rng (Array.length classes) in
-                let j = (i + 1 + Rng.int rng (Array.length classes - 1))
-                        mod Array.length classes in
-                List.iter
-                  (fun ci ->
-                    let cls = classes.(ci) in
-                    let crash_at = 1 + Rng.int rng (max 1 (steps - 2)) in
-                    match
-                      Harness.validate_fault ~hardened:true ~fault:cls
-                        ~seed:(Rng.int rng 1_000_000) ~crash_at compiled
-                    with
-                    | Ok r ->
-                      let oname =
-                        match r.fr_outcome with
-                        | Harness.Recovered -> "recovered"
-                        | Harness.Degraded -> "degraded"
-                        | Harness.Refused -> "refused"
-                      in
-                      cell (Printf.sprintf "fault:%s:%s" (Fault.name cls) oname);
-                      if (not r.fr_state_ok) || r.fr_sweep_failures > 0 then
-                        finding Fault_escape
-                          (Printf.sprintf "%s crash@%d: wrong final state (%s)"
-                             (Fault.name cls) crash_at oname)
-                    | Error _ -> cell (Printf.sprintf "fault:%s:skipped" (Fault.name cls)))
-                  [ i; j ];
-                (* dynamic race cross-check of a certified SPMD worker *)
-                if spmd_worker prog then begin
-                  match monitor prog with
-                  | Error _ -> cell "monitor:wild"
-                  | Ok o ->
-                    if o.races <> [] then begin
-                      cell "monitor:raced";
-                      finding Verifier_escape
-                        (Printf.sprintf
-                           "monitor saw %d race(s) on a certified worker"
-                           (List.length o.races))
-                    end
-                    else if o.hung then cell "monitor:hung"
-                    else cell "monitor:clean"
+      (match certify ~compile ~cell ~finding implicit prog with
+      | None -> ()
+      | Some compiled -> (
+        (* statically certified: every dynamic divergence from here on
+           is a verifier escape *)
+        match instrumented_run base compiled with
+        | exception e ->
+          cell "crash:trap";
+          finding Verifier_escape
+            ("semantic instrumented run failed: " ^ Printexc.to_string e)
+        | golden, tr, diff -> (
+          List.iter cell (Coverage.shape_cells compiled ~trace:tr);
+          match diff with
+          | Some `Outputs ->
+            finding Verifier_escape "semantic outputs diverge (cwsp vs source)"
+          | Some `Memory ->
+            finding Verifier_escape "semantic final data memory diverges"
+          | None ->
+            (* WITCHER sweep: crash once per inter-boundary interval *)
+            List.iter
+              (fun crash_at ->
+                probe ~golden compiled
+                  { p_stage = Crash; p_crash_at = crash_at;
+                    p_seed = Rng.int rng 1_000_000 })
+              (boundary_crash_points rng ~trace:tr ~max_points:12);
+            (* adversarial fault classes: two per exec *)
+            let classes = Array.of_list Fault.all in
+            let n = Array.length classes in
+            let i = Rng.int rng n in
+            let j = (i + 1 + Rng.int rng (n - 1)) mod n in
+            List.iter
+              (fun ci ->
+                let crash_at = 1 + Rng.int rng (max 1 (golden.g_steps - 2)) in
+                probe ~golden compiled
+                  { p_stage = Fault classes.(ci); p_crash_at = crash_at;
+                    p_seed = Rng.int rng 1_000_000 })
+              [ i; j ];
+            (* dynamic race cross-check of a certified SPMD worker *)
+            if spmd_worker prog then begin
+              match monitor prog with
+              | Error _ -> cell "monitor:wild"
+              | Ok o ->
+                if o.races <> [] then begin
+                  cell "monitor:raced";
+                  finding Verifier_escape
+                    (Printf.sprintf "monitor saw %d race(s) on a certified worker"
+                       (List.length o.races))
                 end
-              end
-          end));
+                else if o.hung then cell "monitor:hung"
+                else cell "monitor:clean"
+            end)));
       (* ---- explicit mode: the persist tier's dynamic ground truth ---- *)
-      (match compile Pipeline.cwsp_explicit prog with
-      | exception e ->
-        finding Compile_crash ("cwsp-explicit: " ^ Printexc.to_string e)
-      | compiled -> (
-        let diags = try Some (Verify.run compiled) with _ -> None in
-        match diags with
-        | None -> finding Compile_crash "cwsp-explicit: verifier raised"
-        | Some diags ->
+      (match certify ~compile ~cell ~finding explicit prog with
+      | None -> ()
+      | Some compiled -> (
+        match instrumented_run base compiled with
+        | exception e ->
+          finding Verifier_escape
+            ("explicit instrumented run failed: " ^ Printexc.to_string e)
+        | _, _, Some _ ->
+          finding Verifier_escape "explicit semantics diverge from source"
+        | golden, tr, None ->
           List.iter
-            (fun (r, s) -> cell (Printf.sprintf "rule:cwsp-explicit:%s:%s" r s))
-            (Verify.fired diags);
-          let errs = Verify.errors diags in
-          let compiler_errs =
-            List.filter (fun (d : Diag.t) -> not (race_rule d.rule)) errs
-          in
-          (match compiler_errs with
-          | d :: _ ->
-            finding Static_reject
-              (Printf.sprintf "%s cwsp-explicit: %s" (Diag.rule_name d.rule)
-                 d.message)
-          | [] -> ());
-          if errs = [] then begin
-            match Machine.trace_of_program ~fuel:instrumented_fuel compiled.prog with
-            | exception e ->
-              finding Verifier_escape
-                ("explicit instrumented run failed: " ^ Printexc.to_string e)
-            | m, tr ->
-              if
-                Machine.outputs m <> base.br_outputs
-                || data_words m.mem <> base.br_data
-              then
-                finding Verifier_escape "explicit semantics diverge from source"
-              else
-                List.iter
-                  (fun crash_at ->
-                    match Harness.validate_explicit ~crash_at compiled with
-                    | Ok _ -> cell "explicit:recovered"
-                    | Error e ->
-                      cell "explicit:diverged";
-                      finding Verifier_escape
-                        (Printf.sprintf "explicit @%d: %s" crash_at e))
-                  (boundary_crash_points rng ~trace:tr ~max_points:6)
-          end));
+            (fun crash_at ->
+              probe ~golden compiled
+                { p_stage = Explicit; p_crash_at = crash_at; p_seed = 0 })
+            (boundary_crash_points rng ~trace:tr ~max_points:6)));
       finish None
 
-(* ---- targeted reproduction predicates for the minimizer ---- *)
+(* ---- reproduction: a finding's own probe, then its stage's fixed search ---- *)
 
-let certified_compile (compile : compile_fn) config prog =
-  match compile config prog with
-  | exception _ -> None
-  | compiled ->
-    if Verify.errors (Verify.run compiled) = [] then Some compiled else None
+(* The probes that re-test [p]'s stage on a run [golden] with trace
+   [trace]: [p] first, then a fixed search (seed 1 over the boundary
+   points for crashes; a quarter, half and three quarters of the run x
+   seeds 1-3 for faults; the boundary points for explicit). Probes past
+   the end of the run are dropped: a minimized program can halt before
+   the point its original broke at. *)
+let search p ~(golden : Harness.golden) ~trace =
+  let at stage seed crash_at =
+    { p_stage = stage; p_crash_at = crash_at; p_seed = seed }
+  in
+  let boundaries max_points =
+    boundary_crash_points (Rng.create 0x9e3779b9) ~trace ~max_points
+  in
+  let g = golden.g_steps in
+  let fixed =
+    match p.p_stage with
+    | Crash -> List.map (at Crash 1) (boundaries 12)
+    | Explicit -> List.map (at Explicit 0) (boundaries 6)
+    | Fault _ ->
+      List.concat_map
+        (fun c -> List.map (fun s -> at p.p_stage s c) [ 1; 2; 3 ])
+        (List.filter (fun c -> c >= 1 && c < g - 1) [ g / 4; g / 2; 3 * g / 4 ])
+  in
+  List.filter (fun q -> q.p_crash_at < g) (p :: fixed)
 
-let semantic_diverges base compiled =
-  match Machine.trace_of_program ~fuel:instrumented_fuel compiled.Pipeline.prog with
-  | exception _ -> Some "trap"
-  | m, _ ->
-    if Machine.outputs m <> base.br_outputs then Some "outputs"
-    else if data_words m.mem <> base.br_data then Some "memory"
-    else None
+(* Re-run a probed finding's stage on [prog] through [evaluate]'s own
+   certify, instrumented run and probe runner: the first probe of its
+   search that breaks, with the recorder's dump when [flight]. *)
+let first_broken ~compile ~flight p prog =
+  match baseline_run prog with
+  | Error _ -> None
+  | Ok base -> (
+    let mode =
+      match p.p_stage with Explicit -> explicit | Crash | Fault _ -> implicit
+    in
+    match certified ~compile mode prog with
+    | None -> None
+    | Some compiled -> (
+      match instrumented_run base compiled with
+      | _, _, Some _ -> None
+      | golden, trace, None ->
+        List.find_map
+          (fun q ->
+            let res, dump = run_probe ~flight ~golden compiled q in
+            if broke q res then Some dump else None)
+          (search p ~golden ~trace)))
 
-let reproduces ?(compile = default_compile) ~kind ~detail (prog : Prog.t) : bool =
+let reproduces ?(compile = default_compile) (f : finding) (prog : Prog.t) : bool =
   try
-    if Validate.check prog <> [] || not (Wellformed.defined prog) then false
-    else
-      match kind with
-      | Compile_crash ->
-        (match compile Pipeline.cwsp prog with
+    Validate.check prog = [] && Wellformed.defined prog
+    &&
+    match (f.fk, f.probe) with
+    | Compile_crash, _ -> (
+      match compile Pipeline.cwsp prog with
+      | exception _ -> true
+      | _ -> (
+        match compile Pipeline.cwsp_explicit prog with
         | exception _ -> true
-        | _ -> (
-          match compile Pipeline.cwsp_explicit prog with
-          | exception _ -> true
-          | _ -> false))
-      | Static_reject ->
-        let rule = first_token detail in
-        let hits config =
-          match compile config prog with
-          | exception _ -> false
-          | compiled ->
-            List.exists
-              (fun (d : Diag.t) ->
-                (not (race_rule d.rule)) && Diag.rule_name d.rule = rule)
-              (Verify.errors (Verify.run compiled))
+        | _ -> false))
+    | Static_reject, _ ->
+      let rule = first_token f.detail in
+      let hits config =
+        match compile config prog with
+        | exception _ -> false
+        | compiled ->
+          List.exists
+            (fun (d : Diag.t) ->
+              (not (race_rule d.rule)) && Diag.rule_name d.rule = rule)
+            (Verify.errors (Verify.run compiled))
+      in
+      hits Pipeline.cwsp || hits Pipeline.cwsp_explicit
+    | (Fault_escape | Verifier_escape), Some p ->
+      first_broken ~compile ~flight:false p prog <> None
+    | Fault_escape, None -> false
+    | Verifier_escape, None -> (
+      (* the unprobed stages: a certified binary whose own run diverges
+         from the source, or a worker the monitor sees race *)
+      match baseline_run prog with
+      | Error _ -> false
+      | Ok base -> (
+        let diverges mode =
+          match certified ~compile mode prog with
+          | None -> false
+          | Some compiled -> (
+            match instrumented_run base compiled with
+            | exception _ -> true
+            | _, _, diff -> diff <> None)
         in
-        hits Pipeline.cwsp || hits Pipeline.cwsp_explicit
-      | Fault_escape -> (
-        match Fault.of_name (first_token detail) with
-        | None -> false
-        | Some cls -> (
-          match baseline_run prog with
-          | Error _ -> false
-          | Ok _ -> (
-            match certified_compile compile Pipeline.cwsp prog with
-            | None -> false
-            | Some compiled ->
-              let g = Harness.golden_of compiled in
-              let escaped crash_at seed =
-                match
-                  Harness.validate_fault ~golden:g ~hardened:true ~fault:cls
-                    ~seed ~crash_at compiled
-                with
-                | Ok r -> (not r.fr_state_ok) || r.fr_sweep_failures > 0
-                | Error _ -> false
-              in
-              let pts =
-                List.filter
-                  (fun p -> p >= 1 && p < g.g_steps - 1)
-                  [ g.g_steps / 4; g.g_steps / 2; (3 * g.g_steps) / 4 ]
-              in
-              List.exists (fun p -> List.exists (escaped p) [ 1; 2; 3 ]) pts)))
-      | Verifier_escape -> (
-        match baseline_run prog with
-        | Error _ -> false
-        | Ok base -> (
-          let stage = first_token detail in
-          match stage with
-          | "semantic" -> (
-            match certified_compile compile Pipeline.cwsp prog with
-            | None -> false
-            | Some compiled -> semantic_diverges base compiled <> None)
-          | "crash" -> (
-            match certified_compile compile Pipeline.cwsp prog with
-            | None -> false
-            | Some compiled -> (
-              match
-                Machine.trace_of_program ~fuel:instrumented_fuel compiled.prog
-              with
-              | exception _ -> true
-              | _, tr ->
-                let rng = Rng.create 0x9e3779b9 in
-                List.exists
-                  (fun crash_at ->
-                    match Harness.validate ~seed:1 ~crash_at compiled with
-                    | Ok _ -> false
-                    | Error _ -> true)
-                  (boundary_crash_points rng ~trace:tr ~max_points:12)))
-          | "explicit" -> (
-            match certified_compile compile Pipeline.cwsp_explicit prog with
-            | None -> false
-            | Some compiled -> (
-              match
-                Machine.trace_of_program ~fuel:instrumented_fuel compiled.prog
-              with
-              | exception _ -> true
-              | m, tr ->
-                Machine.outputs m <> base.br_outputs
-                || data_words m.mem <> base.br_data
-                || List.exists
-                     (fun crash_at ->
-                       match Harness.validate_explicit ~crash_at compiled with
-                       | Ok _ -> false
-                       | Error _ -> true)
-                     (boundary_crash_points (Rng.create 0x9e3779b9) ~trace:tr
-                        ~max_points:6)))
-          | "monitor" -> (
-            if not (spmd_worker prog) then false
-            else
-              match certified_compile compile Pipeline.cwsp prog with
-              | None -> false
-              | Some _ -> (
-                match monitor prog with
-                | Ok o -> o.races <> []
-                | Error _ -> false))
-          | _ -> false))
+        match first_token f.detail with
+        | "semantic" -> diverges implicit
+        | "explicit" -> diverges explicit
+        | "monitor" -> (
+          spmd_worker prog
+          && certified ~compile implicit prog <> None
+          &&
+          match monitor prog with
+          | Ok o -> o.races <> []
+          | Error _ -> false)
+        | _ -> false))
   with _ -> false
 
 (* ---- forensic flight dump for a finding ---- *)
 
-(* "crash@12" / "@12" -> 12 *)
-let parse_at tok =
-  match String.index_opt tok '@' with
-  | None -> None
-  | Some i ->
-    let rest = String.sub tok (i + 1) (String.length tok - i - 1) in
-    let rest =
-      match String.index_opt rest ':' with
-      | Some j -> String.sub rest 0 j
-      | None -> rest
-    in
-    int_of_string_opt rest
-
-let second_token s =
-  match String.index_opt s ' ' with
-  | None -> None
-  | Some i -> Some (first_token (String.sub s (i + 1) (String.length s - i - 1)))
-
-let flight_dump ?(compile = default_compile) ~kind ~detail (prog : Prog.t) :
+let flight_dump ?(compile = default_compile) (f : finding) (prog : Prog.t) :
     string option =
-  try
-    match kind with
-    | Compile_crash | Static_reject -> None
-    | Fault_escape -> (
-      (* mirror [reproduces]'s search, recorder on; ship the dump of the
-         first crash that escapes *)
-      match Fault.of_name (first_token detail) with
-      | None -> None
-      | Some cls -> (
-        match baseline_run prog with
-        | Error _ -> None
-        | Ok _ -> (
-          match certified_compile compile Pipeline.cwsp prog with
-          | None -> None
-          | Some compiled ->
-            let g = Harness.golden_of compiled in
-            let dump = ref None in
-            let escaped crash_at seed =
-              match
-                Harness.validate_fault ~golden:g ~hardened:true ~flight:true
-                  ~fault:cls ~seed ~crash_at compiled
-              with
-              | Ok r when (not r.fr_state_ok) || r.fr_sweep_failures > 0 ->
-                dump := r.fr_flight;
-                true
-              | _ -> false
-            in
-            let pts =
-              List.filter
-                (fun p -> p >= 1 && p < g.g_steps - 1)
-                [ g.g_steps / 4; g.g_steps / 2; 3 * g.g_steps / 4 ]
-            in
-            ignore
-              (List.exists (fun p -> List.exists (escaped p) [ 1; 2; 3 ]) pts);
-            !dump)))
-    | Verifier_escape -> (
-      match (first_token detail, second_token detail) with
-      | "crash", Some tok -> (
-        match (parse_at tok, certified_compile compile Pipeline.cwsp prog) with
-        | Some crash_at, Some compiled -> (
-          (* no injected fault: a plain power cut at the diverging point,
-             recovered by the hardened ladder with the recorder on *)
-          match
-            Harness.validate_fault ~hardened:true ~flight:true ~seed:1
-              ~crash_at compiled
-          with
-          | Ok r -> r.fr_flight
-          | Error _ -> None)
-        | _ -> None)
-      | "explicit", Some tok -> (
-        match
-          (parse_at tok, certified_compile compile Pipeline.cwsp_explicit prog)
-        with
-        | Some crash_at, Some compiled ->
-          let dump = ref None in
-          (match
-             Harness.validate_explicit ~flight:true
-               ~on_flight:(fun d -> dump := Some d)
-               ~crash_at compiled
-           with
-          | Ok _ | Error _ -> ());
-          !dump
-        | _ -> None)
-      | _ -> None)
-  with _ -> None
+  match f.probe with
+  | None -> None
+  | Some p -> (
+    try Option.join (first_broken ~compile ~flight:true p prog) with _ -> None)

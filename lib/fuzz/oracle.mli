@@ -40,7 +40,19 @@ type finding_kind =
 val kind_name : finding_kind -> string
 val kind_of_name : string -> finding_kind option
 
-type finding = { fk : finding_kind; detail : string }
+(** One experiment of a dynamic stage, as [evaluate] drew it: a clean
+    power cut recovered by the blind plan ([Crash]), a hardened recovery
+    from an injected fault ([Fault]), or an explicit-persistency crash
+    ([Explicit]), at [p_crash_at] instructions with harness seed
+    [p_seed] (unused by [Explicit]). *)
+type stage = Crash | Fault of Cwsp_recovery.Fault.cls | Explicit
+
+type probe = { p_stage : stage; p_crash_at : int; p_seed : int }
+
+(** [probe] is the experiment that failed, for findings of the crash,
+    fault and explicit stages; [None] for every other finding. It is not
+    part of the saved signature. *)
+type finding = { fk : finding_kind; detail : string; probe : probe option }
 
 (** Dedupe key: kind plus the leading token of the detail (rule name,
     fault class, oracle stage) — one corpus entry per distinct bug
@@ -67,23 +79,21 @@ val boundary_crash_points :
     campaigns. *)
 val evaluate : ?compile:compile_fn -> Cwsp_util.Rng.t -> Prog.t -> eval
 
-(** Does [prog] still reproduce a finding of this kind/detail signature?
-    The minimizer's predicate: cheap, deterministic, and false on any
-    exception. *)
-val reproduces :
-  ?compile:compile_fn -> kind:finding_kind -> detail:string -> Prog.t -> bool
+(** Does [prog] still reproduce finding [f]? The minimizer's predicate:
+    deterministic, and false on any exception. A probed finding re-runs
+    [evaluate]'s certify and stage on [prog]: its own probe first, then
+    a fixed search (seed 1 over the boundary crash points; a quarter,
+    half and three quarters of the run x seeds 1-3 for a fault class;
+    the explicit boundary points), true when one breaks. So the program
+    [evaluate] flagged always reproduces its own finding. *)
+val reproduces : ?compile:compile_fn -> finding -> Prog.t -> bool
 
-(** Forensic companion to a finding: re-run the failing experiment with
-    the in-NVM flight recorder on and return the
-    [Cwsp_flight.Recorder] dump artifact (feed to [cwsp_postmortem]).
-    [Fault_escape] replays the [reproduces] search at the escaping crash
-    point; [Verifier_escape]s of the crash/explicit stages replay the
-    diverging power cut. [None] for static finding kinds or when the
-    replay no longer fails. Deterministic, and never changes a verdict —
-    the recorder ring is invisible to every oracle comparison. *)
-val flight_dump :
-  ?compile:compile_fn ->
-  kind:finding_kind ->
-  detail:string ->
-  Prog.t ->
-  string option
+(** Forensic companion to a finding: [reproduces]'s search with the
+    in-NVM flight recorder on, returning the first failing probe's
+    [Cwsp_flight.Recorder] dump artifact (feed to [cwsp_postmortem]) —
+    recorded under the protocol that stage runs, so a crash-stage dump
+    shows the blind plan and a fault-stage dump the hardened ladder.
+    [None] for unprobed findings or when no probe fails. Deterministic,
+    and never changes a verdict — the recorder ring is invisible to
+    every oracle comparison. *)
+val flight_dump : ?compile:compile_fn -> finding -> Prog.t -> string option

@@ -10,6 +10,8 @@
       checkpoint, a boundary, a flush from the compiled binary) are each
       caught by a small fixed-seed campaign, with an auto-minimized
       counterexample persisted under findings/ and the report pinned;
+      the same bugs hidden from the verifier are caught dynamically, and
+      every probed finding is minimized and ships a flight dump;
    4. minimizer corpus: five hand-written defective programs (the race
       tier's mutation corpus idioms) each shrink to <= 25 instructions
       while still reproducing their diagnostic.
@@ -27,6 +29,8 @@ module Corpus = Cwsp_fuzz.Corpus
 module Coverage = Cwsp_fuzz.Coverage
 module Oracle = Cwsp_fuzz.Oracle
 module Minimize = Cwsp_fuzz.Minimize
+module Recorder = Cwsp_flight.Recorder
+module Postmortem = Cwsp_flight.Postmortem
 
 (* ---- scratch campaign directories ---- *)
 
@@ -185,6 +189,87 @@ let test_reinject_drop_flush () =
     | Types.Flush _ -> true
     | _ -> false)
 
+(* A bug the verifier cannot see: the binary is relabelled as a
+   non-region, implicit-mode compile, so the tiers that would catch the
+   dropped instruction (ids, idem, ckpt, semantic, persist) never arm
+   and only the dynamic stages can. Each probed finding — a fault
+   escape, or a crash/explicit-stage verifier escape — must end
+   minimized below the program that was flagged (the same campaign at
+   minimizer budget 0) and ship a flight dump; a crash-stage dump must
+   record the blind plan that stage ran, so no ladder rung. *)
+let hide (compiled : Pipeline.compiled) : Pipeline.compiled =
+  {
+    compiled with
+    cconfig =
+      {
+        compiled.cconfig with
+        region_formation = false;
+        persist_mode = Pipeline.Implicit;
+      };
+  }
+
+let saved_findings d =
+  match
+    Corpus.load_state (Corpus.open_dir d) ~master_seed:97 ~shard:(0, 1) ~batch:40
+  with
+  | None -> Alcotest.fail "campaign state unreadable"
+  | Some st -> List.rev st.s_findings
+
+let detail_starts p (f : Corpus.saved_finding) =
+  String.starts_with ~prefix:p f.sf_detail
+
+let rung_recorded path =
+  match Recorder.load_dump path with
+  | None -> Alcotest.failf "%s: unreadable flight dump" path
+  | Some mem ->
+    List.exists
+      (fun (r : Postmortem.record) -> r.r_kind = Some Recorder.Rung)
+      (Postmortem.audit mem).a_records
+
+let hidden tag pred =
+  let compile config prog =
+    hide (drop_first pred (Pipeline.compile ~config prog))
+  in
+  let campaign budget =
+    let d = scratch (Printf.sprintf "hidden-%s-%d" tag budget) in
+    ignore
+      (Campaign.run ~compile { (params d) with p_min_budget = budget } ~execs:100);
+    d
+  in
+  let dfull = campaign 0 and dmin = campaign 600 in
+  let full = saved_findings dfull in
+  let probed =
+    List.filter
+      (fun (f : Corpus.saved_finding) ->
+        f.sf_kind = "fault-escape" || detail_starts "crash @" f
+        || detail_starts "explicit @" f)
+      (saved_findings dmin)
+  in
+  if probed = [] then Alcotest.failf "hidden %s bug: no probed finding" tag;
+  List.iter
+    (fun (f : Corpus.saved_finding) ->
+      let u =
+        List.find (fun (u : Corpus.saved_finding) -> u.sf_key = f.sf_key) full
+      in
+      if f.sf_instrs >= u.sf_instrs then
+        Alcotest.failf "%s: not minimized (%d instrs)" f.sf_key f.sf_instrs;
+      let path =
+        Filename.concat (Filename.concat dmin "findings") (f.sf_fp ^ ".flight")
+      in
+      if not (Sys.file_exists path) then
+        Alcotest.failf "%s: no flight dump" f.sf_key;
+      if detail_starts "crash @" f && rung_recorded path then
+        Alcotest.failf "%s: crash-stage dump replays the hardened ladder" f.sf_key)
+    probed;
+  rm_rf dfull;
+  rm_rf dmin
+
+let test_hidden_drop_ckpt () =
+  hidden "ckpt" (function Types.Ckpt _ -> true | _ -> false)
+
+let test_hidden_drop_flush () =
+  hidden "flush" (function Types.Flush _ -> true | _ -> false)
+
 (* ---- 4. minimizer corpus ---- *)
 
 (* Five defective programs over the race tier's corpus idioms (a striped
@@ -334,7 +419,9 @@ let test_wild_worker () =
     (List.mem "monitor:wild" ev.e_cells);
   Alcotest.(check int) "not a finding" 0 (List.length ev.e_findings);
   Alcotest.(check bool) "not a monitor reproduction" false
-    (Oracle.reproduces ~kind:Oracle.Verifier_escape ~detail:"monitor" prog)
+    (Oracle.reproduces
+       { fk = Oracle.Verifier_escape; detail = "monitor"; probe = None }
+       prog)
 
 let () =
   Alcotest.run "fuzz-campaign"
@@ -359,5 +446,9 @@ let () =
             test_minimizer_corpus;
           Alcotest.test_case "wild SPMD worker is a cell, not a crash" `Quick
             test_wild_worker;
+          Alcotest.test_case "verifier-hidden bug: dropped checkpoint" `Slow
+            test_hidden_drop_ckpt;
+          Alcotest.test_case "verifier-hidden bug: dropped flush" `Slow
+            test_hidden_drop_flush;
         ] );
     ]
