@@ -46,13 +46,12 @@ let compiled ?(scale = 1) (w : Defs.t) (cc : Pipeline.config) :
       Pipeline.compile ~config:cc (w.build ~scale))
 
 (** Functional commit trace of a workload under a compile configuration
-    (memoized). Runs the decoded core ([Cwsp_ir.Decode]); with
-    CWSP_ORACLE=1 the oracle cross-checks it against the reference
-    interpreter on every miss. *)
+    (memoized). Runs the decoded core ([Cwsp_ir.Decode]); [test_decode]
+    checks it against the reference interpreter registry-wide. *)
 let trace ?(scale = 1) (w : Defs.t) (cc : Pipeline.config) : Trace.t =
   Store.memo trace_cache (binary_key ~scale w cc) (fun () ->
       let c = compiled ~scale w cc in
-      Oracle.trace_of_program ~label:w.name c.prog)
+      snd (Cwsp_ir.Decode.trace_of_program c.prog))
 
 (** Timing statistics of a workload under a scheme on a platform. *)
 let stats ?(scale = 1) (w : Defs.t) (s : Cwsp_schemes.Schemes.t)

@@ -34,8 +34,7 @@ let slowdown ?(cfg = Cwsp_sim.Config.default) (w : Cwsp_workloads.W_parallel.t)
     (Cwsp_compiler.Pipeline.compile ~config (w.pbuild ~scale:1 ~threads)).prog
   in
   let traces prog =
-    Cwsp_interp.Oracle.spmd_traces_of_program ~label:w.pname prog ~threads
-      ~worker:w.worker
+    snd (Cwsp_ir.Decode.spmd_traces_of_program prog ~threads ~worker:w.worker)
   in
   let base =
     Cwsp_sim.Engine.run_traces cfg Cwsp_sim.Engine.Baseline

@@ -3,26 +3,13 @@
 
     The harness runs the decoded core everywhere ([Cwsp_core.Api.trace],
     the MP experiment); this module is the seam where the two engines
-    meet. [trace_of_program] / [spmd_traces_of_program] normally just
-    run the fast path — but with [CWSP_ORACLE=1] in the environment they
-    additionally run the reference interpreter on every program and
-    raise [Mismatch] unless trace, outputs, step count, final memory and
-    trap behaviour are all identical. test/test_decode.ml drives the
-    same comparison across the whole workload registry and a fuzzer, so
-    divergence is caught in CI even when the env var is off. *)
+    meet: [check]/[check_spmd] run both on one program and fail unless
+    trace, outputs, step count, final memory and trap behaviour are all
+    identical. test/test_decode.ml drives the comparison across every
+    compile configuration of the workload registry, the MP experiment's
+    thread counts and a fuzzer. *)
 
 open Cwsp_ir
-
-(** Cross-checking is on when CWSP_ORACLE is set to anything but ""/"0". *)
-let enabled =
-  lazy
-    (match Sys.getenv_opt "CWSP_ORACLE" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
-let checks_enabled () = Lazy.force enabled
-
-exception Mismatch of string
 
 (* Both engines raise the very same exception constructors
    ([Machine.Trap] is a rebinding of [Decode.Trap]), so one catch
@@ -128,31 +115,3 @@ let check_spmd ?fuel ?quantum ~label (p : Prog.t) ~threads ~worker :
   | _ ->
     fail label "outcomes diverge (decoded %s, reference %s)" (shape fast)
       (shape ref_)
-
-let reraise : 'a. 'a outcome -> 'a = function
-  | Value v -> v
-  | Trapped m -> raise (Decode.Trap m)
-  | Out_of_fuel -> raise Decode.Fuel_exhausted
-
-(** Commit trace via the decoded core; cross-checked against the
-    reference interpreter when [CWSP_ORACLE] is set. *)
-let trace_of_program ?fuel ?(label = "program") (p : Prog.t) : Trace.t =
-  if checks_enabled () then
-    match check ?fuel ~label p with
-    | Ok out ->
-      let _, tr = reraise out in
-      tr
-    | Error msg -> raise (Mismatch msg)
-  else
-    let _, tr = Decode.trace_of_program ?fuel p in
-    tr
-
-(** Per-thread SPMD commit traces via the decoded core; cross-checked
-    against [Multi] when [CWSP_ORACLE] is set. *)
-let spmd_traces_of_program ?fuel ?quantum ?(label = "program") (p : Prog.t)
-    ~threads ~worker : Trace.t array =
-  if checks_enabled () then
-    match check_spmd ?fuel ?quantum ~label p ~threads ~worker with
-    | Ok out -> snd (reraise out)
-    | Error msg -> raise (Mismatch msg)
-  else snd (Decode.spmd_traces_of_program ?fuel ?quantum p ~threads ~worker)

@@ -1,18 +1,10 @@
 (** Differential oracle: the decoded fast path ([Cwsp_ir.Decode])
     checked against the reference semantics ([Machine]/[Multi]).
 
-    [trace_of_program]/[spmd_traces_of_program] run the decoded core;
-    with [CWSP_ORACLE=1] they also run the reference interpreter and
-    raise [Mismatch] on any divergence in trace, outputs, step count,
-    final memory, or trap behaviour. [check]/[check_spmd] expose the
-    full comparison directly for tests. *)
+    [check]/[check_spmd] run both engines on one program and compare
+    trace, outputs, step count, final memory and trap behaviour. *)
 
 open Cwsp_ir
-
-(** True when [CWSP_ORACLE] is set (to anything but "" or "0"). *)
-val checks_enabled : unit -> bool
-
-exception Mismatch of string
 
 (** How an engine run ended; [Trapped]/[Out_of_fuel] are valid outcomes
     a differential check must also agree on. *)
@@ -35,18 +27,3 @@ val check_spmd :
   threads:int ->
   worker:string ->
   ((Decode.spmd * Trace.t array) outcome, string) result
-
-(** Commit trace via the decoded core; cross-checked against the
-    reference interpreter when [CWSP_ORACLE] is set. *)
-val trace_of_program : ?fuel:int -> ?label:string -> Prog.t -> Trace.t
-
-(** Per-thread SPMD traces via the decoded core; cross-checked against
-    [Multi] when [CWSP_ORACLE] is set. *)
-val spmd_traces_of_program :
-  ?fuel:int ->
-  ?quantum:int ->
-  ?label:string ->
-  Prog.t ->
-  threads:int ->
-  worker:string ->
-  Trace.t array

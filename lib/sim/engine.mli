@@ -41,7 +41,7 @@ type result = {
   elapsed_ns : float;  (** completion of the slowest core *)
 }
 
-(** Replay per-thread traces (e.g. from [Oracle.spmd_traces_of_program])
+(** Replay per-thread traces (e.g. from [Decode.spmd_traces_of_program])
     on an N-core machine: one core per trace over shared L2+ levels, WPQs
     and persist tables, stepped in global time order (smallest clock
     first, ties to the lowest core index). Raises [Invalid_argument] on

@@ -4,10 +4,10 @@
    outputs, same step count, same final memory, same trap behaviour.
 
    Three oracles:
-   1. registry-wide identity: every workload in the registry, compiled
-      uninstrumented and fully instrumented;
-   2. SPMD identity: every parallel workload across thread counts,
-      against [Multi]'s round-robin schedule;
+   1. registry-wide identity: every workload in the registry under
+      every compile configuration a scheme uses;
+   2. SPMD identity: every parallel workload at the MP experiment's
+      thread counts, against [Multi]'s round-robin schedule;
    3. fuzz differential: randomized programs from the shared
       [Cwsp_fuzz.Gen] generator (nested control flow, opaque pointers,
       allocator calls, atomics) through both compile configurations. *)
@@ -30,7 +30,8 @@ let test_registry_identity () =
               (Cwsp_compiler.Pipeline.config_name config)
           in
           ok label (Oracle.check ~label compiled.prog))
-        Cwsp_compiler.Pipeline.[ baseline; cwsp ])
+        Cwsp_compiler.Pipeline.
+          [ baseline; regions_only; cwsp_no_prune; cwsp; cwsp_explicit ])
     Cwsp_workloads.Registry.all
 
 let test_spmd_identity () =
@@ -49,7 +50,7 @@ let test_spmd_identity () =
                 (Oracle.check_spmd ~label compiled.prog ~threads
                    ~worker:w.worker))
             Cwsp_compiler.Pipeline.[ baseline; cwsp ])
-        [ 2; 4 ])
+        [ 1; 2; 4; 8 ])
     Cwsp_workloads.W_parallel.all
 
 (* SPMD fuzz differential: racy seeds included deliberately — whatever
@@ -83,16 +84,15 @@ let test_fuzz_differential () =
       Cwsp_compiler.Pipeline.[ baseline; cwsp ]
   done
 
-(* the oracle's own plumbing: [trace_of_program] with checks forced on
-   must agree with what [check] returns, and a decoded run's trace is
-   the one the engines replay *)
+(* the trace the engines replay ([Api.trace], decoded and memoized) is
+   the reference interpreter's *)
 let test_oracle_trace_roundtrip () =
   let w = Cwsp_workloads.Registry.find_exn "sjeng" in
   let compiled =
     Cwsp_compiler.Pipeline.compile ~config:Cwsp_compiler.Pipeline.cwsp
       (w.build ~scale:1)
   in
-  let tr = Oracle.trace_of_program ~label:"sjeng" compiled.prog in
+  let tr = Cwsp_core.Api.trace w Cwsp_compiler.Pipeline.cwsp in
   let _, ref_tr = Machine.trace_of_program compiled.prog in
   match Trace.first_diff tr ref_tr with
   | None -> ()
@@ -103,9 +103,10 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "registry identity (all workloads x 2 configs)"
+          Alcotest.test_case "registry identity (all workloads x 5 configs)"
             `Slow test_registry_identity;
-          Alcotest.test_case "SPMD identity (all parallel workloads x 2 threads x 2 configs)"
+          Alcotest.test_case
+            "SPMD identity (all parallel workloads x 4 thread counts x 2 configs)"
             `Slow test_spmd_identity;
           Alcotest.test_case "SPMD fuzz differential (30 programs x 2 thread counts)"
             `Slow test_spmd_fuzz_differential;

@@ -429,8 +429,9 @@ let test_mp_grid_pinned () =
                       .prog
                   in
                   let traces =
-                    Oracle.spmd_traces_of_program ~label:w.pname prog ~threads
-                      ~worker:w.worker
+                    snd
+                      (Cwsp_ir.Decode.spmd_traces_of_program prog ~threads
+                         ~worker:w.worker)
                   in
                   let r = mp_run cfg ~cwsp traces in
                   Printf.sprintf "%h" r.elapsed_ns
