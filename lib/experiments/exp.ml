@@ -137,10 +137,3 @@ let cwsp_sweep_series variants =
   List.map
     (fun (name, cfg) -> slowdown_series name Cwsp_schemes.Schemes.cwsp cfg)
     variants
-
-(** Standalone-run scaffold: execute the plan (on the harness-wide pool),
-    then render. Keeps each driver's [run] a one-call reproduction of
-    its figure. *)
-let execute_then_render ~plan:p ~render () =
-  Executor.run (p ());
-  render ()

@@ -61,5 +61,3 @@ let plan () = Exp.plan series
 let render () =
   Exp.banner title;
   Exp.per_suite_table ~series ()
-
-let run () = Exp.execute_then_render ~plan ~render ()

@@ -60,5 +60,3 @@ let render () =
     ~headers:[ "suite"; "instr bloat"; "PB/path"; "RBT"; "sync drain"; "WB+WPQ" ]
     rows;
   rows
-
-let run () = Exp.execute_then_render ~plan ~render ()

@@ -45,7 +45,6 @@ let render () =
     (eadr / max 1 cwsp);
   eadr / max 1 cwsp
 
-let run () = Exp.execute_then_render ~plan ~render ()
 
 let ratio () =
   let cfg = Config.default in

@@ -26,5 +26,3 @@ let render () =
       cwsp explicit_ (explicit_ /. cwsp);
     explicit_ /. cwsp
   | _ -> assert false
-
-let run () = Exp.execute_then_render ~plan ~render ()

@@ -82,5 +82,3 @@ let render () =
        (fun (_, single_dimm, vs) ->
          if single_dimm then Some (List.nth vs 3) else None)
        values)
-
-let run () = Exp.execute_then_render ~plan ~render ()

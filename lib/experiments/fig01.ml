@@ -39,5 +39,3 @@ let plan () = Exp.plan ~subset:Registry.memory_intensive series
 let render () =
   Exp.banner title;
   Exp.per_workload_table ~subset:Registry.memory_intensive ~series ()
-
-let run () = Exp.execute_then_render ~plan ~render ()

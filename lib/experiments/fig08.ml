@@ -18,5 +18,3 @@ let plan () = Exp.plan series
 let render () =
   Exp.banner title;
   Exp.per_workload_table ~agg:Exp.Mean ~series ()
-
-let run () = Exp.execute_then_render ~plan ~render ()

@@ -18,5 +18,3 @@ let render () =
     Printf.printf "paper: 1.06 overall; measured: %.2f\n" overall;
     overall
   | _ -> assert false
-
-let run () = Exp.execute_then_render ~plan ~render ()

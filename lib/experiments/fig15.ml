@@ -17,5 +17,3 @@ let render () =
   Exp.banner title;
   let overall = Exp.per_suite_table ~series () in
   List.nth overall (List.length overall - 1)
-
-let run () = Exp.execute_then_render ~plan ~render ()

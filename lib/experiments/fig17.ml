@@ -35,5 +35,3 @@ let render () =
   print_newline ();
   Cwsp_util.Stats.gmean
     (Exp.per_workload_table ~subset:Registry.memory_intensive ~series ())
-
-let run () = Exp.execute_then_render ~plan ~render ()

@@ -39,5 +39,3 @@ let render () =
       overall;
     overall
   | _ -> assert false
-
-let run () = Exp.execute_then_render ~plan ~render ()

@@ -14,5 +14,3 @@ let plan () = Exp.plan series
 let render () =
   Exp.banner title;
   List.hd (Exp.per_workload_table ~series ())
-
-let run () = Exp.execute_then_render ~plan ~render ()

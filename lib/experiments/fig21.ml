@@ -20,5 +20,3 @@ let plan () = Exp.plan series
 let render () =
   Exp.banner title;
   List.nth (Exp.per_suite_table ~series ()) 2
-
-let run () = Exp.execute_then_render ~plan ~render ()

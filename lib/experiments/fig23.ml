@@ -19,5 +19,3 @@ let plan () = Exp.plan series
 let render () =
   Exp.banner title;
   List.nth (Exp.per_suite_table ~series ()) 1
-
-let run () = Exp.execute_then_render ~plan ~render ()

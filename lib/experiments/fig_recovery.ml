@@ -58,5 +58,3 @@ let render () =
   in
   Printf.printf "crash-consistency violations: %d\n" total_failed;
   total_failed
-
-let run () = Exp.execute_then_render ~plan ~render ()

@@ -28,5 +28,3 @@ let render () =
   Printf.printf "paper: 176 bytes vs 54KB (346x); measured ratio: %.0fx\n"
     (float_of_int (capri_bytes_per_core ~n_mcs:1) /. float_of_int cwsp);
   cwsp
-
-let run () = Exp.execute_then_render ~plan ~render ()

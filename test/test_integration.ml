@@ -136,7 +136,7 @@ let test_fig27_shape () =
 
 (* hardware overhead table *)
 let test_hw_overhead () =
-  Alcotest.(check int) "176 bytes" 176 (Cwsp_experiments.Hw_overhead.run ())
+  Alcotest.(check int) "176 bytes" 176 (Cwsp_experiments.Hw_overhead.render ())
 
 (* experiment registry covers every figure *)
 let test_experiment_index_complete () =
