@@ -124,24 +124,33 @@ let run_inner list workload input emit config persist_mode dump_ir report
             match validate with
             | 0 -> 0
             | points ->
-              let _, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
+              let module H = Cwsp_recovery.Harness in
+              let m, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
+              let golden = H.golden_of_run m in
               let total = Cwsp_interp.Trace.length tr in
+              let crash_ats =
+                List.init points (fun i -> 1 + (i * (max 1 (total - 2)) / points))
+              in
+              (* explicit-mode binaries are checked against the explicit
+                 (flush/fence) durability oracle, implicit ones against
+                 the cWSP hardware model; either way one tracked run
+                 serves every point *)
+              let outcomes =
+                if cc.Pipeline.persist_mode = Pipeline.Explicit then
+                  H.sweep_explicit ~golden compiled crash_ats
+                else
+                  H.sweep ~golden compiled
+                    (List.mapi
+                       (fun i crash_at -> H.clean_point ~seed:(100 + i) ~crash_at)
+                       crash_ats)
+              in
               let ok = ref 0 in
-              for i = 0 to points - 1 do
-                let crash_at = 1 + (i * (max 1 (total - 2)) / points) in
-                (* explicit-mode binaries are checked against the explicit
-                   (flush/fence) durability oracle, implicit ones against
-                   the cWSP hardware model *)
-                match
-                  if cc.Pipeline.persist_mode = Pipeline.Explicit then
-                    Cwsp_recovery.Harness.validate_explicit ~crash_at compiled
-                  else
-                    Cwsp_recovery.Harness.validate ~seed:(100 + i) ~crash_at
-                      compiled
-                with
-                | Ok _ -> incr ok
-                | Error e -> Printf.printf "FAIL @%d: %s\n" crash_at e
-              done;
+              List.iter2
+                (fun crash_at outcome ->
+                  match H.require_clean outcome with
+                  | Ok _ -> incr ok
+                  | Error e -> Printf.printf "FAIL @%d: %s\n" crash_at e)
+                crash_ats outcomes;
               Printf.printf "recovery validation: %d/%d crash points ok\n" !ok
                 points;
               points - !ok

@@ -99,10 +99,14 @@ let reset_caches () =
   Store.reset stats_cache
 
 (** End-to-end crash-consistency validation of a workload (compile with
-    the full cWSP pipeline, inject a power failure, recover, compare NVM
-    states). *)
-let validate_recovery ?(scale = 1) ~seed ~crash_at (w : Defs.t) =
-  Cwsp_recovery.Harness.validate ~seed ~crash_at (compiled ~scale w Pipeline.cwsp)
+    the full cWSP pipeline, inject a power failure at each point, recover,
+    compare NVM states), every point on one tracked run. *)
+let validate_recovery ?(scale = 1) ~points (w : Defs.t) =
+  let module H = Cwsp_recovery.Harness in
+  let compiled = compiled ~scale w Pipeline.cwsp in
+  H.sweep ~golden:(H.golden_of compiled) compiled
+    (List.map (fun (seed, crash_at) -> H.clean_point ~seed ~crash_at) points)
+  |> List.map H.require_clean
 
 (** Adversarial variant: crash with a faulty persistence path ([fault])
     and recover with the hardened (or, for study, the blind) protocol. *)

@@ -52,13 +52,14 @@ val cache_stats : unit -> (string * Store.stats * int) list
 val reset_caches : unit -> unit
 
 (** End-to-end crash-consistency validation: compile with the full cWSP
-    pipeline, inject a power failure at [crash_at], recover, compare. *)
+    pipeline and, for each [(seed, crash_at)] of [points], inject a power
+    failure at [crash_at], recover, compare — one [Harness.sweep], one
+    result per point in order. *)
 val validate_recovery :
   ?scale:int ->
-  seed:int ->
-  crash_at:int ->
+  points:(int * int) list ->
   Defs.t ->
-  (Cwsp_recovery.Harness.fault_report, string) result
+  (Cwsp_recovery.Harness.fault_report, string) result list
 
 (** Adversarial crash-consistency validation: inject a persistence-path
     fault ([Cwsp_recovery.Fault]) at the crash and recover with the

@@ -29,14 +29,16 @@ let validate_workload ?(crashes = 12) (w : Defs.t) =
   let tr = Cwsp_core.Api.trace w Cwsp_compiler.Pipeline.cwsp in
   let total = Cwsp_interp.Trace.length tr in
   let ok = ref 0 and failed = ref 0 and restored = ref 0 in
-  for i = 0 to crashes - 1 do
-    let crash_at = 1 + (i * (total - 2) / crashes) in
-    match Cwsp_core.Api.validate_recovery ~seed:(7000 + i) ~crash_at w with
-    | Ok r ->
-      incr ok;
-      restored := !restored + r.fr_restored
-    | Error _ -> incr failed
-  done;
+  let points =
+    List.init crashes (fun i -> (7000 + i, 1 + (i * (total - 2) / crashes)))
+  in
+  List.iter
+    (function
+      | Ok (r : Cwsp_recovery.Harness.fault_report) ->
+        incr ok;
+        restored := !restored + r.fr_restored
+      | Error _ -> incr failed)
+    (Cwsp_core.Api.validate_recovery ~points w);
   (!ok, !failed, float_of_int !restored /. float_of_int (max 1 !ok))
 
 let render () =

@@ -208,15 +208,12 @@ let test_explicit_flight () =
       (Cwsp_workloads.Registry.find_exn "fft")
       Cwsp_compiler.Pipeline.cwsp_explicit
   in
-  let dump = ref None in
-  (match
-     Harness.validate_explicit ~flight:true
-       ~on_flight:(fun d -> dump := Some d)
-       ~crash_at:2000 compiled
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  match Option.bind !dump Recorder.load_dump_string with
+  let dump =
+    match Harness.validate_explicit ~flight:true ~crash_at:2000 compiled with
+    | Ok r -> r.fr_flight
+    | Error e -> Alcotest.fail e
+  in
+  match Option.bind dump Recorder.load_dump_string with
   | None -> Alcotest.fail "explicit dump missing or unparseable"
   | Some mem ->
     let a = Postmortem.audit mem in

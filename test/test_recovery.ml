@@ -791,13 +791,16 @@ let test_explicit_pinned () =
   in
   Alcotest.(check string) "validate_explicit digest" "2fc349748af6321f8ca90e60f5ac262f"
     (digest_lines rows);
-  let dump = ref "" in
-  ignore
-    (Cwsp_recovery.Harness.validate_explicit ~flight:true
-       ~on_flight:(fun d -> dump := d)
-       ~crash_at:(steps / 3) compiled);
+  let dump =
+    match
+      Cwsp_recovery.Harness.validate_explicit ~flight:true ~crash_at:(steps / 3)
+        compiled
+    with
+    | Ok r -> Option.value r.fr_flight ~default:""
+    | Error e -> Alcotest.fail e
+  in
   Alcotest.(check string) "recorder-on dump digest" "14a4aa15706ef215ed1793f5c63487d5"
-    (Digest.to_hex (Digest.string !dump))
+    (Digest.to_hex (Digest.string dump))
 
 let test_fig_recovery_pinned () =
   let rows =
@@ -812,6 +815,82 @@ let test_fig_recovery_pinned () =
   in
   Alcotest.(check string) "Fig_recovery table digest" "6833087b65f1b88fd18b36d9c9bb7081"
     (digest_lines rows)
+
+(* ---- one tracked run per sweep ---- *)
+
+(* A sweep steps one tracked run through its points, so each point's
+   cut, injection, recovery and comparison must leave that run as they
+   found it. Checked differentially: every point's outcome — every
+   [fr_*] field, the verdict string and, with the recorder on, the dump
+   byte for byte — must equal the one-point sweep's. The points come
+   shuffled, with a duplicate and one past the program's halt, and mix
+   the blind plan with the hardened ladder against every fault class
+   on the one run, as the fuzz oracle does. *)
+let sweep_crash_ats steps =
+  [ 7 * steps / 10; steps / 5; 1; steps + 100; 9 * steps / 10; steps / 2;
+    steps / 5; 2 * steps / 5 ]
+
+let check_sweep label ~one ~all points =
+  let swept = all points in
+  Alcotest.(check int) (label ^ ": one result per point") (List.length points)
+    (List.length swept);
+  List.iteri
+    (fun i (p, r) ->
+      if r <> one p then Alcotest.failf "%s: point %d differs from its one-point run" label i)
+    (List.combine points swept);
+  swept
+
+let test_sweep_matches_one_point () =
+  let module H = Cwsp_recovery.Harness in
+  let w = Cwsp_workloads.Registry.find_exn "lu-ncg" in
+  let implicit = Cwsp_core.Api.compiled w Pipeline.cwsp in
+  let explicit = Cwsp_core.Api.compiled w Pipeline.cwsp_explicit in
+  let g = H.golden_of implicit and ge = H.golden_of explicit in
+  let modes =
+    (false, None) :: List.map (fun c -> (true, Some c)) Cwsp_recovery.Fault.all
+  in
+  let points =
+    List.concat
+      (List.mapi
+         (fun i crash_at ->
+           List.mapi
+             (fun k (hardened, fault) ->
+               { H.cp_at = crash_at; cp_seed = (31 * i) + k; cp_hardened = hardened;
+                 cp_fault = fault })
+             modes)
+         (sweep_crash_ats g.g_steps))
+  in
+  let crash_ats = sweep_crash_ats ge.g_steps in
+  List.iter
+    (fun flight ->
+      let label = if flight then "recorder on" else "recorder off" in
+      let swept_implicit =
+        check_sweep ("implicit, " ^ label)
+          ~one:(fun p -> List.hd (H.sweep ~flight ~golden:g implicit [ p ]))
+          ~all:(H.sweep ~flight ~golden:g implicit)
+          points
+      in
+      let swept_explicit =
+        check_sweep ("explicit, " ^ label)
+          ~one:(fun c -> List.hd (H.sweep_explicit ~flight ~golden:ge explicit [ c ]))
+          ~all:(H.sweep_explicit ~flight ~golden:ge explicit)
+          crash_ats
+      in
+      let swept = swept_implicit @ swept_explicit in
+      (* not vacuous: the past-halt points are errors, every other point
+         reported, with a dump exactly when recording *)
+      List.iter
+        (function
+          | Ok ((r : H.fault_report), _) ->
+            Alcotest.(check bool) (label ^ ": dump iff recording") flight
+              (r.fr_flight <> None)
+          | Error e ->
+            Alcotest.(check string) "only past the halt"
+              "program halted before the crash point" e)
+        swept;
+      Alcotest.(check int) (label ^ ": past-halt points") (List.length modes + 1)
+        (List.length (List.filter Result.is_error swept)))
+    [ false; true ]
 
 let () =
   Alcotest.run "recovery"
@@ -885,5 +964,10 @@ let () =
           Alcotest.test_case "explicit verdicts and dump" `Quick
             test_explicit_pinned;
           Alcotest.test_case "fig_recovery table" `Quick test_fig_recovery_pinned;
+        ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "sweep matches one-point runs" `Quick
+            test_sweep_matches_one_point;
         ] );
     ]
