@@ -221,7 +221,6 @@ let analyze (fn : Prog.func) : t =
   }
 
 let sym_at t site = sym_of t.ctx site
-let kind_at t site = Hashtbl.find_opt t.ctx.kinds site
 
 (** Walk block [bi], calling [f ~ii ins ~before ~covered] with the state
     immediately before each instruction and the sites a flush covers. *)

@@ -46,8 +46,6 @@ val analyze : Prog.func -> t
 (** Flow-sensitive symbolic address of a store/flush/atomic site. *)
 val sym_at : t -> int * int -> Alias.sym
 
-val kind_at : t -> int * int -> Alias.site_kind option
-
 (** Walk one block, presenting the abstract state immediately before
     each instruction and, for flushes, the sites the flush upgrades
     (empty = the flush is redundant on every path). *)

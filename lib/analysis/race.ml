@@ -61,11 +61,6 @@ module Ip = Interproc
 
 type pattern = Cas_acquire | Rmw_release | Tso_release
 
-let pattern_name = function
-  | Cas_acquire -> "cas-acquire"
-  | Rmw_release -> "rmw-release"
-  | Tso_release -> "tso-release"
-
 (* Shape-level classification (address and guard not yet considered). *)
 let atomic_pattern (ins : Types.instr) : pattern option =
   match ins with

@@ -18,8 +18,6 @@ module Ip = Interproc
     nothing) and stays an ordinary atomic data access. *)
 type pattern = Cas_acquire | Rmw_release | Tso_release
 
-val pattern_name : pattern -> string
-
 (** Shape-level classification of an atomic instruction. A
     [Cas_acquire] shape only *acts* as an acquire when [cas_guarded]
     additionally holds at its site. *)

@@ -51,11 +51,6 @@ let to_string (t : t) =
   |> List.map (fun (r, e) -> Printf.sprintf "r%d <- %s" r (expr_to_string e))
   |> String.concat "; "
 
-(** Registers whose slices read their own checkpoint slot directly (i.e.
-    the checkpoint was kept rather than pruned or rematerialized). *)
-let slot_restored (t : t) =
-  List.filter_map (function r, ESlot r' when r = r' -> Some r | _ -> None) t
-
 (** All checkpoint slots an expression reads. *)
 let rec slot_refs = function
   | EImm _ | EAddr _ -> []

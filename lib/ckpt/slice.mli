@@ -27,9 +27,6 @@ val eval : slot:(Types.reg -> int) -> addr_of:(string -> int) -> expr -> int
 val expr_to_string : expr -> string
 val to_string : t -> string
 
-(** Registers restored straight from their own slot (checkpoint kept). *)
-val slot_restored : t -> Types.reg list
-
 (** All checkpoint slots an expression reads. *)
 val slot_refs : expr -> Types.reg list
 

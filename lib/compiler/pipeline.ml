@@ -88,7 +88,6 @@ let nboundaries (c : compiled) = Array.length c.slices
    the verifier library depends on this one. *)
 let post_compile_hook : (compiled -> unit) option ref = ref None
 let set_post_compile_hook f = post_compile_hook := Some f
-let clear_post_compile_hook () = post_compile_hook := None
 
 let run_post_compile_hook c =
   (match !post_compile_hook with Some f -> f c | None -> ());

@@ -74,6 +74,4 @@ val compile : ?config:config -> Prog.t -> compiled
     the compile. *)
 val set_post_compile_hook : (compiled -> unit) -> unit
 
-val clear_post_compile_hook : unit -> unit
-
 val report_to_string : compiled -> string

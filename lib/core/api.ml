@@ -107,10 +107,3 @@ let validate_recovery ?(scale = 1) ~points (w : Defs.t) =
   H.sweep ~golden:(H.golden_of compiled) compiled
     (List.map (fun (seed, crash_at) -> H.clean_point ~seed ~crash_at) points)
   |> List.map H.require_clean
-
-(** Adversarial variant: crash with a faulty persistence path ([fault])
-    and recover with the hardened (or, for study, the blind) protocol. *)
-let validate_fault ?(scale = 1) ?fault ?(hardened = true) ~seed ~crash_at
-    (w : Defs.t) =
-  Cwsp_recovery.Harness.validate_fault ~hardened ?fault ~seed ~crash_at
-    (compiled ~scale w Pipeline.cwsp)

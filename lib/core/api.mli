@@ -60,15 +60,3 @@ val validate_recovery :
   points:(int * int) list ->
   Defs.t ->
   (Cwsp_recovery.Harness.fault_report, string) result list
-
-(** Adversarial crash-consistency validation: inject a persistence-path
-    fault ([Cwsp_recovery.Fault]) at the crash and recover with the
-    hardened protocol (or blind with [~hardened:false]). *)
-val validate_fault :
-  ?scale:int ->
-  ?fault:Cwsp_recovery.Fault.cls ->
-  ?hardened:bool ->
-  seed:int ->
-  crash_at:int ->
-  Defs.t ->
-  (Cwsp_recovery.Harness.fault_report, string) result

@@ -238,11 +238,6 @@ let dump_string mem =
     words;
   Buffer.contents b
 
-let dump_to_file mem path =
-  let oc = open_out path in
-  output_string oc (dump_string mem);
-  close_out oc
-
 let load_dump_string s =
   match String.split_on_char '\n' s with
   | hdr :: rest when hdr = dump_header ->

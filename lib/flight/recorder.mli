@@ -35,7 +35,6 @@ type kind =
   | Cell
   | Note
 
-val kind_code : kind -> int
 val kind_of_code : int -> kind option
 val kind_name : kind -> string
 
@@ -95,6 +94,5 @@ val read_super : Cwsp_ir.Memory.t -> int option
 
 val dump_header : string
 val dump_string : Cwsp_ir.Memory.t -> string
-val dump_to_file : Cwsp_ir.Memory.t -> string -> unit
 val load_dump_string : string -> Cwsp_ir.Memory.t option
 val load_dump : string -> Cwsp_ir.Memory.t option

@@ -20,20 +20,6 @@ type op =
   | Flush_drop
   | Pfence_toggle
 
-let op_name = function
-  | Splice -> "splice"
-  | Insert -> "insert"
-  | Delete -> "delete"
-  | Op_flip -> "op-flip"
-  | Addr_perturb -> "addr-perturb"
-  | Move -> "move"
-  | Stride_widen -> "stride-widen"
-  | Lock_drop -> "lock-drop"
-  | Atomic_downgrade -> "atomic-downgrade"
-  | Flush_insert -> "flush-insert"
-  | Flush_drop -> "flush-drop"
-  | Pfence_toggle -> "pfence-toggle"
-
 (* ---- flat-position plumbing ---- *)
 
 let flat (fn : Prog.func) : Types.instr array =

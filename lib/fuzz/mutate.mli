@@ -28,8 +28,6 @@ type op =
   | Flush_drop
   | Pfence_toggle    (** insert or delete a pfence *)
 
-val op_name : op -> string
-
 (** One mutation: up to [tries] (default 12) operator draws until one
     applies and validates. [donor] feeds [Splice]. [None] when no draw
     produced a valid program. *)

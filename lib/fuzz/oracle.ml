@@ -23,13 +23,6 @@ let kind_name = function
   | Fault_escape -> "fault-escape"
   | Verifier_escape -> "verifier-escape"
 
-let kind_of_name = function
-  | "compile-crash" -> Some Compile_crash
-  | "static-reject" -> Some Static_reject
-  | "fault-escape" -> Some Fault_escape
-  | "verifier-escape" -> Some Verifier_escape
-  | _ -> None
-
 (* One experiment of a dynamic stage: where power fails, the harness
    seed, and (fault stage) the injected class. *)
 type stage = Crash | Fault of Fault.cls | Explicit
@@ -50,8 +43,6 @@ type eval = {
   e_discarded : string option;
 }
 
-let is_fatal e = List.exists (fun f -> f.fk = Verifier_escape) e.e_findings
-
 (* keep details single-line and short enough for the state file *)
 let clean s =
   let s = String.map (fun c -> if c = '\n' || c = '\r' || c = '\t' then ' ' else c) s in
@@ -62,16 +53,11 @@ let clean s =
 let baseline_fuel = 2_000_000
 let instrumented_fuel = 10_000_000
 
-type base_run = { br_outputs : int list; br_data : (int * int) list }
+type base_run = { br_outputs : int list; br_mem : Memory.t }
 
-let data_words mem =
-  let out = ref [] in
-  Memory.iter
-    (fun a v ->
-      if not (Layout.is_ckpt_addr a || Layout.is_flight_addr a) then
-        out := (a, v) :: !out)
-    mem;
-  List.sort compare !out
+(* Program data: everything but the checkpoint area and the flight
+   ring, which instrumentation and recording legitimately add. *)
+let not_data a = Layout.is_ckpt_addr a || Layout.is_flight_addr a
 
 exception Wild of int
 
@@ -106,7 +92,7 @@ let baseline_run (prog : Prog.t) : (base_run, string) result =
       Machine.step m Machine.no_hooks
     done;
     if m.status = Machine.Running then Error "fuel"
-    else Ok { br_outputs = Machine.outputs m; br_data = data_words m.mem }
+    else Ok { br_outputs = Machine.outputs m; br_mem = m.mem }
   with
   | Wild _ -> Error "wild"
   | Machine.Trap _ -> Error "trap"
@@ -214,7 +200,8 @@ let instrumented_run base (compiled : Pipeline.compiled) =
   let golden = Harness.golden_of_run m in
   let diff =
     if golden.g_outputs <> base.br_outputs then Some `Outputs
-    else if data_words m.mem <> base.br_data then Some `Memory
+    else if not (Memory.equal_except ~except:not_data m.mem base.br_mem) then
+      Some `Memory
     else None
   in
   (golden, tr, diff)

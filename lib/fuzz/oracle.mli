@@ -38,7 +38,6 @@ type finding_kind =
   | Verifier_escape     (** statically certified, dynamically diverged *)
 
 val kind_name : finding_kind -> string
-val kind_of_name : string -> finding_kind option
 
 (** One experiment of a dynamic stage, as [evaluate] drew it: a clean
     power cut recovered by the blind plan ([Crash]), a hardened recovery
@@ -64,8 +63,6 @@ type eval = {
   e_findings : finding list;
   e_discarded : string option;  (** why the input left the pool early *)
 }
-
-val is_fatal : eval -> bool
 
 (** Crash points derived from the trace's actual boundary structure: one
     step index per inter-boundary interval (including the tail after the

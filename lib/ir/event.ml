@@ -42,10 +42,6 @@ let tag_atomic = 6
 let tag_flush = 7
 let tag_pfence = 8
 
-let writes_nvm ev =
-  let t = tag ev in
-  t = tag_store || t = tag_ckpt || t = tag_atomic
-
 let to_string ev =
   match kind ev with
   | Alu -> "alu"

@@ -36,7 +36,4 @@ val tag_atomic : int
 val tag_flush : int
 val tag_pfence : int
 
-(** Does the event deliver data to the persist path? *)
-val writes_nvm : int -> bool
-
 val to_string : int -> string

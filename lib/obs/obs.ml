@@ -85,46 +85,6 @@ let push d ev =
   d.ring.(d.widx mod Array.length d.ring) <- Some ev;
   d.widx <- d.widx + 1
 
-(* ---- structured event records ---- *)
-
-(* The flight-recorder hook: a per-domain sink for structured integer
-   events (kind + four args). Like spans, the disabled path is a single
-   branch — here on a global activation count — and the sink itself
-   lives in DLS, so concurrent campaign cells each record into their own
-   ring without cross-talk. Nothing downstream of [record] feeds back
-   into program state; installing a sink changes what lands in the
-   ring and nothing else. *)
-
-let recording = Atomic.make 0
-
-let sink_dls : (int -> int -> int -> int -> int -> unit) option ref Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(** Install [sink] as the calling domain's event sink for the duration
-    of [f] (nestable; the previous sink is restored). *)
-let with_recorder sink f =
-  let r = Domain.DLS.get sink_dls in
-  let prev = !r in
-  r := Some sink;
-  Atomic.incr recording;
-  Fun.protect f ~finally:(fun () ->
-      ignore (Atomic.fetch_and_add recording (-1));
-      r := prev)
-
-(** Is a sink installed on any domain? Sites whose arguments cost more
-    than a branch to compute test this first. *)
-let recording_on () = Atomic.get recording > 0
-
-(** Record one structured event: [record kind a0 a1 a2 a3]. No-op (one
-    branch, no allocation) unless a sink is installed somewhere; a
-    domain without its own sink stays a no-op even then. *)
-let record kind a0 a1 a2 a3 =
-  if Atomic.get recording > 0 then
-    match !(Domain.DLS.get sink_dls) with
-    | Some sink -> sink kind a0 a1 a2 a3
-    | None -> ()
-
 (* ---- spans ---- *)
 
 let span_begin ?(cat = "") ?(args = []) name =

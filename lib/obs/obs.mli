@@ -19,27 +19,6 @@ val enable : unit -> unit
 (** Microseconds since process start (the trace timebase). *)
 val now_us : unit -> float
 
-(** {1 Structured event records}
-
-    The flight-recorder hook: sites call [record kind a0 a1 a2 a3]; the
-    call is a single branch (no allocation) unless a sink is installed
-    for the calling domain, in which case the five integers are handed
-    to it. Sinks are per-domain (DLS), so concurrent campaign cells
-    record into disjoint rings. *)
-
-(** Install [sink] as the calling domain's sink for the duration of [f]
-    (nestable; the previous sink is restored on exit). *)
-val with_recorder :
-  (int -> int -> int -> int -> int -> unit) -> (unit -> 'a) -> 'a
-
-(** Is a sink installed on any domain? Guard sites whose event
-    arguments are costly to compute: [record]'s own test only skips the
-    call, not the evaluation of its arguments. *)
-val recording_on : unit -> bool
-
-(** Record one structured event; no-op without an installed sink. *)
-val record : int -> int -> int -> int -> int -> unit
-
 (** {1 Spans} *)
 
 (** Open a span on the calling domain. [args] become Chrome trace args. *)

@@ -35,16 +35,12 @@
     return addresses live in ordinary persistent memory on a real
     machine; our IR keeps them in interpreter frames). *)
 
+open Cwsp_ir
 open Cwsp_interp
 module Obs = Cwsp_obs.Obs
 module Recorder = Cwsp_flight.Recorder
 
 let poison = 0x5F5F5F5F
-
-(* Flight-recorder event codes, routed through [Obs.record] so the sites
-   stay a single no-op branch when no recorder is installed. *)
-let k_boundary = Recorder.kind_code Recorder.Boundary
-let k_telemetry = Recorder.kind_code Recorder.Telemetry
 
 (* CWSP_FLIGHT=1 turns the flight recorder on for every experiment in
    the process — the CI switch for proving recorder-on runs match the
@@ -69,8 +65,9 @@ type region_record = {
        register contents are dead ([boundary_frames]) *)
   depth : int;
   outputs_at_entry : int;
-    (* device outputs produced before this region started: the I/O
-       released once every earlier region persisted ([Io_buffer]) *)
+    (* device outputs produced before this region started: the
+       region-buffered I/O (Section VIII) released once every earlier
+       region persisted *)
   mutable has_sync : bool;
     (* an atomic committed inside this region. Sync primitives persist
        synchronously with their trailing checkpoints as one
@@ -90,7 +87,6 @@ end)
 type tracked = {
   machine : Machine.t;
   compiled : Cwsp_compiler.Pipeline.compiled;
-  io : Io_buffer.t;  (* region-buffered device I/O (Section VIII) *)
   logs : Mc_logs.t;  (* per-MC per-region undo-log arrays (Section V-B2) *)
   slot_vals : int Slots.t;
     (* MC-side shadow metadata for the checkpoint area, updated
@@ -111,15 +107,17 @@ type tracked = {
        prior to a committed atomic are persisted before it commits
        (Section VIII), so the recovery point can never move at or before
        such a region *)
+  recorder : Recorder.t option;
+    (* the flight ring, formatted inside [machine]'s own NVM when the
+       run records; the boundary hook appends to it *)
 }
 
 let copy_frame (fr : Machine.frame) = { fr with regs = Array.copy fr.regs }
 
-let make_tracked ~window ~compiled ~machine ~region0 =
+let make_tracked ~window ~compiled ~machine ~region0 ~recorder =
   {
     machine;
     compiled;
-    io = Io_buffer.create ~capacity:(window + 1);
     logs = Mc_logs.create ~n_mcs:2;
     slot_vals = Slots.create 64;
     ring = Array.make (window + 1) region0;
@@ -127,12 +125,14 @@ let make_tracked ~window ~compiled ~machine ~region0 =
     tracked_n = 1;
     region_count = 0;
     sync_floor = -1;
+    recorder;
   }
 
-let create ?(window = 16) (compiled : Cwsp_compiler.Pipeline.compiled) =
+let create ~window ~flight (compiled : Cwsp_compiler.Pipeline.compiled) =
   let linked = Machine.link compiled.prog in
   let machine = Machine.create linked in
   make_tracked ~window ~compiled ~machine
+    ~recorder:(if flight then Some (Recorder.format machine.mem) else None)
     ~region0:
       { region_index = 0; static_id = -1; frames = []; depth = 0;
         outputs_at_entry = 0; has_sync = false }
@@ -143,7 +143,7 @@ let create ?(window = 16) (compiled : Cwsp_compiler.Pipeline.compiled) =
     start. Enables crash-during-recovery validation. *)
 let create_resumed ?(window = 16) (compiled : Cwsp_compiler.Pipeline.compiled)
     (machine : Machine.t) =
-  make_tracked ~window ~compiled ~machine
+  make_tracked ~window ~compiled ~machine ~recorder:None
     ~region0:
       { region_index = 0; static_id = -2;
         frames = List.map copy_frame machine.frames; depth = machine.depth;
@@ -174,15 +174,16 @@ let on_boundary t static_id =
   if cur.has_sync then t.sync_floor <- cur.region_index;
   (* flight recorder: a boundary commit plus persist-path telemetry. The
      arguments cost a fold over every live log, so they are computed
-     only while a recorder sink is installed; unrecorded runs pay one
-     branch per region boundary. *)
-  if Obs.recording_on () then begin
+     only when the run records; unrecorded runs pay one branch per
+     region boundary. *)
+  (match t.recorder with
+  | Some r ->
     let live = Mc_logs.live_entries t.logs in
-    Obs.record k_boundary t.machine.steps static_id live
+    Recorder.append r ~kind:Recorder.Boundary t.machine.steps static_id live
       (if cur.has_sync then 1 else 0);
-    Obs.record k_telemetry t.tracked_n live t.sync_floor
+    Recorder.append r ~kind:Recorder.Telemetry t.tracked_n live t.sync_floor
       (Slots.length t.slot_vals)
-  end;
+  | None -> ());
   (* once the ring is full, the oldest region falls out of the tracking
      window and is treated as persisted (non-speculative): the MCs
      reclaim its log arrays, exactly the hardware's deallocation
@@ -194,8 +195,6 @@ let on_boundary t static_id =
   else t.tracked_n <- t.tracked_n + 1;
   t.region_count <- t.region_count + 1;
   let outputs = List.length t.machine.outputs in
-  Io_buffer.on_region_start t.io ~region_index:t.region_count
-    ~total_outputs:outputs;
   t.ring.(next) <-
     {
       region_index = t.region_count;
@@ -232,18 +231,6 @@ let run_to t crash_at =
   t.machine.status = Machine.Halted
 
 (* ---- shared crash helpers ---- *)
-
-(* Run [f] with [frec]'s ring installed as the [Obs.record] sink. *)
-let with_flight_sink frec f =
-  match frec with
-  | None -> f ()
-  | Some fr ->
-    Obs.with_recorder
-      (fun k a b c d ->
-        match Recorder.kind_of_code k with
-        | Some kind -> Recorder.append fr ~kind a b c d
-        | None -> ())
-      f
 
 (** Un-persist a random per-MC FIFO suffix of one region's data stores:
     draw, MC by MC, how many of its stores persisted in program order,
@@ -444,10 +431,10 @@ let cut_power rng (t : tracked) : crash_state =
       (fun (e : Mc_logs.entry) -> if Layout.is_ckpt_addr e.e_addr then unpersist e)
       r_o_entries
   end;
+  (* region-buffered I/O: what R_o's predecessors produced has been
+     released, the rest is still buffered *)
   let released =
-    let n = Io_buffer.released t.io ~oldest_unpersisted:r_o.region_index in
-    assert (n = r_o.outputs_at_entry);
-    List.filteri (fun i _ -> i < n) (List.rev t.machine.outputs)
+    List.filteri (fun i _ -> i < r_o.outputs_at_entry) (List.rev t.machine.outputs)
   in
   {
     cs_mem = mem;
@@ -972,14 +959,14 @@ let ascending at f points =
    logs and region records, and the one thing it shares, the open
    frame's registers, every resume copies before poisoning — so the
    same run can go on to the next point. *)
-let crash_point ~golden frec t p =
-  let flight = frec <> None in
+let crash_point ~golden t p =
+  let flight = t.recorder <> None in
   let hardened = p.cp_hardened and fault = p.cp_fault in
   let rng = Cwsp_util.Rng.create p.cp_seed in
   let cs = cut_power rng t in
   (* the ring is ordinary NVM: the in-flight append can tear at the
      crash, leaving a frontier slot that fails its checksum *)
-  (match frec with
+  (match t.recorder with
   | Some fr ->
     let frng = Cwsp_util.Rng.stream (Cwsp_util.Rng.create p.cp_seed) 0x666c74 in
     if Cwsp_util.Rng.bool frng then (
@@ -1130,23 +1117,19 @@ let sweep ?(window = 16) ?(flight = false) ~golden
     (compiled : Cwsp_compiler.Pipeline.compiled) points : outcome list =
   if points = [] then []
   else begin
-    let flight = flight || flight_env in
-    let t = create ~window compiled in
     (* The recorder ring is formatted once, inside the tracked machine's
-       own NVM image, and fed through [Obs.record] sites; its writes
+       own NVM image, and written by the run's boundary hook; its writes
        bypass the instrumentation hooks (never undo-logged) and nothing
        in recovery reads it, so enabling it cannot change any outcome.
        Its rng draws come from a dedicated stream so the main rng's draw
        sequence is byte-identical with recording on or off. Each point
        dumps the ring as its own crash left it, so a dump does not
        depend on the other points of the sweep. *)
-    let frec = if flight then Some (Recorder.format t.machine.mem) else None in
-    with_flight_sink frec @@ fun () ->
+    let t = create ~window ~flight:(flight || flight_env) compiled in
     ascending
       (fun p -> p.cp_at)
       (fun p ->
-        if run_to t p.cp_at then halted_before
-        else Ok (crash_point ~golden frec t p))
+        if run_to t p.cp_at then halted_before else Ok (crash_point ~golden t p))
       points
   end
 
@@ -1213,7 +1196,7 @@ let validate_chain ?(window = 16) ~seed ~crash_points
       | Ok () -> Ok crashes
       | Error e -> Error (Printf.sprintf "%s (after %d crashes)" e crashes))
   in
-  go (create ~window compiled) crash_points [] 0
+  go (create ~window ~flight:false compiled) crash_points [] 0
 
 (* ==================================================================== *)
 (* Explicit-persistency oracle: the dynamic ground truth for the        *)
@@ -1244,6 +1227,8 @@ type explicit_tracked = {
   mutable e_ckpt_undo : (int * int) list; (* open region's ckpt (addr, old) *)
   mutable e_boundary : (int * Machine.frame list * int * int) option;
       (* newest boundary: static id, frame snapshot, depth, outputs *)
+  e_recorder : Recorder.t option;
+      (* the flight ring, inside [e_nvm] when the run records *)
 }
 
 let explicit_drain e =
@@ -1289,9 +1274,12 @@ let explicit_hooks e : Machine.hooks =
         else if tag = Event.tag_boundary then begin
           (* flight recorder: boundary commit in the explicit model,
              with the flushed-but-unfenced set as persist telemetry *)
-          Obs.record k_boundary e.e_machine.steps (Event.payload ev)
-            (Hashtbl.length e.e_pending)
-            (match e.e_pending_atomic with Some _ -> 1 | None -> 0);
+          (match e.e_recorder with
+          | Some r ->
+            Recorder.append r ~kind:Recorder.Boundary e.e_machine.steps
+              (Event.payload ev) (Hashtbl.length e.e_pending)
+              (match e.e_pending_atomic with Some _ -> 1 | None -> 0)
+          | None -> ());
           (match e.e_pending_atomic with
           | Some (a, v) -> Memory.write e.e_nvm a v
           | None -> ());
@@ -1315,8 +1303,7 @@ let explicit_hooks e : Machine.hooks =
    slice and compare. [e] is only read (the image is a snapshot, the
    boundary frames are copies), so the same run can go on to the next
    point. *)
-let explicit_point ~golden ~flight (compiled : Cwsp_compiler.Pipeline.compiled)
-    e =
+let explicit_point ~golden (compiled : Cwsp_compiler.Pipeline.compiled) e =
   let linked = e.e_machine.linked in
   let crash_step = e.e_machine.steps in
   (* newest-first replay of the open region's ckpt undo restores the
@@ -1336,7 +1323,7 @@ let explicit_point ~golden ~flight (compiled : Cwsp_compiler.Pipeline.compiled)
   (* recovery-side flight events: new crash epoch on the surviving
      image, then the crash record and the blind-resume decision *)
   let dump =
-    if flight then begin
+    if e.e_recorder <> None then begin
       (match Recorder.attach image with
       | Some r ->
         Recorder.bump_epoch r;
@@ -1378,25 +1365,25 @@ let sweep_explicit ?(flight = false) ~golden
     (compiled : Cwsp_compiler.Pipeline.compiled) crash_ats : outcome list =
   if crash_ats = [] then []
   else begin
-    let flight = flight || flight_env in
     let machine = Machine.create (Machine.link compiled.prog) in
+    let nvm = Memory.snapshot machine.mem in
     let e =
       {
         e_machine = machine;
-        e_nvm = Memory.snapshot machine.mem;
+        e_nvm = nvm;
         e_pending = Hashtbl.create 64;
         e_pending_atomic = None;
         e_last_store = None;
         e_ckpt_undo = [];
         e_boundary = None;
+        (* In the explicit model the recorder lives in the durable image
+           directly: each append is its own flush+fence (the commit-word
+           ordering is the failure-atomicity), so the ring survives the
+           deterministic crash whole. *)
+        e_recorder =
+          (if flight || flight_env then Some (Recorder.format nvm) else None);
       }
     in
-    (* In the explicit model the recorder lives in the durable image
-       directly: each append is its own flush+fence (the commit-word
-       ordering is the failure-atomicity), so the ring survives the
-       deterministic crash whole. *)
-    let frec = if flight then Some (Recorder.format e.e_nvm) else None in
-    with_flight_sink frec @@ fun () ->
     let h = explicit_hooks e in
     ascending Fun.id
       (fun crash_at ->
@@ -1404,7 +1391,7 @@ let sweep_explicit ?(flight = false) ~golden
           Machine.step e.e_machine h
         done;
         if e.e_machine.status = Machine.Halted then halted_before
-        else Ok (explicit_point ~golden ~flight compiled e))
+        else Ok (explicit_point ~golden compiled e))
       crash_ats
   end
 

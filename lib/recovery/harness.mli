@@ -6,19 +6,21 @@
     the cWSP hardware keeps: per-region undo logs at the MCs
     ([Mc_logs]), the register checkpoints (ordinary stores to the NVM
     checkpoint area made by the instrumented program itself), the
-    region-buffered I/O ([Io_buffer]) and the compiler's recovery-slice
-    table. Every crash experiment runs one skeleton: run to the crash
-    point; cut power (pick the oldest unpersisted region within the RBT
-    window, never at or before a committed sync point, and un-persist a
-    random per-MC FIFO suffix of its stores); optionally inject a
-    persistence-path fault; execute a recovery plan (blind: revert the
-    younger regions with the undo logs; hardened: audit first); resume
-    at the chosen region, evaluating its recovery slice into a poisoned
-    register file; and compare the final NVM image and device output
-    with a failure-free run. A sweep runs many crash points on one
-    tracked run: cutting power only reads the tracked state, so the run
-    steps on from one point to the next. *)
+    region-buffered I/O (a region's device output is released once it
+    persists) and the compiler's recovery-slice table. Every crash
+    experiment runs one skeleton: run to the crash point; cut power
+    (pick the oldest unpersisted region within the RBT window, never at
+    or before a committed sync point, and un-persist a random per-MC
+    FIFO suffix of its stores); optionally inject a persistence-path
+    fault; execute a recovery plan (blind: revert the younger regions
+    with the undo logs; hardened: audit first); resume at the chosen
+    region, evaluating its recovery slice into a poisoned register
+    file; and compare the final NVM image and device output with a
+    failure-free run. A sweep runs many crash points on one tracked
+    run: cutting power only reads the tracked state, so the run steps
+    on from one point to the next. *)
 
+open Cwsp_ir
 open Cwsp_interp
 
 (** A failure-free reference run: final NVM image, device outputs and
@@ -223,6 +225,12 @@ val fifo_suffix :
   Mc_logs.entry list ->
   (Mc_logs.entry -> unit) ->
   unit
+
+(** [stepping f] runs [f], which steps a resumed machine, and turns a
+    trap, a wild memory access ([Memory]'s own [Invalid_argument]) or
+    an exhausted fuel budget into an [Error]: wrong outcomes of
+    recovery, not harness failures. *)
+val stepping : (unit -> 'a) -> ('a, string) result
 
 (** [resume_slice ~tid linked ~mem ~frames ~depth slice] resumes thread
     [tid] at a region entry with call stack [frames] (copied). With

@@ -21,6 +21,7 @@
     sync drain: data written by a thread's unpersisted regions postdates
     its last sync, so no other thread can have (race-freely) read it. *)
 
+open Cwsp_ir
 open Cwsp_interp
 
 type region_record = {
@@ -216,24 +217,26 @@ let validate ?(window = 16) ~seed ~crash_at
   if halted then Error "program halted before the crash point"
   else begin
     let resumed = crash_and_recover rng t in
-    Multi.run resumed (fun _ -> Machine.no_hooks);
-    let data mem =
-      let out = ref [] in
-      Memory.iter
-        (fun a v -> if not (Layout.is_ckpt_addr a) then out := (a, v) :: !out)
-        mem;
-      List.sort compare !out
+    (* a trap, wild access, hang or deadlock of the resumed threads is a
+       wrong outcome of recovery, bounded as in the single-core harness *)
+    let golden_steps =
+      Array.fold_left (fun n (m : Machine.t) -> n + m.steps) 0 golden.machines
     in
-    if data golden.Multi.mem = data resumed.Multi.mem then Ok ()
-    else
-      let g = data golden.Multi.mem and r = data resumed.Multi.mem in
-      let diff =
-        List.find_opt (fun (a, v) -> List.assoc_opt a r <> Some v) g
-      in
-      Error
-        (match diff with
-        | Some (a, v) ->
-          Printf.sprintf "multi-core NVM mismatch at 0x%x: golden=%d got=%s" a v
-            (match List.assoc_opt a r with Some x -> string_of_int x | None -> "absent")
-        | None -> "multi-core NVM mismatch")
+    let fuel = (4 * golden_steps) + 10_000 in
+    match
+      Harness.stepping (fun () ->
+          Multi.run ~fuel resumed (fun _ -> Machine.no_hooks))
+    with
+    | exception Multi.Deadlock -> Error "recovered run deadlocked"
+    | Error e -> Error e
+    | Ok () -> (
+      let except = Layout.is_ckpt_addr in
+      if Memory.equal_except ~except golden.mem resumed.mem then Ok ()
+      else
+        match Memory.first_diff_except ~except golden.mem resumed.mem with
+        | Some (a, g, r) ->
+          Error
+            (Printf.sprintf "multi-core NVM mismatch at 0x%x: golden=%d got=%d" a
+               g r)
+        | None -> Error "multi-core NVM mismatch")
   end

@@ -21,7 +21,7 @@ let lcg_global = "__lcg_state"
 let header_bytes = 8
 
 let add_globals b =
-  global b brk_global ~size:8 ~init:[ (0, Cwsp_interp.Layout.heap_base) ] ();
+  global b brk_global ~size:8 ~init:[ (0, Cwsp_ir.Layout.heap_base) ] ();
   global b freelist_global ~size:8 ();
   global b lcg_global ~size:8 ~init:[ (0, 0x5DEECE66D) ] ()
 

@@ -146,5 +146,3 @@ let fig15_stages : (string * t) list =
     stage "+WPQDelay" Pipeline.cwsp_no_prune cwsp_full;
     stage "+Pruning" Pipeline.cwsp cwsp_full;
   ]
-
-let comparison_schemes = [ replaycache; capri; cwsp ]

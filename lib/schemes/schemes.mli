@@ -45,5 +45,3 @@ val explicit_flush : t
 
 (** The six cumulative stages of the Fig. 15 ablation. *)
 val fig15_stages : (string * t) list
-
-val comparison_schemes : t list

@@ -12,7 +12,6 @@
     let program data corrupt checkpointed registers. *)
 
 open Cwsp_ir
-open Cwsp_interp
 
 (* ---- boundary-id discipline (renumbered programs only) ---- *)
 

@@ -19,8 +19,8 @@ module Fuzz_gen = Cwsp_fuzz.Gen
    binary legitimately differs there) *)
 let data_words mem =
   let out = ref [] in
-  Cwsp_interp.Memory.iter
-    (fun a v -> if not (Cwsp_interp.Layout.is_ckpt_addr a) then out := (a, v) :: !out)
+  Cwsp_ir.Memory.iter
+    (fun a v -> if not (Cwsp_ir.Layout.is_ckpt_addr a) then out := (a, v) :: !out)
     mem;
   List.sort compare !out
 

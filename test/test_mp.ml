@@ -2,6 +2,7 @@
    exclusion, per-thread checkpoint isolation and the multi-core timing
    engine. *)
 
+open Cwsp_ir
 open Cwsp_interp
 open Cwsp_workloads
 
@@ -95,12 +96,16 @@ let test_worker_arity_checked () =
 (* The three SPMD workloads below are schedule-deterministic in their
    final program-visible state (striped/disjoint, or commutative updates
    under a lock), so a failure-free run is a valid oracle even though
-   recovery changes the interleaving. *)
-let mp_validate name ~threads ~points =
+   recovery changes the interleaving. [mp_outcomes] runs
+   [Harness_mp.validate] at [points] crash points spread over the run of
+   [name]'s cWSP binary, after [patch]: each point's crash step and
+   result. *)
+let mp_outcomes ?(patch = Fun.id) name ~threads ~points =
   let w = W_parallel.find_exn name in
   let compiled =
-    Cwsp_compiler.Pipeline.compile ~config:Cwsp_compiler.Pipeline.cwsp
-      (w.pbuild ~scale:1 ~threads)
+    patch
+      (Cwsp_compiler.Pipeline.compile ~config:Cwsp_compiler.Pipeline.cwsp
+         (w.pbuild ~scale:1 ~threads))
   in
   (* exact total dynamic steps, to spread the crash points *)
   let _, traces =
@@ -109,17 +114,18 @@ let mp_validate name ~threads ~points =
   let total =
     Array.fold_left (fun acc tr -> acc + Trace.length tr) 0 traces
   in
-  let failures = ref [] in
-  for i = 0 to points - 1 do
-    let crash_at = 1 + (i * (total * 9 / 10) / points) in
-    match
-      Cwsp_recovery.Harness_mp.validate ~seed:(500 + i) ~crash_at compiled
-        ~threads ~worker:w.worker
-    with
-    | Ok () -> ()
-    | Error e -> failures := Printf.sprintf "@%d: %s" crash_at e :: !failures
-  done;
-  !failures
+  List.init points (fun i ->
+      let crash_at = 1 + (i * (total * 9 / 10) / points) in
+      ( crash_at,
+        Cwsp_recovery.Harness_mp.validate ~seed:(500 + i) ~crash_at compiled
+          ~threads ~worker:w.worker ))
+
+let mp_validate name ~threads ~points =
+  List.filter_map
+    (function
+      | _, Ok () -> None
+      | crash_at, Error e -> Some (Printf.sprintf "@%d: %s" crash_at e))
+    (mp_outcomes name ~threads ~points)
 
 let test_mp_recovery_psweep () =
   Alcotest.(check (list string)) "psweep x4 threads" []
@@ -132,6 +138,33 @@ let test_mp_recovery_pcounter () =
 let test_mp_recovery_ptx () =
   Alcotest.(check (list string)) "ptx x3 threads (locked transfers)" []
     (mp_validate "ptx" ~threads:3 ~points:10)
+
+(* A recovery slice that restores garbage sends the resumed threads
+   through wild pointers: every point must come back as a result — a
+   fault, trap, hang or deadlock of the resumed run is an [Error], never
+   an escaping exception — and the garbage must be caught somewhere. *)
+let test_mp_wild_resume_is_error () =
+  let wild (c : Cwsp_compiler.Pipeline.compiled) =
+    {
+      c with
+      slices =
+        Array.map
+          (List.map (fun (r, _) -> (r, Cwsp_ckpt.Slice.EImm 0xBAD)))
+          c.slices;
+    }
+  in
+  List.iter
+    (fun (name, threads) ->
+      match mp_outcomes ~patch:wild name ~threads ~points:10 with
+      | exception e ->
+        Alcotest.failf "%s x%d: validate raised %s" name threads
+          (Printexc.to_string e)
+      | outcomes ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s x%d: a wild resume is an Error" name threads)
+          true
+          (List.exists (fun (_, r) -> Result.is_error r) outcomes))
+    [ ("psweep", 4); ("pcounter", 4); ("ptx", 3) ]
 
 (* ---- timing ---- *)
 
@@ -189,6 +222,8 @@ let () =
           Alcotest.test_case "psweep" `Slow test_mp_recovery_psweep;
           Alcotest.test_case "pcounter" `Slow test_mp_recovery_pcounter;
           Alcotest.test_case "ptx" `Slow test_mp_recovery_ptx;
+          Alcotest.test_case "wild resume is an error" `Slow
+            test_mp_wild_resume_is_error;
         ] );
       ( "timing",
         [

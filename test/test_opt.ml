@@ -126,7 +126,7 @@ let test_semantics_preserved () =
         (Cwsp_interp.Machine.outputs plain)
         (Cwsp_interp.Machine.outputs opt);
       Alcotest.(check bool) (name ^ " memory") true
-        (Cwsp_interp.Memory.equal plain.mem opt.mem))
+        (Cwsp_ir.Memory.equal plain.mem opt.mem))
     [ "bzip2"; "sjeng"; "radix"; "c" ]
 
 let test_idempotent () =

@@ -171,20 +171,20 @@ let test_triple_crash () =
    revert restores the value the oldest unpersisted region must read. *)
 let test_mc_logs_fig10c () =
   let logs = Cwsp_recovery.Mc_logs.create ~n_mcs:2 in
-  let mem = Cwsp_interp.Memory.create () in
+  let mem = Cwsp_ir.Memory.create () in
   let addr = 0x2000 in
   (* Rg0 (non-speculative) wrote 100 earlier; NVM holds it *)
-  Cwsp_interp.Memory.write mem addr 100;
+  Cwsp_ir.Memory.write mem addr 100;
   (* speculative Rg1 stores 200 (logs old=100), Rg2 stores 300 (logs old=200) *)
   Cwsp_recovery.Mc_logs.log logs ~region:1 ~addr ~old:100 ~value:200;
-  Cwsp_interp.Memory.write mem addr 200;
+  Cwsp_ir.Memory.write mem addr 200;
   Cwsp_recovery.Mc_logs.log logs ~region:2 ~addr ~old:200 ~value:300;
-  Cwsp_interp.Memory.write mem addr 300;
+  Cwsp_ir.Memory.write mem addr 300;
   (* power failure while Rg0 is the oldest unpersisted region *)
   Cwsp_recovery.Mc_logs.revert_where logs ~should_revert:(fun r -> r > 0)
-    ~apply:(fun a old -> Cwsp_interp.Memory.write mem a old);
+    ~apply:(fun a old -> Cwsp_ir.Memory.write mem a old);
   Alcotest.(check int) "ld in Rg0 re-reads 100, not 200" 100
-    (Cwsp_interp.Memory.read mem addr)
+    (Cwsp_ir.Memory.read mem addr)
 
 let test_mc_logs_deallocate () =
   let logs = Cwsp_recovery.Mc_logs.create ~n_mcs:2 in
@@ -200,17 +200,17 @@ let test_mc_logs_deallocate () =
 
 let test_mc_logs_revert_excludes_oldest () =
   let logs = Cwsp_recovery.Mc_logs.create ~n_mcs:2 in
-  let mem = Cwsp_interp.Memory.create () in
-  Cwsp_interp.Memory.write mem 0x100 77 (* R_o's own speculative write *);
+  let mem = Cwsp_ir.Memory.create () in
+  Cwsp_ir.Memory.write mem 0x100 77 (* R_o's own speculative write *);
   Cwsp_recovery.Mc_logs.log logs ~region:3 ~addr:0x100 ~old:7 ~value:77;
-  Cwsp_interp.Memory.write mem 0x200 88;
+  Cwsp_ir.Memory.write mem 0x200 88;
   Cwsp_recovery.Mc_logs.log logs ~region:4 ~addr:0x200 ~old:8 ~value:88;
   Cwsp_recovery.Mc_logs.revert_where logs ~should_revert:(fun r -> r > 3)
-    ~apply:(fun a old -> Cwsp_interp.Memory.write mem a old);
+    ~apply:(fun a old -> Cwsp_ir.Memory.write mem a old);
   Alcotest.(check int) "R_o's data store kept (idempotence handles it)" 77
-    (Cwsp_interp.Memory.read mem 0x100);
+    (Cwsp_ir.Memory.read mem 0x100);
   Alcotest.(check int) "younger region reverted" 8
-    (Cwsp_interp.Memory.read mem 0x200)
+    (Cwsp_ir.Memory.read mem 0x200)
 
 (* REGRESSION: the recovery-point draw used to be bounded by the window
    instead of the tracked-region count. Right after a boundary step the
@@ -287,26 +287,6 @@ let test_mc_logs_copy_independent () =
     au.Cwsp_recovery.Mc_logs.au_structural;
   Alcotest.(check int) "snapshot records still verify" 0
     (List.length au.Cwsp_recovery.Mc_logs.au_bad)
-
-(* The region-buffered I/O keeps only the tracked window: a ring of
-   [capacity] region starts. Within it, [released] is the output count
-   at the newest region start not after the query; past it, asking is a
-   harness bug and raises. *)
-let test_io_buffer_ring () =
-  let module Io = Cwsp_recovery.Io_buffer in
-  let io = Io.create ~capacity:3 in
-  Alcotest.(check int) "region 0 released nothing" 0
-    (Io.released io ~oldest_unpersisted:0);
-  List.iter
-    (fun (r, n) -> Io.on_region_start io ~region_index:r ~total_outputs:n)
-    [ (1, 2); (2, 2); (3, 5); (4, 9) ];
-  Alcotest.(check (list int)) "window regions 2..4" [ 2; 5; 9 ]
-    (List.map (fun r -> Io.released io ~oldest_unpersisted:r) [ 2; 3; 4 ]);
-  Alcotest.(check int) "a later query sees the newest start" 9
-    (Io.released io ~oldest_unpersisted:7);
-  Alcotest.check_raises "older than the window"
-    (Invalid_argument "Io_buffer.released: region older than the tracked window")
-    (fun () -> ignore (Io.released io ~oldest_unpersisted:1))
 
 (* ---- model-based check of the undo-log arrays ---- *)
 
@@ -913,7 +893,6 @@ let () =
           Alcotest.test_case "corruption detected" `Slow test_corrupted_slice_detected;
           Alcotest.test_case "double crash" `Slow test_double_crash;
           Alcotest.test_case "triple crash" `Slow test_triple_crash;
-          Alcotest.test_case "io buffer keeps the window" `Quick test_io_buffer_ring;
         ] );
       ( "mc-logs",
         [

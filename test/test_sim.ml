@@ -2,6 +2,7 @@
    and engine-level monotonicity properties. *)
 
 open Cwsp_sim
+open Cwsp_ir
 open Cwsp_interp
 
 let qtest = QCheck_alcotest.to_alcotest
