@@ -136,13 +136,10 @@ let run_inner list workload input emit config persist_mode dump_ir report
                  the cWSP hardware model; either way one tracked run
                  serves every point *)
               let outcomes =
-                if cc.Pipeline.persist_mode = Pipeline.Explicit then
-                  H.sweep_explicit ~golden compiled crash_ats
-                else
-                  H.sweep ~golden compiled
-                    (List.mapi
-                       (fun i crash_at -> H.clean_point ~seed:(100 + i) ~crash_at)
-                       crash_ats)
+                H.sweep ~mode:cc.Pipeline.persist_mode ~golden compiled
+                  (List.mapi
+                     (fun i crash_at -> H.clean_point ~seed:(100 + i) ~crash_at)
+                     crash_ats)
               in
               let ok = ref 0 in
               List.iter2

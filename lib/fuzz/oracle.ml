@@ -188,6 +188,11 @@ let certify ~compile ~cell ~finding (name, config) prog =
 let implicit = ("cwsp", Pipeline.cwsp)
 let explicit = ("cwsp-explicit", Pipeline.cwsp_explicit)
 
+(* The configuration a stage's probes run on, and so their persistency
+   mode: explicit probes the explicit binary, crash and fault probes the
+   cWSP one. *)
+let stage_config = function Explicit -> explicit | Crash | Fault _ -> implicit
+
 (* [certify] for a predicate: no cells, no findings *)
 let certified ~compile mode prog =
   certify ~compile ~cell:ignore ~finding:(fun _ _ -> ()) mode prog
@@ -216,22 +221,19 @@ let instrumented_run base (compiled : Pipeline.compiled) =
    changes a verdict). Each probe with its harness outcome, in probe
    order. *)
 let run_probes ~flight ~golden compiled probes =
-  let outcomes =
-    match probes with
-    | { p_stage = Explicit; _ } :: _ ->
-      Harness.sweep_explicit ~flight ~golden compiled
-        (List.map (fun p -> p.p_crash_at) probes)
-    | _ ->
-      let point p =
-        match p.p_stage with
-        | Fault cls ->
-          { Harness.cp_at = p.p_crash_at; cp_seed = p.p_seed; cp_hardened = true;
-            cp_fault = Some cls }
-        | Crash | Explicit -> Harness.clean_point ~seed:p.p_seed ~crash_at:p.p_crash_at
-      in
-      Harness.sweep ~flight ~golden compiled (List.map point probes)
-  in
-  List.combine probes outcomes
+  match probes with
+  | [] -> []
+  | { p_stage; _ } :: _ ->
+    let point p =
+      match p.p_stage with
+      | Fault cls ->
+        { Harness.cp_at = p.p_crash_at; cp_seed = p.p_seed; cp_hardened = true;
+          cp_fault = Some cls }
+      | Crash | Explicit -> Harness.clean_point ~seed:p.p_seed ~crash_at:p.p_crash_at
+    in
+    List.combine probes
+      (Harness.sweep ~flight ~mode:(snd (stage_config p_stage)).persist_mode ~golden
+         compiled (List.map point probes))
 
 (* Did [p] catch recovery giving back a wrong state? A fault probe the
    harness could not stage is skipped, not broken. *)
@@ -413,10 +415,7 @@ let first_broken ~compile ~flight p prog =
   match baseline_run prog with
   | Error _ -> None
   | Ok base -> (
-    let mode =
-      match p.p_stage with Explicit -> explicit | Crash | Fault _ -> implicit
-    in
-    match certified ~compile mode prog with
+    match certified ~compile (stage_config p.p_stage) prog with
     | None -> None
     | Some compiled -> (
       match instrumented_run base compiled with

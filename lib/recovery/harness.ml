@@ -24,11 +24,14 @@
     evaluates the region's recovery slice to restore its live-in
     registers (every other register is poisoned to catch liveness bugs)
     and runs from the region's entry. Crash consistency holds iff the
-    final NVM state and device output equal a failure-free run's. The
-    explicit-persistency oracle keeps its own durability model and hands
-    its crash image to the same resume and compare. A sweep runs many
-    crash points on one tracked run, in ascending order: everything
-    after the run step works on copies of the tracked state.
+    final NVM state and device output equal a failure-free run's.
+
+    The persistency model is a value the tracked run carries: the cWSP
+    hardware above, or explicit flush/fence persistency, whose durable
+    image survives the cut and resumes blindly at the newest boundary
+    through the same resume and compare. A sweep runs many crash points
+    on one tracked run, in ascending order: everything after the run
+    step works on copies of the tracked state.
 
     Call frames *below* the recovery point are restored from the boundary
     snapshot: they model the NVM-resident stack (spilled registers and
@@ -84,55 +87,108 @@ module Slots = Hashtbl.Make (struct
   let hash a = a lsr 3
 end)
 
+(* The persistency model a tracked run keeps beside its machine: the
+   durable state a power failure leaves behind. *)
+type model =
+  | Cwsp of {
+      logs : Mc_logs.t;  (* per-MC per-region undo-log arrays (Section V-B2) *)
+      slot_vals : int Slots.t;
+        (* MC-side shadow metadata for the checkpoint area, updated
+           atomically with each slot persist: slot address -> the value
+           it last persisted. Its checksum is what the MC keeps; those
+           are taken once per slot at the power cut ([cs_slot_sums])
+           rather than once per checkpoint store *)
+      mutable sync_floor : int;
+        (* highest *closed* region that contained a sync primitive:
+           stores prior to a committed atomic are persisted before it
+           commits (Section VIII), so the recovery point can never move
+           at or before such a region *)
+    }
+  | Explicit of {
+      (* The dynamic ground truth for the Persist_check static tier.
+         Models hardware WITHOUT the cWSP persist path: a data store is
+         durable only once a flush captured its line AND a later pfence
+         (or sync primitive) drained it. Register checkpoints keep their
+         hardware path (write-through, undo-logged per open region so a
+         crash can't leave a half-written ckpt run), and an atomic is a
+         failure-atomic unit that completes with its closing boundary.
+         The crash is maximally adversarial and deterministic: cache
+         contents AND the flushed-but-unfenced set are lost. Recovery is
+         blind — resume at the newest boundary, no undo logs to roll back
+         with — so the final state is right iff the compiler really did
+         make every prior store durable: exactly the obligation
+         Persist_check discharges statically. A mutant that drops/moves
+         one flush or fence escapes here dynamically at some crash
+         point. *)
+      nvm : Memory.t; (* the durable image, maintained alongside the run *)
+      pending : (int, int) Hashtbl.t; (* flushed, not yet fenced: addr -> value *)
+      mutable pending_atomic : (int * int) option;
+        (* an atomic's (addr, value) awaiting its closing boundary *)
+      mutable last_store : (int * int) option;
+        (* the store the current instruction just performed, so the
+           atomic event can claim its value (hook order is
+           store-then-event) *)
+      mutable ckpt_undo : (int * int) list; (* open region's ckpt (addr, old) *)
+    }
+
 type tracked = {
   machine : Machine.t;
   compiled : Cwsp_compiler.Pipeline.compiled;
-  logs : Mc_logs.t;  (* per-MC per-region undo-log arrays (Section V-B2) *)
-  slot_vals : int Slots.t;
-    (* MC-side shadow metadata for the checkpoint area, updated
-       atomically with each slot persist: slot address -> the value it
-       last persisted. Its checksum is what the MC keeps; those are
-       taken once per slot at the power cut ([cs_slot_sums]) rather than
-       once per checkpoint store *)
+  model : model;
   ring : region_record array;
-    (* the tracked regions: a fixed ring of window+1 slots, where the
-       window is the RBT size (max concurrently-unpersisted regions) and
-       [head] is the newest. A boundary overwrites the oldest slot once
-       the ring is full, so tracking costs O(1) per boundary *)
+    (* the tracked regions, [head] the newest. cWSP: a fixed ring of
+       window+1 slots, where the window is the RBT size (max
+       concurrently-unpersisted regions); a boundary overwrites the
+       oldest slot once the ring is full, so tracking costs O(1) per
+       boundary. Explicit: one slot, the newest boundary *)
   mutable head : int;
-  mutable tracked_n : int; (* occupied slots, <= window+1 *)
+  mutable tracked_n : int; (* occupied slots *)
   mutable region_count : int;
-  mutable sync_floor : int;
-    (* highest *closed* region that contained a sync primitive: stores
-       prior to a committed atomic are persisted before it commits
-       (Section VIII), so the recovery point can never move at or before
-       such a region *)
   recorder : Recorder.t option;
-    (* the flight ring, formatted inside [machine]'s own NVM when the
-       run records; the boundary hook appends to it *)
+    (* the flight ring, formatted when the run records inside the image
+       the cut preserves; the boundary hook appends to it *)
 }
 
 let copy_frame (fr : Machine.frame) = { fr with regs = Array.copy fr.regs }
 
-let make_tracked ~window ~compiled ~machine ~region0 ~recorder =
+let cwsp_model () =
+  Cwsp { logs = Mc_logs.create ~n_mcs:2; slot_vals = Slots.create 64; sync_floor = -1 }
+
+let make_tracked ~slots ~compiled ~machine ~model ~region0 ~recorder =
   {
     machine;
     compiled;
-    logs = Mc_logs.create ~n_mcs:2;
-    slot_vals = Slots.create 64;
-    ring = Array.make (window + 1) region0;
+    model;
+    ring = Array.make slots region0;
     head = 0;
     tracked_n = 1;
     region_count = 0;
-    sync_floor = -1;
     recorder;
   }
 
-let create ~window ~flight (compiled : Cwsp_compiler.Pipeline.compiled) =
+(* A run of [compiled] from program start under [mode]'s model. *)
+let create ~window ~flight ~(mode : Cwsp_compiler.Pipeline.persist_mode)
+    (compiled : Cwsp_compiler.Pipeline.compiled) =
   let linked = Machine.link compiled.prog in
   let machine = Machine.create linked in
-  make_tracked ~window ~compiled ~machine
-    ~recorder:(if flight then Some (Recorder.format machine.mem) else None)
+  (* The ring lives in the image the cut preserves. cWSP: the machine's
+     own NVM, which the cut snapshots. Explicit: the durable image, where
+     each append is its own flush+fence (the commit-word ordering is the
+     failure-atomicity), so the ring survives the deterministic crash
+     whole. *)
+  let model, slots, ring_image =
+    match mode with
+    | Implicit -> (cwsp_model (), window + 1, machine.mem)
+    | Explicit ->
+      let nvm = Memory.snapshot machine.mem in
+      ( Explicit
+          { nvm; pending = Hashtbl.create 64; pending_atomic = None;
+            last_store = None; ckpt_undo = [] },
+        1,
+        nvm )
+  in
+  make_tracked ~slots ~compiled ~machine ~model
+    ~recorder:(if flight then Some (Recorder.format ring_image) else None)
     ~region0:
       { region_index = 0; static_id = -1; frames = []; depth = 0;
         outputs_at_entry = 0; has_sync = false }
@@ -143,7 +199,8 @@ let create ~window ~flight (compiled : Cwsp_compiler.Pipeline.compiled) =
     start. Enables crash-during-recovery validation. *)
 let create_resumed ?(window = 16) (compiled : Cwsp_compiler.Pipeline.compiled)
     (machine : Machine.t) =
-  make_tracked ~window ~compiled ~machine ~recorder:None
+  make_tracked ~slots:(window + 1) ~compiled ~machine ~model:(cwsp_model ())
+    ~recorder:None
     ~region0:
       { region_index = 0; static_id = -2;
         frames = List.map copy_frame machine.frames; depth = machine.depth;
@@ -166,60 +223,129 @@ let tracked_regions t =
   let cap = Array.length t.ring in
   List.init t.tracked_n (fun back -> t.ring.((t.head - back + cap) mod cap))
 
-let on_boundary t static_id =
-  (* closing a region that contained a sync primitive seals it: the drain
-     semantics of Section VIII guarantee everything up to and including
-     it is persistent *)
-  let cur = current_region t in
-  if cur.has_sync then t.sync_floor <- cur.region_index;
-  (* flight recorder: a boundary commit plus persist-path telemetry. The
-     arguments cost a fold over every live log, so they are computed
-     only when the run records; unrecorded runs pay one branch per
-     region boundary. *)
-  (match t.recorder with
-  | Some r ->
-    let live = Mc_logs.live_entries t.logs in
-    Recorder.append r ~kind:Recorder.Boundary t.machine.steps static_id live
-      (if cur.has_sync then 1 else 0);
-    Recorder.append r ~kind:Recorder.Telemetry t.tracked_n live t.sync_floor
-      (Slots.length t.slot_vals)
-  | None -> ());
-  (* once the ring is full, the oldest region falls out of the tracking
-     window and is treated as persisted (non-speculative): the MCs
-     reclaim its log arrays, exactly the hardware's deallocation
-     protocol *)
+(* Region-buffered I/O: the device output released before region [r]
+   began, once every earlier region persisted; the rest is still
+   buffered. Oldest first. *)
+let released t (r : region_record) =
+  List.filteri (fun i _ -> i < r.outputs_at_entry) (Machine.outputs t.machine)
+
+(* Boundary [static_id] opens the next region in the ring's next slot,
+   which overwrites the oldest once the ring is full. *)
+let open_region t static_id =
   let cap = Array.length t.ring in
   let next = (t.head + 1) mod cap in
-  if t.tracked_n = cap then
-    Mc_logs.deallocate t.logs ~region:t.ring.(next).region_index
-  else t.tracked_n <- t.tracked_n + 1;
+  if t.tracked_n < cap then t.tracked_n <- t.tracked_n + 1;
   t.region_count <- t.region_count + 1;
-  let outputs = List.length t.machine.outputs in
   t.ring.(next) <-
     {
       region_index = t.region_count;
       static_id;
       frames = boundary_frames t.machine.frames;
       depth = t.machine.depth;
-      outputs_at_entry = outputs;
+      outputs_at_entry = List.length t.machine.outputs;
       has_sync = false;
     };
   t.head <- next
 
+(* The run's instrumentation, one model's closures: the match runs once
+   here, never per store or event. *)
 let hooks t : Machine.hooks =
-  {
-    on_event =
-      (fun ev ->
-        let tag = Event.tag ev in
-        if tag = Event.tag_boundary then on_boundary t (Event.payload ev)
-        else if tag = Event.tag_atomic then (current_region t).has_sync <- true);
-    on_store =
-      (fun ~addr ~old ~value ->
-        (* every speculative store is undo-logged on arrival at its MC;
-           the open region is always the newest, [region_count] *)
-        Mc_logs.log t.logs ~region:t.region_count ~addr ~old ~value;
-        if Layout.is_ckpt_addr addr then Slots.replace t.slot_vals addr value);
-  }
+  match t.model with
+  | Cwsp c ->
+    let on_boundary static_id =
+      (* closing a region that contained a sync primitive seals it: the
+         drain semantics of Section VIII guarantee everything up to and
+         including it is persistent *)
+      let cur = current_region t in
+      if cur.has_sync then c.sync_floor <- cur.region_index;
+      (* flight recorder: a boundary commit plus persist-path telemetry.
+         The arguments cost a fold over every live log, so they are
+         computed only when the run records; unrecorded runs pay one
+         branch per region boundary. *)
+      (match t.recorder with
+      | Some r ->
+        let live = Mc_logs.live_entries c.logs in
+        Recorder.append r ~kind:Recorder.Boundary t.machine.steps static_id live
+          (if cur.has_sync then 1 else 0);
+        Recorder.append r ~kind:Recorder.Telemetry t.tracked_n live c.sync_floor
+          (Slots.length c.slot_vals)
+      | None -> ());
+      (* once the ring is full, the oldest region falls out of the
+         tracking window and is treated as persisted (non-speculative):
+         the MCs reclaim its log arrays, exactly the hardware's
+         deallocation protocol *)
+      let cap = Array.length t.ring in
+      if t.tracked_n = cap then
+        Mc_logs.deallocate c.logs ~region:t.ring.((t.head + 1) mod cap).region_index;
+      open_region t static_id
+    in
+    {
+      on_event =
+        (fun ev ->
+          let tag = Event.tag ev in
+          if tag = Event.tag_boundary then on_boundary (Event.payload ev)
+          else if tag = Event.tag_atomic then (current_region t).has_sync <- true);
+      on_store =
+        (fun ~addr ~old ~value ->
+          (* every speculative store is undo-logged on arrival at its MC;
+             the open region is always the newest, [region_count] *)
+          Mc_logs.log c.logs ~region:t.region_count ~addr ~old ~value;
+          if Layout.is_ckpt_addr addr then Slots.replace c.slot_vals addr value);
+    }
+  | Explicit e ->
+    let drain () =
+      Hashtbl.iter (fun addr v -> Memory.write e.nvm addr v) e.pending;
+      Hashtbl.reset e.pending
+    in
+    {
+      on_store =
+        (fun ~addr ~old:_ ~value ->
+          if Layout.is_ckpt_addr addr then begin
+            (* hardware persist path of the checkpoint engine:
+               write-through, journaled until the region's boundary
+               commits the run *)
+            let nold = Memory.read e.nvm addr in
+            Memory.write e.nvm addr value;
+            e.ckpt_undo <- (addr, nold) :: e.ckpt_undo
+          end
+          else e.last_store <- Some (addr, value));
+      on_event =
+        (fun ev ->
+          let tag = Event.tag ev in
+          if tag = Event.tag_flush then begin
+            let addr = Event.payload ev in
+            if not (Layout.is_ckpt_addr addr) then
+              (* the writeback captures the line's current cache contents *)
+              Hashtbl.replace e.pending addr (Memory.read t.machine.mem addr)
+          end
+          else if tag = Event.tag_pfence || tag = Event.tag_fence then drain ()
+          else if tag = Event.tag_atomic then begin
+            (* full sync: drains the persist stream; its own write is a
+               failure-atomic unit completing at the closing boundary *)
+            drain ();
+            match e.last_store with
+            | Some (a, v) when a = Event.payload ev -> e.pending_atomic <- Some (a, v)
+            | _ -> ()
+          end
+          else if tag = Event.tag_boundary then begin
+            (* flight recorder: boundary commit in the explicit model,
+               with the flushed-but-unfenced set as persist telemetry *)
+            (match t.recorder with
+            | Some r ->
+              Recorder.append r ~kind:Recorder.Boundary t.machine.steps
+                (Event.payload ev) (Hashtbl.length e.pending)
+                (match e.pending_atomic with Some _ -> 1 | None -> 0)
+            | None -> ());
+            (match e.pending_atomic with
+            | Some (a, v) -> Memory.write e.nvm a v
+            | None -> ());
+            e.pending_atomic <- None;
+            e.ckpt_undo <- [];
+            open_region t (Event.payload ev)
+          end;
+          (* an event ends the instruction whose store an atomic claims *)
+          e.last_store <- None);
+    }
 
 (** Run until [crash_at] instructions have executed in all (or to
     completion). Returns [true] if the program halted first. *)
@@ -381,6 +507,11 @@ type crash_state = {
     persisted first), and younger regions' speculative stores are left
     in the image — reverting them is recovery's job, not the crash's. *)
 let cut_power rng (t : tracked) : crash_state =
+  let logs, slot_vals, sync_floor =
+    match t.model with
+    | Cwsp c -> (c.logs, c.slot_vals, c.sync_floor)
+    | Explicit _ -> invalid_arg "Harness.cut_power: not a cWSP run"
+  in
   (* copies: the crash state is a value, and [has_sync] is mutable *)
   let regions =
     List.map (fun (r : region_record) -> { r with has_sync = r.has_sync })
@@ -389,25 +520,25 @@ let cut_power rng (t : tracked) : crash_state =
   let eligible =
     List.length
       (List.filter
-         (fun (r : region_record) -> r.region_index > t.sync_floor)
+         (fun (r : region_record) -> r.region_index > sync_floor)
          regions)
   in
   let avail = max 1 eligible in
   let back = Cwsp_util.Rng.int rng avail in
   let r_o = List.nth regions back in
   let mem = Memory.snapshot t.machine.mem in
-  let slot_sums = Hashtbl.create (Slots.length t.slot_vals) in
+  let slot_sums = Hashtbl.create (Slots.length slot_vals) in
   Slots.iter
     (fun a v -> Hashtbl.replace slot_sums a (Fault.value_sum v))
-    t.slot_vals;
-  let r_o_entries = Mc_logs.region_entries t.logs ~region:r_o.region_index in
+    slot_vals;
+  let r_o_entries = Mc_logs.region_entries logs ~region:r_o.region_index in
   let younger_covers = Hashtbl.create 64 in
   List.iteri
     (fun i (r : region_record) ->
       if i < back then
         List.iter
           (fun (e : Mc_logs.entry) -> Hashtbl.replace younger_covers e.e_addr ())
-          (Mc_logs.region_entries t.logs ~region:r.region_index))
+          (Mc_logs.region_entries logs ~region:r.region_index))
     regions;
   let unpersist (e : Mc_logs.entry) =
     if not (Hashtbl.mem younger_covers e.e_addr) then begin
@@ -426,24 +557,19 @@ let cut_power rng (t : tracked) : crash_state =
     (* random per-MC FIFO suffix of R_o's data stores un-persists, and
        R_o's checkpoint-area stores are treated as unpersisted (the
        trailing checkpoint of R_o's opening boundary had not drained) *)
-    fifo_suffix rng t.logs r_o_entries unpersist;
+    fifo_suffix rng logs r_o_entries unpersist;
     List.iter
       (fun (e : Mc_logs.entry) -> if Layout.is_ckpt_addr e.e_addr then unpersist e)
       r_o_entries
   end;
-  (* region-buffered I/O: what R_o's predecessors produced has been
-     released, the rest is still buffered *)
-  let released =
-    List.filteri (fun i _ -> i < r_o.outputs_at_entry) (List.rev t.machine.outputs)
-  in
   {
     cs_mem = mem;
-    cs_logs = Mc_logs.copy t.logs;
+    cs_logs = Mc_logs.copy logs;
     cs_slot_sums = slot_sums;
     cs_regions = regions;
     cs_nominal = back;
-    cs_released = released;
-    cs_sync_floor = t.sync_floor;
+    cs_released = released t r_o;
+    cs_sync_floor = sync_floor;
     cs_crash_step = t.machine.steps;
     cs_linked = t.machine.linked;
     cs_compiled = t.compiled;
@@ -929,215 +1055,263 @@ let clean_point ~seed ~crash_at =
 
 type outcome = (fault_report * (unit, string) result, string) result
 
-let halted_before : outcome = Error "program halted before the crash point"
-
 (* A clean experiment's verdict: the report if the crash-free recovery
    compared equal, else the first difference. *)
 let require_clean : outcome -> (fault_report, string) result = function
   | Ok (r, Ok ()) -> Ok r
   | Ok (_, Error e) | Error e -> Error e
 
-(* Apply [f] to [points] in ascending order of [at] (stable), so that
-   each call can advance one shared tracked run to its own point, and
-   return the results in input order. *)
-let ascending at f points =
-  let order =
-    List.stable_sort
-      (fun (_, a) (_, b) -> compare (at a) (at b))
-      (List.mapi (fun i p -> (i, p)) points)
-  in
-  let results = Array.make (List.length points) None in
-  List.iter (fun (i, p) -> results.(i) <- Some (f p)) order;
-  List.map Option.get (Array.to_list results)
+(* The recovery side of the flight ring at a crash: re-attach the ring
+   surviving in [image] (cursor rebuilt by slot scan) and open a new
+   crash epoch. Returns its append, a no-op when the run does not
+   record. *)
+let crash_epoch t image =
+  match if t.recorder <> None then Recorder.attach image else None with
+  | Some r ->
+    Recorder.bump_epoch r;
+    fun kind a b c d -> Recorder.append r ~kind a b c d
+  | None -> fun _ _ _ _ _ -> ()
 
 (* The recovery half of a crash experiment, on the tracked run [t]
-   standing at the crash point: cut power, inject the point's fault,
-   recover blind or hardened, resume and compare. Returns the report and
-   the crash-free recovery's comparison, whose diagnostic (naming the
-   crash step and nominal region) the clean-crash experiments report.
-   [t] is only read — [cut_power] snapshots the memory and copies the
-   logs and region records, and the one thing it shares, the open
-   frame's registers, every resume copies before poisoning — so the
-   same run can go on to the next point. *)
+   standing at the crash point. Returns the report and the crash-free
+   recovery's comparison, whose diagnostic (naming the crash step and
+   the recovery point) the clean-crash experiments report. [t] is only
+   read — the image is a snapshot, the logs and region records are
+   copies, and the one thing the crash shares, the open frame's
+   registers, every resume copies before poisoning — so the same run
+   can go on to the next point.
+
+   Explicit: power is lost, so only the durable image survives, with
+   the open region's checkpoint run rolled back; blindly resume at the
+   newest boundary via its recovery slice and compare. cWSP: cut power,
+   inject the point's fault, recover blind or hardened, resume and
+   compare. *)
 let crash_point ~golden t p =
   let flight = t.recorder <> None in
-  let hardened = p.cp_hardened and fault = p.cp_fault in
-  let rng = Cwsp_util.Rng.create p.cp_seed in
-  let cs = cut_power rng t in
-  (* the ring is ordinary NVM: the in-flight append can tear at the
-     crash, leaving a frontier slot that fails its checksum *)
-  (match t.recorder with
-  | Some fr ->
-    let frng = Cwsp_util.Rng.stream (Cwsp_util.Rng.create p.cp_seed) 0x666c74 in
-    if Cwsp_util.Rng.bool frng then (
-      match Recorder.frontier_words fr with
-      | [] -> ()
-      | ws ->
-        let a = List.nth ws (Cwsp_util.Rng.int frng (List.length ws)) in
-        Memory.mutate cs.cs_mem a (fun v -> Fault.tear frng ~value:v ~old:0))
-  | None -> ());
-  let injected =
-    match fault with None -> None | Some cls -> inject rng cls cs
-  in
-  let region_at back = (List.nth cs.cs_regions back).region_index in
-  let nominal_region = region_at cs.cs_nominal in
-  let want_sweep = fault = Some Fault.Recovery_crash in
-  (* recovery-side recorder: re-attach on the surviving image (cursor
-     rebuilt by slot scan), open a new crash epoch, and log what the
-     adversary did and what the ladder decides *)
-  let rrec = if flight then Recorder.attach cs.cs_mem else None in
-  (match rrec with Some r -> Recorder.bump_epoch r | None -> ());
-  let rapp kind a b c d =
-    match rrec with
-    | Some r -> Recorder.append r ~kind a b c d
-    | None -> ()
-  in
-  rapp Recorder.Crash cs.cs_crash_step nominal_region
-    (Mc_logs.n_mcs cs.cs_logs) 0;
-  (match fault with
-  | Some cls when injected <> None || cls = Fault.Recovery_crash ->
-    rapp Recorder.Inject (fault_code cls) 0 0 0
-  | _ -> ());
-  let count p plan = List.length (List.filter p plan) in
-  let is_slice = function S_slice _ -> true | _ -> false in
-  (* [back] is the rung recovery used, -1 when it refused *)
-  let report ~back ~outcome ~detections ~verdict ~sweep ~plan ~failures =
-    ( {
-        fr_crash_step = cs.cs_crash_step;
-        fr_nominal_region = nominal_region;
-        fr_rung_region = (if back < 0 then -1 else region_at back);
-        fr_outcome = outcome;
-        fr_injected =
-          (if want_sweep then Some "power failure during recovery (sweep)"
-           else injected);
-        fr_detections = detections;
-        fr_state_ok = Result.is_ok verdict && failures = 0;
-        fr_sweep_points = List.length sweep;
-        fr_sweep_slice_points = slice_cut_count plan sweep;
-        fr_sweep_failures = failures;
-        fr_rollback = back;
-        fr_restored = count is_slice plan;
-        fr_flight =
-          (if flight then Some (Recorder.dump_string cs.cs_mem) else None);
-      },
+  match t.model with
+  | Explicit e ->
+    let linked = t.machine.linked in
+    let crash_step = t.machine.steps in
+    (* newest-first replay of the open region's ckpt undo restores the
+       slots as of the newest boundary *)
+    let image = Memory.snapshot e.nvm in
+    List.iter (fun (addr, old) -> Memory.write image addr old) e.ckpt_undo;
+    let r = current_region t in
+    let recovered, boundary, restored =
+      if r.static_id < 0 then
+        (Machine.resume linked ~mem:image ~frames:`Fresh ~depth:0, 0, 0)
+      else
+        let slice = t.compiled.slices.(r.static_id) in
+        ( resume_slice ~tid:0 linked ~mem:image ~frames:r.frames ~depth:r.depth
+            (Some slice),
+          r.static_id,
+          List.length slice )
+    in
+    (* the crash record and the blind-resume decision *)
+    let rapp = crash_epoch t image in
+    rapp Recorder.Crash crash_step boundary 0 0;
+    rapp Recorder.Resume boundary restored 0 0;
+    let dump = if flight then Some (Recorder.dump_string image) else None in
+    let verdict =
       Result.map_error
-        (fun e ->
-          Printf.sprintf "%s (crash@%d, region %d)" e cs.cs_crash_step
-            nominal_region)
-        verdict )
-  in
-  let refuse ~back detections =
-    rapp Recorder.Decision 2 back (List.length detections) 1;
-    report ~back:(-1) ~outcome:Refused ~detections ~verdict:(Ok ()) ~sweep:[]
-      ~plan:[] ~failures:0
-  in
-  (* run [plan] at rung [back] (swept by mid-recovery power failures,
-     each followed by [restart]), resume, compare and record *)
-  let recover ~back ~outcome ~detections ~plan ~restart =
-    let sweep = if want_sweep then sweep_cuts plan ~max_reverts:8 else [] in
-    (* mid-recovery power failures re-attach the ring of the sweep
-       world's image and open yet another epoch before replaying *)
-    let restart w =
-      (if flight then
-         match Recorder.attach w.w_mem with
-         | Some r ->
-           Recorder.bump_epoch r;
-           Recorder.append r ~kind:Recorder.Restart 0 0 0 0
-         | None -> ());
-      restart w
+        (fun msg ->
+          Printf.sprintf "explicit-mode %s (crash@%d, boundary %d)" msg crash_step
+            boundary)
+        (run_and_compare golden ~released:(released t r) recovered)
     in
-    let verdict, failures =
-      execute_recovery cs golden ~back ~plan ~restart ~sweep
+    ( {
+        fr_crash_step = crash_step;
+        fr_nominal_region = boundary;
+        fr_rung_region = boundary;
+        fr_outcome = Recovered;
+        fr_injected = None;
+        fr_detections = [];
+        fr_state_ok = Result.is_ok verdict;
+        fr_sweep_points = 0;
+        fr_sweep_slice_points = 0;
+        fr_sweep_failures = 0;
+        fr_rollback = 0;
+        fr_restored = restored;
+        fr_flight = dump;
+      },
+      verdict )
+  | Cwsp _ ->
+    let hardened = p.cp_hardened and fault = p.cp_fault in
+    let rng = Cwsp_util.Rng.create p.cp_seed in
+    let cs = cut_power rng t in
+    (* the ring is ordinary NVM: the in-flight append can tear at the
+       crash, leaving a frontier slot that fails its checksum *)
+    (match t.recorder with
+    | Some fr ->
+      let frng = Cwsp_util.Rng.stream (Cwsp_util.Rng.create p.cp_seed) 0x666c74 in
+      if Cwsp_util.Rng.bool frng then (
+        match Recorder.frontier_words fr with
+        | [] -> ()
+        | ws ->
+          let a = List.nth ws (Cwsp_util.Rng.int frng (List.length ws)) in
+          Memory.mutate cs.cs_mem a (fun v -> Fault.tear frng ~value:v ~old:0))
+    | None -> ());
+    let injected =
+      match fault with None -> None | Some cls -> inject rng cls cs
     in
-    rapp Recorder.Decision
-      (if outcome = Recovered then 0 else 1)
-      back (List.length detections)
-      (if Result.is_ok verdict && failures = 0 then 1 else 0);
-    let slices, steps =
-      if hardened then
-        ( count is_slice plan,
-          count (function S_revert _ -> true | _ -> false) plan )
-      else (0, List.length plan)
+    let region_at back = (List.nth cs.cs_regions back).region_index in
+    let nominal_region = region_at cs.cs_nominal in
+    let want_sweep = fault = Some Fault.Recovery_crash in
+    (* log what the adversary did and what the ladder decides *)
+    let rapp = crash_epoch t cs.cs_mem in
+    rapp Recorder.Crash cs.cs_crash_step nominal_region
+      (Mc_logs.n_mcs cs.cs_logs) 0;
+    (match fault with
+    | Some cls when injected <> None || cls = Fault.Recovery_crash ->
+      rapp Recorder.Inject (fault_code cls) 0 0 0
+    | _ -> ());
+    let count p plan = List.length (List.filter p plan) in
+    let is_slice = function S_slice _ -> true | _ -> false in
+    (* [back] is the rung recovery used, -1 when it refused *)
+    let report ~back ~outcome ~detections ~verdict ~sweep ~plan ~failures =
+      ( {
+          fr_crash_step = cs.cs_crash_step;
+          fr_nominal_region = nominal_region;
+          fr_rung_region = (if back < 0 then -1 else region_at back);
+          fr_outcome = outcome;
+          fr_injected =
+            (if want_sweep then Some "power failure during recovery (sweep)"
+             else injected);
+          fr_detections = detections;
+          fr_state_ok = Result.is_ok verdict && failures = 0;
+          fr_sweep_points = List.length sweep;
+          fr_sweep_slice_points = slice_cut_count plan sweep;
+          fr_sweep_failures = failures;
+          fr_rollback = back;
+          fr_restored = count is_slice plan;
+          fr_flight =
+            (if flight then Some (Recorder.dump_string cs.cs_mem) else None);
+        },
+        Result.map_error
+          (fun e ->
+            Printf.sprintf "%s (crash@%d, region %d)" e cs.cs_crash_step
+              nominal_region)
+          verdict )
     in
-    rapp Recorder.Resume (region_at back) slices steps 0;
-    report ~back ~outcome ~detections ~verdict ~sweep ~plan ~failures
-  in
-  if not hardened then
-    (* blind protocol: trust every surviving byte. A restart re-reads
-       whatever logs survived — after the premature truncation,
-       usually nothing. *)
-    recover ~back:cs.cs_nominal ~outcome:Recovered ~detections:[]
-      ~plan:(blind_plan cs ~logs:cs.cs_logs)
-      ~restart:(fun w -> run_plan w (blind_plan cs ~logs:w.w_logs))
-  else begin
-    (* hardened protocol: audit, degrade, or refuse *)
-    let n = List.length cs.cs_regions in
-    let rec ladder back detections =
-      if back >= n then
-        refuse ~back:n (detections @ [ "no verifiable rollback boundary left" ])
-      else begin
-        let rc = check_rung cs ~back in
-        rapp Recorder.Rung back
-          (if rc.rc_usable then 1 else 0)
-          (if rc.rc_fatal then 1 else 0)
-          (List.length rc.rc_skip);
-        let detections = detections @ rc.rc_notes in
-        if rc.rc_fatal then refuse ~back detections
-        else if not rc.rc_usable then ladder (back + 1) detections
+    let refuse ~back detections =
+      rapp Recorder.Decision 2 back (List.length detections) 1;
+      report ~back:(-1) ~outcome:Refused ~detections ~verdict:(Ok ()) ~sweep:[]
+        ~plan:[] ~failures:0
+    in
+    (* run [plan] at rung [back] (swept by mid-recovery power failures,
+       each followed by [restart]), resume, compare and record *)
+    let recover ~back ~outcome ~detections ~plan ~restart =
+      let sweep = if want_sweep then sweep_cuts plan ~max_reverts:8 else [] in
+      (* mid-recovery power failures re-attach the ring of the sweep
+         world's image and open yet another epoch before replaying *)
+      let restart w =
+        crash_epoch t w.w_mem Recorder.Restart 0 0 0 0;
+        restart w
+      in
+      let verdict, failures =
+        execute_recovery cs golden ~back ~plan ~restart ~sweep
+      in
+      rapp Recorder.Decision
+        (if outcome = Recovered then 0 else 1)
+        back (List.length detections)
+        (if Result.is_ok verdict && failures = 0 then 1 else 0);
+      let slices, steps =
+        if hardened then
+          ( count is_slice plan,
+            count (function S_revert _ -> true | _ -> false) plan )
+        else (0, List.length plan)
+      in
+      rapp Recorder.Resume (region_at back) slices steps 0;
+      report ~back ~outcome ~detections ~verdict ~sweep ~plan ~failures
+    in
+    if not hardened then
+      (* blind protocol: trust every surviving byte. A restart re-reads
+         whatever logs survived — after the premature truncation,
+         usually nothing. *)
+      recover ~back:cs.cs_nominal ~outcome:Recovered ~detections:[]
+        ~plan:(blind_plan cs ~logs:cs.cs_logs)
+        ~restart:(fun w -> run_plan w (blind_plan cs ~logs:w.w_logs))
+    else begin
+      (* hardened protocol: audit, degrade, or refuse *)
+      let n = List.length cs.cs_regions in
+      let rec ladder back detections =
+        if back >= n then
+          refuse ~back:n (detections @ [ "no verifiable rollback boundary left" ])
         else begin
-          let plan = build_plan cs ~back ~skip:rc.rc_skip in
-          (* the durable intent record makes the plan idempotent: no
-             intent yet -> recovery never started, run it all; intent
-             + live logs -> reverts are absolute writes, replay them
-             and truncate; intent + empty logs -> all durable work is
-             done, only the volatile slice remains *)
-          let restart w =
-            match w.w_intent with
-            | None -> run_plan w plan
-            | Some _ ->
-              if Mc_logs.live_entries w.w_logs > 0 then
-                List.iter
-                  (function
-                    | (S_revert _ | S_truncate) as s -> exec_step w s
-                    | _ -> ())
-                  plan
-          in
-          recover ~back
-            ~outcome:(if back = cs.cs_nominal then Recovered else Degraded)
-            ~detections ~plan ~restart
+          let rc = check_rung cs ~back in
+          rapp Recorder.Rung back
+            (if rc.rc_usable then 1 else 0)
+            (if rc.rc_fatal then 1 else 0)
+            (List.length rc.rc_skip);
+          let detections = detections @ rc.rc_notes in
+          if rc.rc_fatal then refuse ~back detections
+          else if not rc.rc_usable then ladder (back + 1) detections
+          else begin
+            let plan = build_plan cs ~back ~skip:rc.rc_skip in
+            (* the durable intent record makes the plan idempotent: no
+               intent yet -> recovery never started, run it all; intent
+               + live logs -> reverts are absolute writes, replay them
+               and truncate; intent + empty logs -> all durable work is
+               done, only the volatile slice remains *)
+            let restart w =
+              match w.w_intent with
+              | None -> run_plan w plan
+              | Some _ ->
+                if Mc_logs.live_entries w.w_logs > 0 then
+                  List.iter
+                    (function
+                      | (S_revert _ | S_truncate) as s -> exec_step w s
+                      | _ -> ())
+                    plan
+            in
+            recover ~back
+              ~outcome:(if back = cs.cs_nominal then Recovered else Degraded)
+              ~detections ~plan ~restart
+          end
         end
-      end
-    in
-    ladder cs.cs_nominal []
-  end
+      in
+      ladder cs.cs_nominal []
+    end
 
-(** Crash [compiled] at every one of [points] on one tracked run,
-    stepped to each in ascending order; results in input order. *)
-let sweep ?(window = 16) ?(flight = false) ~golden
+(** Crash [compiled] at every one of [points] on one tracked run of
+    [mode]'s model, stepped to each in ascending order; results in input
+    order. The explicit model has no fault classes: a hardened or
+    faulted point is rejected rather than reported clean. *)
+let sweep ?(window = 16) ?(flight = false) ~mode ~golden
     (compiled : Cwsp_compiler.Pipeline.compiled) points : outcome list =
+  if
+    mode = Cwsp_compiler.Pipeline.Explicit
+    && List.exists (fun p -> p.cp_hardened || p.cp_fault <> None) points
+  then invalid_arg "Harness.sweep: no hardened or faulted point in the explicit model";
   if points = [] then []
   else begin
-    (* The recorder ring is formatted once, inside the tracked machine's
-       own NVM image, and written by the run's boundary hook; its writes
+    (* The recorder ring is formatted once, inside the image the cut
+       preserves, and written by the run's boundary hook; its writes
        bypass the instrumentation hooks (never undo-logged) and nothing
        in recovery reads it, so enabling it cannot change any outcome.
        Its rng draws come from a dedicated stream so the main rng's draw
        sequence is byte-identical with recording on or off. Each point
        dumps the ring as its own crash left it, so a dump does not
        depend on the other points of the sweep. *)
-    let t = create ~window ~flight:(flight || flight_env) compiled in
-    ascending
-      (fun p -> p.cp_at)
-      (fun p ->
-        if run_to t p.cp_at then halted_before else Ok (crash_point ~golden t p))
-      points
+    let t = create ~window ~flight:(flight || flight_env) ~mode compiled in
+    (* the one run advances through the points in ascending crash-step
+       order (stable); results in input order *)
+    let halted = Error "program halted before the crash point" in
+    let results = Array.make (List.length points) halted in
+    List.mapi (fun i p -> (i, p)) points
+    |> List.stable_sort (fun (_, a) (_, b) -> compare a.cp_at b.cp_at)
+    |> List.iter (fun (i, p) ->
+           if not (run_to t p.cp_at) then results.(i) <- Ok (crash_point ~golden t p));
+    Array.to_list results
   end
 
-(* [run]'s one-point sweep against [golden], by default the binary's
-   own failure-free run. *)
-let one_point run ?golden compiled p =
+(* The one-point [sweep] against [golden], by default the binary's own
+   failure-free run. *)
+let one_point ?window ?flight ~mode ?golden compiled p =
   let golden = match golden with Some g -> g | None -> golden_of compiled in
-  match run ~golden compiled [ p ] with [ r ] -> r | _ -> assert false
+  match sweep ?window ?flight ~mode ~golden compiled [ p ] with
+  | [ r ] -> r
+  | _ -> assert false
 
 (** Validate one adversarial crash. Runs [compiled] to [crash_at], cuts
     power, injects [fault] into the surviving state (for
@@ -1153,7 +1327,7 @@ let validate_fault ?window ?golden ?flight ~hardened ?fault ~seed ~crash_at
     (compiled : Cwsp_compiler.Pipeline.compiled) :
     (fault_report, string) result =
   Result.map fst
-    (one_point (sweep ?window ?flight) ?golden compiled
+    (one_point ?window ?flight ~mode:Implicit ?golden compiled
        { cp_at = crash_at; cp_seed = seed; cp_hardened = hardened; cp_fault = fault })
 
 (** Clean crash: [validate_fault] with no fault and the blind plan — the
@@ -1163,7 +1337,7 @@ let validate ?window ~seed ~crash_at
     (compiled : Cwsp_compiler.Pipeline.compiled) : (fault_report, string) result
     =
   require_clean
-    (one_point (sweep ?window ?flight:None) compiled (clean_point ~seed ~crash_at))
+    (one_point ?window ~mode:Implicit compiled (clean_point ~seed ~crash_at))
 
 (** Multi-failure validation: run to [c], crash, recover with the blind
     plan, resume, crash again at the next point of [crash_points] —
@@ -1196,208 +1370,12 @@ let validate_chain ?(window = 16) ~seed ~crash_points
       | Ok () -> Ok crashes
       | Error e -> Error (Printf.sprintf "%s (after %d crashes)" e crashes))
   in
-  go (create ~window ~flight:false compiled) crash_points [] 0
+  go (create ~window ~flight:false ~mode:Implicit compiled) crash_points [] 0
 
-(* ==================================================================== *)
-(* Explicit-persistency oracle: the dynamic ground truth for the        *)
-(* Persist_check static tier. Models hardware WITHOUT the cWSP persist  *)
-(* path: a data store is durable only once a flush captured its line    *)
-(* AND a later pfence (or sync primitive) drained it. Register          *)
-(* checkpoints keep their hardware path (write-through, undo-logged per *)
-(* open region so a crash can't leave a half-written ckpt run), and an  *)
-(* atomic is a failure-atomic unit that completes with its closing      *)
-(* boundary. The crash is maximally adversarial and deterministic:      *)
-(* cache contents AND the flushed-but-unfenced set are lost. Recovery   *)
-(* is blind — resume at the newest boundary, no undo logs to roll back  *)
-(* with — so the final state is right iff the compiler really did make  *)
-(* every prior store durable: exactly the obligation Persist_check      *)
-(* discharges statically. A mutant that drops/moves one flush or fence  *)
-(* escapes here dynamically at some crash point.                        *)
-(* ==================================================================== *)
-
-type explicit_tracked = {
-  e_machine : Machine.t;
-  e_nvm : Memory.t; (* the durable image, maintained alongside the run *)
-  e_pending : (int, int) Hashtbl.t; (* flushed, not yet fenced: addr -> value *)
-  mutable e_pending_atomic : (int * int) option;
-      (* an atomic's (addr, value) awaiting its closing boundary *)
-  mutable e_last_store : (int * int) option;
-      (* the store the current instruction just performed, so the atomic
-         event can claim its value (hook order is store-then-event) *)
-  mutable e_ckpt_undo : (int * int) list; (* open region's ckpt (addr, old) *)
-  mutable e_boundary : (int * Machine.frame list * int * int) option;
-      (* newest boundary: static id, frame snapshot, depth, outputs *)
-  e_recorder : Recorder.t option;
-      (* the flight ring, inside [e_nvm] when the run records *)
-}
-
-let explicit_drain e =
-  Hashtbl.iter (fun addr v -> Memory.write e.e_nvm addr v) e.e_pending;
-  Hashtbl.reset e.e_pending
-
-let explicit_hooks e : Machine.hooks =
-  {
-    on_store =
-      (fun ~addr ~old:_ ~value ->
-        if Layout.is_ckpt_addr addr then begin
-          (* hardware persist path of the checkpoint engine: write-through,
-             journaled until the region's boundary commits the run *)
-          let nold = Memory.read e.e_nvm addr in
-          Memory.write e.e_nvm addr value;
-          e.e_ckpt_undo <- (addr, nold) :: e.e_ckpt_undo
-        end
-        else e.e_last_store <- Some (addr, value));
-    on_event =
-      (fun ev ->
-        let tag = Event.tag ev in
-        if tag = Event.tag_flush then begin
-          let addr = Event.payload ev in
-          if not (Layout.is_ckpt_addr addr) then
-            (* the writeback captures the line's current cache contents *)
-            Hashtbl.replace e.e_pending addr (Memory.read e.e_machine.mem addr);
-          e.e_last_store <- None
-        end
-        else if tag = Event.tag_pfence || tag = Event.tag_fence then begin
-          explicit_drain e;
-          e.e_last_store <- None
-        end
-        else if tag = Event.tag_atomic then begin
-          (* full sync: drains the persist stream; its own write is a
-             failure-atomic unit completing at the closing boundary *)
-          explicit_drain e;
-          (match e.e_last_store with
-          | Some (a, v) when a = Event.payload ev ->
-            e.e_pending_atomic <- Some (a, v)
-          | _ -> ());
-          e.e_last_store <- None
-        end
-        else if tag = Event.tag_boundary then begin
-          (* flight recorder: boundary commit in the explicit model,
-             with the flushed-but-unfenced set as persist telemetry *)
-          (match e.e_recorder with
-          | Some r ->
-            Recorder.append r ~kind:Recorder.Boundary e.e_machine.steps
-              (Event.payload ev) (Hashtbl.length e.e_pending)
-              (match e.e_pending_atomic with Some _ -> 1 | None -> 0)
-          | None -> ());
-          (match e.e_pending_atomic with
-          | Some (a, v) -> Memory.write e.e_nvm a v
-          | None -> ());
-          e.e_pending_atomic <- None;
-          e.e_ckpt_undo <- [];
-          e.e_boundary <-
-            Some
-              ( Event.payload ev,
-                List.map copy_frame e.e_machine.frames,
-                e.e_machine.depth,
-                List.length e.e_machine.outputs );
-          e.e_last_store <- None
-        end
-        else e.e_last_store <- None);
-  }
-
-(* The recovery half of an explicit-persistency crash, on the explicit
-   tracked run [e] standing at the crash point: power is lost, so only
-   the durable image survives, with the open region's checkpoint run
-   rolled back; blindly resume at the newest boundary via its recovery
-   slice and compare. [e] is only read (the image is a snapshot, the
-   boundary frames are copies), so the same run can go on to the next
-   point. *)
-let explicit_point ~golden (compiled : Cwsp_compiler.Pipeline.compiled) e =
-  let linked = e.e_machine.linked in
-  let crash_step = e.e_machine.steps in
-  (* newest-first replay of the open region's ckpt undo restores the
-     slots as of the newest boundary *)
-  let image = Memory.snapshot e.e_nvm in
-  List.iter (fun (addr, old) -> Memory.write image addr old) e.e_ckpt_undo;
-  let recovered, boundary, restored, released =
-    match e.e_boundary with
-    | None -> (Machine.resume linked ~mem:image ~frames:`Fresh ~depth:0, 0, 0, [])
-    | Some (static_id, frames, depth, outs) ->
-      let slice = compiled.slices.(static_id) in
-      ( resume_slice ~tid:0 linked ~mem:image ~frames ~depth (Some slice),
-        static_id,
-        List.length slice,
-        List.filteri (fun i _ -> i < outs) (Machine.outputs e.e_machine) )
-  in
-  (* recovery-side flight events: new crash epoch on the surviving
-     image, then the crash record and the blind-resume decision *)
-  let dump =
-    if e.e_recorder <> None then begin
-      (match Recorder.attach image with
-      | Some r ->
-        Recorder.bump_epoch r;
-        Recorder.append r ~kind:Recorder.Crash crash_step boundary 0 0;
-        Recorder.append r ~kind:Recorder.Resume boundary restored 0 0
-      | None -> ());
-      Some (Recorder.dump_string image)
-    end
-    else None
-  in
-  let verdict =
-    Result.map_error
-      (fun msg ->
-        Printf.sprintf "explicit-mode %s (crash@%d, boundary %d)" msg crash_step
-          boundary)
-      (run_and_compare golden ~released recovered)
-  in
-  ( {
-      fr_crash_step = crash_step;
-      fr_nominal_region = boundary;
-      fr_rung_region = boundary;
-      fr_outcome = Recovered;
-      fr_injected = None;
-      fr_detections = [];
-      fr_state_ok = Result.is_ok verdict;
-      fr_sweep_points = 0;
-      fr_sweep_slice_points = 0;
-      fr_sweep_failures = 0;
-      fr_rollback = 0;
-      fr_restored = restored;
-      fr_flight = dump;
-    },
-    verdict )
-
-(** Explicit-persistency crash sweep: run [compiled] (an [Explicit]-mode
-    binary) once and crash it at each of [crash_ats] ([explicit_point]);
-    results in input order. *)
-let sweep_explicit ?(flight = false) ~golden
-    (compiled : Cwsp_compiler.Pipeline.compiled) crash_ats : outcome list =
-  if crash_ats = [] then []
-  else begin
-    let machine = Machine.create (Machine.link compiled.prog) in
-    let nvm = Memory.snapshot machine.mem in
-    let e =
-      {
-        e_machine = machine;
-        e_nvm = nvm;
-        e_pending = Hashtbl.create 64;
-        e_pending_atomic = None;
-        e_last_store = None;
-        e_ckpt_undo = [];
-        e_boundary = None;
-        (* In the explicit model the recorder lives in the durable image
-           directly: each append is its own flush+fence (the commit-word
-           ordering is the failure-atomicity), so the ring survives the
-           deterministic crash whole. *)
-        e_recorder =
-          (if flight || flight_env then Some (Recorder.format nvm) else None);
-      }
-    in
-    let h = explicit_hooks e in
-    ascending Fun.id
-      (fun crash_at ->
-        while e.e_machine.status = Machine.Running && e.e_machine.steps < crash_at do
-          Machine.step e.e_machine h
-        done;
-        if e.e_machine.status = Machine.Halted then halted_before
-        else Ok (explicit_point ~golden compiled e))
-      crash_ats
-  end
-
-(** One explicit-persistency crash at [crash_at]: [sweep_explicit]'s
-    one-point case, a wrong final state an [Error]. *)
+(** One explicit-persistency crash at [crash_at]: the explicit model's
+    one-point [sweep], a wrong final state an [Error]. *)
 let validate_explicit ?flight ~crash_at
     (compiled : Cwsp_compiler.Pipeline.compiled) : (fault_report, string) result
     =
-  require_clean (one_point (sweep_explicit ?flight) compiled crash_at)
+  require_clean
+    (one_point ?flight ~mode:Explicit compiled (clean_point ~seed:0 ~crash_at))

@@ -17,8 +17,9 @@
     region, evaluating its recovery slice into a poisoned register
     file; and compare the final NVM image and device output with a
     failure-free run. A sweep runs many crash points on one tracked
-    run: cutting power only reads the tracked state, so the run steps
-    on from one point to the next. *)
+    run, of the cWSP model or of explicit flush/fence persistency
+    ([sweep]): cutting power only reads the tracked state, so the run
+    steps on from one point to the next. *)
 
 open Cwsp_ir
 open Cwsp_interp
@@ -43,8 +44,8 @@ type fault_outcome =
 type fault_report = {
   fr_crash_step : int;
   fr_nominal_region : int;
-      (** dynamic index of the nominal (fault-free) recovery point; for
-          [validate_explicit], the static id of the boundary it resumed
+      (** dynamic index of the nominal (fault-free) recovery point; in
+          the explicit model, the static id of the boundary it resumed
           at (0 before the first one) *)
   fr_rung_region : int;  (** region recovery actually used; -1 if refused *)
   fr_outcome : fault_outcome;
@@ -97,68 +98,69 @@ type outcome = (fault_report * (unit, string) result, string) result
     recovery compared equal; otherwise the [Error] message. *)
 val require_clean : outcome -> (fault_report, string) result
 
-(** Crash [compiled] at every point on one tracked run, scored against
-    [golden]: the run steps to each point in ascending [cp_at] order,
-    and each point's cut, injection, recovery, resume and comparison
-    work on copies of the state there, so every result equals the
-    one-point sweep's. Results come back in input order. [window] is
-    the RBT size: the maximum number of concurrently unpersisted
-    regions (default 16).
+(** Crash [compiled] at every point on one tracked run of [mode]'s
+    persistency model, scored against [golden]: the run steps to each
+    point in ascending [cp_at] order, and each point's crash, recovery,
+    resume and comparison work on copies of the state there, so every
+    result equals the one-point sweep's. Results come back in input
+    order.
 
-    [flight:true] formats a flight-recorder ring inside the tracked
-    machine's NVM once per sweep: boundary commits and persist
+    [mode] is a parameter, not read from [compiled.cconfig], because a
+    binary's config label need not name the model it was built for: the
+    fuzz campaign's verifier-hidden tests relabel explicit binaries as
+    [Implicit].
+
+    - [Implicit]: the cWSP hardware model. Each point cuts power with
+      [cp_seed], injects [cp_fault] and recovers with the hardened
+      ladder or the blind plan. [window] is the RBT size: the maximum
+      number of concurrently unpersisted regions (default 16).
+    - [Explicit]: the explicit flush/fence model, the dynamic ground
+      truth for the [Persist_check] static tier. The crash loses the
+      caches, the flushed-but-unfenced set and any uncommitted atomic,
+      and reverts the open region's checkpoint-area stores; recovery
+      blindly resumes at the newest boundary via its recovery slice.
+      Deterministic ([cp_seed] and [window] are unused): the adversary
+      always takes everything a fence had not sealed, so a dropped or
+      misplaced flush/fence escapes at some crash point reproducibly.
+      The model has no fault classes: a point with [cp_hardened] or a
+      [cp_fault] raises [Invalid_argument].
+
+    [flight:true] formats a flight-recorder ring once per sweep, inside
+    the image the crash preserves (the tracked machine's NVM for cWSP,
+    the durable image for explicit): boundary commits and persist
     telemetry are recorded as the program runs (epoch 0); each crash
-    re-attaches the ring surviving in its own snapshot, and a new epoch
-    records the injection, every ladder-rung audit, the decision and
-    the resume point; mid-recovery sweep crashes open further epochs.
-    The crash can tear the in-flight append (dedicated rng stream — the
-    main [cp_seed]-driven draw sequence is unchanged), the ring region
-    is excluded from golden comparisons, and nothing in recovery reads
-    it, so outcomes are identical with recording on or off; [fr_flight]
-    carries each point's dump artifact. The [CWSP_FLIGHT=1] environment
-    forces recording on process-wide, in every sweep and so in every
-    [validate*] entry — CI uses it to pin recorder-on runs to the
-    recorder-off goldens and perf baselines. *)
+    re-attaches the ring surviving in its own crash image, and a new
+    epoch records the crash and what recovery decided (cWSP: the
+    injection, every ladder-rung audit, the decision and the resume
+    point, with mid-recovery sweep crashes opening further epochs;
+    explicit: the blind resume). A cWSP crash can tear the in-flight
+    append (dedicated rng stream — the main [cp_seed]-driven draw
+    sequence is unchanged), the ring region is excluded from golden
+    comparisons, and nothing in recovery reads it, so outcomes are
+    identical with recording on or off; [fr_flight] carries each
+    point's dump artifact, on a failed comparison too. The
+    [CWSP_FLIGHT=1] environment forces recording on process-wide, in
+    every sweep and so in every [validate*] entry except
+    [validate_chain], which never records and returns no report — CI
+    uses it to pin recorder-on runs to the recorder-off goldens and
+    perf baselines. *)
 val sweep :
   ?window:int ->
   ?flight:bool ->
+  mode:Cwsp_compiler.Pipeline.persist_mode ->
   golden:golden ->
   Cwsp_compiler.Pipeline.compiled ->
   point list ->
   outcome list
 
-(** The explicit-persistency sweep, the dynamic ground truth for the
-    [Persist_check] static tier: run an [Explicit]-mode binary once and,
-    at each of the crash points, cut power — losing the caches, the
-    flushed-but-unfenced set and any uncommitted atomic, and reverting
-    the open region's checkpoint-area stores — then blindly resume at
-    the newest boundary via its recovery slice and compare with
-    [golden]. Deterministic (no RNG): the adversary always takes
-    everything a fence had not sealed, so a dropped or misplaced
-    flush/fence escapes at some crash point reproducibly. The report's
-    [fr_nominal_region] is the static id of the boundary resumed at (0
-    before the first one).
-
-    [flight:true] formats the ring inside the durable image, records
-    each boundary commit (with the flushed-but-unfenced set as
-    telemetry) and each crash's crash/resume decision; [fr_flight]
-    carries the dump, on a failed comparison too. Results in input
-    order, each equal to the one-point sweep's. *)
-val sweep_explicit :
-  ?flight:bool ->
-  golden:golden ->
-  Cwsp_compiler.Pipeline.compiled ->
-  int list ->
-  outcome list
-
 (** {2 One-point experiments}
 
-    Clean crash: the one-point [sweep] of [clean_point] — run [compiled]
-    with a power failure after [crash_at] instructions, recover with the
-    blind plan on the faultless persistence path, and require a
-    bit-exact final NVM state plus an exactly-once device-output
-    stream. A divergence, trap, wild access or hang of the resumed run
-    is an [Error] carrying the first difference. *)
+    Clean crash: the cWSP model's one-point [sweep] of [clean_point] —
+    run [compiled] with a power failure after [crash_at] instructions,
+    recover with the blind plan on the faultless persistence path, and
+    require a bit-exact final NVM state plus an exactly-once
+    device-output stream. A divergence, trap, wild access or hang of
+    the resumed run is an [Error] carrying the first difference. *)
 val validate :
   ?window:int ->
   seed:int ->
@@ -178,8 +180,8 @@ val validate_chain :
   Cwsp_compiler.Pipeline.compiled ->
   (int, string) result
 
-(** One explicit-persistency crash: the one-point [sweep_explicit], a
-    wrong final state, trap, wild access or hang an [Error]. *)
+(** One explicit-persistency crash: the explicit model's one-point
+    [sweep], a wrong final state, trap, wild access or hang an [Error]. *)
 val validate_explicit :
   ?flight:bool ->
   crash_at:int ->
@@ -195,13 +197,14 @@ val validate_explicit :
     whose logs verify, and refuses outright — never committing a wrong
     final NVM image — when none is left. *)
 
-(** Validate one adversarial crash, the one-point [sweep]: run to
-    [crash_at], cut power, inject [fault] into the surviving durable
-    state ([Fault.Recovery_crash] is realized as a second power failure
-    swept across every instruction of the staged recovery plan), recover
-    — hardened, or blind when [hardened:false] (trust every byte, legacy
-    ordering; the negative corpus) — and compare the final state against
-    [golden], by default [golden_of compiled]. [flight] as for [sweep]. *)
+(** Validate one adversarial crash, the cWSP model's one-point
+    [sweep]: run to [crash_at], cut power, inject [fault] into the
+    surviving durable state ([Fault.Recovery_crash] is realized as a
+    second power failure swept across every instruction of the staged
+    recovery plan), recover — hardened, or blind when [hardened:false]
+    (trust every byte, legacy ordering; the negative corpus) — and
+    compare the final state against [golden], by default [golden_of
+    compiled]. [flight] as for [sweep]. *)
 val validate_fault :
   ?window:int ->
   ?golden:golden ->

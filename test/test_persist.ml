@@ -63,24 +63,27 @@ let drop_in fname ~what n (c : Pipeline.compiled) : Pipeline.compiled =
 
 (* ---- dynamic sweep over the explicit durability oracle ---- *)
 
-let golden_steps (c : Pipeline.compiled) =
-  let m = Cwsp_interp.Machine.create (Cwsp_interp.Machine.link c.prog) in
-  Cwsp_interp.Machine.run m Cwsp_interp.Machine.no_hooks;
-  Cwsp_interp.Machine.steps m
+module H = Cwsp_recovery.Harness
 
-(* Strided crash points across the whole execution; returns the number
-   of sweeps whose recovered state diverged, plus the first error. *)
-let sweep ~points ~steps (c : Pipeline.compiled) =
-  let fails = ref 0 and first = ref None in
-  for i = 0 to points - 1 do
-    let crash_at = 1 + (i * (max 1 (steps - 2)) / points) in
-    match Cwsp_recovery.Harness.validate_explicit ~crash_at c with
-    | Ok _ -> ()
-    | Error e ->
-      incr fails;
-      if !first = None then first := Some (crash_at, e)
-  done;
-  (!fails, !first)
+(* [points] crash points strided across a run of [steps] instructions,
+   as one explicit-model sweep of [c] against its failure-free run
+   [golden]; returns the number of points whose recovered state
+   diverged, plus the first error. *)
+let sweep ~points ~steps ~golden (c : Pipeline.compiled) =
+  let crash_ats =
+    List.init points (fun i -> 1 + (i * (max 1 (steps - 2)) / points))
+  in
+  let errors =
+    List.filter_map
+      (fun (crash_at, outcome) ->
+        match H.require_clean outcome with
+        | Ok _ -> None
+        | Error e -> Some (crash_at, e))
+      (List.combine crash_ats
+         (H.sweep ~mode:Explicit ~golden c
+            (List.map (fun crash_at -> H.clean_point ~seed:0 ~crash_at) crash_ats)))
+  in
+  (List.length errors, List.nth_opt errors 0)
 
 let has_rule rule diags =
   List.exists (fun (d : Cwsp_verify.Diag.t) -> d.rule = rule) diags
@@ -140,8 +143,8 @@ let test_jobs_determinism () =
 
 let test_oracle_positive_sweep () =
   let c = compile_explicit corpus_workload in
-  let steps = golden_steps c in
-  let fails, first = sweep ~points:12 ~steps c in
+  let golden = H.golden_of c in
+  let fails, first = sweep ~points:12 ~steps:golden.g_steps ~golden c in
   match first with
   | None -> Alcotest.(check int) "no failures" 0 fails
   | Some (at, e) ->
@@ -159,7 +162,7 @@ let check_mutant name ~rule ~steps mutant =
     Alcotest.failf "%s: expected %s, verifier said:\n%s" name
       (Cwsp_verify.Diag.rule_name rule)
       (Cwsp_verify.Verify.report errs);
-  let escapes, _ = sweep ~points:40 ~steps mutant in
+  let escapes, _ = sweep ~points:40 ~steps ~golden:(H.golden_of mutant) mutant in
   if escapes = 0 then
     Alcotest.failf
       "%s: caught statically but never escaped dynamically — the \
@@ -168,13 +171,13 @@ let check_mutant name ~rule ~steps mutant =
 
 let test_mutant_dropped_flush () =
   let c = compile_explicit corpus_workload in
-  let steps = golden_steps c in
+  let steps = (H.golden_of c).g_steps in
   check_mutant "drop-flush" ~rule:Cwsp_verify.Diag.Missing_flush ~steps
     (drop_in "main" ~what:`Flush 0 c)
 
 let test_mutant_dropped_pfence () =
   let c = compile_explicit corpus_workload in
-  let steps = golden_steps c in
+  let steps = (H.golden_of c).g_steps in
   check_mutant "drop-pfence" ~rule:Cwsp_verify.Diag.Missing_fence ~steps
     (drop_in "main" ~what:`Pfence 0 c)
 

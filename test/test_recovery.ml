@@ -840,22 +840,19 @@ let test_sweep_matches_one_point () =
              modes)
          (sweep_crash_ats g.g_steps))
   in
-  let crash_ats = sweep_crash_ats ge.g_steps in
+  let explicit_points =
+    List.map (fun crash_at -> H.clean_point ~seed:0 ~crash_at) (sweep_crash_ats ge.g_steps)
+  in
   List.iter
     (fun flight ->
       let label = if flight then "recorder on" else "recorder off" in
-      let swept_implicit =
-        check_sweep ("implicit, " ^ label)
-          ~one:(fun p -> List.hd (H.sweep ~flight ~golden:g implicit [ p ]))
-          ~all:(H.sweep ~flight ~golden:g implicit)
-          points
+      let check_mode name mode golden compiled =
+        check_sweep (name ^ ", " ^ label)
+          ~one:(fun p -> List.hd (H.sweep ~flight ~mode ~golden compiled [ p ]))
+          ~all:(H.sweep ~flight ~mode ~golden compiled)
       in
-      let swept_explicit =
-        check_sweep ("explicit, " ^ label)
-          ~one:(fun c -> List.hd (H.sweep_explicit ~flight ~golden:ge explicit [ c ]))
-          ~all:(H.sweep_explicit ~flight ~golden:ge explicit)
-          crash_ats
-      in
+      let swept_implicit = check_mode "implicit" Implicit g implicit points in
+      let swept_explicit = check_mode "explicit" Explicit ge explicit explicit_points in
       let swept = swept_implicit @ swept_explicit in
       (* not vacuous: the past-halt points are errors, every other point
          reported, with a dump exactly when recording *)
@@ -871,6 +868,25 @@ let test_sweep_matches_one_point () =
       Alcotest.(check int) (label ^ ": past-halt points") (List.length modes + 1)
         (List.length (List.filter Result.is_error swept)))
     [ false; true ]
+
+(* The explicit model has no fault classes: a hardened or faulted point
+   must be refused outright, not reported as a clean recovery from a
+   fault that was never injected. *)
+let test_explicit_rejects_faults () =
+  let module H = Cwsp_recovery.Harness in
+  let w = Cwsp_workloads.Registry.find_exn "lu-ncg" in
+  let explicit = Cwsp_core.Api.compiled w Pipeline.cwsp_explicit in
+  let golden = H.golden_of explicit in
+  let clean = H.clean_point ~seed:1 ~crash_at:(golden.g_steps / 2) in
+  List.iter
+    (fun (label, p) ->
+      match H.sweep ~mode:Explicit ~golden explicit [ clean; p ] with
+      | _ -> Alcotest.failf "%s: explicit sweep accepted the point" label
+      | exception Invalid_argument _ -> ())
+    [ ("hardened", { clean with cp_hardened = true });
+      ("faulted", { clean with cp_fault = Some Cwsp_recovery.Fault.Torn_persist });
+      ("hardened and faulted",
+       { clean with cp_hardened = true; cp_fault = Some Cwsp_recovery.Fault.Dropped_tail }) ]
 
 let () =
   Alcotest.run "recovery"
@@ -948,5 +964,7 @@ let () =
         [
           Alcotest.test_case "sweep matches one-point runs" `Quick
             test_sweep_matches_one_point;
+          Alcotest.test_case "explicit sweep rejects fault points" `Quick
+            test_explicit_rejects_faults;
         ] );
     ]
