@@ -14,9 +14,11 @@
     experiment plan (plan/execute/render split, DESIGN.md §5); the
     rendered output is byte-identical for any N. [json] runs each
     experiment separately, timing it, and writes per-experiment
-    wall-clock, overall elapsed time and headline numbers to
-    BENCH_<timestamp>.json so the perf trajectory stays machine-readable
-    across PRs.
+    wall-clock, headline number and stdout digest, and the overall
+    elapsed time, to BENCH_<timestamp>.json so the perf trajectory stays
+    machine-readable across PRs; [compare] fails on a changed digest,
+    so drift in any experiment's output is caught, not only drift in
+    its headline.
 
     Absolute numbers will not match the paper (the substrate is a
     deterministic OCaml simulator, not gem5 + x86 hardware); the shapes —
@@ -40,8 +42,30 @@ let wall_hist =
       10.0; 20.0; 50.0; 100.0; 200.0; 500.0; 1000.0; 2000.0;
     |]
 
+(* Run [f] with stdout redirected to a temporary file; returns [f]'s
+   result and everything it printed. *)
+let capture_stdout f =
+  flush stdout;
+  let path = Filename.temp_file "cwsp_bench" ".out" in
+  let fd = Unix.openfile path [ O_WRONLY; O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stdout in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      f
+  in
+  let out = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, out)
+
 (** Run every experiment (or the [ids] subset) separately, timing
-    plan+execute+render, and write BENCH_<timestamp>.json. *)
+    plan+execute+render, and write BENCH_<timestamp>.json with each
+    experiment's wall time, headline and stdout digest. *)
 let json_run ~jobs ?(ids = []) () =
   let selected =
     if ids = [] then Index.all
@@ -59,11 +83,18 @@ let json_run ~jobs ?(ids = []) () =
   let results =
     List.map
       (fun (x : Index.entry) ->
-        let t0 = Unix.gettimeofday () in
-        let headline = Index.run_one x in
-        let dt = Unix.gettimeofday () -. t0 in
+        let (headline, dt), out =
+          capture_stdout (fun () ->
+              let t0 = Unix.gettimeofday () in
+              let headline = Index.run_one x in
+              (headline, Unix.gettimeofday () -. t0))
+        in
+        print_string out;
         Cwsp_util.Stats.Histogram.add wall_hist dt;
-        (x, dt, headline))
+        (* the captured text is the figure alone: its wall time is
+           printed only in the closing "wrote" line, so the digest
+           changes exactly when the figure's output does *)
+        (x, dt, headline, Digest.to_hex (Digest.string out)))
       selected
   in
   let overall = Unix.gettimeofday () -. t_all0 in
@@ -79,7 +110,7 @@ let json_run ~jobs ?(ids = []) () =
   Printf.fprintf oc "  \"overall_elapsed_s\": %.3f,\n" overall;
   Printf.fprintf oc "  \"experiments\": [\n";
   List.iteri
-    (fun i ((x : Index.entry), dt, headline) ->
+    (fun i ((x : Index.entry), dt, headline, digest) ->
       Printf.fprintf oc "    %s%s\n"
         (Json.to_string
            (Obj
@@ -88,6 +119,7 @@ let json_run ~jobs ?(ids = []) () =
                 ("wall_s", Num (Printf.sprintf "%.3f" dt));
                 ( "headline",
                   Option.fold ~none:Json.Null ~some:Json.float headline );
+                ("digest", Str digest);
               ]))
         (if i = List.length results - 1 then "" else ","))
     results;
@@ -98,8 +130,16 @@ let json_run ~jobs ?(ids = []) () =
 
 (* ---- reading BENCH json files ---- *)
 
+(** One BENCH file's experiment row; every field is optional, since
+    older files lack some. *)
+type row = {
+  wall : float option;
+  headline : float option;
+  digest : string option;
+}
+
 (** One BENCH file: its run id (the file name when absent) and, per
-    experiment in file order, [(id, (wall_s, headline))]. *)
+    experiment in file order, [(id, row)]. *)
 let load_run path =
   let j = Json.of_file path in
   let get key conv v = Option.bind (Json.member key v) conv in
@@ -111,8 +151,11 @@ let load_run path =
     Option.map
       (fun id ->
         ( id,
-          (get "wall_s" Json.to_float_opt e, get "headline" Json.to_float_opt e)
-        ))
+          {
+            wall = get "wall_s" Json.to_float_opt e;
+            headline = get "headline" Json.to_float_opt e;
+            digest = get "digest" Json.to_string_opt e;
+          } ))
       (get "id" Json.to_string_opt e)
   in
   ( run,
@@ -156,7 +199,7 @@ let history () =
         exps)
     runs;
   let ids = List.rev !ids in
-  let cell (wall, headline) =
+  let cell { wall; headline; _ } =
     let h = match headline with Some h -> Printf.sprintf "%.4g" h | None -> "-" in
     match wall with
     | Some w -> Printf.sprintf "%.1fs %s" w h
@@ -183,7 +226,7 @@ let history () =
           (fun (_, exps) ->
             let t =
               List.fold_left
-                (fun acc (_, (w, _)) -> acc +. Option.value ~default:0.0 w)
+                (fun acc (_, r) -> acc +. Option.value ~default:0.0 r.wall)
                 0.0 exps
             in
             Printf.sprintf "%.1fs" t)
@@ -193,56 +236,67 @@ let history () =
 
 (** [compare_runs old new]: per-experiment wall/headline delta table
     (joined on id), then a verdict. Exit code 1 when the total wall
-    over the joined experiments regresses by more than 10% or any
+    over the joined experiments regresses by more than 10%, any
     headline drifts (an experiment gaining a headline it previously
-    lacked is progress, not drift). *)
+    lacked is progress, not drift), or any output digest changes (rows
+    where either file has no digest, as in older files, are skipped). *)
 let compare_runs old_path new_path =
-  let load path =
-    List.map
-      (fun (id, (wall, headline)) ->
-        (id, (Option.value ~default:0.0 wall, headline)))
-      (snd (load_run path))
-  in
+  let load path = snd (load_run path) in
   let old_run = load old_path and new_run = load new_path in
+  let wall r = Option.value ~default:0.0 r.wall in
   let fmt_h = function Some h -> Printf.sprintf "%.4g" h | None -> "-" in
-  let drifted = ref [] in
-  let dropped = ref 0 in
+  let drifted = ref [] and changed = ref [] in
+  let dropped = ref 0 and digests = ref 0 in
   let wall_old = ref 0.0 and wall_new = ref 0.0 in
   let rows =
     List.filter_map
-      (fun (id, (ow, oh)) ->
+      (fun (id, o) ->
         match List.assoc_opt id new_run with
         | None ->
           incr dropped;
-          Some [ id; Cwsp_util.Table.f2 ow; "-"; "-"; fmt_h oh; "-"; "dropped" ]
-        | Some (nw, nh) ->
+          Some
+            [ id; Cwsp_util.Table.f2 (wall o); "-"; "-"; fmt_h o.headline; "-";
+              "dropped" ]
+        | Some n ->
+          let ow = wall o and nw = wall n in
           wall_old := !wall_old +. ow;
           wall_new := !wall_new +. nw;
           let speedup = if nw > 0.0 then ow /. nw else Float.infinity in
           let drift =
-            match (oh, nh) with
+            match (o.headline, n.headline) with
             | Some a, Some b ->
               Float.abs (b -. a) > 1e-6 *. Float.max 1.0 (Float.abs a)
             | Some _, None -> true (* lost a headline *)
             | None, _ -> false (* gaining one is progress *)
           in
+          let output_changed =
+            match (o.digest, n.digest) with
+            | Some a, Some b ->
+              incr digests;
+              a <> b
+            | _ -> false
+          in
           if drift then drifted := id :: !drifted;
+          if output_changed then changed := id :: !changed;
           Some
             [
               id;
               Cwsp_util.Table.f2 ow;
               Cwsp_util.Table.f2 nw;
               Printf.sprintf "%.2fx" speedup;
-              fmt_h oh;
-              fmt_h nh;
-              (if drift then "DRIFT" else "ok");
+              fmt_h o.headline;
+              fmt_h n.headline;
+              (if drift then "DRIFT"
+               else if output_changed then "OUTPUT"
+               else "ok");
             ])
       old_run
   in
   let added =
     List.filter (fun (id, _) -> List.assoc_opt id old_run = None) new_run
-    |> List.map (fun (id, (nw, nh)) ->
-           [ id; "-"; Cwsp_util.Table.f2 nw; "-"; "-"; fmt_h nh; "added" ])
+    |> List.map (fun (id, n) ->
+           [ id; "-"; Cwsp_util.Table.f2 (wall n); "-"; "-"; fmt_h n.headline;
+             "added" ])
   in
   Printf.printf "perf trajectory: %s -> %s\n\n" old_path new_path;
   Cwsp_util.Table.print
@@ -253,10 +307,14 @@ let compare_runs old_path new_path =
   Printf.printf "\ntotal wall (joined): %.1fs -> %.1fs (%.2fx)\n" !wall_old
     !wall_new
     (if !wall_new > 0.0 then !wall_old /. !wall_new else Float.infinity);
+  Printf.printf "output digests: %d compared, %d changed%s\n" !digests
+    (List.length !changed)
+    (if !digests = 0 then " (no joined row carries a digest in both files)"
+     else "");
   (* wall comparison is only meaningful when both runs covered the same
      experiments: a subset run pays cold-cache costs that a full run
      amortizes across experiments, so partial joins gate on headline
-     drift only *)
+     and output drift only *)
   let same_coverage = added = [] && !dropped = 0 in
   let wall_regressed = same_coverage && ratio > 1.10 in
   if wall_regressed then
@@ -265,12 +323,15 @@ let compare_runs old_path new_path =
   if not same_coverage then
     Printf.printf
       "note: coverage differs (subset run) — wall gate skipped, headline \
-       gate active\n";
+       and output gates active\n";
   if !drifted <> [] then
     Printf.printf "FAIL: headline drift in: %s\n"
       (String.concat ", " (List.rev !drifted));
-  if wall_regressed || !drifted <> [] then exit 1;
-  Printf.printf "OK: no wall regression, no headline drift\n"
+  if !changed <> [] then
+    Printf.printf "FAIL: output digest changed in: %s\n"
+      (String.concat ", " (List.rev !changed));
+  if wall_regressed || !drifted <> [] || !changed <> [] then exit 1;
+  Printf.printf "OK: no wall regression, no headline drift, no output drift\n"
 
 (* ---- CLI ---- *)
 

@@ -53,12 +53,56 @@ let trace ?(scale = 1) (w : Defs.t) (cc : Pipeline.config) : Trace.t =
       let c = compiled ~scale w cc in
       snd (Cwsp_ir.Decode.trace_of_program c.prog))
 
-(** Timing statistics of a workload under a scheme on a platform. *)
+(** Timing statistics of points that replay one trace on one cache
+    hierarchy: every scheme has the same compile configuration and every
+    reconfigured platform the same [levels]. Each point makes [stats]'s
+    memo lookups — a stats hit, or a stats miss then a trace hit — and
+    the misses replay together in one [Engine.run_points], which
+    simulates the caches once for all of them. *)
+let stats_group ?(scale = 1) (w : Defs.t)
+    (points : (Cwsp_schemes.Schemes.t * Config.t) list) : Stats.t list =
+  let looked =
+    List.map
+      (fun ((s : Cwsp_schemes.Schemes.t), cfg) ->
+        let key = stats_key ~scale w s cfg in
+        match Store.lookup stats_cache key with
+        | Some st -> Either.Left st
+        | None ->
+          Either.Right
+            (key, trace ~scale w s.s_compile, (s.s_reconfig cfg, s.s_engine)))
+      points
+  in
+  let missing = List.filter_map Either.find_right looked in
+  let replayed =
+    match missing with
+    | [] -> []
+    | (_, tr, _) :: _ ->
+      if List.exists (fun (_, tr', _) -> tr' != tr) missing then
+        invalid_arg "Api.stats_group: points replay different traces";
+      let stats =
+        Engine.run_points
+          (Array.of_list (List.map (fun (_, _, p) -> p) missing))
+          tr
+      in
+      List.mapi
+        (fun i (key, _, _) -> Store.add stats_cache key stats.(i))
+        missing
+  in
+  (* the memoized points in place, the replayed ones in order between *)
+  let rec merge looked replayed =
+    match (looked, replayed) with
+    | [], _ -> []
+    | Either.Left st :: looked, replayed -> st :: merge looked replayed
+    | Either.Right _ :: looked, st :: replayed -> st :: merge looked replayed
+    | Either.Right _ :: _, [] -> assert false (* one result per miss *)
+  in
+  merge looked replayed
+
+(** Timing statistics of a workload under a scheme on a platform: the
+    one-point group. *)
 let stats ?(scale = 1) (w : Defs.t) (s : Cwsp_schemes.Schemes.t)
     (cfg : Config.t) : Stats.t =
-  Store.memo stats_cache (stats_key ~scale w s cfg) (fun () ->
-      let tr = trace ~scale w s.s_compile in
-      Engine.run_trace (s.s_reconfig cfg) s.s_engine tr)
+  List.hd (stats_group ~scale w [ (s, cfg) ])
 
 (** Normalized slowdown of [scheme] against the uninstrumented baseline on
     the *same* platform (the baseline never gets the scheme's platform

@@ -37,6 +37,19 @@ val trace : ?scale:int -> Defs.t -> Pipeline.config -> Trace.t
 val stats :
   ?scale:int -> Defs.t -> Cwsp_schemes.Schemes.t -> Config.t -> Stats.t
 
+(** Timing statistics of points that replay one trace on one cache
+    hierarchy (the schemes share a compile configuration, the
+    reconfigured platforms their [levels]), in input order. Each point
+    makes the memo lookups [stats] makes; the points not memoized yet
+    replay together in one [Engine.run_points], which simulates the
+    caches once. Raises [Invalid_argument] when the points do not share
+    the trace or the levels. *)
+val stats_group :
+  ?scale:int ->
+  Defs.t ->
+  (Cwsp_schemes.Schemes.t * Config.t) list ->
+  Stats.t list
+
 (** Normalized slowdown against the uninstrumented baseline on the same
     platform; the baseline never gets the scheme's platform restriction
     (e.g. ideal PSP is normalized against the DRAM-cache baseline, as in

@@ -7,9 +7,11 @@
     1. {b traces} — one task per distinct (workload, scale, compile
        config); each compiles the binary and interprets it into a commit
        trace ([Api.trace], memoized).
-    2. {b stats} — one task per distinct simulation point; each replays
-       its (already memoized) trace under the point's scheme/platform
-       ([Api.stats], memoized).
+    2. {b stats} — one task per replay group ([Job.group_key]): the
+       distinct simulation points that replay one (already memoized)
+       trace on one cache hierarchy, grouped in first-appearance order.
+       Each task replays its points together ([Api.stats_group],
+       memoized), so the caches are simulated once per group.
 
     The barrier guarantees phase 2 never interprets: every trace a stats
     task needs is a cache hit, so no work is duplicated across domains
@@ -51,6 +53,7 @@ let h_task = Obs.Hist.make "executor.task_us"
 let c_declared = Obs.Counter.make "executor.jobs.declared"
 let c_points = Obs.Counter.make "executor.jobs.unique"
 let c_traces = Obs.Counter.make "executor.traces.unique"
+let c_groups = Obs.Counter.make "executor.groups.unique"
 
 (* Work-stealing-free pool: an atomic cursor over an immutable task
    array. Tasks are coarse (whole simulation runs), so contention on the
@@ -150,15 +153,32 @@ let dedupe key_of js =
       end)
     js
 
+(* Jobs with equal keys gathered into groups: groups in the order of
+   their first job, jobs in declaration order within a group. *)
+let group key_of js =
+  let groups = Hashtbl.create 64 and firsts = ref [] in
+  List.iter
+    (fun j ->
+      let k = key_of j in
+      match Hashtbl.find_opt groups k with
+      | Some g -> g := j :: !g
+      | None ->
+        Hashtbl.add groups k (ref [ j ]);
+        firsts := k :: !firsts)
+    js;
+  List.rev_map (fun k -> List.rev !(Hashtbl.find groups k)) !firsts
+
 (** Execute a job plan: dedupe, trace phase, barrier, stats phase.
     [jobs] defaults to the harness-wide setting ([set_default_jobs]). *)
 let run ?jobs (plan : Job.t list) =
   let jobs = match jobs with Some n -> clamp_jobs n | None -> !default_jobs in
   let points = dedupe Job.key plan in
   let traces = dedupe Job.trace_key points in
+  let groups = group Job.group_key points in
   Obs.Counter.add c_declared (List.length plan);
   Obs.Counter.add c_points (List.length points);
   Obs.Counter.add c_traces (List.length traces);
+  Obs.Counter.add c_groups (List.length groups);
   (* span names index into label arrays built only when tracing *)
   let labels js f =
     if !Obs.on then begin
@@ -174,6 +194,8 @@ let run ?jobs (plan : Job.t list) =
   Obs.span_end ();
   Obs.span_begin ~cat:"executor" "phase:stats";
   run_pool ~jobs
-    ?label:(labels points Job.key)
-    (Array.of_list (List.map (fun j () -> Job.execute j) points));
+    ?label:
+      (labels groups (fun g ->
+           Printf.sprintf "%s (%d)" (Job.key (List.hd g)) (List.length g)))
+    (Array.of_list (List.map (fun g () -> Job.execute_group g) groups));
   Obs.span_end ()

@@ -1,11 +1,13 @@
 (** The execute layer: deduplicate declared jobs, generate each shared
     trace exactly once, then replay the timing points across an OCaml 5
     domain pool. Two phases with a barrier: traces (one per distinct
-    workload/scale/compile-config), then stats (one per distinct
-    simulation point, every trace already a cache hit). [jobs = 1] runs
-    on the calling domain with no spawns. When [Cwsp_obs.Obs.on] is set,
-    tasks get spans (with queue-wait args), phases emit per-domain
-    utilization samples, and dedupe totals feed counters. *)
+    workload/scale/compile-config), then stats (one task per replay
+    group — the points sharing a trace and a cache hierarchy, whose
+    caches are simulated once — every trace already a cache hit).
+    [jobs = 1] runs on the calling domain with no spawns. When
+    [Cwsp_obs.Obs.on] is set, tasks get spans (with queue-wait args),
+    phases emit per-domain utilization samples, and dedupe totals feed
+    counters. *)
 
 (** Pool width used when [run] gets no explicit [~jobs] (default 1).
     Clamped to the hardware domain count — oversubscribed domain pools

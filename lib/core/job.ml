@@ -58,12 +58,38 @@ let trace_key (j : t) : string =
   let w, sc, cc = Api.binary_key ~scale:j.scale j.workload compile in
   Printf.sprintf "%s@%d/%s" w sc cc
 
+(** Identity of the job's replay group: stats jobs that replay one trace
+    on one cache hierarchy (the reconfigured platform's [levels]) share
+    it; a trace job is a group of its own. *)
+let group_key (j : t) : string =
+  match j.spec with
+  | Stats { scheme; cfg } ->
+    trace_key j ^ "/" ^ Config.levels_key (scheme.s_reconfig cfg)
+  | Trace _ -> key j
+
 (** Run the job to completion through [Api]'s memoized entry points. *)
 let execute (j : t) : unit =
   match j.spec with
   | Stats { scheme; cfg } ->
     ignore (Api.stats ~scale:j.scale j.workload scheme cfg)
   | Trace { compile } -> ignore (Api.trace ~scale:j.scale j.workload compile)
+
+(** Run a replay group (jobs with one [group_key]) to completion: a
+    stats group through one [Api.stats_group]. *)
+let execute_group (js : t list) : unit =
+  match js with
+  | [] -> ()
+  | [ j ] -> execute j
+  | j :: _ ->
+    ignore
+      (Api.stats_group ~scale:j.scale j.workload
+         (List.map
+            (fun (j : t) ->
+              match j.spec with
+              | Stats { scheme; cfg } -> (scheme, cfg)
+              | Trace _ ->
+                invalid_arg "Job.execute_group: a trace job groups alone")
+            js))
 
 (** Generate (only) the job's trace — phase one of the executor. *)
 let execute_trace (j : t) : unit =

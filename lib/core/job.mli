@@ -30,8 +30,17 @@ val key : t -> string
     each trace is generated once. *)
 val trace_key : t -> string
 
+(** Identity of the job's replay group: stats jobs that replay one trace
+    on one cache hierarchy (trace key plus the reconfigured platform's
+    [levels]) share it; a trace job is a group of its own. *)
+val group_key : t -> string
+
 (** Run the job to completion through [Api]'s memoized entry points. *)
 val execute : t -> unit
+
+(** Run the jobs of one replay group: stats jobs through one
+    [Api.stats_group] (one cache simulation for all of them). *)
+val execute_group : t list -> unit
 
 (** Generate (only) the job's trace — phase one of the executor. *)
 val execute_trace : t -> unit

@@ -38,31 +38,34 @@ let stats t =
   Mutex.protect t.mu (fun () ->
       { hits = t.hits; misses = t.misses; races = t.races })
 
+(** [lookup t k]: the stored value for [k], counted as a hit, or
+    [None], counted as a miss. *)
+let lookup t k =
+  Mutex.protect t.mu (fun () ->
+      match Hashtbl.find_opt t.tbl k with
+      | Some _ as v ->
+        t.hits <- t.hits + 1;
+        v
+      | None ->
+        t.misses <- t.misses + 1;
+        None)
+
+(** [add t k v] stores [v] unless [k] already has a value, which then
+    wins (counted as a race); returns the stored value. *)
+let add t k v =
+  Mutex.protect t.mu (fun () ->
+      match Hashtbl.find_opt t.tbl k with
+      | Some v' ->
+        t.races <- t.races + 1;
+        v'
+      | None ->
+        Hashtbl.add t.tbl k v;
+        v)
+
 (** [memo t k produce] returns the stored value for [k], computing it
     with [produce] if absent. First writer wins on a race. *)
 let memo t k produce =
-  let cached =
-    Mutex.protect t.mu (fun () ->
-        match Hashtbl.find_opt t.tbl k with
-        | Some _ as v ->
-          t.hits <- t.hits + 1;
-          v
-        | None ->
-          t.misses <- t.misses + 1;
-          None)
-  in
-  match cached with
-  | Some v -> v
-  | None ->
-    let v = produce () in
-    Mutex.protect t.mu (fun () ->
-        match Hashtbl.find_opt t.tbl k with
-        | Some v' ->
-          t.races <- t.races + 1;
-          v'
-        | None ->
-          Hashtbl.add t.tbl k v;
-          v)
+  match lookup t k with Some v -> v | None -> add t k (produce ())
 
 let reset t =
   Mutex.protect t.mu (fun () ->

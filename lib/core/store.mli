@@ -25,5 +25,14 @@ val stats : ('k, 'v) t -> stats
     First writer wins on a race. *)
 val memo : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
+(** [memo]'s two halves, for a producer that fills several keys at
+    once. [lookup]: the stored value, counted as a hit, or [None],
+    counted as a miss. *)
+val lookup : ('k, 'v) t -> 'k -> 'v option
+
+(** [add t k v]: store [v] unless [k] already has a value, which wins
+    (counted as a race); returns the stored value. *)
+val add : ('k, 'v) t -> 'k -> 'v -> 'v
+
 (** Clear entries and traffic counters. *)
 val reset : ('k, 'v) t -> unit

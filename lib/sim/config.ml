@@ -119,6 +119,15 @@ let fingerprint t =
        t.rbt_entries t.cycle_ns t.atomic_ns t.mlp);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(** Exact identity of the cache levels: points whose keys are equal
+    replay one cache simulation ([Engine.run_points]). *)
+let levels_key t =
+  String.concat ";"
+    (List.map
+       (fun l ->
+         Printf.sprintf "%s:%d:%d:%h" l.cname l.size_bytes l.assoc l.hit_ns)
+       t.levels)
+
 (* 256-byte channel interleave across memory controllers. *)
 let mc_of_line t line_addr = (line_addr lsr 8) mod t.n_mcs
 let numa_of_mc t mc =

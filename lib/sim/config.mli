@@ -57,6 +57,11 @@ val cxl : Nvm.t -> t
     memoization-key component (two distinct platforms can never alias). *)
 val fingerprint : t -> string
 
+(** Exact identity of [levels] (floats in hex): two configurations with
+    equal keys simulate the same caches, so [Engine.run_points] can
+    replay them together. *)
+val levels_key : t -> string
+
 (** 256-byte channel interleave across memory controllers. *)
 val mc_of_line : t -> int -> int
 

@@ -26,13 +26,24 @@
     shared. [run_traces] replays per-thread traces in global time order
     (the core with the smallest clock steps next, ties to the lowest
     index), so shared-queue contention is observed in the order a real
-    machine would produce it; [run_trace] is its one-core case. No
-    coherence traffic is modeled — the PB is coherence-agnostic by design
-    (Section V-A1) and the workloads are data-race-free, so coherence
-    misses would add a scheme-independent constant to both sides of
-    every ratio. Known modeling gap: the multi-core experiment
-    ([Exp_mp]) runs cWSP without stage 5 ([wpq_delay = false]), so its
-    loads that hit a pending WPQ entry are counted but not delayed.
+    machine would produce it. No coherence traffic is modeled — the PB
+    is coherence-agnostic by design (Section V-A1) and the workloads are
+    data-race-free, so coherence misses would add a scheme-independent
+    constant to both sides of every ratio. Known modeling gap: the
+    multi-core experiment ([Exp_mp]) runs cWSP without stage 5
+    ([wpq_delay = false]), so its loads that hit a pending WPQ entry are
+    counted but not delayed.
+
+    Cache pass and timing pass (DESIGN.md §12): the caches are simulated
+    by a cache pass that records each probe's outcome in an int buffer,
+    and the handlers read the outcomes back in a timing pass. On one
+    core no clock value reaches the caches, so [run_points] runs one
+    cache pass per chunk of events and then the timing pass of every
+    point that shares the cache levels; [run_trace] is its one-point
+    case. Its points also prune their persist tables below their own
+    clocks ([timing_pass]). On N cores the next core to touch the
+    shared levels depends on the clocks, so [run_traces] runs the two
+    passes event by event.
 
     Performance shape (DESIGN.md §12): the replay loop runs once per
     event across ~1700 simulation points, so this file keeps the per-
@@ -220,40 +231,99 @@ type t = {
   mutable wb_occ_n : int; (* occupancy sample count *)
   (* Capri redo buffer *)
   redo : pb;
+  (* the events being replayed, decoded, with their probe outcomes:
+     written by the cache pass ([cache_event]), read from [rd] on by the
+     timing pass ([step]) *)
+  buf : int array;
+  mutable rd : int;
   trace : Trace.t;
   mutable pos : int; (* next event *)
 }
 
-(* One core per trace over one shared machine. *)
-let create (cfg : Config.t) (scheme : scheme) (traces : Trace.t array) =
-  let sh =
-    {
-      wpqs = Array.init cfg.n_mcs (fun _ -> Tsq.create ~size:cfg.wpq_entries);
-      line_persist = Imap.create 4096;
-      word_wpq_done = Imap.create 4096;
-      mc_last_line = Array.make cfg.n_mcs (-1);
-      numa_ns = Array.init cfg.n_mcs (fun mc -> Config.numa_of_mc cfg mc);
-    }
-  in
-  let hier = Hierarchy.create cfg in
-  Array.mapi
-    (fun i trace ->
-      {
-        cfg;
-        scheme;
-        sh;
-        stats = Stats.create ();
-        hier = (if i = 0 then hier else Hierarchy.sibling hier);
-        c = clocks_create ();
-        pb = pb_create cfg.pb_entries;
-        rbt = rbt_create cfg.rbt_entries;
-        wb = Tsq.create ~size:cfg.wb_entries;
-        wb_occ_n = 0;
-        redo = pb_create 288 (* 18KB Capri redo buffer / 64B lines *);
-        trace;
-        pos = 0;
-      })
-    traces
+let shared_create (cfg : Config.t) =
+  {
+    wpqs = Array.init cfg.n_mcs (fun _ -> Tsq.create ~size:cfg.wpq_entries);
+    line_persist = Imap.create 4096;
+    word_wpq_done = Imap.create 4096;
+    mc_last_line = Array.make cfg.n_mcs (-1);
+    numa_ns = Array.init cfg.n_mcs (fun mc -> Config.numa_of_mc cfg mc);
+  }
+
+let create (cfg : Config.t) scheme sh hier buf trace =
+  {
+    cfg;
+    scheme;
+    sh;
+    stats = Stats.create ();
+    hier;
+    c = clocks_create ();
+    pb = pb_create cfg.pb_entries;
+    rbt = rbt_create cfg.rbt_entries;
+    wb = Tsq.create ~size:cfg.wb_entries;
+    wb_occ_n = 0;
+    redo = pb_create 288 (* 18KB Capri redo buffer / 64B lines *);
+    buf;
+    rd = 0;
+    trace;
+    pos = 0;
+  }
+
+(* ---- cache pass ---- *)
+
+(* The caches see only the sequence of (address, write) accesses: no
+   clock value reaches [Hierarchy], and a dirty L1 eviction's write-
+   buffer drain installs into L2 before the next access whatever its
+   timing. So the cache pass can run ahead of the timing pass. It
+   leaves each event in a buffer, decoded — its tag, then for a memory
+   event its address — followed by its probe outcomes: per probe the
+   packed code, then, for a store whose code has [l1_evict_bit], the
+   evicted line. (A load's dirty eviction is not replayed into the
+   write buffer.) *)
+
+let[@inline always] cache_load hier buf pos ~addr =
+  Array.unsafe_set buf pos (Hierarchy.probe hier ~addr ~write:false);
+  pos + 1
+
+let[@inline always] cache_store hier buf pos ~addr =
+  let code = Hierarchy.probe hier ~addr ~write:true in
+  Array.unsafe_set buf pos code;
+  if code land Hierarchy.l1_evict_bit = 0 then pos + 1
+  else begin
+    let line = Hierarchy.last_l1_evict hier in
+    Hierarchy.wb_install hier ~line_addr:line;
+    Array.unsafe_set buf (pos + 1) line;
+    pos + 2
+  end
+
+(* The most ints one event writes: an atomic's tag, address, load code,
+   store code and evicted line. *)
+let max_event_ints = 5
+
+(* Decode and probe one event, writing from [pos]; returns the next
+   position. [step] reads it back. *)
+let[@inline] cache_event hier buf pos ev =
+  let tag = Event.tag ev in
+  Array.unsafe_set buf pos tag;
+  if
+    tag = Event.tag_alu || tag = Event.tag_boundary || tag = Event.tag_fence
+    || tag = Event.tag_pfence
+  then pos + 1
+  else begin
+    let addr = Event.payload ev in
+    Array.unsafe_set buf (pos + 1) addr;
+    let pos = pos + 2 in
+    if tag = Event.tag_load then cache_load hier buf pos ~addr
+    else if tag = Event.tag_store || tag = Event.tag_ckpt then
+      cache_store hier buf pos ~addr
+    else if tag = Event.tag_flush then pos
+    else (* atomic *) cache_store hier buf (cache_load hier buf pos ~addr) ~addr
+  end
+
+(* The next int the cache pass left for this core. *)
+let[@inline always] next t =
+  let v = Array.unsafe_get t.buf t.rd in
+  t.rd <- t.rd + 1;
+  v
 
 (* ---- persist path ---- *)
 
@@ -303,10 +373,10 @@ let persist_store t ~addr ~commit ~bytes ~logged ~use_redo ?(coalesce = false) (
 (* ---- event handlers ---- *)
 
 (* Returns the packed [Hierarchy.probe] code. *)
-let handle_cache_write t ~addr ~count_wb_occupancy =
-  let code = Hierarchy.probe t.hier ~addr ~write:true in
+let handle_cache_write t =
+  let code = next t in
   (if code land Hierarchy.l1_evict_bit <> 0 then begin
-     let line = Hierarchy.last_l1_evict t.hier in
+     let line = next t in
      (* the eviction enters the L1D write buffer; under cWSP's stale-read
         prevention it may not drain to L2 before the line has persisted *)
      let delay_start =
@@ -318,21 +388,18 @@ let handle_cache_write t ~addr ~count_wb_occupancy =
      in
      Tsq.push_u t.wb ~ready:delay_start ~service:t.cfg.wb_drain_ns;
      let admit = Array.unsafe_get (Tsq.times t.wb) 1 in
-     Hierarchy.wb_install t.hier ~line_addr:line;
      let stall = fmax 0.0 (admit -. delay_start) in
      t.c.s_wb <- t.c.s_wb +. stall;
      t.c.now <- t.c.now +. stall
    end);
-  if count_wb_occupancy then begin
-    t.c.wb_occ_sum <-
-      t.c.wb_occ_sum +. float_of_int (Tsq.occupancy t.wb ~now:t.c.now);
-    t.wb_occ_n <- t.wb_occ_n + 1
-  end;
+  t.c.wb_occ_sum <-
+    t.c.wb_occ_sum +. float_of_int (Tsq.occupancy t.wb ~now:t.c.now);
+  t.wb_occ_n <- t.wb_occ_n + 1;
   code
 
 let handle_load t ~addr =
   t.stats.loads <- t.stats.loads + 1;
-  let code = Hierarchy.probe t.hier ~addr ~write:false in
+  let code = next t in
   let level = code land Hierarchy.level_mask in
   let serve_ns =
     if code land Hierarchy.from_memory_bit <> 0 then t.cfg.mem.read_ns
@@ -363,7 +430,7 @@ let handle_store t ~addr ~is_ckpt =
   else t.stats.stores <- t.stats.stores + 1;
   let commit = t.c.now +. t.cfg.cycle_ns in
   t.c.now <- commit;
-  let code = handle_cache_write t ~addr ~count_wb_occupancy:true in
+  let code = handle_cache_write t in
   match t.scheme with
   | Baseline -> ()
   | Cwsp f ->
@@ -539,61 +606,112 @@ let emit_epoch t track =
   Obs.counter_event ~pid:track ~name:"wb_occupancy" ~ts_us
     [ ("entries", float_of_int (Tsq.occupancy t.wb ~now:t.c.now)) ]
 
+(* One event's timing: its tag, address and probe outcomes wait in
+   [t.buf] from [t.rd] on. *)
+let[@inline always] step t ~cycle_ns =
+  let tag = next t in
+  if tag = Event.tag_alu then t.c.now <- t.c.now +. cycle_ns
+  else if tag = Event.tag_boundary then handle_boundary t
+  else if tag = Event.tag_fence then handle_sync t ~addr:(-1)
+  else if tag = Event.tag_pfence then handle_pfence t
+  else begin
+    let addr = next t in
+    if tag = Event.tag_load then handle_load t ~addr
+    else if tag = Event.tag_store then handle_store t ~addr ~is_ckpt:false
+    else if tag = Event.tag_ckpt then handle_store t ~addr ~is_ckpt:true
+    else if tag = Event.tag_flush then handle_flush t ~addr
+    else handle_sync t ~addr
+  end
+
 (* Replay [t]'s events while its clock stays below [t.c.until] — or
    equal to it when [wins_tie] — leaving [t.pos] at the first event not
-   replayed. *)
+   replayed. Cores share the L2+ levels and the next core to step
+   depends on the clocks, so each event's cache pass runs just before
+   its timing. *)
 let run_core t ~wins_tie ~track =
   let trace = t.trace in
   let n = Trace.length trace in
   let cycle_ns = t.cfg.cycle_ns in
   let i = ref t.pos in
   while !i < n && (t.c.now < t.c.until || (wins_tie && t.c.now = t.c.until)) do
-    let ev = Trace.get trace !i in
-    let tag = Event.tag ev in
-    if tag = Event.tag_alu then t.c.now <- t.c.now +. cycle_ns
-    else if tag = Event.tag_load then handle_load t ~addr:(Event.payload ev)
-    else if tag = Event.tag_store then
-      handle_store t ~addr:(Event.payload ev) ~is_ckpt:false
-    else if tag = Event.tag_ckpt then
-      handle_store t ~addr:(Event.payload ev) ~is_ckpt:true
-    else if tag = Event.tag_boundary then handle_boundary t
-    else if tag = Event.tag_fence then handle_sync t ~addr:(-1)
-    else if tag = Event.tag_flush then handle_flush t ~addr:(Event.payload ev)
-    else if tag = Event.tag_pfence then handle_pfence t
-    else handle_sync t ~addr:(Event.payload ev);
+    ignore (cache_event t.hier t.buf 0 (Trace.get trace !i));
+    t.rd <- 0;
+    step t ~cycle_ns;
     if track >= 0 && !i land epoch_mask = epoch_mask then emit_epoch t track;
     incr i
   done;
   t.pos <- !i
+
+(* The timing pass of events [lo, hi), which the chunk's cache pass
+   left in [t.buf]. The core is alone on its persist tables and its
+   clock never falls, and both tables are only read against the clock:
+   a line persisted by [now] delays no write-buffer drain past [now],
+   and a word drained by [now] delays no load. Entries at or below the
+   clock can change no result, so the pass drops them when a table
+   fills, which keeps the tables of a group's points small. *)
+let timing_pass t ~lo ~hi ~track =
+  let cycle_ns = t.cfg.cycle_ns in
+  t.rd <- 0;
+  for i = lo to hi - 1 do
+    step t ~cycle_ns;
+    if track >= 0 && i land epoch_mask = epoch_mask then emit_epoch t track
+  done;
+  Imap.prune t.sh.line_persist ~floor:t.c.now;
+  Imap.prune t.sh.word_wpq_done ~floor:t.c.now
 
 type result = {
   per_core : Stats.t array;
   elapsed_ns : float; (* completion of the slowest core *)
 }
 
+(* [-1] each when tracing is off ([track < 0] is the single disabled-
+   path branch per epoch check); otherwise one counter track per run,
+   named [sim:<scheme>] plus [suffix i], inside a [replay:<label>]
+   span. *)
+let open_tracks names ~suffix ~label ~events =
+  let n = Array.length names in
+  if not !Obs.on then Array.make n (-1)
+  else begin
+    let tracks =
+      Array.init n (fun i -> Obs.alloc_track ("sim:" ^ names.(i) ^ suffix i))
+    in
+    Obs.span_begin ~cat:"sim"
+      ~args:
+        [ ("events", float_of_int events); ("track", float_of_int tracks.(0)) ]
+      ("replay:" ^ label);
+    tracks
+  end
+
+(* Flush a finished run's clocks and cache counters into its stats. *)
+let finish t ~track =
+  t.stats.instructions <- Trace.length t.trace;
+  clocks_flush t.c t.stats;
+  Cwsp_util.Stats.Acc.add_sum t.stats.wb_occupancy ~sum:t.c.wb_occ_sum
+    ~count:t.wb_occ_n;
+  t.stats.nvm_reads <- t.hier.nvm_reads;
+  t.stats.l1_miss_rate <- Hierarchy.l1_miss_rate t.hier;
+  t.stats.llc_miss_rate <- Hierarchy.llc_miss_rate t.hier;
+  if track >= 0 then emit_epoch t track
+
 let run_traces (cfg : Config.t) (scheme : scheme) (traces : Trace.t array) :
     result =
   if Array.length traces = 0 then invalid_arg "Engine.run_traces: no traces";
-  let cores = create cfg scheme traces in
+  let sh = shared_create cfg in
+  let hier = Hierarchy.create cfg in
+  let cores =
+    Array.mapi
+      (fun i trace ->
+        create cfg scheme sh
+          (if i = 0 then hier else Hierarchy.sibling hier)
+          (Array.make max_event_ints 0) trace)
+      traces
+  in
   let ncores = Array.length cores in
   let name = scheme_name scheme in
-  let traced = !Obs.on in
-  (* [track < 0] is the single disabled-path branch per epoch check *)
   let tracks =
-    if not traced then Array.make ncores (-1)
-    else begin
-      let tracks =
-        Array.init ncores (fun i ->
-            Obs.alloc_track
-              (if ncores = 1 then "sim:" ^ name
-               else Printf.sprintf "sim:%s#%d" name i))
-      in
-      let events = Array.fold_left (fun a tr -> a + Trace.length tr) 0 traces in
-      Obs.span_begin ~cat:"sim"
-        ~args:[ ("events", float_of_int events); ("track", float_of_int tracks.(0)) ]
-        ("replay:" ^ name);
-      tracks
-    end
+    open_tracks (Array.make ncores name) ~label:name
+      ~suffix:(fun i -> if ncores = 1 then "" else Printf.sprintf "#%d" i)
+      ~events:(Array.fold_left (fun a tr -> a + Trace.length tr) 0 traces)
   in
   (* The live core with the smallest clock, ties to the lowest index;
      -1 when none. *)
@@ -623,21 +741,58 @@ let run_traces (cfg : Config.t) (scheme : scheme) (traces : Trace.t array) :
     end
   in
   loop ();
-  Array.iteri
-    (fun i t ->
-      t.stats.instructions <- Trace.length t.trace;
-      clocks_flush t.c t.stats;
-      Cwsp_util.Stats.Acc.add_sum t.stats.wb_occupancy ~sum:t.c.wb_occ_sum
-        ~count:t.wb_occ_n;
-      t.stats.nvm_reads <- t.hier.nvm_reads;
-      t.stats.l1_miss_rate <- Hierarchy.l1_miss_rate t.hier;
-      t.stats.llc_miss_rate <- Hierarchy.llc_miss_rate t.hier;
-      if tracks.(i) >= 0 then emit_epoch t tracks.(i))
-    cores;
-  if traced then Obs.span_end ();
+  Array.iteri (fun i t -> finish t ~track:tracks.(i)) cores;
+  if tracks.(0) >= 0 then Obs.span_end ();
   {
     per_core = Array.map (fun t -> t.stats) cores;
     elapsed_ns = Array.fold_left (fun acc t -> fmax acc t.c.now) 0.0 cores;
   }
 
-let run_trace cfg scheme trace = (run_traces cfg scheme [| trace |]).per_core.(0)
+(* Events per chunk: the cache pass of one chunk and every point's
+   timing pass over it share a buffer of at most [max_event_ints] ints
+   per event, small enough to stay in the data caches. *)
+let chunk = 2048
+
+let run_points (points : (Config.t * scheme) array) (trace : Trace.t) :
+    Stats.t array =
+  let npoints = Array.length points in
+  if npoints = 0 then [||]
+  else begin
+    let cfg0, _ = points.(0) in
+    Array.iter
+      (fun ((cfg : Config.t), _) ->
+        if cfg.levels <> cfg0.levels then
+          invalid_arg "Engine.run_points: points differ in their cache levels")
+      points;
+    let hier = Hierarchy.create cfg0 in
+    let buf = Array.make (chunk * max_event_ints) 0 in
+    let runs =
+      Array.map
+        (fun (cfg, scheme) ->
+          create cfg scheme (shared_create cfg) hier buf trace)
+        points
+    in
+    let names = Array.map (fun (_, scheme) -> scheme_name scheme) points in
+    let n = Trace.length trace in
+    let tracks =
+      open_tracks names ~suffix:(fun _ -> "") ~events:n
+        ~label:
+          (if npoints = 1 then names.(0)
+           else Printf.sprintf "%d points" npoints)
+    in
+    let lo = ref 0 in
+    while !lo < n do
+      let hi = min n (!lo + chunk) in
+      let pos = ref 0 in
+      for i = !lo to hi - 1 do
+        pos := cache_event hier buf !pos (Trace.get trace i)
+      done;
+      Array.iteri (fun k t -> timing_pass t ~lo:!lo ~hi ~track:tracks.(k)) runs;
+      lo := hi
+    done;
+    Array.iteri (fun k t -> finish t ~track:tracks.(k)) runs;
+    if tracks.(0) >= 0 then Obs.span_end ();
+    Array.map (fun t -> t.stats) runs
+  end
+
+let run_trace cfg scheme trace = (run_points [| (cfg, scheme) |] trace).(0)

@@ -5,7 +5,8 @@
     asynchronous undo logging; RBT admission for MC speculation; WB
     stale-read delaying; WPQ-hit load delaying). Each core owns its L1D,
     write buffer, PB, redo buffer and RBT; the L2+ levels and the WPQs
-    are shared. *)
+    are shared. A replay is a cache pass ([Hierarchy.probe] per access)
+    feeding a timing pass that reads the recorded probe outcomes. *)
 
 type cwsp_flags = {
   persist_path : bool;   (** Fig. 15 stage 2: persist committed stores *)
@@ -44,9 +45,24 @@ type result = {
 (** Replay per-thread traces (e.g. from [Decode.spmd_traces_of_program])
     on an N-core machine: one core per trace over shared L2+ levels, WPQs
     and persist tables, stepped in global time order (smallest clock
-    first, ties to the lowest core index). Raises [Invalid_argument] on
-    an empty array. *)
+    first, ties to the lowest core index). Which core accesses the
+    shared levels next depends on the clocks, so each event's caches are
+    simulated just before its timing. Raises [Invalid_argument] on an
+    empty array. *)
 val run_traces : Config.t -> scheme -> Cwsp_ir.Trace.t array -> result
 
-(** The one-core case of [run_traces]. *)
+(** Replay one trace on one core under each [(platform, scheme)] point,
+    results in input order. On one core the cache state after each
+    access depends only on the accesses, never on timing, so points
+    whose platforms have equal [levels] see the same probe outcomes:
+    the caches are simulated once, a chunk of events at a time, and
+    every point's timing pass replays the chunk from the recorded
+    outcomes. Each point keeps its own persist path, buffers, clocks and
+    stats; [nvm_reads] and the miss rates come from the one cache
+    simulation. Each point's stats equal, field for field, those of
+    replaying it alone.
+    Raises [Invalid_argument] when the points' [levels] differ. *)
+val run_points : (Config.t * scheme) array -> Cwsp_ir.Trace.t -> Stats.t array
+
+(** The one-point case of [run_points]. *)
 val run_trace : Config.t -> scheme -> Cwsp_ir.Trace.t -> Stats.t

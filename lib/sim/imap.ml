@@ -60,3 +60,18 @@ let[@inline always] put t k v =
   end
 
 let length t = t.count
+
+(** When the table is at least a quarter full, drop every binding whose
+    value is [<= floor]. The capacity stays: a caller that prunes below
+    a rising floor keeps the table from growing. *)
+let prune t ~floor =
+  if 4 * t.count > t.mask then begin
+    let keep = ref [] in
+    Array.iteri
+      (fun i k ->
+        if k >= 0 && t.vals.(i) > floor then keep := (k, t.vals.(i)) :: !keep)
+      t.keys;
+    Array.fill t.keys 0 (t.mask + 1) (-1);
+    t.count <- 0;
+    List.iter (fun (k, v) -> put t k v) !keep
+  end

@@ -14,3 +14,7 @@ val find_def : t -> int -> float -> float
 val put : t -> int -> float -> unit
 
 val length : t -> int
+
+(** [prune t ~floor]: when [t] is at least a quarter full, drop every
+    binding whose value is [<= floor], keeping the capacity. *)
+val prune : t -> floor:float -> unit

@@ -61,11 +61,22 @@ let admit t = Array.unsafe_get t.fs 1
 (** Raw result cells (0 = last completion, 1 = last admit). *)
 let times t = t.fs
 
-(** Entries still in flight (completion after [now]); capped at [size]. *)
+(** Entries still in flight (completion after [now]); capped at [size].
+    Completions never decrease in push order ([completion = max(admit,
+    previous) + service] with [service >= 0]), so the entries in flight
+    are a suffix of the ring taken oldest first: binary-search where it
+    starts. *)
 let occupancy t ~now =
-  let n = min t.count t.size in
-  let occ = ref 0 in
-  for i = 0 to n - 1 do
-    if t.completions.(i) > now then incr occ
+  let n, oldest =
+    if t.count < t.size then (t.count, 0) else (t.size, t.count mod t.size)
+  in
+  (* first position, oldest first, whose completion is after [now] *)
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let slot = oldest + mid in
+    let slot = if slot >= t.size then slot - t.size else slot in
+    if Array.unsafe_get t.completions slot > now then hi := mid
+    else lo := mid + 1
   done;
-  !occ
+  n - !lo

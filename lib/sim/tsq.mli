@@ -3,7 +3,9 @@
     Hardware queues (WPQ, write buffers) are modeled as a single-server
     FIFO with [size] slots: an item becoming ready at time r is admitted
     once a slot frees (backpressure), then completes after the in-order
-    service of everything ahead of it. Only timestamps are stored. *)
+    service of everything ahead of it. Only timestamps are stored.
+    Service times are non-negative, so completions never decrease in
+    push order. *)
 
 type t
 
@@ -30,5 +32,6 @@ val admit : t -> float
     (a float-returning accessor would box without flambda). *)
 val times : t -> float array
 
-(** Entries still in flight at [now]; at most [size]. *)
+(** Entries still in flight at [now]; at most [size]. O(log size): the
+    entries in flight are the newest ones. *)
 val occupancy : t -> now:float -> int

@@ -81,6 +81,54 @@ let test_plan_dedup () =
   let out = capture_stdout render in
   Alcotest.(check bool) "render from warm store" true (String.length out > 0)
 
+(* Grouped replay keeps the memo traffic of point-by-point replay: on
+   fresh caches, [Executor.run] over the Fig. 14 + Fig. 21 plan makes
+   the hits, misses and races of generating each trace once and then
+   calling [Api.stats] per point, and memoizes the same stats. *)
+let test_grouped_traffic () =
+  let plan = Fig14.plan () @ Fig21.plan () in
+  let results points =
+    List.map
+      (fun (j : Job.t) ->
+        match j.spec with
+        | Job.Stats { scheme; cfg } ->
+          Some (Api.stats ~scale:j.scale j.workload scheme cfg)
+        | Job.Trace _ -> None)
+      points
+  in
+  let dedupe key js =
+    let seen = Hashtbl.create 256 in
+    List.filter
+      (fun j ->
+        let k = key j in
+        (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+      js
+  in
+  let points = dedupe Job.key plan in
+  Api.reset_caches ();
+  List.iter Job.execute_trace (dedupe Job.trace_key points);
+  List.iter Job.execute points;
+  let per_point = Api.cache_stats () in
+  let per_point_stats = results points in
+  Api.reset_caches ();
+  Executor.run ~jobs:1 plan;
+  let grouped = Api.cache_stats () in
+  let show l =
+    String.concat "; "
+      (List.map
+         (fun (name, (s : Store.stats), n) ->
+           Printf.sprintf "%s: %d hits, %d misses, %d races, %d entries" name
+             s.hits s.misses s.races n)
+         l)
+  in
+  Alcotest.(check string) "memo traffic" (show per_point) (show grouped);
+  List.iter2
+    (fun (j : Job.t) (a, b) ->
+      (* field for field, floats bit for bit *)
+      Alcotest.(check bool) (Job.key j) true (a = b))
+    points
+    (List.combine per_point_stats (results points))
+
 (* Concurrency smoke: many domains hammer one store with overlapping
    keys; every read must observe the canonical value and the store must
    end with exactly one entry per key. *)
@@ -129,6 +177,8 @@ let () =
         [
           Alcotest.test_case "jobs=1 vs jobs=4" `Slow test_jobs_determinism;
           Alcotest.test_case "plan dedup" `Slow test_plan_dedup;
+          Alcotest.test_case "grouped replay memo traffic" `Slow
+            test_grouped_traffic;
         ] );
       ( "concurrency",
         [

@@ -57,6 +57,74 @@ let test_tsq_occupancy_bounded () =
   done;
   Alcotest.(check bool) "occupancy <= size" true (Tsq.occupancy q ~now:1.0 <= 4)
 
+(* [occupancy] binary-searches the ring; the reference counts, among
+   the last [size] completions pushed, those after [now]. [now] is
+   either an offset from the last ready time or exactly one of those
+   completions (a tie). *)
+let prop_tsq_occupancy_matches_scan =
+  QCheck.Test.make ~name:"Tsq occupancy = linear scan" ~count:300
+    QCheck.(
+      pair (int_range 1 40)
+        (list_of_size (Gen.int_range 1 120)
+           (quad (float_range 0.0 10.0) (float_range 0.0 8.0)
+              (float_range (-20.0) 40.0) (int_range (-1) 39))))
+    (fun (size, items) ->
+      let q = Tsq.create ~size in
+      let ready = ref 0.0 and newest_first = ref [] in
+      List.for_all
+        (fun (dt, service, offset, tie) ->
+          ready := !ready +. dt;
+          let _, c = Tsq.push q ~ready:!ready ~service in
+          newest_first := c :: !newest_first;
+          let ring = List.filteri (fun i _ -> i < size) !newest_first in
+          let now =
+            if tie >= 0 && tie < List.length ring then List.nth ring tie
+            else !ready +. offset
+          in
+          Tsq.occupancy q ~now
+          = List.length (List.filter (fun c -> c > now) ring))
+        items)
+
+(* ---- Imap ---- *)
+
+(* [prune] keeps every binding above the floor with its value; a
+   binding at or below it may go (only once the table is a quarter
+   full), and a later [put] still binds. *)
+let prop_imap_prune =
+  QCheck.Test.make ~name:"Imap prune keeps bindings above the floor" ~count:200
+    QCheck.(
+      triple (int_range 1 64)
+        (list_of_size (Gen.int_range 0 200)
+           (pair (int_range 0 300) (float_range 0.0 100.0)))
+        (float_range 0.0 100.0))
+    (fun (n, puts, floor) ->
+      let m = Imap.create n and model = Hashtbl.create 64 in
+      List.iter
+        (fun (k, v) ->
+          Imap.put m k v;
+          Hashtbl.replace model k v)
+        puts;
+      Imap.prune m ~floor;
+      let kept =
+        Hashtbl.fold
+          (fun k v ok ->
+            let got = Imap.find_def m k (-1.0) in
+            ok && if v > floor then got = v else got = v || got = -1.0)
+          model true
+      in
+      Imap.put m 1000 floor;
+      kept && Imap.find_def m 1000 0.0 = floor)
+
+let test_imap_prune_drops () =
+  let m = Imap.create 8 in
+  for k = 0 to 19 do
+    Imap.put m k (float_of_int k)
+  done;
+  Imap.prune m ~floor:9.5;
+  Alcotest.(check int) "bindings above the floor" 10 (Imap.length m);
+  Alcotest.(check (float 0.0)) "dropped" (-1.0) (Imap.find_def m 3 (-1.0));
+  Alcotest.(check (float 0.0)) "kept" 12.0 (Imap.find_def m 12 (-1.0))
+
 (* ---- Cache ---- *)
 
 let test_cache_hit_after_fill () =
@@ -453,6 +521,88 @@ let test_mp_grid_pinned () =
   in
   Alcotest.(check (list (pair string string))) "mp grid digests" mp_grid_pins got
 
+(* ---- grouped replay ---- *)
+
+(* [run_points] over the pins' grid: per workload and platform, the
+   schemes that replay one trace (same compile configuration) run as
+   one group, and each point must equal its own replay ([Api.stats],
+   shared with the pins below) field for field. *)
+let test_run_points_matches_pins () =
+  List.iter
+    (fun wname ->
+      let w = Cwsp_workloads.Registry.find_exn wname in
+      List.iter
+        (fun (pname, cfg) ->
+          let compiles =
+            List.sort_uniq compare
+              (List.map
+                 (fun (s : Cwsp_schemes.Schemes.t) ->
+                   Cwsp_compiler.Pipeline.config_name s.s_compile)
+                 pin_schemes)
+          in
+          List.iter
+            (fun cc ->
+              let group =
+                List.filter
+                  (fun (s : Cwsp_schemes.Schemes.t) ->
+                    Cwsp_compiler.Pipeline.config_name s.s_compile = cc)
+                  pin_schemes
+              in
+              let tr = Cwsp_core.Api.trace w (List.hd group).s_compile in
+              let got =
+                Engine.run_points
+                  (Array.of_list
+                     (List.map
+                        (fun (s : Cwsp_schemes.Schemes.t) ->
+                          (s.s_reconfig cfg, s.s_engine))
+                        group))
+                  tr
+              in
+              List.iteri
+                (fun i (s : Cwsp_schemes.Schemes.t) ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s@%s %s" wname pname s.s_name)
+                    (stats_fields (Cwsp_core.Api.stats w s cfg))
+                    (stats_fields got.(i)))
+                group)
+            compiles)
+        pin_platforms)
+    [ "radix"; "tatp"; "sps" ]
+
+(* One group mixing Baseline, Capri and cWSP at every Fig. 21
+   bandwidth: eighteen timing passes over one cache pass. *)
+let test_run_points_mixed_group () =
+  let w = Cwsp_workloads.Registry.find_exn "tatp" in
+  let tr = Cwsp_core.Api.trace w Cwsp_compiler.Pipeline.cwsp in
+  let points =
+    List.concat_map
+      (fun bw ->
+        let cfg = { Config.default with path_bandwidth_gbs = bw } in
+        [ (cfg, Engine.Baseline); (cfg, Engine.Capri);
+          (cfg, Engine.Cwsp Engine.cwsp_full) ])
+      [ 1.0; 2.0; 4.0; 10.0; 20.0; 32.0 ]
+  in
+  let got = Engine.run_points (Array.of_list points) tr in
+  List.iteri
+    (fun i (cfg, scheme) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s at %gGB/s" (Engine.scheme_name scheme)
+           cfg.Config.path_bandwidth_gbs)
+        (stats_fields (Engine.run_trace cfg scheme tr))
+        (stats_fields got.(i)))
+    points
+
+let test_run_points_rejects_levels () =
+  let tr = synthetic_trace ~stores:10 ~spread:4096 in
+  Alcotest.check_raises "levels differ"
+    (Invalid_argument "Engine.run_points: points differ in their cache levels")
+    (fun () ->
+      ignore
+        (Engine.run_points
+           [| (Config.default, Engine.Baseline);
+              (Config.psp_no_dram_cache, Engine.Baseline) |]
+           tr))
+
 let () =
   Alcotest.run "sim"
     [
@@ -462,6 +612,13 @@ let () =
           qtest prop_tsq_admit_after_ready;
           Alcotest.test_case "backpressure" `Quick test_tsq_backpressure;
           Alcotest.test_case "occupancy bounded" `Quick test_tsq_occupancy_bounded;
+          qtest prop_tsq_occupancy_matches_scan;
+        ] );
+      ( "imap",
+        [
+          qtest prop_imap_prune;
+          Alcotest.test_case "prune drops at or below the floor" `Quick
+            test_imap_prune_drops;
         ] );
       ( "cache",
         [
@@ -485,6 +642,15 @@ let () =
           Alcotest.test_case "ido slower" `Quick test_ido_slower_than_cwsp;
           Alcotest.test_case "rbt storage = 176B" `Quick test_storage_bytes;
           Alcotest.test_case "deterministic" `Quick test_deterministic_replay;
+        ] );
+      ( "grouped replay",
+        [
+          Alcotest.test_case "equals per-point replay on the pins' grid" `Quick
+            test_run_points_matches_pins;
+          Alcotest.test_case "baseline, capri, cwsp at fig21 bandwidths" `Quick
+            test_run_points_mixed_group;
+          Alcotest.test_case "mismatched levels raise" `Quick
+            test_run_points_rejects_levels;
         ] );
       ( "pins",
         [
