@@ -2,6 +2,7 @@
    the predicate-evaluation budget is spent. *)
 
 open Cwsp_ir
+module Obs = Cwsp_obs.Obs
 
 (* Delete flat instruction positions [lo, hi) of a function. *)
 let delete_range (fn : Prog.func) lo hi =
@@ -22,7 +23,7 @@ let delete_range (fn : Prog.func) lo hi =
   in
   { fn with blocks }
 
-let minimize ?(budget = 3000) ~pred (prog : Prog.t) : Prog.t =
+let minimize_ ~budget ~pred (prog : Prog.t) : Prog.t =
   let budget = ref budget in
   let try_ cand =
     !budget > 0
@@ -138,3 +139,7 @@ let minimize ?(budget = 3000) ~pred (prog : Prog.t) : Prog.t =
       (!cur).funcs;
   done;
   !cur
+
+let minimize ?(budget = 3000) ~pred prog =
+  if not !Obs.on then minimize_ ~budget ~pred prog
+  else Obs.time ~cat:"fuzz" "minimize" (fun () -> minimize_ ~budget ~pred prog)

@@ -9,7 +9,9 @@
     [Oracle.reproduces] predicates are).
 
     [budget] caps predicate evaluations (default 3000), making worst-case
-    minimization time a campaign parameter rather than a hazard. *)
+    minimization time a campaign parameter rather than a hazard. When
+    tracing ([Obs.on]), the whole minimization is one [minimize] span
+    (category [fuzz]). *)
 
 open Cwsp_ir
 

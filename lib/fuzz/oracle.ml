@@ -10,6 +10,7 @@ module Harness = Cwsp_recovery.Harness
 module Fault = Cwsp_recovery.Fault
 module Verify = Cwsp_verify.Verify
 module Diag = Cwsp_verify.Diag
+module Obs = Cwsp_obs.Obs
 
 type compile_fn = Pipeline.config -> Prog.t -> Pipeline.compiled
 
@@ -82,7 +83,7 @@ let screen_step (m : Machine.t) =
   | _ -> ()
 
 (* Step the source program's [main] under the screen. *)
-let baseline_run (prog : Prog.t) : (base_run, string) result =
+let baseline_run_ (prog : Prog.t) : (base_run, string) result =
   let m = Machine.create (Machine.link prog) in
   let steps = ref 0 in
   try
@@ -97,6 +98,10 @@ let baseline_run (prog : Prog.t) : (base_run, string) result =
   | Wild _ -> Error "wild"
   | Machine.Trap _ -> Error "trap"
   | _ -> Error "trap"
+
+let baseline_run prog =
+  if not !Obs.on then baseline_run_ prog
+  else Obs.time ~cat:"fuzz" "baseline_run" (fun () -> baseline_run_ prog)
 
 (* The dynamic race monitor over an SPMD worker, every thread's accesses
    under the same screen as [baseline_run]: the baseline only runs
@@ -200,7 +205,7 @@ let certified ~compile mode prog =
 (* The certified binary's failure-free run against the source baseline:
    the run as the probes' golden, its trace, and what differs ([None]:
    nothing). Raises if the binary traps or runs out of fuel. *)
-let instrumented_run base (compiled : Pipeline.compiled) =
+let instrumented_run_ base (compiled : Pipeline.compiled) =
   let m, tr = Machine.trace_of_program ~fuel:instrumented_fuel compiled.prog in
   let golden = Harness.golden_of_run m in
   let diff =
@@ -210,6 +215,12 @@ let instrumented_run base (compiled : Pipeline.compiled) =
     else None
   in
   (golden, tr, diff)
+
+let instrumented_run base compiled =
+  if not !Obs.on then instrumented_run_ base compiled
+  else
+    Obs.time ~cat:"fuzz" "instrumented_run" (fun () ->
+        instrumented_run_ base compiled)
 
 (* ---- the probe runner: the one place a dynamic stage meets the harness ---- *)
 
@@ -411,7 +422,7 @@ let search p ~(golden : Harness.golden) ~trace =
    halts before it) runs alone, and only when it holds does the rest
    run, as one sweep: the minimizer asks this of every candidate, and
    the finding's own probe usually still breaks. *)
-let first_broken ~compile ~flight p prog =
+let first_broken_ ~compile ~flight p prog =
   match baseline_run prog with
   | Error _ -> None
   | Ok base -> (
@@ -436,6 +447,12 @@ let first_broken ~compile ~flight p prog =
           match first_break [ q ] with
           | Some _ as hit -> hit
           | None -> first_break rest))))
+
+let first_broken ~compile ~flight p prog =
+  if not !Obs.on then first_broken_ ~compile ~flight p prog
+  else
+    Obs.time ~cat:"fuzz" "first_broken" (fun () ->
+        first_broken_ ~compile ~flight p prog)
 
 let reproduces ?(compile = default_compile) (f : finding) (prog : Prog.t) : bool =
   try

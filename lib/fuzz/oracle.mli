@@ -82,7 +82,9 @@ val evaluate : ?compile:compile_fn -> Cwsp_util.Rng.t -> Prog.t -> eval
     a fixed search (seed 1 over the boundary crash points; a quarter,
     half and three quarters of the run x seeds 1-3 for a fault class;
     the explicit boundary points), true when one breaks. So the program
-    [evaluate] flagged always reproduces its own finding. *)
+    [evaluate] flagged always reproduces its own finding. When tracing
+    ([Obs.on]), the probed stages run under [baseline_run],
+    [instrumented_run] and [first_broken] spans (category [fuzz]). *)
 val reproduces : ?compile:compile_fn -> finding -> Prog.t -> bool
 
 (** Forensic companion to a finding: [reproduces]'s search with the

@@ -112,10 +112,10 @@ let unbalanced_ends () = Atomic.get unbalanced
 
 (** Time [f] under a span. Allocates the closure even when disabled —
     fine for coarse per-run sites, not for per-event hot paths. *)
-let time ?cat name f =
+let time ?cat ?args name f =
   if not !on then f ()
   else begin
-    span_begin ?cat name;
+    span_begin ?cat ?args name;
     Fun.protect ~finally:span_end f
   end
 

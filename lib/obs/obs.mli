@@ -37,7 +37,8 @@ val unbalanced_ends : unit -> int
 
 (** Time [f] under a span. Allocates the closure even when disabled —
     for coarse per-run sites only, not per-event hot paths. *)
-val time : ?cat:string -> string -> (unit -> 'a) -> 'a
+val time :
+  ?cat:string -> ?args:(string * float) list -> string -> (unit -> 'a) -> 'a
 
 (** {1 Counter samples and tracks} *)
 

@@ -6,7 +6,10 @@
     the cell's fixed position in the matrix ([Rng.stream]), so results
     are bit-identical no matter how the cells are fanned out — the
     caller can hand [run] a parallel [map] (e.g. [Executor.map_pool])
-    without affecting a single outcome.
+    without affecting a single outcome. All of one target's cells crash
+    on one tracked run ([Harness.sweep]), whose results equal the cells'
+    one-point runs ([run_cell]), so the program's prefix up to each
+    crash point is paid once per target, not once per cell.
 
     The report counts, per fault class: cells where the adversary found
     a target (injected), cells where the hardening audits saw damage or
@@ -107,12 +110,19 @@ let stamp_cell_event ~sp ~outcome ~detections dump =
             sp.sp_index (outcome_code outcome) detections sp.sp_rep;
           Some (Cwsp_flight.Recorder.dump_string mem))
 
-let run_cell_inner ?(flight = false) ~hardened ~window ~master_seed
-    (sp : cell_spec) : cell =
+(* The crash a cell draws from its own stream: the harness seed, then
+   the crash step. *)
+let draw ~master_seed (sp : cell_spec) =
   let rng = Cwsp_util.Rng.stream (Cwsp_util.Rng.create master_seed) sp.sp_index in
   let seed = Cwsp_util.Rng.int rng max_int in
-  let g = sp.sp_target.t_golden in
-  let crash_at = 1 + Cwsp_util.Rng.int rng (max 1 (g.g_steps - 2)) in
+  let crash_at =
+    1 + Cwsp_util.Rng.int rng (max 1 (sp.sp_target.t_golden.g_steps - 2))
+  in
+  (seed, crash_at)
+
+(* The cell a harness result makes, wherever it was computed. *)
+let cell_of (sp : cell_spec) ~seed ~crash_at
+    (res : (Harness.fault_report, string) result) : cell =
   let base outcome ~injected ~detected ~detail ~sweep ~slice ~fails ~fdump =
     {
       c_workload = sp.sp_target.t_name;
@@ -134,10 +144,7 @@ let run_cell_inner ?(flight = false) ~hardened ~window ~master_seed
               d);
     }
   in
-  match
-    Harness.validate_fault ~window ~golden:g ~hardened ~flight ~fault:sp.sp_cls
-      ~seed ~crash_at sp.sp_target.t_compiled
-  with
+  match res with
   | Error e ->
       base Masked ~injected:false ~detected:false ~detail:("harness: " ^ e)
         ~sweep:0 ~slice:0 ~fails:0 ~fdump:None
@@ -166,30 +173,75 @@ let run_cell_inner ?(flight = false) ~hardened ~window ~master_seed
         ~fdump:r.fr_flight
 
 (* Tracing wrapper: one span per matrix cell plus a per-(class, outcome)
-   counter, e.g. "campaign.torn_write.recovered". Dynamic names are only
+   counter, e.g. "campaign.torn-persist.recovered". Dynamic names are only
    built when instrumentation is on; outcomes themselves are computed by
-   [run_cell_inner] either way, so reports are unaffected. *)
-let run_cell ?flight ~hardened ~window ~master_seed (sp : cell_spec) : cell =
-  if not !Obs.on then run_cell_inner ?flight ~hardened ~window ~master_seed sp
-  else begin
-    Obs.span_begin ~cat:"campaign"
+   [compute] either way, so reports are unaffected. *)
+let traced_cell compute (sp : cell_spec) : cell =
+  if not !Obs.on then compute sp
+  else
+    Obs.time ~cat:"campaign"
       ~args:
         [
           ("rep", float_of_int sp.sp_rep);
           ("index", float_of_int sp.sp_index);
         ]
-      (Printf.sprintf "cell:%s/%s" sp.sp_target.t_name (Fault.name sp.sp_cls));
-    Fun.protect ~finally:Obs.span_end (fun () ->
-        let c = run_cell_inner ?flight ~hardened ~window ~master_seed sp in
+      (Printf.sprintf "cell:%s/%s" sp.sp_target.t_name (Fault.name sp.sp_cls))
+      (fun () ->
+        let c = compute sp in
         Obs.Counter.incr
           (Obs.Counter.make
              (Printf.sprintf "campaign.%s.%s" (Fault.name c.c_cls)
                 (String.lowercase_ascii (outcome_name c.c_outcome))));
         c)
-  end
 
-(** Run the matrix. [map] fans the cells out (default: sequential); it
-    MUST be order-preserving, e.g. [Executor.map_pool]. *)
+(** Run one cell as its own one-point sweep: the reference each cell of
+    [run] equals. *)
+let run_cell ?(flight = false) ~hardened ~window ~master_seed (sp : cell_spec) :
+    cell =
+  traced_cell
+    (fun sp ->
+      let seed, crash_at = draw ~master_seed sp in
+      cell_of sp ~seed ~crash_at
+        (Harness.validate_fault ~window ~golden:sp.sp_target.t_golden ~hardened
+           ~flight ~fault:sp.sp_cls ~seed ~crash_at sp.sp_target.t_compiled))
+    sp
+
+(* Crash one target's cells [specs] on one tracked run and build them.
+   Building them here frees the sweep's raw flight dumps once the
+   target's cells are stamped, instead of holding every dump of the
+   campaign twice until the run ends. *)
+let sweep_target ~flight ~hardened ~window ~master_seed (specs : cell_spec array) =
+  let t = specs.(0).sp_target in
+  let draws = Array.map (draw ~master_seed) specs in
+  let points =
+    Array.to_list
+      (Array.map2
+         (fun sp (seed, crash_at) ->
+           { Harness.cp_at = crash_at; cp_seed = seed; cp_hardened = hardened;
+             cp_fault = Some sp.sp_cls })
+         specs draws)
+  in
+  let sweep () =
+    Harness.sweep ~window ~flight ~mode:Implicit ~golden:t.t_golden t.t_compiled
+      points
+  in
+  let results =
+    if not !Obs.on then sweep ()
+    else
+      Obs.time ~cat:"campaign"
+        ~args:[ ("points", float_of_int (Array.length specs)) ]
+        ("sweep:" ^ t.t_name) sweep
+  in
+  let results = Array.of_list results in
+  Array.mapi
+    (fun k sp ->
+      let seed, crash_at = draws.(k) in
+      cell_of sp ~seed ~crash_at (Result.map fst results.(k)))
+    specs
+
+(** Run the matrix, one tracked run per target. [map] fans the cells
+    out (default: sequential); it MUST be order-preserving, e.g.
+    [Executor.map_pool]. *)
 let run ?(map = Array.map) ?(window = 16) ?(hardened = true)
     ?(master_seed = 2024) ?(flight = false) ~seeds ~classes targets : report =
   let specs =
@@ -203,7 +255,38 @@ let run ?(map = Array.map) ?(window = 16) ?(hardened = true)
            { sp_target = t; sp_cls = cls; sp_rep = rep; sp_index = i })
     |> Array.of_list
   in
-  let cells = map (run_cell ~flight ~hardened ~window ~master_seed) specs in
+  (* Target [g]'s cells are the block [g * per, (g + 1) * per) of the
+     matrix: grouped by list position, so a target listed twice is two
+     groups. The first of a group's cells to run sweeps all of them,
+     under the group's lock. *)
+  let per = seeds * List.length classes in
+  let groups = Array.init (List.length targets) (fun _ -> (Mutex.create (), ref None)) in
+  let cell (sp : cell_spec) =
+    let g = sp.sp_index / per in
+    let lock, swept = groups.(g) in
+    let cells =
+      Mutex.protect lock (fun () ->
+          match !swept with
+          | Some cells -> cells
+          | None ->
+              let cells =
+                sweep_target ~flight ~hardened ~window ~master_seed
+                  (Array.sub specs (g * per) per)
+              in
+              swept := Some cells;
+              cells)
+    in
+    cells.(sp.sp_index - (g * per))
+  in
+  (* Each target's leading cell first, so a pool starts every target's
+     sweep before any worker waits on one; then matrix order. *)
+  let leads, rest =
+    List.partition (fun i -> i mod per = 0) (List.init (Array.length specs) Fun.id)
+  in
+  let order = Array.of_list (leads @ rest) in
+  let out = map (traced_cell cell) (Array.map (fun i -> specs.(i)) order) in
+  let cells = Array.copy out in
+  Array.iteri (fun k i -> cells.(i) <- out.(k)) order;
   {
     r_hardened = hardened;
     r_master_seed = master_seed;

@@ -1,5 +1,5 @@
 (** Deterministic fault-injection campaign: a (workload x fault-class x
-    seed) matrix over [Harness.validate_fault]. Each cell's RNG stream
+    seed) matrix of [Harness.sweep] points. Each cell's RNG stream
     is derived from the master seed and the cell's fixed matrix position
     ([Rng.stream]), so results are bit-identical regardless of how the
     cells are fanned out over a pool. A hardened campaign must report
@@ -73,7 +73,9 @@ type report = {
   r_cells : cell list;  (** matrix order, independent of pool width *)
 }
 
-(** Run one cell (exposed for tests). *)
+(** Run one cell as its own one-point sweep ([Harness.validate_fault]):
+    the reference that every cell of [run] equals (exposed for tests).
+    Opens the cell's span and bumps its counter as [run] does. *)
 val run_cell :
   ?flight:bool ->
   hardened:bool ->
@@ -82,8 +84,26 @@ val run_cell :
   cell_spec ->
   cell
 
-(** Run the matrix. [map] fans the cells out (default sequential); it
-    must be order-preserving, e.g. [Executor.map_pool ~jobs].
+(** Run the matrix. Cells are in target-major matrix order, and target
+    [i]'s cells (its position in [targets], so a target listed twice is
+    two groups) all crash on one tracked run: one [Harness.sweep] of
+    points [{cp_at; cp_seed; cp_hardened = hardened; cp_fault = Some
+    class}], each drawn from the cell's own stream. Every cell equals
+    [run_cell] on its spec.
+
+    [map] fans the cells out (default sequential); it must be
+    order-preserving, e.g. [Executor.map_pool ~jobs], and is called
+    once with every cell. It gets each target's leading cell first, then
+    the rest in matrix order, and [run] puts the results back in matrix
+    order. The first of a target's cells to run computes the sweep and
+    builds all of them under that target's lock, so a pool runs
+    different targets in parallel and a target's other cells wait for
+    its sweep.
+    Tracing: every cell opens its [cell:<workload>/<class>] span
+    (category [campaign]) and bumps [campaign.<class>.<outcome>]; the
+    span of a target's first cell to run also holds that target's
+    [sweep:<workload>] span, whose [points] arg is the cell count.
+
     [flight:true] runs every cell with the in-NVM flight recorder on and
     carries each cell's dump in [c_flight]; recording never changes an
     outcome (the harness excludes the ring from its golden compare). *)

@@ -1277,7 +1277,7 @@ let crash_point ~golden t p =
     [mode]'s model, stepped to each in ascending order; results in input
     order. The explicit model has no fault classes: a hardened or
     faulted point is rejected rather than reported clean. *)
-let sweep ?(window = 16) ?(flight = false) ~mode ~golden
+let sweep_points ~window ~flight ~mode ~golden
     (compiled : Cwsp_compiler.Pipeline.compiled) points : outcome list =
   if
     mode = Cwsp_compiler.Pipeline.Explicit
@@ -1304,6 +1304,14 @@ let sweep ?(window = 16) ?(flight = false) ~mode ~golden
            if not (run_to t p.cp_at) then results.(i) <- Ok (crash_point ~golden t p));
     Array.to_list results
   end
+
+let sweep ?(window = 16) ?(flight = false) ~mode ~golden compiled points =
+  if not !Obs.on then sweep_points ~window ~flight ~mode ~golden compiled points
+  else
+    Obs.time ~cat:"recovery"
+      ~args:[ ("points", float_of_int (List.length points)) ]
+      "sweep"
+      (fun () -> sweep_points ~window ~flight ~mode ~golden compiled points)
 
 (* The one-point [sweep] against [golden], by default the binary's own
    failure-free run. *)

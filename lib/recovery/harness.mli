@@ -143,7 +143,10 @@ val require_clean : outcome -> (fault_report, string) result
     every sweep and so in every [validate*] entry except
     [validate_chain], which never records and returns no report — CI
     uses it to pin recorder-on runs to the recorder-off goldens and
-    perf baselines. *)
+    perf baselines.
+
+    When tracing ([Obs.on]), the sweep is one [sweep] span (category
+    [recovery]) whose [points] arg is the number of points. *)
 val sweep :
   ?window:int ->
   ?flight:bool ->

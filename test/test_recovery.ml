@@ -869,6 +869,58 @@ let test_sweep_matches_one_point () =
         (List.length (List.filter Result.is_error swept)))
     [ false; true ]
 
+(* [Campaign.run] crashes all of one target's cells on one tracked run,
+   so every cell — every field and, with the recorder on, the dump byte
+   for byte — must equal [Campaign.run_cell]'s one-point run of its
+   spec; a pool must not move a cell; and a target listed twice is two
+   groups, each copy equal to its own one-point runs. *)
+let test_campaign_matches_run_cell () =
+  let module C = Cwsp_recovery.Campaign in
+  let classes = Cwsp_recovery.Fault.all and seeds = 3 and window = 8
+  and master_seed = 77 in
+  let specs targets =
+    List.concat_map
+      (fun t ->
+        List.concat_map (fun cls -> List.init seeds (fun rep -> (t, cls, rep))) classes)
+      targets
+    |> List.mapi (fun i (t, cls, rep) ->
+           { C.sp_target = t; sp_cls = cls; sp_rep = rep; sp_index = i })
+  in
+  let check label ?map ~hardened ~flight targets =
+    let r = C.run ?map ~window ~hardened ~master_seed ~flight ~seeds ~classes targets in
+    let specs = specs targets in
+    Alcotest.(check int) (label ^ ": cells") (List.length specs) (List.length r.r_cells);
+    List.iteri
+      (fun i (sp, c) ->
+        if c <> C.run_cell ~flight ~hardened ~window ~master_seed sp then
+          Alcotest.failf "%s: cell %d differs from its one-point run" label i)
+      (List.combine specs r.r_cells);
+    Alcotest.(check bool) (label ^ ": dumps iff recording") flight
+      (List.exists (fun (c : C.cell) -> c.c_flight <> None) r.r_cells);
+    r
+  in
+  let targets = Lazy.force pinned_targets in
+  List.iter
+    (fun (hardened, flight) ->
+      let label =
+        Printf.sprintf "%s, recorder %s"
+          (if hardened then "hardened" else "blind")
+          (if flight then "on" else "off")
+      in
+      let r = check label ~hardened ~flight targets in
+      let pooled =
+        C.run ~map:(Cwsp_core.Executor.map_pool ~jobs:2) ~window ~hardened
+          ~master_seed ~flight ~seeds ~classes targets
+      in
+      if pooled.r_cells <> r.r_cells then
+        Alcotest.failf "%s: a pool of 2 moved a cell" label)
+    [ (true, false); (true, true); (false, false); (false, true) ];
+  let lu = List.hd targets in
+  let once = check "listed once" ~hardened:true ~flight:false [ lu ] in
+  let twice = check "listed twice" ~hardened:true ~flight:false [ lu; lu ] in
+  Alcotest.(check int) "listed twice: twice the cells"
+    (2 * List.length once.r_cells) (List.length twice.r_cells)
+
 (* The explicit model has no fault classes: a hardened or faulted point
    must be refused outright, not reported as a clean recovery from a
    fault that was never injected. *)
@@ -966,5 +1018,7 @@ let () =
             test_sweep_matches_one_point;
           Alcotest.test_case "explicit sweep rejects fault points" `Quick
             test_explicit_rejects_faults;
+          Alcotest.test_case "campaign matches one-point cells" `Quick
+            test_campaign_matches_run_cell;
         ] );
     ]
