@@ -136,7 +136,7 @@ let run_inner list workload input emit config persist_mode dump_ir report
                  the cWSP hardware model; either way one tracked run
                  serves every point *)
               let outcomes =
-                H.sweep ~mode:cc.Pipeline.persist_mode ~golden compiled
+                H.sweep ~mode:cc.Pipeline.persist_mode ~launch:Main ~golden compiled
                   (List.mapi
                      (fun i crash_at -> H.clean_point ~seed:(100 + i) ~crash_at)
                      crash_ats)

@@ -148,6 +148,6 @@ let reset_caches () =
 let validate_recovery ?(scale = 1) ~points (w : Defs.t) =
   let module H = Cwsp_recovery.Harness in
   let compiled = compiled ~scale w Pipeline.cwsp in
-  H.sweep ~mode:Implicit ~golden:(H.golden_of compiled) compiled
+  H.sweep ~mode:Implicit ~launch:Main ~golden:(H.golden_of Main compiled) compiled
     (List.map (fun (seed, crash_at) -> H.clean_point ~seed ~crash_at) points)
   |> List.map H.require_clean

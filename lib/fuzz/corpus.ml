@@ -1,6 +1,6 @@
 (* On-disk corpus: content-fingerprinted program files (first-writer-
    wins, like [Cwsp_core.Store]'s content-addressed entries) plus a
-   plain-text resumable state file per shard. *)
+   JSON resumable state file per shard. *)
 
 open Cwsp_ir
 
@@ -101,108 +101,79 @@ let fresh_state ~master_seed ~shard ~batch =
     s_findings = [];
   }
 
-(* percent-encoding keeps every field single-token on its line *)
-let enc s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9'
-      | '-' | ':' | '.' | '_' | '/' | '@' | '=' | '<' | '>' | '+' | '*' ->
-        Buffer.add_char b c
-      | _ -> Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c)))
-    s;
-  Buffer.contents b
-
-let dec s =
-  let b = Buffer.create (String.length s) in
-  let i = ref 0 in
-  let n = String.length s in
-  while !i < n do
-    if s.[!i] = '%' && !i + 2 < n then begin
-      Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub s (!i + 1) 2)));
-      i := !i + 3
-    end
-    else begin
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
 let origin_tag = function Coverage.Gen -> "g" | Coverage.Mut -> "m"
 
-let origin_of_tag = function "g" -> Some Coverage.Gen | "m" -> Some Coverage.Mut | _ -> None
+let origin_of_tag = function
+  | "g" -> Coverage.Gen
+  | "m" -> Coverage.Mut
+  | o -> failwith ("unknown origin " ^ o)
 
 let state_path t (i, n) =
   Filename.concat t.root (Printf.sprintf "state-%dof%d" i n)
 
-let save_state t (st : state) =
-  let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "cwsp-fuzz-state 1";
-  line "master_seed %d" st.s_master_seed;
-  line "shard %d %d" (fst st.s_shard) (snd st.s_shard);
-  line "batch %d" st.s_batch;
-  line "next_batch %d" st.s_next_batch;
-  line "execs %d" st.s_execs;
-  line "discards %d" st.s_discards;
-  List.iter (fun (fp, o) -> line "prog %s %s" (origin_tag o) fp) st.s_retained;
-  List.iter
-    (fun (c, o) -> line "cell %s %s" (origin_tag o) (enc c))
-    (Coverage.to_list st.s_cov);
-  List.iter
-    (fun f ->
-      line "finding %s %s %s %d %s" (enc f.sf_key) f.sf_kind f.sf_fp f.sf_instrs
-        (enc f.sf_detail))
-    (List.rev st.s_findings);
-  write_atomic (state_path t st.s_shard) (Buffer.contents b)
+let state_format = "cwsp-fuzz-state 2"
 
+let save_state t (st : state) =
+  let open Cwsp_util.Json in
+  let tagged (s, o) = List [ Str s; Str (origin_tag o) ] in
+  let finding f =
+    Obj
+      [ ("key", Str f.sf_key); ("kind", Str f.sf_kind); ("fp", Str f.sf_fp);
+        ("instrs", int f.sf_instrs); ("detail", Str f.sf_detail) ]
+  in
+  Obj
+    [
+      ("format", Str state_format);
+      ("master_seed", int st.s_master_seed);
+      ("shard", List [ int (fst st.s_shard); int (snd st.s_shard) ]);
+      ("batch", int st.s_batch);
+      ("next_batch", int st.s_next_batch);
+      ("execs", int st.s_execs);
+      ("discards", int st.s_discards);
+      ("retained", List (List.map tagged st.s_retained));
+      ("cells", List (List.map tagged (Coverage.to_list st.s_cov)));
+      ("findings", List (List.map finding st.s_findings));
+    ]
+  |> to_string
+  |> write_atomic (state_path t st.s_shard)
+
+(* Any missing or mistyped field, like a missing or unparsable file,
+   loads as [None]. *)
 let load_state t ~master_seed ~shard ~batch : state option =
-  let path = state_path t shard in
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let body = really_input_string ic n in
-    close_in ic;
-    let st = fresh_state ~master_seed ~shard ~batch in
-    let ok = ref true in
-    let findings = ref [] in
-    (try
-    List.iter
-      (fun l ->
-        if !ok && l <> "" then
-          match String.split_on_char ' ' l with
-          | [ "cwsp-fuzz-state"; "1" ] -> ()
-          | [ "master_seed"; v ] -> if int_of_string v <> master_seed then ok := false
-          | [ "shard"; i; n ] ->
-            if (int_of_string i, int_of_string n) <> shard then ok := false
-          | [ "batch"; v ] -> if int_of_string v <> batch then ok := false
-          | [ "next_batch"; v ] -> st.s_next_batch <- int_of_string v
-          | [ "execs"; v ] -> st.s_execs <- int_of_string v
-          | [ "discards"; v ] -> st.s_discards <- int_of_string v
-          | [ "prog"; o; fp ] -> (
-            match origin_of_tag o with
-            | Some o -> st.s_retained <- st.s_retained @ [ (fp, o) ]
-            | None -> ok := false)
-          | [ "cell"; o; c ] -> (
-            match origin_of_tag o with
-            | Some o -> ignore (Coverage.add st.s_cov ~origin:o [ dec c ])
-            | None -> ok := false)
-          | [ "finding"; key; kind; fp; instrs; detail ] ->
-            findings :=
-              {
-                sf_key = dec key;
-                sf_kind = kind;
-                sf_fp = fp;
-                sf_instrs = int_of_string instrs;
-                sf_detail = dec detail;
-              }
-              :: !findings
-          | _ -> ok := false)
-      (String.split_on_char '\n' body)
-    with _ -> ok := false);
-    st.s_findings <- !findings;
-    if !ok then Some st else None
-  end
+  let open Cwsp_util.Json in
+  let field k j = Option.get (member k j) in
+  let int_of j = Option.get (to_int_opt j) in
+  let str_of j = Option.get (to_string_opt j) in
+  let int_at k j = int_of (field k j) in
+  let str_at k j = str_of (field k j) in
+  let tagged j =
+    match to_list j with
+    | [ s; o ] -> (str_of s, origin_of_tag (str_of o))
+    | _ -> failwith "not a tagged pair"
+  in
+  let finding j =
+    { sf_key = str_at "key" j; sf_kind = str_at "kind" j; sf_fp = str_at "fp" j;
+      sf_instrs = int_at "instrs" j; sf_detail = str_at "detail" j }
+  in
+  try
+    let j = of_file (state_path t shard) in
+    if
+      str_at "format" j = state_format
+      && int_at "master_seed" j = master_seed
+      && List.map int_of (to_list (field "shard" j)) = [ fst shard; snd shard ]
+      && int_at "batch" j = batch
+    then
+      Some
+        {
+          s_master_seed = master_seed;
+          s_shard = shard;
+          s_batch = batch;
+          s_next_batch = int_at "next_batch" j;
+          s_execs = int_at "execs" j;
+          s_discards = int_at "discards" j;
+          s_retained = List.map tagged (to_list (field "retained" j));
+          s_cov = Coverage.of_list (List.map tagged (to_list (field "cells" j)));
+          s_findings = List.map finding (to_list (field "findings" j));
+        }
+    else None
+  with _ -> None

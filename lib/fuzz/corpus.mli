@@ -8,10 +8,11 @@
       written by concurrent shards collapse to one file and creation is
       first-writer-wins (an existing file is never rewritten);
     - [findings/<fp>.ir] — auto-minimized counterexamples;
-    - [state-<i>of<n>] — one shard's resumable campaign state: master
-      seed, batch cursor, exec/discard counters, the retention order
-      (with per-entry origin), the coverage map in insertion order, and
-      the deduplicated findings. Written atomically (tmp + rename) at
+    - [state-<i>of<n>] — one shard's resumable campaign state, one
+      [Cwsp_util.Json] object: master seed, batch cursor, exec/discard
+      counters, the retention order (with per-entry origin), the
+      coverage map in insertion order, and the deduplicated findings.
+      Written atomically (tmp + rename) at
       batch boundaries only, so a killed campaign resumes from the last
       completed batch and — because item randomness streams off the
       absolute exec index — reaches the exact report a never-killed run

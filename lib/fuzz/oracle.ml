@@ -83,25 +83,22 @@ let screen_step (m : Machine.t) =
   | _ -> ()
 
 (* Step the source program's [main] under the screen. *)
-let baseline_run_ (prog : Prog.t) : (base_run, string) result =
-  let m = Machine.create (Machine.link prog) in
-  let steps = ref 0 in
-  try
-    while m.status = Machine.Running && !steps < baseline_fuel do
-      incr steps;
-      screen_step m;
-      Machine.step m Machine.no_hooks
-    done;
-    if m.status = Machine.Running then Error "fuel"
-    else Ok { br_outputs = Machine.outputs m; br_mem = m.mem }
-  with
-  | Wild _ -> Error "wild"
-  | Machine.Trap _ -> Error "trap"
-  | _ -> Error "trap"
-
-let baseline_run prog =
-  if not !Obs.on then baseline_run_ prog
-  else Obs.time ~cat:"fuzz" "baseline_run" (fun () -> baseline_run_ prog)
+let baseline_run (prog : Prog.t) : (base_run, string) result =
+  Obs.time ~cat:"fuzz" "baseline_run" (fun () ->
+    let m = Machine.create (Machine.link prog) in
+    let steps = ref 0 in
+    try
+      while m.status = Machine.Running && !steps < baseline_fuel do
+        incr steps;
+        screen_step m;
+        Machine.step m Machine.no_hooks
+      done;
+      if m.status = Machine.Running then Error "fuel"
+      else Ok { br_outputs = Machine.outputs m; br_mem = m.mem }
+    with
+    | Wild _ -> Error "wild"
+    | Machine.Trap _ -> Error "trap"
+    | _ -> Error "trap")
 
 (* The dynamic race monitor over an SPMD worker, every thread's accesses
    under the same screen as [baseline_run]: the baseline only runs
@@ -205,22 +202,17 @@ let certified ~compile mode prog =
 (* The certified binary's failure-free run against the source baseline:
    the run as the probes' golden, its trace, and what differs ([None]:
    nothing). Raises if the binary traps or runs out of fuel. *)
-let instrumented_run_ base (compiled : Pipeline.compiled) =
-  let m, tr = Machine.trace_of_program ~fuel:instrumented_fuel compiled.prog in
-  let golden = Harness.golden_of_run m in
-  let diff =
-    if golden.g_outputs <> base.br_outputs then Some `Outputs
-    else if not (Memory.equal_except ~except:not_data m.mem base.br_mem) then
-      Some `Memory
-    else None
-  in
-  (golden, tr, diff)
-
-let instrumented_run base compiled =
-  if not !Obs.on then instrumented_run_ base compiled
-  else
-    Obs.time ~cat:"fuzz" "instrumented_run" (fun () ->
-        instrumented_run_ base compiled)
+let instrumented_run base (compiled : Pipeline.compiled) =
+  Obs.time ~cat:"fuzz" "instrumented_run" (fun () ->
+    let m, tr = Machine.trace_of_program ~fuel:instrumented_fuel compiled.prog in
+    let golden = Harness.golden_of_run m in
+    let diff =
+      if golden.g_outputs <> base.br_outputs then Some `Outputs
+      else if not (Memory.equal_except ~except:not_data m.mem base.br_mem) then
+        Some `Memory
+      else None
+    in
+    (golden, tr, diff))
 
 (* ---- the probe runner: the one place a dynamic stage meets the harness ---- *)
 
@@ -243,8 +235,8 @@ let run_probes ~flight ~golden compiled probes =
       | Crash | Explicit -> Harness.clean_point ~seed:p.p_seed ~crash_at:p.p_crash_at
     in
     List.combine probes
-      (Harness.sweep ~flight ~mode:(snd (stage_config p_stage)).persist_mode ~golden
-         compiled (List.map point probes))
+      (Harness.sweep ~flight ~mode:(snd (stage_config p_stage)).persist_mode
+         ~launch:Main ~golden compiled (List.map point probes))
 
 (* Did [p] catch recovery giving back a wrong state? A fault probe the
    harness could not stage is skipped, not broken. *)
@@ -422,37 +414,32 @@ let search p ~(golden : Harness.golden) ~trace =
    halts before it) runs alone, and only when it holds does the rest
    run, as one sweep: the minimizer asks this of every candidate, and
    the finding's own probe usually still breaks. *)
-let first_broken_ ~compile ~flight p prog =
-  match baseline_run prog with
-  | Error _ -> None
-  | Ok base -> (
-    match certified ~compile (stage_config p.p_stage) prog with
-    | None -> None
-    | Some compiled -> (
-      match instrumented_run base compiled with
-      | _, _, Some _ -> None
-      | golden, trace, None -> (
-        let first_break probes =
-          List.find_map
-            (fun (q, res) ->
-              match res with
-              | _ when not (broke q res) -> None
-              | Ok ((r : Harness.fault_report), _) -> Some r.fr_flight
-              | Error _ -> Some None)
-            (run_probes ~flight ~golden compiled probes)
-        in
-        match search p ~golden ~trace with
-        | [] -> None
-        | q :: rest -> (
-          match first_break [ q ] with
-          | Some _ as hit -> hit
-          | None -> first_break rest))))
-
 let first_broken ~compile ~flight p prog =
-  if not !Obs.on then first_broken_ ~compile ~flight p prog
-  else
-    Obs.time ~cat:"fuzz" "first_broken" (fun () ->
-        first_broken_ ~compile ~flight p prog)
+  Obs.time ~cat:"fuzz" "first_broken" (fun () ->
+    match baseline_run prog with
+    | Error _ -> None
+    | Ok base -> (
+      match certified ~compile (stage_config p.p_stage) prog with
+      | None -> None
+      | Some compiled -> (
+        match instrumented_run base compiled with
+        | _, _, Some _ -> None
+        | golden, trace, None -> (
+          let first_break probes =
+            List.find_map
+              (fun (q, res) ->
+                match res with
+                | _ when not (broke q res) -> None
+                | Ok ((r : Harness.fault_report), _) -> Some r.fr_flight
+                | Error _ -> Some None)
+              (run_probes ~flight ~golden compiled probes)
+          in
+          match search p ~golden ~trace with
+          | [] -> None
+          | q :: rest -> (
+            match first_break [ q ] with
+            | Some _ as hit -> hit
+            | None -> first_break rest)))))
 
 let reproduces ?(compile = default_compile) (f : finding) (prog : Prog.t) : bool =
   try

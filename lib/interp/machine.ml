@@ -116,20 +116,12 @@ let create ?(tid = 0) linked =
 let outputs t = List.rev t.outputs
 let steps t = t.steps
 
-(** Resume a machine on an existing (post-recovery) memory image. With
-    [`Fresh] the program restarts from [main]'s entry; with [`Frames fs]
-    execution continues from the given call stack (head = current frame,
-    positioned just after a region boundary). Used by the recovery
-    harness; global initializers are NOT re-applied — the memory image is
-    the surviving NVM state. *)
+(** Resume a machine on an existing (post-recovery) memory image from
+    the call stack [frames] (head = current frame, positioned just after
+    a region boundary or at a snapshot). Used by the recovery harness;
+    global initializers are NOT re-applied — the memory image is the
+    surviving NVM state. *)
 let resume ?(tid = 0) linked ~mem ~frames ~depth =
-  let frames =
-    match frames with
-    | `Frames fs -> fs
-    | `Fresh ->
-      let mf = linked.lfuncs.(linked.main_idx) in
-      [ { lf = mf; regs = Array.make (max 1 mf.nregs) 0; blk = 0; idx = 0; ret_to = None } ]
-  in
   {
     linked;
     mem;

@@ -70,17 +70,12 @@ val outputs : t -> int list
 
 val steps : t -> int
 
-(** Resume a machine on an existing (post-recovery) memory image: either
-    restart [main] ([`Fresh]) or continue from a given call stack
-    ([`Frames], head = current frame positioned just after a region
-    boundary). Global initializers are NOT re-applied. *)
+(** Resume a machine on an existing (post-recovery) memory image from
+    call stack [frames] (head = current frame, positioned just after a
+    region boundary or at a snapshot). Global initializers are NOT
+    re-applied. *)
 val resume :
-  ?tid:int ->
-  linked ->
-  mem:Memory.t ->
-  frames:[ `Frames of frame list | `Fresh ] ->
-  depth:int ->
-  t
+  ?tid:int -> linked -> mem:Memory.t -> frames:frame list -> depth:int -> t
 
 (** {2 Execution} *)
 

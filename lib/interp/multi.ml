@@ -20,11 +20,13 @@ type t = {
   quantum : int;
 }
 
+let default_quantum = 32
+
 (** [create linked ~threads ~worker] initializes globals once and spawns
     [threads] machines, each entering [worker](tid). [quantum] is the
     round-robin instruction quantum (default 32); different quanta give
     different — but each individually reproducible — interleavings. *)
-let create ?(quantum = 32) (linked : Machine.linked) ~threads ~worker : t =
+let create ?(quantum = default_quantum) (linked : Machine.linked) ~threads ~worker : t =
   if threads <= 0 then invalid_arg "Multi.create: threads must be positive";
   if quantum <= 0 then invalid_arg "Multi.create: quantum must be positive";
   let wf =
@@ -45,7 +47,7 @@ let create ?(quantum = 32) (linked : Machine.linked) ~threads ~worker : t =
         let regs = Array.make (max 1 wf.nregs) 0 in
         regs.(0) <- tid;
         Machine.resume linked ~mem
-          ~frames:(`Frames [ { Machine.lf = wf; regs; blk = 0; idx = 0; ret_to = None } ])
+          ~frames:[ { Machine.lf = wf; regs; blk = 0; idx = 0; ret_to = None } ]
           ~depth:0
         |> fun m -> { m with Machine.tid })
   in

@@ -18,6 +18,9 @@ type t = {
 
 exception Deadlock
 
+(** The round-robin instruction quantum [create] defaults to. *)
+val default_quantum : int
+
 (** Initialize globals once and spawn [threads] machines, each entering
     [worker](tid); the worker must take exactly one parameter. [quantum]
     sets the round-robin instruction quantum (default 32); different

@@ -30,7 +30,7 @@ type target = {
 }
 
 let target ~name compiled =
-  { t_name = name; t_compiled = compiled; t_golden = Harness.golden_of compiled }
+  { t_name = name; t_compiled = compiled; t_golden = Harness.golden_of Main compiled }
 
 (** One matrix position; [sp_index] is the cell's fixed rank in the
     matrix, from which its RNG stream is derived. *)
@@ -221,18 +221,15 @@ let sweep_target ~flight ~hardened ~window ~master_seed (specs : cell_spec array
              cp_fault = Some sp.sp_cls })
          specs draws)
   in
-  let sweep () =
-    Harness.sweep ~window ~flight ~mode:Implicit ~golden:t.t_golden t.t_compiled
-      points
-  in
   let results =
-    if not !Obs.on then sweep ()
-    else
-      Obs.time ~cat:"campaign"
-        ~args:[ ("points", float_of_int (Array.length specs)) ]
-        ("sweep:" ^ t.t_name) sweep
+    Obs.time ~cat:"campaign"
+      ~args:[ ("points", float_of_int (Array.length specs)) ]
+      ("sweep:" ^ t.t_name)
+      (fun () ->
+        Harness.sweep ~window ~flight ~mode:Implicit ~launch:Main
+          ~golden:t.t_golden t.t_compiled points)
+    |> Array.of_list
   in
-  let results = Array.of_list results in
   Array.mapi
     (fun k sp ->
       let seed, crash_at = draws.(k) in

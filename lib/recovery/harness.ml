@@ -13,7 +13,7 @@
 
     Every crash experiment runs through one skeleton: run to the crash
     point, [cut_power], optionally [inject] a persistence-path fault,
-    execute a recovery plan, [resume_at] the chosen region and
+    execute a recovery plan, [resume_lanes] at the chosen region and
     [run_and_compare]. The cut picks the oldest unpersisted region R_o
     within the RBT window and un-persists a random per-MC FIFO suffix of
     R_o's own stores (stores to the same location always target the
@@ -32,6 +32,14 @@
     through the same resume and compare. A sweep runs many crash points
     on one tracked run, in ascending order: everything after the run
     step works on copies of the tracked state.
+
+    N threads are N lanes of the one tracked run, each a machine and
+    its region ring, sharing the NVM image, the MC logs, the global
+    region counter and the recorder; one thread is the one-lane case.
+    Each lane draws its own R_o at the cut and resumes from it
+    independently (Section VIII). Two rules hold only with a second
+    core: an atomic ends its lane's region at once ([hooks]), and the
+    final comparison skips the checkpoint area ([run_and_compare]).
 
     Call frames *below* the recovery point are restored from the boundary
     snapshot: they model the NVM-resident stack (spilled registers and
@@ -60,9 +68,11 @@ let fault_code = function
 
 type region_record = {
   region_index : int;
-  static_id : int;       (* global boundary id that opened this region;
-                            -1 for region 0 (program start); -2 for the
-                            resume point of a post-recovery execution *)
+  static_id : int;
+    (* global boundary id that opened this region; -1 for a region that
+       opens on a full register snapshot: a lane's region 0 (its entry,
+       or a post-recovery resume point) and, on N lanes, the region an
+       atomic opens *)
   frames : Machine.frame list;
     (* snapshot at region entry; for a boundary, the open frame's
        register contents are dead ([boundary_frames]) *)
@@ -87,7 +97,7 @@ module Slots = Hashtbl.Make (struct
   let hash a = a lsr 3
 end)
 
-(* The persistency model a tracked run keeps beside its machine: the
+(* The persistency model a tracked run keeps beside its lanes: the
    durable state a power failure leaves behind. *)
 type model =
   | Cwsp of {
@@ -98,11 +108,6 @@ type model =
            it last persisted. Its checksum is what the MC keeps; those
            are taken once per slot at the power cut ([cs_slot_sums])
            rather than once per checkpoint store *)
-      mutable sync_floor : int;
-        (* highest *closed* region that contained a sync primitive:
-           stores prior to a committed atomic are persisted before it
-           commits (Section VIII), so the recovery point can never move
-           at or before such a region *)
     }
   | Explicit of {
       (* The dynamic ground truth for the Persist_check static tier.
@@ -131,82 +136,108 @@ type model =
       mutable ckpt_undo : (int * int) list; (* open region's ckpt (addr, old) *)
     }
 
-type tracked = {
+(* One thread of a tracked run: its machine and its region ring. *)
+type lane = {
   machine : Machine.t;
-  compiled : Cwsp_compiler.Pipeline.compiled;
-  model : model;
   ring : region_record array;
-    (* the tracked regions, [head] the newest. cWSP: a fixed ring of
-       window+1 slots, where the window is the RBT size (max
+    (* the lane's tracked regions, [head] the newest. cWSP: a fixed ring
+       of window+1 slots, where the window is the RBT size (max
        concurrently-unpersisted regions); a boundary overwrites the
        oldest slot once the ring is full, so tracking costs O(1) per
        boundary. Explicit: one slot, the newest boundary *)
   mutable head : int;
   mutable tracked_n : int; (* occupied slots *)
-  mutable region_count : int;
+  mutable sync_floor : int;
+    (* cWSP: the lane's highest *closed* region that contained a sync
+       primitive: stores prior to a committed atomic are persisted before
+       it commits (Section VIII), so the lane's recovery point can never
+       move at or before such a region *)
+}
+
+(* A tracked run: one lane per thread over one NVM image, one
+   persistency model, one global region counter and one recorder. *)
+type tracked = {
+  lanes : lane array;
+  compiled : Cwsp_compiler.Pipeline.compiled;
+  model : model;
+  mutable region_count : int; (* the global region counter: the newest id *)
+  mutable turn : int; (* schedule cursor: the lane whose quantum runs *)
+  mutable used : int; (* ... and how much of its quantum it has run *)
   recorder : Recorder.t option;
     (* the flight ring, formatted when the run records inside the image
        the cut preserves; the boundary hook appends to it *)
 }
 
+(** What a run starts: [main], or [worker](tid) on each of [threads]
+    threads ([Cwsp_interp.Multi]). *)
+type launch = Main | Worker of { worker : string; threads : int }
+
+let launch_machines linked = function
+  | Main -> [| Machine.create linked |]
+  | Worker { worker; threads } -> (Multi.create linked ~threads ~worker).machines
+
+(* Run [machines] (sharing one image) to completion, round-robin at
+   [Multi]'s quantum; one machine runs without the scheduler. *)
+let run_lanes ?fuel = function
+  | [| m |] -> Machine.run ?fuel m Machine.no_hooks
+  | machines ->
+    let m0 = machines.(0) in
+    Multi.run ?fuel
+      { linked = m0.Machine.linked; mem = m0.mem; machines;
+        quantum = Multi.default_quantum }
+      (fun _ -> Machine.no_hooks)
+
 let copy_frame (fr : Machine.frame) = { fr with regs = Array.copy fr.regs }
 
-let cwsp_model () =
-  Cwsp { logs = Mc_logs.create ~n_mcs:2; slot_vals = Slots.create 64; sync_floor = -1 }
-
-let make_tracked ~slots ~compiled ~machine ~model ~region0 ~recorder =
-  {
-    machine;
-    compiled;
-    model;
-    ring = Array.make slots region0;
-    head = 0;
-    tracked_n = 1;
-    region_count = 0;
-    recorder;
-  }
-
-(* A run of [compiled] from program start under [mode]'s model. *)
+(* A run of [compiled] from [machines], one lane each, under [mode]'s
+   model. Each lane's region 0 snapshots its machine's frames as they
+   stand, so a crash before the lane's first boundary resumes there:
+   the program's or the worker's entry, or the resume point of a
+   previous recovery. *)
 let create ~window ~flight ~(mode : Cwsp_compiler.Pipeline.persist_mode)
-    (compiled : Cwsp_compiler.Pipeline.compiled) =
-  let linked = Machine.link compiled.prog in
-  let machine = Machine.create linked in
-  (* The ring lives in the image the cut preserves. cWSP: the machine's
+    (compiled : Cwsp_compiler.Pipeline.compiled) (machines : Machine.t array) =
+  (* The ring lives in the image the cut preserves. cWSP: the machines'
      own NVM, which the cut snapshots. Explicit: the durable image, where
      each append is its own flush+fence (the commit-word ordering is the
      failure-atomicity), so the ring survives the deterministic crash
      whole. *)
+  let mem = machines.(0).mem in
   let model, slots, ring_image =
     match mode with
-    | Implicit -> (cwsp_model (), window + 1, machine.mem)
+    | Implicit ->
+      (Cwsp { logs = Mc_logs.create ~n_mcs:2; slot_vals = Slots.create 64 },
+       window + 1, mem)
     | Explicit ->
-      let nvm = Memory.snapshot machine.mem in
+      let nvm = Memory.snapshot mem in
       ( Explicit
           { nvm; pending = Hashtbl.create 64; pending_atomic = None;
             last_store = None; ckpt_undo = [] },
         1,
         nvm )
   in
-  make_tracked ~slots ~compiled ~machine ~model
-    ~recorder:(if flight then Some (Recorder.format ring_image) else None)
-    ~region0:
-      { region_index = 0; static_id = -1; frames = []; depth = 0;
+  let lane tid (m : Machine.t) =
+    let region0 =
+      { region_index = tid; static_id = -1;
+        frames = List.map copy_frame m.frames; depth = m.depth;
         outputs_at_entry = 0; has_sync = false }
+    in
+    { machine = m; ring = Array.make slots region0; head = 0; tracked_n = 1;
+      sync_floor = -1 }
+  in
+  {
+    lanes = Array.mapi lane machines;
+    compiled;
+    model;
+    region_count = Array.length machines - 1;
+    turn = 0;
+    used = 0;
+    recorder = (if flight then Some (Recorder.format ring_image) else None);
+  }
 
-(** Track a machine that is itself resuming after a recovery: crashes
-    before its first boundary roll back to the resume point (whose
-    registers the previous recovery already restored), not to program
-    start. Enables crash-during-recovery validation. *)
-let create_resumed ?(window = 16) (compiled : Cwsp_compiler.Pipeline.compiled)
-    (machine : Machine.t) =
-  make_tracked ~slots:(window + 1) ~compiled ~machine ~model:(cwsp_model ())
-    ~recorder:None
-    ~region0:
-      { region_index = 0; static_id = -2;
-        frames = List.map copy_frame machine.frames; depth = machine.depth;
-        outputs_at_entry = 0; has_sync = false }
+let current_region l = l.ring.(l.head)
 
-let current_region t = t.ring.(t.head)
+(* Instructions run so far, all lanes together. *)
+let steps t = Array.fold_left (fun n l -> n + l.machine.steps) 0 t.lanes
 
 (* Call-stack snapshot at a boundary. The open frame's registers are
    dead there — recovery poisons them and rebuilds the live-ins from the
@@ -218,46 +249,62 @@ let boundary_frames = function
     { top with regs = top.regs } :: List.map copy_frame callers
   | [] -> []
 
-(* The tracked regions, newest first (position 0 is the open region). *)
-let tracked_regions t =
-  let cap = Array.length t.ring in
-  List.init t.tracked_n (fun back -> t.ring.((t.head - back + cap) mod cap))
+(* A lane's tracked regions, newest first (position 0 is the open
+   region). *)
+let tracked_regions l =
+  let cap = Array.length l.ring in
+  List.init l.tracked_n (fun back -> l.ring.((l.head - back + cap) mod cap))
 
 (* Region-buffered I/O: the device output released before region [r]
    began, once every earlier region persisted; the rest is still
    buffered. Oldest first. *)
-let released t (r : region_record) =
-  List.filteri (fun i _ -> i < r.outputs_at_entry) (Machine.outputs t.machine)
+let released l (r : region_record) =
+  List.filteri (fun i _ -> i < r.outputs_at_entry) (Machine.outputs l.machine)
 
-(* Boundary [static_id] opens the next region in the ring's next slot,
-   which overwrites the oldest once the ring is full. *)
-let open_region t static_id =
-  let cap = Array.length t.ring in
-  let next = (t.head + 1) mod cap in
-  if t.tracked_n < cap then t.tracked_n <- t.tracked_n + 1;
+(* Lane [l] opens the run's next region (a boundary's [static_id], or
+   -1 on a full register snapshot) in its ring's next slot, which
+   overwrites the oldest once the ring is full. *)
+let open_region t l static_id =
+  let cap = Array.length l.ring in
+  let next = (l.head + 1) mod cap in
+  if l.tracked_n < cap then l.tracked_n <- l.tracked_n + 1;
   t.region_count <- t.region_count + 1;
-  t.ring.(next) <-
+  let m = l.machine in
+  l.ring.(next) <-
     {
       region_index = t.region_count;
       static_id;
-      frames = boundary_frames t.machine.frames;
-      depth = t.machine.depth;
-      outputs_at_entry = List.length t.machine.outputs;
+      frames =
+        (if static_id < 0 then List.map copy_frame m.frames
+         else boundary_frames m.frames);
+      depth = m.depth;
+      outputs_at_entry = List.length m.outputs;
       has_sync = false;
     };
-  t.head <- next
+  l.head <- next
 
-(* The run's instrumentation, one model's closures: the match runs once
-   here, never per store or event. *)
-let hooks t : Machine.hooks =
+(* Lane [l]'s instrumentation, one model's closures: the match runs
+   once here, never per store or event. *)
+let hooks t l : Machine.hooks =
+  let m = l.machine in
   match t.model with
   | Cwsp c ->
+    let next_region static_id =
+      (* once the ring is full, the oldest region falls out of the
+         tracking window and is treated as persisted (non-speculative):
+         the MCs reclaim its log arrays, exactly the hardware's
+         deallocation protocol *)
+      let cap = Array.length l.ring in
+      if l.tracked_n = cap then
+        Mc_logs.deallocate c.logs ~region:l.ring.((l.head + 1) mod cap).region_index;
+      open_region t l static_id
+    in
     let on_boundary static_id =
       (* closing a region that contained a sync primitive seals it: the
          drain semantics of Section VIII guarantee everything up to and
          including it is persistent *)
-      let cur = current_region t in
-      if cur.has_sync then c.sync_floor <- cur.region_index;
+      let cur = current_region l in
+      if cur.has_sync then l.sync_floor <- cur.region_index;
       (* flight recorder: a boundary commit plus persist-path telemetry.
          The arguments cost a fold over every live log, so they are
          computed only when the run records; unrecorded runs pay one
@@ -265,31 +312,35 @@ let hooks t : Machine.hooks =
       (match t.recorder with
       | Some r ->
         let live = Mc_logs.live_entries c.logs in
-        Recorder.append r ~kind:Recorder.Boundary t.machine.steps static_id live
+        Recorder.append r ~kind:Recorder.Boundary m.steps static_id live
           (if cur.has_sync then 1 else 0);
-        Recorder.append r ~kind:Recorder.Telemetry t.tracked_n live c.sync_floor
+        Recorder.append r ~kind:Recorder.Telemetry l.tracked_n live l.sync_floor
           (Slots.length c.slot_vals)
       | None -> ());
-      (* once the ring is full, the oldest region falls out of the
-         tracking window and is treated as persisted (non-speculative):
-         the MCs reclaim its log arrays, exactly the hardware's
-         deallocation protocol *)
-      let cap = Array.length t.ring in
-      if t.tracked_n = cap then
-        Mc_logs.deallocate c.logs ~region:t.ring.((t.head + 1) mod cap).region_index;
-      open_region t static_id
+      next_region static_id
+    in
+    let on_atomic =
+      if Array.length t.lanes = 1 then fun () -> (current_region l).has_sync <- true
+      else fun () ->
+        (* A second core may already have read what the atomic wrote
+           (Section VIII), so this lane must never roll back past it:
+           the atomic ends its region at once, sealed by the drain at
+           sync, and the next region opens on a full register snapshot. *)
+        l.sync_floor <- (current_region l).region_index;
+        next_region (-1)
     in
     {
       on_event =
         (fun ev ->
           let tag = Event.tag ev in
           if tag = Event.tag_boundary then on_boundary (Event.payload ev)
-          else if tag = Event.tag_atomic then (current_region t).has_sync <- true);
+          else if tag = Event.tag_atomic then on_atomic ());
       on_store =
         (fun ~addr ~old ~value ->
-          (* every speculative store is undo-logged on arrival at its MC;
-             the open region is always the newest, [region_count] *)
-          Mc_logs.log c.logs ~region:t.region_count ~addr ~old ~value;
+          (* every speculative store is undo-logged on arrival at its MC,
+             tagged with its lane's open region *)
+          Mc_logs.log c.logs ~region:(current_region l).region_index ~addr ~old
+            ~value;
           if Layout.is_ckpt_addr addr then Slots.replace c.slot_vals addr value);
     }
   | Explicit e ->
@@ -316,7 +367,7 @@ let hooks t : Machine.hooks =
             let addr = Event.payload ev in
             if not (Layout.is_ckpt_addr addr) then
               (* the writeback captures the line's current cache contents *)
-              Hashtbl.replace e.pending addr (Memory.read t.machine.mem addr)
+              Hashtbl.replace e.pending addr (Memory.read m.mem addr)
           end
           else if tag = Event.tag_pfence || tag = Event.tag_fence then drain ()
           else if tag = Event.tag_atomic then begin
@@ -332,7 +383,7 @@ let hooks t : Machine.hooks =
                with the flushed-but-unfenced set as persist telemetry *)
             (match t.recorder with
             | Some r ->
-              Recorder.append r ~kind:Recorder.Boundary t.machine.steps
+              Recorder.append r ~kind:Recorder.Boundary m.steps
                 (Event.payload ev) (Hashtbl.length e.pending)
                 (match e.pending_atomic with Some _ -> 1 | None -> 0)
             | None -> ());
@@ -341,28 +392,45 @@ let hooks t : Machine.hooks =
             | None -> ());
             e.pending_atomic <- None;
             e.ckpt_undo <- [];
-            open_region t (Event.payload ev)
+            open_region t l (Event.payload ev)
           end;
           (* an event ends the instruction whose store an atomic claims *)
           e.last_store <- None);
     }
 
-(** Run until [crash_at] instructions have executed in all (or to
-    completion). Returns [true] if the program halted first. *)
+let running t = Array.exists (fun l -> l.machine.status = Machine.Running) t.lanes
+
+(** Run until [crash_at] instructions have executed on all lanes
+    together (or to completion). Lanes step round-robin as [Multi]
+    schedules them, a quantum each; the schedule cursor stays in the run,
+    so stopping at a point and going on steps exactly as one run that
+    never stopped. Returns [true] if the program halted first. *)
 let run_to t crash_at =
-  let h = hooks t in
-  while t.machine.status = Machine.Running && t.machine.steps < crash_at do
-    Machine.step t.machine h
+  let hs = Array.map (hooks t) t.lanes in
+  let total = ref (steps t) in
+  while !total < crash_at && running t do
+    let m = t.lanes.(t.turn).machine and h = hs.(t.turn) in
+    let before = m.steps in
+    let stop = before + min (Multi.default_quantum - t.used) (crash_at - !total) in
+    while m.status = Machine.Running && m.steps < stop do
+      Machine.step m h
+    done;
+    t.used <- t.used + (m.steps - before);
+    total := !total + (m.steps - before);
+    if m.status = Machine.Halted || t.used = Multi.default_quantum then begin
+      t.turn <- (t.turn + 1) mod Array.length t.lanes;
+      t.used <- 0
+    end
   done;
-  t.machine.status = Machine.Halted
+  not (running t)
 
-(* ---- shared crash helpers ---- *)
+(* ---- crash helpers ---- *)
 
-(** Un-persist a random per-MC FIFO suffix of one region's data stores:
-    draw, MC by MC, how many of its stores persisted in program order,
-    and hand every later one to [f]. [entries] come newest first per MC,
-    so a suffix in program order is a prefix of each MC's list.
-    Checkpoint-area stores are left to the caller. *)
+(* Un-persist a random per-MC FIFO suffix of one region's data stores:
+   draw, MC by MC, how many of its stores persisted in program order,
+   and hand every later one to [f]. [entries] come newest first per MC,
+   so a suffix in program order is a prefix of each MC's list.
+   Checkpoint-area stores are left to the caller. *)
 let fifo_suffix rng logs (entries : Mc_logs.entry list) f =
   let mc_of = Mc_logs.mc_of logs in
   let data (e : Mc_logs.entry) = not (Layout.is_ckpt_addr e.e_addr) in
@@ -384,40 +452,50 @@ let fifo_suffix rng logs (entries : Mc_logs.entry list) f =
       end)
     entries
 
-(** Resume thread [tid] of [linked] on [mem] at a region entry whose call
-    stack is [frames] (copied, so a snapshot can be resumed again). With
-    [Some slice] the open frame's registers are poisoned and the
-    recovery slice rebuilds its live-ins from the thread's checkpoint
-    slots; with [None] the snapshot's registers resume as they are. *)
-let resume_slice ~tid (linked : Machine.linked) ~mem ~frames ~depth slice =
-  let frames = List.map copy_frame frames in
-  Option.iter
-    (fun slice ->
-      let fr = List.hd frames in
-      Array.fill fr.regs 0 (Array.length fr.regs) poison;
-      let slot r = Memory.read mem (Layout.ckpt_slot ~tid ~depth r) in
-      let addr_of g =
-        match Hashtbl.find_opt linked.global_addr g with
-        | Some a -> a
-        | None -> failwith ("recovery slice references unknown global " ^ g)
-      in
-      List.iter
-        (fun (r, expr) -> fr.regs.(r) <- Cwsp_ckpt.Slice.eval ~slot ~addr_of expr)
-        slice)
-    slice;
-  Machine.resume ~tid linked ~mem ~frames:(`Frames frames) ~depth
+(* Resume thread [tid] of [compiled] on [mem] at the entry of region
+   [r], its call stack copied so a snapshot can be resumed again. A
+   boundary's region poisons the open frame's registers and evaluates
+   the boundary's recovery slice, which rebuilds the live-ins from the
+   thread's checkpoint slots; a region with a negative static id resumes
+   its snapshot's registers as they are. *)
+let resume ~tid (compiled : Cwsp_compiler.Pipeline.compiled) linked ~mem
+    (r : region_record) =
+  let frames = List.map copy_frame r.frames in
+  if r.static_id >= 0 then begin
+    let fr = List.hd frames in
+    Array.fill fr.regs 0 (Array.length fr.regs) poison;
+    let slot reg = Memory.read mem (Layout.ckpt_slot ~tid ~depth:r.depth reg) in
+    let addr_of g =
+      match Hashtbl.find_opt linked.Machine.global_addr g with
+      | Some a -> a
+      | None -> failwith ("recovery slice references unknown global " ^ g)
+    in
+    List.iter
+      (fun (reg, expr) -> fr.regs.(reg) <- Cwsp_ckpt.Slice.eval ~slot ~addr_of expr)
+      compiled.slices.(r.static_id)
+  end;
+  Machine.resume ~tid linked ~mem ~frames ~depth:r.depth
 
 type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
 
-(** The reference a finished failure-free run [m] provides. *)
-let golden_of_run (m : Machine.t) =
-  { g_mem = m.mem; g_outputs = Machine.outputs m; g_steps = m.steps }
+(* The reference finished failure-free lanes provide: their shared
+   image, every lane's output in lane order, their steps together. *)
+let golden_of_lanes (machines : Machine.t array) =
+  {
+    g_mem = machines.(0).mem;
+    g_outputs = List.concat_map Machine.outputs (Array.to_list machines);
+    g_steps = Array.fold_left (fun n (m : Machine.t) -> n + m.steps) 0 machines;
+  }
 
-(** Failure-free reference run, shared across a campaign's cells. *)
-let golden_of (compiled : Cwsp_compiler.Pipeline.compiled) =
-  let m = Machine.create (Machine.link compiled.prog) in
-  Machine.run m Machine.no_hooks;
-  golden_of_run m
+(** The reference a finished failure-free run [m] provides. *)
+let golden_of_run m = golden_of_lanes [| m |]
+
+(** Failure-free reference run of [launch], shared across a campaign's
+    cells. *)
+let golden_of launch (compiled : Cwsp_compiler.Pipeline.compiled) =
+  let machines = launch_machines (Machine.link compiled.prog) launch in
+  run_lanes machines;
+  golden_of_lanes machines
 
 (* Run [f], which steps a resumed machine. A trap, a wild memory access
    (a poisoned or corrupted register used as a pointer) or a hang is a
@@ -434,39 +512,51 @@ let stepping f =
     ->
     Error ("recovered run faulted: " ^ msg)
 
-(* Run the resumed machine to completion and compare against the golden
-   run: [released] (the device output released before the crash) plus
-   the resumed run's output must be the golden stream, and the final NVM
-   image the golden image. Any failure to get there ([stepping]) or any
-   NVM/IO divergence is a wrong outcome — the oracle, independent of all
+(* Run the resumed lanes — each a machine and the device output it
+   released before the crash — to completion and compare against the
+   golden run: each lane's released output plus its resumed run's, in
+   lane order, must be the golden stream, and the final NVM image the
+   golden image. Any failure to get there ([stepping]) or any NVM/IO
+   divergence is a wrong outcome — the oracle, independent of all
    checksums — reported with its first difference. A hang is bounded by
    a generous multiple of the failure-free step count. The
    flight-recorder region is excluded: it is observability state,
    written on the crashing path only, and legitimately differs from the
    failure-free image. *)
-let run_and_compare golden ~released m : (unit, string) result =
+let run_and_compare golden (lanes : (int list * Machine.t) array) :
+    (unit, string) result =
   let fuel = (4 * golden.g_steps) + 10_000 in
-  match stepping (fun () -> Machine.run ~fuel m Machine.no_hooks) with
+  let machines = Array.map snd lanes in
+  match stepping (fun () -> run_lanes ~fuel machines) with
   | Error e -> Error e
   | Ok () ->
-    let outputs = Machine.outputs m in
-    if released @ outputs <> golden.g_outputs then
+    let lanes = Array.to_list lanes in
+    if List.concat_map (fun (r, m) -> r @ Machine.outputs m) lanes <> golden.g_outputs
+    then
+      let count f = List.fold_left (fun n l -> n + List.length (f l)) 0 lanes in
       Error
         (Printf.sprintf
            "device I/O diverged: %d released + %d regenerated vs %d golden"
-           (List.length released) (List.length outputs)
+           (count fst)
+           (count (fun (_, m) -> Machine.outputs m))
            (List.length golden.g_outputs))
-    else if Memory.equal_except ~except:Layout.is_flight_addr golden.g_mem m.mem
-    then Ok ()
     else
-      match
-        Memory.first_diff_except ~except:Layout.is_flight_addr golden.g_mem m.mem
-      with
-      | Some (addr, g, r) ->
-        Error
-          (Printf.sprintf "NVM mismatch at 0x%x: golden=%d recovered=%d" addr g
-             r)
-      | None -> Error "memories differ but no diff found"
+      (* With a second core, recovery replays under another interleaving,
+         which may leave a different checkpoint history without being
+         wrong: N lanes compare the image outside the checkpoint area. *)
+      let except =
+        if Array.length machines = 1 then Layout.is_flight_addr
+        else fun a -> Layout.is_flight_addr a || Layout.is_ckpt_addr a
+      in
+      let mem = machines.(0).mem in
+      if Memory.equal_except ~except golden.g_mem mem then Ok ()
+      else
+        match Memory.first_diff_except ~except golden.g_mem mem with
+        | Some (addr, g, r) ->
+          Error
+            (Printf.sprintf "NVM mismatch at 0x%x: golden=%d recovered=%d" addr
+               g r)
+        | None -> Error "memories differ but no diff found"
 
 (* ==================================================================== *)
 (* Adversarial fault model: crashes where the persistence path itself   *)
@@ -479,107 +569,122 @@ let run_and_compare golden ~released m : (unit, string) result =
 (* producing a wrong final NVM image.                                   *)
 (* ==================================================================== *)
 
+(* One lane's side of a power cut: its tracked regions and where it
+   resumes. *)
+type lane_cut = {
+  lc_tid : int;
+  lc_regions : region_record list; (* newest first, as tracked *)
+  lc_nominal : int; (* position of R_o, the nominal recovery point *)
+  lc_released : int list; (* device outputs already released, oldest first *)
+  lc_sync_floor : int;
+}
+
 (** The surviving durable state at the instant power is lost, before any
     recovery runs and before any fault is injected into it: the NVM
-    image (with the chosen un-persisted suffix of R_o's stores removed),
-    the MC log arrays, the checkpoint-area shadow checksums, and the
-    tracking metadata recovery needs. It is a pure value — injectors
-    mutate it, and both the blind and the hardened protocols can be run
-    (repeatedly, for the crash-during-recovery sweep) against copies of
-    it. *)
+    image (with each lane's chosen un-persisted suffix of its R_o's
+    stores removed), the MC log arrays, the checkpoint-area shadow
+    checksums, and the tracking metadata recovery needs. It is a pure
+    value — injectors mutate it, and both the blind and the hardened
+    protocols can be run (repeatedly, for the crash-during-recovery
+    sweep) against copies of it. *)
 type crash_state = {
   cs_mem : Memory.t;
   cs_logs : Mc_logs.t;
   cs_slot_sums : (int, int) Hashtbl.t;
-  cs_regions : region_record list; (* newest first, as tracked *)
-  cs_nominal : int; (* position of R_o, the nominal recovery point *)
-  cs_released : int list; (* device outputs already released, oldest first *)
-  cs_sync_floor : int;
+  cs_lanes : lane_cut array;
   cs_crash_step : int;
   cs_linked : Machine.linked;
   cs_compiled : Cwsp_compiler.Pipeline.compiled;
 }
 
-(** Cut power now and build the surviving durable state. Physically
+(** Cut power now and build the surviving durable state. Each lane, in
+    lane order, draws its own R_o — never at or before its committed
+    sync point — and the un-persisted suffix of R_o's stores. Physically
     honest about per-location persist FIFOs: R_o's un-persisted suffix
-    skips addresses a younger tracked region also stored to (a younger
-    persisted store to the same location implies R_o's earlier store
-    persisted first), and younger regions' speculative stores are left
-    in the image — reverting them is recovery's job, not the crash's. *)
+    skips addresses a younger region of the lane also stored to (a
+    younger persisted store to the same location implies R_o's earlier
+    store persisted first), and younger regions' speculative stores are
+    left in the image — reverting them is recovery's job, not the
+    crash's. *)
 let cut_power rng (t : tracked) : crash_state =
-  let logs, slot_vals, sync_floor =
+  let logs, slot_vals =
     match t.model with
-    | Cwsp c -> (c.logs, c.slot_vals, c.sync_floor)
+    | Cwsp c -> (c.logs, c.slot_vals)
     | Explicit _ -> invalid_arg "Harness.cut_power: not a cWSP run"
   in
-  (* copies: the crash state is a value, and [has_sync] is mutable *)
-  let regions =
-    List.map (fun (r : region_record) -> { r with has_sync = r.has_sync })
-      (tracked_regions t)
-  in
-  let eligible =
-    List.length
-      (List.filter
-         (fun (r : region_record) -> r.region_index > sync_floor)
-         regions)
-  in
-  let avail = max 1 eligible in
-  let back = Cwsp_util.Rng.int rng avail in
-  let r_o = List.nth regions back in
-  let mem = Memory.snapshot t.machine.mem in
+  let mem = Memory.snapshot t.lanes.(0).machine.mem in
   let slot_sums = Hashtbl.create (Slots.length slot_vals) in
   Slots.iter
     (fun a v -> Hashtbl.replace slot_sums a (Fault.value_sum v))
     slot_vals;
-  let r_o_entries = Mc_logs.region_entries logs ~region:r_o.region_index in
-  let younger_covers = Hashtbl.create 64 in
-  List.iteri
-    (fun i (r : region_record) ->
-      if i < back then
-        List.iter
-          (fun (e : Mc_logs.entry) -> Hashtbl.replace younger_covers e.e_addr ())
-          (Mc_logs.region_entries logs ~region:r.region_index))
-    regions;
-  let unpersist (e : Mc_logs.entry) =
-    if not (Hashtbl.mem younger_covers e.e_addr) then begin
-      Memory.write mem e.e_addr e.e_old;
-      (* slot metadata persists atomically with the slot store: an
-         un-persisted checkpoint store rolls its shadow checksum back *)
-      if Layout.is_ckpt_addr e.e_addr then
-        Hashtbl.replace slot_sums e.e_addr (Fault.value_sum e.e_old)
-    end
+  let cut tid l =
+    (* copies: the crash state is a value, and [has_sync] is mutable *)
+    let regions =
+      List.map (fun (r : region_record) -> { r with has_sync = r.has_sync })
+        (tracked_regions l)
+    in
+    let eligible =
+      List.length
+        (List.filter
+           (fun (r : region_record) -> r.region_index > l.sync_floor)
+           regions)
+    in
+    let back = Cwsp_util.Rng.int rng (max 1 eligible) in
+    let r_o = List.nth regions back in
+    let r_o_entries = Mc_logs.region_entries logs ~region:r_o.region_index in
+    let younger_covers = Hashtbl.create 64 in
+    List.iteri
+      (fun i (r : region_record) ->
+        if i < back then
+          List.iter
+            (fun (e : Mc_logs.entry) -> Hashtbl.replace younger_covers e.e_addr ())
+            (Mc_logs.region_entries logs ~region:r.region_index))
+      regions;
+    let unpersist (e : Mc_logs.entry) =
+      if not (Hashtbl.mem younger_covers e.e_addr) then begin
+        Memory.write mem e.e_addr e.e_old;
+        (* slot metadata persists atomically with the slot store: an
+           un-persisted checkpoint store rolls its shadow checksum back *)
+        if Layout.is_ckpt_addr e.e_addr then
+          Hashtbl.replace slot_sums e.e_addr (Fault.value_sum e.e_old)
+      end
+    in
+    if r_o.has_sync then
+      (* still-open sync region: the atomic + trailing checkpoints are one
+         failure-atomic unit that did not complete — nothing persisted *)
+      List.iter unpersist r_o_entries
+    else begin
+      (* random per-MC FIFO suffix of R_o's data stores un-persists, and
+         R_o's checkpoint-area stores are treated as unpersisted (the
+         trailing checkpoint of R_o's opening boundary had not drained) *)
+      fifo_suffix rng logs r_o_entries unpersist;
+      List.iter
+        (fun (e : Mc_logs.entry) -> if Layout.is_ckpt_addr e.e_addr then unpersist e)
+        r_o_entries
+    end;
+    { lc_tid = tid; lc_regions = regions; lc_nominal = back;
+      lc_released = released l r_o; lc_sync_floor = l.sync_floor }
   in
-  if r_o.has_sync then
-    (* still-open sync region: the atomic + trailing checkpoints are one
-       failure-atomic unit that did not complete — nothing persisted *)
-    List.iter unpersist r_o_entries
-  else begin
-    (* random per-MC FIFO suffix of R_o's data stores un-persists, and
-       R_o's checkpoint-area stores are treated as unpersisted (the
-       trailing checkpoint of R_o's opening boundary had not drained) *)
-    fifo_suffix rng logs r_o_entries unpersist;
-    List.iter
-      (fun (e : Mc_logs.entry) -> if Layout.is_ckpt_addr e.e_addr then unpersist e)
-      r_o_entries
-  end;
+  let lanes = Array.mapi cut t.lanes in
   {
     cs_mem = mem;
     cs_logs = Mc_logs.copy logs;
     cs_slot_sums = slot_sums;
-    cs_regions = regions;
-    cs_nominal = back;
-    cs_released = released t r_o;
-    cs_sync_floor = sync_floor;
-    cs_crash_step = t.machine.steps;
-    cs_linked = t.machine.linked;
+    cs_lanes = lanes;
+    cs_crash_step = steps t;
+    cs_linked = t.lanes.(0).machine.linked;
     cs_compiled = t.compiled;
   }
 
-(* Newest verified record per address across all tracked regions; the
-   position (index into cs_regions) tells which side of a rollback
-   boundary last wrote the address. Per address the order is exact: a
-   location always maps to one MC, whose per-region lists are newest
-   first, and list position is newest first too. *)
+(* The hardened ladder and the fault injectors work on one lane, the
+   only one: [sweep] rejects their points on N lanes. *)
+let solo cs = cs.cs_lanes.(0)
+
+(* Newest verified record per address across all of the lane's tracked
+   regions; the position (index into lc_regions) tells which side of a
+   rollback boundary last wrote the address. Per address the order is
+   exact: a location always maps to one MC, whose per-region lists are
+   newest first, and list position is newest first too. *)
 let newest_per_addr cs =
   let tbl = Hashtbl.create 64 in
   List.iteri
@@ -591,7 +696,7 @@ let newest_per_addr cs =
             && not (Hashtbl.mem tbl e.e_addr)
           then Hashtbl.add tbl e.e_addr (idx, e))
         (Mc_logs.region_entries cs.cs_logs ~region:r.region_index))
-    cs.cs_regions;
+    (solo cs).lc_regions;
   tbl
 
 (* Checkpoint-slot addresses a region's recovery slice reads. *)
@@ -601,11 +706,12 @@ let slice_slot_addrs cs (r : region_record) =
     cs.cs_compiled.slices.(r.static_id)
     |> List.concat_map (fun (_, e) -> Cwsp_ckpt.Slice.slot_refs e)
     |> List.sort_uniq compare
-    |> List.map (fun reg -> Layout.ckpt_slot ~tid:0 ~depth:r.depth reg)
+    |> List.map (fun reg -> Layout.ckpt_slot ~tid:(solo cs).lc_tid ~depth:r.depth reg)
 
 (* ---- fault injection into a crash state ---- *)
 
 let inject rng (cls : Fault.cls) cs : string option =
+  let { lc_regions; lc_nominal; _ } = solo cs in
   let sorted_candidates l =
     Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) l)
   in
@@ -624,7 +730,7 @@ let inject rng (cls : Fault.cls) cs : string option =
             if Memory.read cs.cs_mem addr = e.e_old then (deep, any)
             else
               let c = (addr, e) in
-              ((if idx > cs.cs_nominal then c :: deep else deep), c :: any))
+              ((if idx > lc_nominal then c :: deep else deep), c :: any))
           m ([], [])
       in
       let pool = if deep <> [] then deep else any in
@@ -647,7 +753,7 @@ let inject rng (cls : Fault.cls) cs : string option =
       let candidates =
         Hashtbl.fold
           (fun addr (idx, (e : Mc_logs.entry)) acc ->
-            if idx > cs.cs_nominal then (addr, e) :: acc else acc)
+            if idx > lc_nominal then (addr, e) :: acc else acc)
           m []
       in
       if candidates = [] then None
@@ -673,7 +779,7 @@ let inject rng (cls : Fault.cls) cs : string option =
       end
   | Fault.Log_corruption ->
       Mc_logs.inject_corrupt cs.cs_logs rng
-        ~regions:(List.map (fun (r : region_record) -> r.region_index) cs.cs_regions)
+        ~regions:(List.map (fun (r : region_record) -> r.region_index) lc_regions)
   | Fault.Ckpt_bitflip ->
       (* bit rot in a checkpoint slot (the slot's shadow checksum still
          describes the intended value). A flip in a slot the nominal
@@ -682,11 +788,11 @@ let inject rng (cls : Fault.cls) cs : string option =
          reads whose checkpoint is OLDER than the rollback boundary
          (pruning makes slices read ancient slots), then any uncovered
          written slot, then anything the slice reads. *)
-      let r_o = List.nth cs.cs_regions cs.cs_nominal in
+      let r_o = List.nth lc_regions lc_nominal in
       let m = newest_per_addr cs in
       let covered a =
         match Hashtbl.find_opt m a with
-        | Some (idx, _) -> idx <= cs.cs_nominal
+        | Some (idx, _) -> idx <= lc_nominal
         | None -> false
       in
       let slice_slots = slice_slot_addrs cs r_o in
@@ -717,7 +823,7 @@ type rung_check = {
   rc_skip : Mc_logs.entry list; (* corrupt records proven immaterial *)
 }
 
-(** Audit rollback boundary [back] (position in [cs_regions]).
+(** Audit rollback boundary [back] (position in the lane's [lc_regions]).
 
     - Revert-set regions (positions <= back) must have verifiable logs:
       count headers match, LSNs contiguous, record checksums good. A
@@ -744,17 +850,18 @@ let check_rung cs ~back =
   let notes = ref [] and fatal = ref false and soft = ref false in
   let skip = ref [] in
   let note msg = notes := msg :: !notes in
-  let rung = List.nth cs.cs_regions back in
-  if rung.region_index <= cs.cs_sync_floor then begin
+  let lc = solo cs in
+  let rung = List.nth lc.lc_regions back in
+  if rung.region_index <= lc.lc_sync_floor then begin
     fatal := true;
     note "rollback would cross a committed sync point"
   end;
-  if rung.outputs_at_entry <> List.length cs.cs_released then begin
+  if rung.outputs_at_entry <> List.length lc.lc_released then begin
     fatal := true;
     note "rollback would re-release device I/O"
   end;
-  let n_regions = List.length cs.cs_regions in
-  let region_arr = Array.of_list cs.cs_regions in
+  let n_regions = List.length lc.lc_regions in
+  let region_arr = Array.of_list lc.lc_regions in
   let entries_at i =
     Mc_logs.region_entries cs.cs_logs ~region:region_arr.(i).region_index
   in
@@ -896,18 +1003,17 @@ let exec_step w = function
 
 let run_plan w plan = List.iter (exec_step w) plan
 
-(* Undo-log reverts of the regions at positions <= [back], the records
-   [keep] selects, newest region first and newest record first. *)
-let revert_steps cs ~logs ~back keep =
-  List.concat
-    (List.mapi
-       (fun i (r : region_record) ->
-         if i > back then []
-         else
-           Mc_logs.region_entries logs ~region:r.region_index
-           |> List.filter (keep i)
-           |> List.map (fun (e : Mc_logs.entry) -> S_revert (e.e_addr, e.e_old)))
-       cs.cs_regions)
+(* Undo-log reverts of [regions] (ids), the records [keep] selects, in
+   replay order: newest region first and newest record first. *)
+let revert_steps ~logs regions keep =
+  Mc_logs.undo_order logs ~regions
+  |> List.filter_map (fun (r, (e : Mc_logs.entry)) ->
+         if keep r e then Some (S_revert (e.e_addr, e.e_old)) else None)
+
+(* The ids of a lane's regions at positions <= [back]. *)
+let regions_upto (l : lane_cut) back =
+  List.filteri (fun i _ -> i <= back) l.lc_regions
+  |> List.map (fun (r : region_record) -> r.region_index)
 
 (* The rung's recovery slice, one step per restored register. *)
 let slice_steps cs (rung : region_record) =
@@ -921,37 +1027,40 @@ let slice_steps cs (rung : region_record) =
     logged address holds its exact rung-entry value; idempotent
     re-execution regenerates the rest. *)
 let build_plan cs ~back ~skip =
-  let rung = List.nth cs.cs_regions back in
+  let lc = solo cs in
+  let rung = List.nth lc.lc_regions back in
   (S_intent rung.region_index
-   :: revert_steps cs ~logs:cs.cs_logs ~back (fun _ e -> not (List.memq e skip)))
+   :: revert_steps ~logs:cs.cs_logs (regions_upto lc back) (fun _ e ->
+          not (List.memq e skip)))
   @ (S_truncate :: slice_steps cs rung)
 
-(** Blind (legacy-ordering) plan: trust every record, revert only the
-    younger regions plus R_o's checkpoint stores, and — the vulnerability
-    the hardened ordering fixes — free the log space while loading the
-    records into volatile buffers, BEFORE the reverts are applied. Built
-    from [logs] so a restart after a mid-recovery crash sees whatever
-    log state survived. *)
+(** Blind (legacy-ordering) plan: trust every record, revert every
+    lane's younger regions plus its R_o's checkpoint stores, in
+    descending global region id, and — the vulnerability the hardened
+    ordering fixes — free the log space while loading the records into
+    volatile buffers, BEFORE the reverts are applied. Built from [logs]
+    so a restart after a mid-recovery crash sees whatever log state
+    survived. *)
 let blind_plan cs ~logs =
-  let back = cs.cs_nominal in
+  let lanes = Array.to_list cs.cs_lanes in
+  let r_o (l : lane_cut) = List.nth l.lc_regions l.lc_nominal in
+  let r_os = List.map (fun l -> (r_o l).region_index) lanes in
   (S_truncate
-   :: revert_steps cs ~logs ~back (fun i (e : Mc_logs.entry) ->
-          i < back || Layout.is_ckpt_addr e.e_addr))
-  @ slice_steps cs (List.nth cs.cs_regions back)
+   :: revert_steps ~logs
+        (List.concat_map (fun l -> regions_upto l l.lc_nominal) lanes)
+        (fun r (e : Mc_logs.entry) ->
+          (not (List.mem r r_os)) || Layout.is_ckpt_addr e.e_addr))
+  @ List.concat_map (fun l -> slice_steps cs (r_o l)) lanes
 
-(** Resume execution at rung [back] on [w]'s memory: evaluate the rung's
-    recovery slice into a poisoned register file (or restart/rewind for
-    the pre-first-boundary cases). *)
-let resume_at cs w ~back =
-  let rung = List.nth cs.cs_regions back in
-  let resume =
-    resume_slice ~tid:0 cs.cs_linked ~mem:w.w_mem ~frames:rung.frames
-      ~depth:rung.depth
-  in
-  match rung.static_id with
-  | -1 -> Machine.resume cs.cs_linked ~mem:w.w_mem ~frames:`Fresh ~depth:0
-  | -2 -> resume None
-  | id -> resume (Some cs.cs_compiled.slices.(id))
+(* Resume every lane at its rung, position [backs.(i)] of lane [i], on
+   [w]'s memory: the lanes [run_and_compare] runs. *)
+let resume_lanes cs w backs =
+  Array.mapi
+    (fun i (l : lane_cut) ->
+      ( l.lc_released,
+        resume ~tid:l.lc_tid cs.cs_compiled cs.cs_linked ~mem:w.w_mem
+          (List.nth l.lc_regions backs.(i)) ))
+    cs.cs_lanes
 
 type fault_outcome = Recovered | Degraded | Refused
 
@@ -1009,15 +1118,13 @@ let c_sweep_rerun = Obs.Counter.make "recovery.sweep.rerun"
     comparison and the number of sweep runs that ended wrong. When
     [sweep] is empty only the crash-free recovery runs.
 
-    Sweep resumes are memoized on the recovered image: [resume_at] and
+    Sweep resumes are memoized on the recovered image: [resume_lanes] and
     [run_and_compare] read nothing of a world but its memory, so a sweep
     world whose image equals the clean recovery's (the whole image,
     flight region included) would replay the clean run step for step —
     it takes the clean verdict instead of re-running it. *)
-let execute_recovery cs golden ~back ~plan ~restart ~sweep =
-  let verdict w =
-    run_and_compare golden ~released:cs.cs_released (resume_at cs w ~back)
-  in
+let execute_recovery cs golden ~backs ~plan ~restart ~sweep =
+  let verdict w = run_and_compare golden (resume_lanes cs w backs) in
   let clean = world_of cs in
   run_plan clean plan;
   (* the resumed run mutates the image, so keep the recovered one *)
@@ -1090,22 +1197,17 @@ let crash_point ~golden t p =
   let flight = t.recorder <> None in
   match t.model with
   | Explicit e ->
-    let linked = t.machine.linked in
-    let crash_step = t.machine.steps in
+    let l = t.lanes.(0) in
+    let crash_step = l.machine.steps in
     (* newest-first replay of the open region's ckpt undo restores the
        slots as of the newest boundary *)
     let image = Memory.snapshot e.nvm in
     List.iter (fun (addr, old) -> Memory.write image addr old) e.ckpt_undo;
-    let r = current_region t in
-    let recovered, boundary, restored =
-      if r.static_id < 0 then
-        (Machine.resume linked ~mem:image ~frames:`Fresh ~depth:0, 0, 0)
-      else
-        let slice = t.compiled.slices.(r.static_id) in
-        ( resume_slice ~tid:0 linked ~mem:image ~frames:r.frames ~depth:r.depth
-            (Some slice),
-          r.static_id,
-          List.length slice )
+    let r = current_region l in
+    let recovered = resume ~tid:0 t.compiled l.machine.linked ~mem:image r in
+    let boundary, restored =
+      if r.static_id < 0 then (0, 0)
+      else (r.static_id, List.length t.compiled.slices.(r.static_id))
     in
     (* the crash record and the blind-resume decision *)
     let rapp = crash_epoch t image in
@@ -1117,7 +1219,7 @@ let crash_point ~golden t p =
         (fun msg ->
           Printf.sprintf "explicit-mode %s (crash@%d, boundary %d)" msg crash_step
             boundary)
-        (run_and_compare golden ~released:(released t r) recovered)
+        (run_and_compare golden [| (released l r, recovered) |])
     in
     ( {
         fr_crash_step = crash_step;
@@ -1154,8 +1256,16 @@ let crash_point ~golden t p =
     let injected =
       match fault with None -> None | Some cls -> inject rng cls cs
     in
-    let region_at back = (List.nth cs.cs_regions back).region_index in
-    let nominal_region = region_at cs.cs_nominal in
+    (* the oldest region any lane resumes at, each lane at position
+       [backs.(i)] *)
+    let rung_region backs =
+      Array.fold_left min max_int
+        (Array.mapi
+           (fun i (l : lane_cut) -> (List.nth l.lc_regions backs.(i)).region_index)
+           cs.cs_lanes)
+    in
+    let nominal = Array.map (fun (l : lane_cut) -> l.lc_nominal) cs.cs_lanes in
+    let nominal_region = rung_region nominal in
     let want_sweep = fault = Some Fault.Recovery_crash in
     (* log what the adversary did and what the ladder decides *)
     let rapp = crash_epoch t cs.cs_mem in
@@ -1167,12 +1277,13 @@ let crash_point ~golden t p =
     | _ -> ());
     let count p plan = List.length (List.filter p plan) in
     let is_slice = function S_slice _ -> true | _ -> false in
-    (* [back] is the rung recovery used, -1 when it refused *)
-    let report ~back ~outcome ~detections ~verdict ~sweep ~plan ~failures =
+    let rollback backs = Array.fold_left ( + ) 0 backs in
+    (* [backs] are the rungs recovery used, [None] when it refused *)
+    let report ~backs ~outcome ~detections ~verdict ~sweep ~plan ~failures =
       ( {
           fr_crash_step = cs.cs_crash_step;
           fr_nominal_region = nominal_region;
-          fr_rung_region = (if back < 0 then -1 else region_at back);
+          fr_rung_region = Option.fold ~none:(-1) ~some:rung_region backs;
           fr_outcome = outcome;
           fr_injected =
             (if want_sweep then Some "power failure during recovery (sweep)"
@@ -1182,7 +1293,7 @@ let crash_point ~golden t p =
           fr_sweep_points = List.length sweep;
           fr_sweep_slice_points = slice_cut_count plan sweep;
           fr_sweep_failures = failures;
-          fr_rollback = back;
+          fr_rollback = Option.fold ~none:(-1) ~some:rollback backs;
           fr_restored = count is_slice plan;
           fr_flight =
             (if flight then Some (Recorder.dump_string cs.cs_mem) else None);
@@ -1195,12 +1306,13 @@ let crash_point ~golden t p =
     in
     let refuse ~back detections =
       rapp Recorder.Decision 2 back (List.length detections) 1;
-      report ~back:(-1) ~outcome:Refused ~detections ~verdict:(Ok ()) ~sweep:[]
+      report ~backs:None ~outcome:Refused ~detections ~verdict:(Ok ()) ~sweep:[]
         ~plan:[] ~failures:0
     in
-    (* run [plan] at rung [back] (swept by mid-recovery power failures,
-       each followed by [restart]), resume, compare and record *)
-    let recover ~back ~outcome ~detections ~plan ~restart =
+    (* run [plan] to the rungs [backs] (swept by mid-recovery power
+       failures, each followed by [restart]), resume, compare and
+       record *)
+    let recover ~backs ~outcome ~detections ~plan ~restart =
       let sweep = if want_sweep then sweep_cuts plan ~max_reverts:8 else [] in
       (* mid-recovery power failures re-attach the ring of the sweep
          world's image and open yet another epoch before replaying *)
@@ -1209,11 +1321,11 @@ let crash_point ~golden t p =
         restart w
       in
       let verdict, failures =
-        execute_recovery cs golden ~back ~plan ~restart ~sweep
+        execute_recovery cs golden ~backs ~plan ~restart ~sweep
       in
       rapp Recorder.Decision
         (if outcome = Recovered then 0 else 1)
-        back (List.length detections)
+        (rollback backs) (List.length detections)
         (if Result.is_ok verdict && failures = 0 then 1 else 0);
       let slices, steps =
         if hardened then
@@ -1221,19 +1333,21 @@ let crash_point ~golden t p =
             count (function S_revert _ -> true | _ -> false) plan )
         else (0, List.length plan)
       in
-      rapp Recorder.Resume (region_at back) slices steps 0;
-      report ~back ~outcome ~detections ~verdict ~sweep ~plan ~failures
+      rapp Recorder.Resume (rung_region backs) slices steps 0;
+      report ~backs:(Some backs) ~outcome ~detections ~verdict ~sweep ~plan
+        ~failures
     in
     if not hardened then
       (* blind protocol: trust every surviving byte. A restart re-reads
          whatever logs survived — after the premature truncation,
          usually nothing. *)
-      recover ~back:cs.cs_nominal ~outcome:Recovered ~detections:[]
+      recover ~backs:nominal ~outcome:Recovered ~detections:[]
         ~plan:(blind_plan cs ~logs:cs.cs_logs)
         ~restart:(fun w -> run_plan w (blind_plan cs ~logs:w.w_logs))
     else begin
       (* hardened protocol: audit, degrade, or refuse *)
-      let n = List.length cs.cs_regions in
+      let lc = solo cs in
+      let n = List.length lc.lc_regions in
       let rec ladder back detections =
         if back >= n then
           refuse ~back:n (detections @ [ "no verifiable rollback boundary left" ])
@@ -1264,60 +1378,66 @@ let crash_point ~golden t p =
                       | _ -> ())
                     plan
             in
-            recover ~back
-              ~outcome:(if back = cs.cs_nominal then Recovered else Degraded)
+            recover ~backs:[| back |]
+              ~outcome:(if back = lc.lc_nominal then Recovered else Degraded)
               ~detections ~plan ~restart
           end
         end
       in
-      ladder cs.cs_nominal []
+      ladder lc.lc_nominal []
     end
 
-(** Crash [compiled] at every one of [points] on one tracked run of
-    [mode]'s model, stepped to each in ascending order; results in input
-    order. The explicit model has no fault classes: a hardened or
-    faulted point is rejected rather than reported clean. *)
-let sweep_points ~window ~flight ~mode ~golden
+(** Crash [compiled], started as [launch], at every one of [points] on
+    one tracked run of [mode]'s model, stepped to each in ascending
+    order; results in input order. The explicit model has no fault
+    classes, and the hardened ladder and the injectors work on one lane:
+    such a point is rejected rather than reported clean. *)
+let sweep ?(window = 16) ?(flight = false) ~mode ~launch ~golden
     (compiled : Cwsp_compiler.Pipeline.compiled) points : outcome list =
-  if
-    mode = Cwsp_compiler.Pipeline.Explicit
-    && List.exists (fun p -> p.cp_hardened || p.cp_fault <> None) points
-  then invalid_arg "Harness.sweep: no hardened or faulted point in the explicit model";
-  if points = [] then []
-  else begin
-    (* The recorder ring is formatted once, inside the image the cut
-       preserves, and written by the run's boundary hook; its writes
-       bypass the instrumentation hooks (never undo-logged) and nothing
-       in recovery reads it, so enabling it cannot change any outcome.
-       Its rng draws come from a dedicated stream so the main rng's draw
-       sequence is byte-identical with recording on or off. Each point
-       dumps the ring as its own crash left it, so a dump does not
-       depend on the other points of the sweep. *)
-    let t = create ~window ~flight:(flight || flight_env) ~mode compiled in
-    (* the one run advances through the points in ascending crash-step
-       order (stable); results in input order *)
-    let halted = Error "program halted before the crash point" in
-    let results = Array.make (List.length points) halted in
-    List.mapi (fun i p -> (i, p)) points
-    |> List.stable_sort (fun (_, a) (_, b) -> compare a.cp_at b.cp_at)
-    |> List.iter (fun (i, p) ->
-           if not (run_to t p.cp_at) then results.(i) <- Ok (crash_point ~golden t p));
-    Array.to_list results
-  end
-
-let sweep ?(window = 16) ?(flight = false) ~mode ~golden compiled points =
-  if not !Obs.on then sweep_points ~window ~flight ~mode ~golden compiled points
-  else
-    Obs.time ~cat:"recovery"
-      ~args:[ ("points", float_of_int (List.length points)) ]
-      "sweep"
-      (fun () -> sweep_points ~window ~flight ~mode ~golden compiled points)
+  let lanes = match launch with Main -> 1 | Worker { threads; _ } -> threads in
+  if List.exists (fun p -> p.cp_hardened || p.cp_fault <> None) points then begin
+    if mode = Cwsp_compiler.Pipeline.Explicit then
+      invalid_arg "Harness.sweep: no hardened or faulted point in the explicit model";
+    if lanes > 1 then
+      invalid_arg "Harness.sweep: no hardened or faulted point on more than one lane"
+  end;
+  if mode = Explicit && lanes > 1 then
+    invalid_arg "Harness.sweep: the explicit model runs on one lane";
+  Obs.time ~cat:"recovery"
+    ~args:[ ("points", float_of_int (List.length points)) ]
+    "sweep"
+    (fun () ->
+      if points = [] then []
+      else begin
+        (* The recorder ring is formatted once, inside the image the cut
+           preserves, and written by the run's boundary hook; its writes
+           bypass the instrumentation hooks (never undo-logged) and
+           nothing in recovery reads it, so enabling it cannot change any
+           outcome. Its rng draws come from a dedicated stream so the main
+           rng's draw sequence is byte-identical with recording on or
+           off. Each point dumps the ring as its own crash left it, so a
+           dump does not depend on the other points of the sweep. *)
+        let t =
+          create ~window ~flight:(flight || flight_env) ~mode compiled
+            (launch_machines (Machine.link compiled.prog) launch)
+        in
+        (* the one run advances through the points in ascending
+           crash-step order (stable); results in input order *)
+        let halted = Error "program halted before the crash point" in
+        let results = Array.make (List.length points) halted in
+        List.mapi (fun i p -> (i, p)) points
+        |> List.stable_sort (fun (_, a) (_, b) -> compare a.cp_at b.cp_at)
+        |> List.iter (fun (i, p) ->
+               if not (run_to t p.cp_at) then
+                 results.(i) <- Ok (crash_point ~golden t p));
+        Array.to_list results
+      end)
 
 (* The one-point [sweep] against [golden], by default the binary's own
    failure-free run. *)
 let one_point ?window ?flight ~mode ?golden compiled p =
-  let golden = match golden with Some g -> g | None -> golden_of compiled in
-  match sweep ?window ?flight ~mode ~golden compiled [ p ] with
+  let golden = match golden with Some g -> g | None -> golden_of Main compiled in
+  match sweep ?window ?flight ~mode ~launch:Main ~golden compiled [ p ] with
   | [ r ] -> r
   | _ -> assert false
 
@@ -1354,7 +1474,7 @@ let validate ?window ~seed ~crash_at
 let validate_chain ?(window = 16) ~seed ~crash_points
     (compiled : Cwsp_compiler.Pipeline.compiled) : (int, string) result =
   let rng = Cwsp_util.Rng.create seed in
-  let golden = golden_of compiled in
+  let golden = golden_of Main compiled in
   let rec go t crash_points released crashes =
     let next =
       match crash_points with
@@ -1367,18 +1487,25 @@ let validate_chain ?(window = 16) ~seed ~crash_points
       let cs = cut_power rng t in
       let w = world_of cs in
       run_plan w (blind_plan cs ~logs:cs.cs_logs);
-      let m = resume_at cs w ~back:cs.cs_nominal in
-      go (create_resumed ~window compiled m) rest (released @ cs.cs_released)
-        (crashes + 1)
+      let lc = solo cs in
+      let m =
+        resume ~tid:0 compiled cs.cs_linked ~mem:w.w_mem
+          (List.nth lc.lc_regions lc.lc_nominal)
+      in
+      go (create ~window ~flight:false ~mode:Implicit compiled [| m |]) rest
+        (released @ lc.lc_released) (crashes + 1)
     | verdict -> (
       (* no more failures, or the program halted before the next one *)
       match
-        Result.bind verdict (fun _ -> run_and_compare golden ~released t.machine)
+        Result.bind verdict (fun _ ->
+            run_and_compare golden [| (released, t.lanes.(0).machine) |])
       with
       | Ok () -> Ok crashes
       | Error e -> Error (Printf.sprintf "%s (after %d crashes)" e crashes))
   in
-  go (create ~window ~flight:false ~mode:Implicit compiled) crash_points [] 0
+  let machine = Machine.create (Machine.link compiled.prog) in
+  go (create ~window ~flight:false ~mode:Implicit compiled [| machine |])
+    crash_points [] 0
 
 (** One explicit-persistency crash at [crash_at]: the explicit model's
     one-point [sweep], a wrong final state an [Error]. *)

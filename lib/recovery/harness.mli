@@ -19,16 +19,34 @@
     failure-free run. A sweep runs many crash points on one tracked
     run, of the cWSP model or of explicit flush/fence persistency
     ([sweep]): cutting power only reads the tracked state, so the run
-    steps on from one point to the next. *)
+    steps on from one point to the next.
+
+    A run of N threads (Section VIII, "Recovery for Multi-Cores") is the
+    same tracked run with N lanes — a machine and its region ring each —
+    over one NVM image, one set of MC logs, one global region counter
+    and one recorder. At the cut each lane draws its own recovery point
+    and suffix; the blind plan reverts every lane's younger regions in
+    descending global region id, and each lane resumes independently.
+    Two rules hold only because a second core exists: an atomic ends
+    its lane's region at once (another core may already have seen it),
+    and the final comparison skips the checkpoint area (another
+    interleaving may leave another checkpoint history). *)
 
 open Cwsp_ir
 open Cwsp_interp
 
-(** A failure-free reference run: final NVM image, device outputs and
-    step count. Compute once per workload and share across cells. *)
+(** What a run starts: [main], or [worker](tid) on each of [threads]
+    threads sharing one NVM image ([Cwsp_interp.Multi]). *)
+type launch = Main | Worker of { worker : string; threads : int }
+
+(** A failure-free reference run: final NVM image, device outputs (each
+    thread's in thread order) and step count (all threads together).
+    Compute once per workload and share across cells. *)
 type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
 
-val golden_of : Cwsp_compiler.Pipeline.compiled -> golden
+(** The reference run of [compiled] started as [launch]; threads step
+    round-robin at [Multi.default_quantum]. *)
+val golden_of : launch -> Cwsp_compiler.Pipeline.compiled -> golden
 
 (** The reference a finished failure-free run of the binary provides
     (for callers that have already run it, e.g. to trace it). *)
@@ -44,10 +62,12 @@ type fault_outcome =
 type fault_report = {
   fr_crash_step : int;
   fr_nominal_region : int;
-      (** dynamic index of the nominal (fault-free) recovery point; in
-          the explicit model, the static id of the boundary it resumed
-          at (0 before the first one) *)
-  fr_rung_region : int;  (** region recovery actually used; -1 if refused *)
+      (** dynamic index of the nominal (fault-free) recovery point, on N
+          lanes the oldest lane's; in the explicit model, the static id
+          of the boundary it resumed at (0 before the first one) *)
+  fr_rung_region : int;
+      (** region recovery actually used (on N lanes the oldest); -1 if
+          refused *)
   fr_outcome : fault_outcome;
   fr_injected : string option;
       (** what the adversary did; [None] if the fault found no target *)
@@ -62,7 +82,8 @@ type fault_report = {
   fr_sweep_failures : int;  (** sweep runs ending in a wrong final state *)
   fr_rollback : int;
       (** tracked regions rolled back past to reach the rung (its
-          position, newest first); -1 if refused *)
+          position, newest first; on N lanes, summed over the lanes); -1
+          if refused *)
   fr_restored : int;  (** live-in registers the rung's recovery slice restored *)
   fr_flight : string option;
       (** flight-recorder dump (the [Cwsp_flight.Recorder] text
@@ -98,8 +119,9 @@ type outcome = (fault_report * (unit, string) result, string) result
     recovery compared equal; otherwise the [Error] message. *)
 val require_clean : outcome -> (fault_report, string) result
 
-(** Crash [compiled] at every point on one tracked run of [mode]'s
-    persistency model, scored against [golden]: the run steps to each
+(** Crash [compiled], started as [launch], at every point on one tracked
+    run of [mode]'s persistency model, scored against [golden] (the
+    reference run of the same launch): the run steps to each
     point in ascending [cp_at] order, and each point's crash, recovery,
     resume and comparison work on copies of the state there, so every
     result equals the one-point sweep's. Results come back in input
@@ -124,6 +146,13 @@ val require_clean : outcome -> (fault_report, string) result
       misplaced flush/fence escapes at some crash point reproducibly.
       The model has no fault classes: a point with [cp_hardened] or a
       [cp_fault] raises [Invalid_argument].
+
+    [launch] gives the lanes. Point [cp_at] counts the instructions of
+    all lanes together, which step round-robin at
+    [Multi.default_quantum]; the schedule carries over from one point to
+    the next. On more than one lane only the blind plan on a faultless
+    path runs: a hardened or faulted point raises [Invalid_argument], and
+    so does the [Explicit] model.
 
     [flight:true] formats a flight-recorder ring once per sweep, inside
     the image the crash preserves (the tracked machine's NVM for cWSP,
@@ -151,6 +180,7 @@ val sweep :
   ?window:int ->
   ?flight:bool ->
   mode:Cwsp_compiler.Pipeline.persist_mode ->
+  launch:launch ->
   golden:golden ->
   Cwsp_compiler.Pipeline.compiled ->
   point list ->
@@ -218,35 +248,3 @@ val validate_fault :
   crash_at:int ->
   Cwsp_compiler.Pipeline.compiled ->
   (fault_report, string) result
-
-(** {2 Shared crash helpers} (the multi-core harness, [Harness_mp])
-
-    [fifo_suffix rng logs entries f] un-persists a random per-MC FIFO
-    suffix of one region's data stores: per MC, in MC order, it draws
-    how many stores persisted in program order and passes each later
-    one to [f]. Checkpoint-area stores are left to the caller. *)
-val fifo_suffix :
-  Cwsp_util.Rng.t ->
-  Mc_logs.t ->
-  Mc_logs.entry list ->
-  (Mc_logs.entry -> unit) ->
-  unit
-
-(** [stepping f] runs [f], which steps a resumed machine, and turns a
-    trap, a wild memory access ([Memory]'s own [Invalid_argument]) or
-    an exhausted fuel budget into an [Error]: wrong outcomes of
-    recovery, not harness failures. *)
-val stepping : (unit -> 'a) -> ('a, string) result
-
-(** [resume_slice ~tid linked ~mem ~frames ~depth slice] resumes thread
-    [tid] at a region entry with call stack [frames] (copied). With
-    [Some slice] the open frame's registers are poisoned and the slice
-    rebuilds its live-ins from the thread's checkpoint slots in [mem]. *)
-val resume_slice :
-  tid:int ->
-  Machine.linked ->
-  mem:Memory.t ->
-  frames:Machine.frame list ->
-  depth:int ->
-  Cwsp_ckpt.Slice.t option ->
-  Machine.t

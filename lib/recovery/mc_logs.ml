@@ -152,24 +152,11 @@ let copy t =
     logged_entries = t.logged_entries;
   }
 
-(* Every region with an array on some MC, newest (highest id) first. *)
-let regions_newest_first t =
-  Array.to_list t.arrays
-  |> List.concat_map (fun tbl -> Hashtbl.fold (fun r _ acc -> r :: acc) tbl [])
-  |> List.sort_uniq compare |> List.rev
-
-(** Revert (reverse chronological region order) exactly the regions for
-    which [should_revert] holds, then remove their logs — the multi-core
-    variant where each thread contributes its own unpersisted-region set
-    (Section VIII). *)
-let revert_where t ~should_revert ~apply =
-  List.iter
-    (fun r ->
-      if should_revert r then begin
-        List.iter (fun e -> apply e.e_addr e.e_old) (region_entries t ~region:r);
-        deallocate t ~region:r
-      end)
-    (regions_newest_first t)
+(** The records of [regions] in undo order: newest (highest id) region
+    first, each region's records newest first per MC. *)
+let undo_order t ~regions =
+  List.sort (fun a b -> compare b a) regions
+  |> List.concat_map (fun r -> List.map (fun e -> (r, e)) (region_entries t ~region:r))
 
 (** Live (not yet deallocated) entries — bounded in hardware because each
     region holds only a handful of stores and the number of concurrently

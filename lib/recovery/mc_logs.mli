@@ -49,12 +49,13 @@ val reset : t -> unit
     the surviving log image at a crash point. *)
 val copy : t -> t
 
-(** Revert exactly the regions for which [should_revert] holds, in
-    reverse chronological Region-ID order, removing their logs — the
-    multi-core variant where each thread contributes its own
-    unpersisted-region set (Section VIII). *)
-val revert_where :
-  t -> should_revert:(int -> bool) -> apply:(int -> int -> unit) -> unit
+(** The records of [regions], each with its region, in undo order:
+    newest (highest id) region first, each region's records newest first
+    per MC. Writing back every record's old value in this order leaves
+    each address the regions stored to as it was before the oldest of
+    them stored — with regions of several threads merged by their global
+    ids (Section VIII). *)
+val undo_order : t -> regions:int list -> (int * entry) list
 
 (** Live (not yet deallocated) entries — bounded in hardware by the RBT
     size times the handful of stores per region. *)

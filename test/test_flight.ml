@@ -162,7 +162,7 @@ let compiled_of name =
 
 let test_harness_flight_neutral () =
   let compiled = compiled_of "fft" in
-  let g = Harness.golden_of compiled in
+  let g = Harness.golden_of Main compiled in
   List.iter
     (fun cls ->
       let run flight =

@@ -55,6 +55,49 @@ let params ?(jobs = 1) dir =
   { (Campaign.default_params ~dir) with p_master_seed = 97; p_batch = 40;
     p_jobs = jobs; p_min_budget = 600 }
 
+(* The state file round-trips every field, odd bytes in its strings
+   included, and loads as [None] when it is missing, malformed or written
+   for another master seed, shard or batch. *)
+let test_state_file () =
+  let d = scratch "state" in
+  let c = Corpus.open_dir d in
+  let load ?(master_seed = 5) ?(shard = (1, 3)) ?(batch = 8) () =
+    Corpus.load_state c ~master_seed ~shard ~batch
+  in
+  Alcotest.(check bool) "missing" true (load () = None);
+  let st = Corpus.fresh_state ~master_seed:5 ~shard:(1, 3) ~batch:8 in
+  st.s_next_batch <- 4;
+  st.s_execs <- 32;
+  st.s_discards <- 3;
+  st.s_retained <- [ ("00ab", Coverage.Gen); ("0cd", Coverage.Mut) ];
+  ignore (Coverage.add st.s_cov ~origin:Gen [ "op:load"; "odd \"cell\"\n\001\255 %" ]);
+  ignore (Coverage.add st.s_cov ~origin:Mut [ "op:store" ]);
+  st.s_findings <-
+    [ { sf_key = "k 1"; sf_kind = "verifier-escape"; sf_fp = "00ab"; sf_instrs = 12;
+        sf_detail = "a b\nc" };
+      { sf_key = "k2"; sf_kind = "fault-escape"; sf_fp = "0cd"; sf_instrs = 9;
+        sf_detail = "" } ];
+  Corpus.save_state c st;
+  (match load () with
+  | None -> Alcotest.fail "saved state unreadable"
+  | Some l ->
+    Alcotest.(check (list int)) "counters"
+      [ st.s_next_batch; st.s_execs; st.s_discards ]
+      [ l.s_next_batch; l.s_execs; l.s_discards ];
+    Alcotest.(check bool) "retained" true (l.s_retained = st.s_retained);
+    Alcotest.(check bool) "cells" true
+      (Coverage.to_list l.s_cov = Coverage.to_list st.s_cov);
+    Alcotest.(check bool) "findings" true (l.s_findings = st.s_findings));
+  Alcotest.(check bool) "other master seed" true (load ~master_seed:6 () = None);
+  Alcotest.(check bool) "other shard" true (load ~shard:(2, 3) () = None);
+  Alcotest.(check bool) "other batch" true (load ~batch:9 () = None);
+  let path = Filename.concat d "state-1of3" in
+  let body = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub body 0 (String.length body / 2)));
+  Alcotest.(check bool) "malformed" true (load () = None);
+  rm_rf d
+
 (* ---- 1. determinism ---- *)
 
 let test_jobs_identical () =
@@ -450,5 +493,6 @@ let () =
             test_hidden_drop_ckpt;
           Alcotest.test_case "verifier-hidden bug: dropped flush" `Slow
             test_hidden_drop_flush;
+          Alcotest.test_case "state file round-trips" `Quick test_state_file;
         ] );
     ]

@@ -96,34 +96,32 @@ let test_worker_arity_checked () =
 (* The three SPMD workloads below are schedule-deterministic in their
    final program-visible state (striped/disjoint, or commutative updates
    under a lock), so a failure-free run is a valid oracle even though
-   recovery changes the interleaving. [mp_outcomes] runs
-   [Harness_mp.validate] at [points] crash points spread over the run of
-   [name]'s cWSP binary, after [patch]: each point's crash step and
+   recovery changes the interleaving. [mp_outcomes] crashes the run of
+   [name]'s cWSP binary, after [patch], at [points] crash points spread
+   over it, all on one [threads]-lane sweep: each point's crash step and
    result. *)
 let mp_outcomes ?(patch = Fun.id) name ~threads ~points =
+  let module H = Cwsp_recovery.Harness in
   let w = W_parallel.find_exn name in
   let compiled =
     patch
       (Cwsp_compiler.Pipeline.compile ~config:Cwsp_compiler.Pipeline.cwsp
          (w.pbuild ~scale:1 ~threads))
   in
-  (* exact total dynamic steps, to spread the crash points *)
-  let _, traces =
-    Multi.traces_of_program compiled.prog ~threads ~worker:w.worker
+  let launch = H.Worker { worker = w.worker; threads } in
+  let golden = H.golden_of launch compiled in
+  let crash_ats =
+    List.init points (fun i -> 1 + (i * (golden.g_steps * 9 / 10) / points))
   in
-  let total =
-    Array.fold_left (fun acc tr -> acc + Trace.length tr) 0 traces
-  in
-  List.init points (fun i ->
-      let crash_at = 1 + (i * (total * 9 / 10) / points) in
-      ( crash_at,
-        Cwsp_recovery.Harness_mp.validate ~seed:(500 + i) ~crash_at compiled
-          ~threads ~worker:w.worker ))
+  H.sweep ~mode:Implicit ~launch ~golden compiled
+    (List.mapi (fun i crash_at -> H.clean_point ~seed:(500 + i) ~crash_at) crash_ats)
+  |> List.map H.require_clean
+  |> List.combine crash_ats
 
 let mp_validate name ~threads ~points =
   List.filter_map
     (function
-      | _, Ok () -> None
+      | _, Ok _ -> None
       | crash_at, Error e -> Some (Printf.sprintf "@%d: %s" crash_at e))
     (mp_outcomes name ~threads ~points)
 
@@ -157,7 +155,7 @@ let test_mp_wild_resume_is_error () =
     (fun (name, threads) ->
       match mp_outcomes ~patch:wild name ~threads ~points:10 with
       | exception e ->
-        Alcotest.failf "%s x%d: validate raised %s" name threads
+        Alcotest.failf "%s x%d: the sweep raised %s" name threads
           (Printexc.to_string e)
       | outcomes ->
         Alcotest.(check bool)

@@ -80,7 +80,7 @@ let sweep ~points ~steps ~golden (c : Pipeline.compiled) =
         | Ok _ -> None
         | Error e -> Some (crash_at, e))
       (List.combine crash_ats
-         (H.sweep ~mode:Explicit ~golden c
+         (H.sweep ~mode:Explicit ~launch:Main ~golden c
             (List.map (fun crash_at -> H.clean_point ~seed:0 ~crash_at) crash_ats)))
   in
   (List.length errors, List.nth_opt errors 0)
@@ -143,7 +143,7 @@ let test_jobs_determinism () =
 
 let test_oracle_positive_sweep () =
   let c = compile_explicit corpus_workload in
-  let golden = H.golden_of c in
+  let golden = H.golden_of Main c in
   let fails, first = sweep ~points:12 ~steps:golden.g_steps ~golden c in
   match first with
   | None -> Alcotest.(check int) "no failures" 0 fails
@@ -162,7 +162,7 @@ let check_mutant name ~rule ~steps mutant =
     Alcotest.failf "%s: expected %s, verifier said:\n%s" name
       (Cwsp_verify.Diag.rule_name rule)
       (Cwsp_verify.Verify.report errs);
-  let escapes, _ = sweep ~points:40 ~steps ~golden:(H.golden_of mutant) mutant in
+  let escapes, _ = sweep ~points:40 ~steps ~golden:(H.golden_of Main mutant) mutant in
   if escapes = 0 then
     Alcotest.failf
       "%s: caught statically but never escaped dynamically — the \
@@ -171,13 +171,13 @@ let check_mutant name ~rule ~steps mutant =
 
 let test_mutant_dropped_flush () =
   let c = compile_explicit corpus_workload in
-  let steps = (H.golden_of c).g_steps in
+  let steps = (H.golden_of Main c).g_steps in
   check_mutant "drop-flush" ~rule:Cwsp_verify.Diag.Missing_flush ~steps
     (drop_in "main" ~what:`Flush 0 c)
 
 let test_mutant_dropped_pfence () =
   let c = compile_explicit corpus_workload in
-  let steps = (H.golden_of c).g_steps in
+  let steps = (H.golden_of Main c).g_steps in
   check_mutant "drop-pfence" ~rule:Cwsp_verify.Diag.Missing_fence ~steps
     (drop_in "main" ~what:`Pfence 0 c)
 

@@ -180,9 +180,12 @@ let test_mc_logs_fig10c () =
   Cwsp_ir.Memory.write mem addr 200;
   Cwsp_recovery.Mc_logs.log logs ~region:2 ~addr ~old:200 ~value:300;
   Cwsp_ir.Memory.write mem addr 300;
-  (* power failure while Rg0 is the oldest unpersisted region *)
-  Cwsp_recovery.Mc_logs.revert_where logs ~should_revert:(fun r -> r > 0)
-    ~apply:(fun a old -> Cwsp_ir.Memory.write mem a old);
+  (* power failure while Rg0 is the oldest unpersisted region: replay
+     the younger regions' records in undo order *)
+  List.iter
+    (fun (_, (e : Cwsp_recovery.Mc_logs.entry)) ->
+      Cwsp_ir.Memory.write mem e.e_addr e.e_old)
+    (Cwsp_recovery.Mc_logs.undo_order logs ~regions:[ 1; 2 ]);
   Alcotest.(check int) "ld in Rg0 re-reads 100, not 200" 100
     (Cwsp_ir.Memory.read mem addr)
 
@@ -205,8 +208,13 @@ let test_mc_logs_revert_excludes_oldest () =
   Cwsp_recovery.Mc_logs.log logs ~region:3 ~addr:0x100 ~old:7 ~value:77;
   Cwsp_ir.Memory.write mem 0x200 88;
   Cwsp_recovery.Mc_logs.log logs ~region:4 ~addr:0x200 ~old:8 ~value:88;
-  Cwsp_recovery.Mc_logs.revert_where logs ~should_revert:(fun r -> r > 3)
-    ~apply:(fun a old -> Cwsp_ir.Memory.write mem a old);
+  Cwsp_ir.Memory.write mem 0x100 99 (* a younger store over R_o's *);
+  Cwsp_recovery.Mc_logs.log logs ~region:4 ~addr:0x100 ~old:77 ~value:99;
+  (* R_o = region 3: only the younger regions are replayed *)
+  List.iter
+    (fun (_, (e : Cwsp_recovery.Mc_logs.entry)) ->
+      Cwsp_ir.Memory.write mem e.e_addr e.e_old)
+    (Cwsp_recovery.Mc_logs.undo_order logs ~regions:[ 4 ]);
   Alcotest.(check int) "R_o's data store kept (idempotence handles it)" 77
     (Cwsp_ir.Memory.read mem 0x100);
   Alcotest.(check int) "younger region reverted" 8
@@ -459,7 +467,7 @@ let test_mc_logs_model () =
 
 let fault_compiled = lazy (compiled_of "lu-ncg")
 let fault_golden =
-  lazy (Cwsp_recovery.Harness.golden_of (Lazy.force fault_compiled))
+  lazy (Cwsp_recovery.Harness.golden_of Main (Lazy.force fault_compiled))
 
 (* NEGATIVE corpus: with hardening disabled (blind protocol: trust every
    byte, legacy truncate-first ordering), each fault class must produce
@@ -608,7 +616,7 @@ let test_wild_resume_is_wrong_outcome () =
           compiled.Pipeline.slices;
     }
   in
-  let golden = Cwsp_recovery.Harness.golden_of compiled in
+  let golden = Cwsp_recovery.Harness.golden_of Main compiled in
   let wrong = ref 0 in
   for i = 1 to 20 do
     let crash_at = i * golden.g_steps / 21 in
@@ -636,7 +644,7 @@ let test_wild_clean_resume_is_error () =
     }
   in
   let compiled = corrupt (compiled_of "bzip2") in
-  let steps = (Cwsp_recovery.Harness.golden_of compiled).g_steps in
+  let steps = (Cwsp_recovery.Harness.golden_of Main compiled).g_steps in
   for i = 1 to 4 do
     let crash_at = i * steps / 5 in
     (match Cwsp_recovery.Harness.validate ~seed:i ~crash_at compiled with
@@ -655,7 +663,7 @@ let test_wild_clean_resume_is_error () =
          (Cwsp_workloads.Registry.find_exn "fft")
          Pipeline.cwsp_explicit)
   in
-  let steps = (Cwsp_recovery.Harness.golden_of explicit).g_steps in
+  let steps = (Cwsp_recovery.Harness.golden_of Main explicit).g_steps in
   let errors = ref 0 in
   for i = 1 to 4 do
     match
@@ -711,7 +719,7 @@ let clean_matrix () =
   let add r = rows := r :: !rows in
   List.iter
     (fun (name, window) ->
-      let steps = (Cwsp_recovery.Harness.golden_of (compiled_of name)).g_steps in
+      let steps = (Cwsp_recovery.Harness.golden_of Main (compiled_of name)).g_steps in
       (* pre-first-boundary points, then points strided over the run *)
       let points = [ 1; 2; 3 ] @ List.init 9 (fun i -> (i + 1) * steps / 10) in
       List.iter
@@ -729,7 +737,7 @@ let test_clean_pinned () =
 
 let test_chain_pinned () =
   let compiled = compiled_of "bzip2" in
-  let steps = (Cwsp_recovery.Harness.golden_of compiled).g_steps in
+  let steps = (Cwsp_recovery.Harness.golden_of Main compiled).g_steps in
   let rows = ref [] in
   for i = 0 to 7 do
     let c1 = 1 + (i * steps / 8) in
@@ -759,7 +767,7 @@ let test_explicit_pinned () =
       (Cwsp_workloads.Registry.find_exn "fft")
       Pipeline.cwsp_explicit
   in
-  let steps = (Cwsp_recovery.Harness.golden_of compiled).g_steps in
+  let steps = (Cwsp_recovery.Harness.golden_of Main compiled).g_steps in
   let rows =
     List.init 16 (fun i ->
         let crash_at = 1 + (i * steps / 16) in
@@ -825,7 +833,7 @@ let test_sweep_matches_one_point () =
   let w = Cwsp_workloads.Registry.find_exn "lu-ncg" in
   let implicit = Cwsp_core.Api.compiled w Pipeline.cwsp in
   let explicit = Cwsp_core.Api.compiled w Pipeline.cwsp_explicit in
-  let g = H.golden_of implicit and ge = H.golden_of explicit in
+  let g = H.golden_of Main implicit and ge = H.golden_of Main explicit in
   let modes =
     (false, None) :: List.map (fun c -> (true, Some c)) Cwsp_recovery.Fault.all
   in
@@ -848,8 +856,8 @@ let test_sweep_matches_one_point () =
       let label = if flight then "recorder on" else "recorder off" in
       let check_mode name mode golden compiled =
         check_sweep (name ^ ", " ^ label)
-          ~one:(fun p -> List.hd (H.sweep ~flight ~mode ~golden compiled [ p ]))
-          ~all:(H.sweep ~flight ~mode ~golden compiled)
+          ~one:(fun p -> List.hd (H.sweep ~flight ~mode ~launch:Main ~golden compiled [ p ]))
+          ~all:(H.sweep ~flight ~mode ~launch:Main ~golden compiled)
       in
       let swept_implicit = check_mode "implicit" Implicit g implicit points in
       let swept_explicit = check_mode "explicit" Explicit ge explicit explicit_points in
@@ -868,6 +876,56 @@ let test_sweep_matches_one_point () =
       Alcotest.(check int) (label ^ ": past-halt points") (List.length modes + 1)
         (List.length (List.filter Result.is_error swept)))
     [ false; true ]
+
+(* The same on N lanes: an SPMD worker's sweep steps its lanes
+   round-robin and carries the schedule from one point to the next, so
+   every point — shuffled, one duplicated, one past the halt — must equal
+   its one-point sweep, and every reached point must recover clean. *)
+let lanes_of name ~threads =
+  let module H = Cwsp_recovery.Harness in
+  let w = Cwsp_workloads.W_parallel.find_exn name in
+  let compiled = Pipeline.compile ~config:Pipeline.cwsp (w.pbuild ~scale:1 ~threads) in
+  let launch = H.Worker { worker = w.worker; threads } in
+  (compiled, launch, H.golden_of launch compiled)
+
+let test_sweep_lanes_match_one_point () =
+  let module H = Cwsp_recovery.Harness in
+  List.iter
+    (fun (name, threads) ->
+      let compiled, launch, golden = lanes_of name ~threads in
+      let points =
+        List.mapi (fun i crash_at -> H.clean_point ~seed:(40 + i) ~crash_at)
+          (sweep_crash_ats golden.g_steps)
+      in
+      let label = Printf.sprintf "%s x%d" name threads in
+      let sweep = H.sweep ~mode:Implicit ~launch ~golden compiled in
+      let swept = check_sweep label ~one:(fun p -> List.hd (sweep [ p ])) ~all:sweep points in
+      List.iter
+        (function
+          | Ok (_, Ok ()) -> ()
+          | Ok (_, Error e) -> Alcotest.failf "%s: %s" label e
+          | Error e ->
+            Alcotest.(check string) (label ^ ": only past the halt")
+              "program halted before the crash point" e)
+        swept;
+      Alcotest.(check int) (label ^ ": one past-halt point") 1
+        (List.length (List.filter Result.is_error swept)))
+    [ ("psweep", 4); ("pcounter", 4) ]
+
+(* The hardened ladder and the fault injectors work on one lane: an
+   N-lane sweep refuses their points instead of running them on lane 0
+   alone. *)
+let test_lanes_reject_faults () =
+  let module H = Cwsp_recovery.Harness in
+  let compiled, launch, golden = lanes_of "pcounter" ~threads:4 in
+  let clean = H.clean_point ~seed:1 ~crash_at:(golden.g_steps / 2) in
+  List.iter
+    (fun (label, p) ->
+      match H.sweep ~mode:Implicit ~launch ~golden compiled [ clean; p ] with
+      | _ -> Alcotest.failf "%s: an N-lane sweep accepted the point" label
+      | exception Invalid_argument _ -> ())
+    [ ("hardened", { clean with cp_hardened = true });
+      ("faulted", { clean with cp_fault = Some Cwsp_recovery.Fault.Torn_persist }) ]
 
 (* [Campaign.run] crashes all of one target's cells on one tracked run,
    so every cell — every field and, with the recorder on, the dump byte
@@ -928,11 +986,11 @@ let test_explicit_rejects_faults () =
   let module H = Cwsp_recovery.Harness in
   let w = Cwsp_workloads.Registry.find_exn "lu-ncg" in
   let explicit = Cwsp_core.Api.compiled w Pipeline.cwsp_explicit in
-  let golden = H.golden_of explicit in
+  let golden = H.golden_of Main explicit in
   let clean = H.clean_point ~seed:1 ~crash_at:(golden.g_steps / 2) in
   List.iter
     (fun (label, p) ->
-      match H.sweep ~mode:Explicit ~golden explicit [ clean; p ] with
+      match H.sweep ~mode:Explicit ~launch:Main ~golden explicit [ clean; p ] with
       | _ -> Alcotest.failf "%s: explicit sweep accepted the point" label
       | exception Invalid_argument _ -> ())
     [ ("hardened", { clean with cp_hardened = true });
@@ -1020,5 +1078,9 @@ let () =
             test_explicit_rejects_faults;
           Alcotest.test_case "campaign matches one-point cells" `Quick
             test_campaign_matches_run_cell;
+          Alcotest.test_case "N-lane sweep matches one-point runs" `Quick
+            test_sweep_lanes_match_one_point;
+          Alcotest.test_case "N-lane sweep rejects fault points" `Quick
+            test_lanes_reject_faults;
         ] );
     ]
