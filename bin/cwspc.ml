@@ -125,9 +125,9 @@ let run_inner list workload input emit config persist_mode dump_ir report
             | 0 -> 0
             | points ->
               let module H = Cwsp_recovery.Harness in
-              let m, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
-              let golden = H.golden_of_run m in
-              let total = Cwsp_interp.Trace.length tr in
+              let st, tr = Cwsp_ir.Decode.trace_of_program compiled.prog in
+              let golden = H.golden_of_run st in
+              let total = Cwsp_ir.Trace.length tr in
               let crash_ats =
                 List.init points (fun i -> 1 + (i * (max 1 (total - 2)) / points))
               in

@@ -204,11 +204,12 @@ let certified ~compile mode prog =
    nothing). Raises if the binary traps or runs out of fuel. *)
 let instrumented_run base (compiled : Pipeline.compiled) =
   Obs.time ~cat:"fuzz" "instrumented_run" (fun () ->
-    let m, tr = Machine.trace_of_program ~fuel:instrumented_fuel compiled.prog in
-    let golden = Harness.golden_of_run m in
+    let st, tr = Decode.trace_of_program ~fuel:instrumented_fuel compiled.prog in
+    let golden = Harness.golden_of_run st in
     let diff =
       if golden.g_outputs <> base.br_outputs then Some `Outputs
-      else if not (Memory.equal_except ~except:not_data m.mem base.br_mem) then
+      else if not (Memory.equal_except ~except:not_data golden.g_mem base.br_mem)
+      then
         Some `Memory
       else None
     in

@@ -20,7 +20,7 @@ type t = {
   quantum : int;
 }
 
-let default_quantum = 32
+let default_quantum = Decode.default_quantum
 
 (** [create linked ~threads ~worker] initializes globals once and spawns
     [threads] machines, each entering [worker](tid). [quantum] is the
@@ -53,12 +53,11 @@ let create ?(quantum = default_quantum) (linked : Machine.linked) ~threads ~work
   in
   { linked; mem; machines; quantum }
 
-exception Deadlock
-
 (** Run all threads to completion. [hooks t] supplies the per-thread
     hooks (e.g. one trace per thread); [screen m] sees each thread's
     machine before every step and may raise to stop the run. Raises
-    [Machine.Fuel_exhausted] if the combined budget runs out. *)
+    [Machine.Fuel_exhausted] if the combined budget runs out; every pass
+    steps some running thread, so a thread left spinning uses it up. *)
 let run ?(fuel = 200_000_000) ?quantum ?(screen = ignore) (t : t)
     (hooks : int -> Machine.hooks) =
   let quantum = Option.value ~default:t.quantum quantum in
@@ -68,7 +67,6 @@ let run ?(fuel = 200_000_000) ?quantum ?(screen = ignore) (t : t)
     Array.exists (fun m -> m.Machine.status = Machine.Running) t.machines
   in
   while live () do
-    let progressed = ref false in
     Array.iteri
       (fun i m ->
         if m.Machine.status = Machine.Running then begin
@@ -77,13 +75,11 @@ let run ?(fuel = 200_000_000) ?quantum ?(screen = ignore) (t : t)
               if !budget <= 0 then raise Machine.Fuel_exhausted;
               decr budget;
               screen m;
-              Machine.step m hs.(i);
-              progressed := true
+              Machine.step m hs.(i)
             end
           done
         end)
-      t.machines;
-    if not !progressed then raise Deadlock
+      t.machines
   done
 
 (** Convenience: SPMD trace generation — one commit trace per thread. *)

@@ -16,8 +16,6 @@ type t = {
   quantum : int;
 }
 
-exception Deadlock
-
 (** The round-robin instruction quantum [create] defaults to. *)
 val default_quantum : int
 
@@ -32,8 +30,7 @@ val create : ?quantum:int -> Machine.linked -> threads:int -> worker:string -> t
     per-thread hooks; [screen m] is shown each thread's machine before
     every step it takes (to vet the instruction about to run) and may
     raise to stop the run. Raises [Machine.Fuel_exhausted] when the
-    combined budget runs out and [Deadlock] if no thread can make
-    progress. *)
+    combined budget runs out; a thread left spinning uses it up. *)
 val run :
   ?fuel:int ->
   ?quantum:int ->

@@ -19,15 +19,15 @@ type race = {
 
 type outcome = {
   races : race list;  (** deduplicated by address, sorted *)
-  hung : bool;  (** fuel ran out or the threads deadlocked *)
+  hung : bool;  (** fuel ran out: some thread never finished *)
   quantum : int;
 }
 
 (** Monitor one full run of [worker] across [threads] threads under the
-    given round-robin [quantum] (default 32). [Fuel_exhausted] and
-    [Deadlock] are reported as [hung], not raised: a mutant that drops
-    an unlock leaves its siblings spinning forever, and that is a
-    verdict, not an error. [screen] is handed to [Multi.run]: whatever
+    given round-robin [quantum] (default 32). [Fuel_exhausted] is
+    reported as [hung], not raised: a mutant that drops an unlock leaves
+    its siblings spinning, and a spinning thread steps on until it uses
+    up the fuel; that is a verdict, not an error. [screen] is handed to [Multi.run]: whatever
     it raises propagates. *)
 val observe :
   ?fuel:int ->

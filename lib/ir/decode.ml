@@ -17,7 +17,14 @@
     Commit events are appended to a local int buffer with an inlined
     bounds check (no per-event closure call, no [Event.t] allocation —
     events stay packed ints, PR 6's 4-bit tag encoding) and surface as an
-    ordinary [Trace.t].
+    ordinary [Trace.t]. An untraced state keeps the same closures: its
+    buffer is a small ring that wraps, decided only when the buffer is
+    full, so the traced path pays nothing for the mode.
+
+    [resume] starts a state from a reference-machine call stack (function
+    index, block, instruction index, registers and return register per
+    frame): each function keeps its block start offsets, so a frame's
+    position is one flat pc.
 
     Decode invariants (asserted by the differential oracle,
     [Cwsp_interp.Oracle], and test/test_decode.ml):
@@ -55,9 +62,11 @@ type st = {
   mutable steps : int;
   mutable halted : bool;
   mutable outputs : int list; (* reversed observable output *)
-  (* unboxed event stream: packed commit events, [Event] encoding *)
+  (* unboxed event stream: packed commit events, [Event] encoding. A
+     traced state grows it; an untraced one wraps it, unread *)
   mutable ev : int array;
   mutable evlen : int;
+  traced : bool;
 }
 
 and op = st -> int
@@ -66,6 +75,7 @@ type dfunc = {
   d_name : string;
   d_nregs : int;   (* register-file size: max 1 nregs, >= nparams *)
   d_nparams : int;
+  d_start : int array; (* block [b]'s first flat pc; last entry = code size *)
   mutable d_ops : op array; (* filled in pass 2 (callees may be forward) *)
 }
 
@@ -79,13 +89,20 @@ type t = {
 
 (* ---- event buffer ---- *)
 
-let emit st e =
-  let n = st.evlen in
-  if n = Array.length st.ev then begin
+(* The buffer is full at [n]: a traced state doubles it and appends at
+   [n]; an untraced one wraps its ring to slot 0. *)
+let full st n =
+  if st.traced then begin
     let bigger = Array.make (2 * n) 0 in
     Array.blit st.ev 0 bigger 0 n;
-    st.ev <- bigger
-  end;
+    st.ev <- bigger;
+    n
+  end
+  else 0
+
+let emit st e =
+  let n = st.evlen in
+  let n = if n = Array.length st.ev then full st n else n in
   Array.unsafe_set st.ev n e;
   st.evlen <- n + 1
 
@@ -101,15 +118,19 @@ let ev_pfence = Event.tag_pfence
 let operand_code = function Types.Reg r -> r | Types.Imm _ -> -1
 let operand_imm = function Types.Reg _ -> 0 | Types.Imm v -> v
 
-let compile_func (d : t) (f : Prog.func) : op array =
-  (* flat pc layout: block [b] occupies [start.(b) .. start.(b+1)-1],
-     its instructions first, its terminator last *)
+(* flat pc layout: block [b] occupies [start.(b) .. start.(b+1)-1], its
+   instructions first, its terminator last *)
+let block_starts (f : Prog.func) =
   let nblocks = Array.length f.blocks in
   let start = Array.make (nblocks + 1) 0 in
   for b = 0 to nblocks - 1 do
     start.(b + 1) <- start.(b) + List.length f.blocks.(b).instrs + 1
   done;
-  let ops = Array.make start.(nblocks) (fun (_ : st) -> 0) in
+  start
+
+let compile_func (d : t) (df : dfunc) (f : Prog.func) : op array =
+  let start = df.d_start in
+  let ops = Array.make start.(Array.length f.blocks) (fun (_ : st) -> 0) in
   let compile_instr pc (ins : Types.instr) : op =
     let next = pc + 1 in
     match ins with
@@ -368,6 +389,7 @@ let decode (p : Prog.t) : t =
              d_name = f.name;
              d_nregs = max (max 1 f.nregs) f.nparams;
              d_nparams = f.nparams;
+             d_start = block_starts f;
              d_ops = [||];
            })
          p.funcs)
@@ -390,9 +412,12 @@ let decode (p : Prog.t) : t =
   let d = { source = p; dfuncs; fidx; global_addr; main_idx } in
   (* pass 2: compile bodies (call closures capture forward dfuncs) *)
   List.iteri
-    (fun i (_, f) -> dfuncs.(i).d_ops <- compile_func d f)
+    (fun i (_, f) -> dfuncs.(i).d_ops <- compile_func d dfuncs.(i) f)
     p.funcs;
   d
+
+(** The address [decode] gave global [g], if the program has one. *)
+let global_addr (d : t) g = Hashtbl.find_opt d.global_addr g
 
 (* ---- execution ---- *)
 
@@ -403,7 +428,11 @@ let init_globals (d : t) mem =
       List.iter (fun (w, v) -> Memory.write mem (base + (w * 8)) v) g.init)
     d.source.globals
 
-let make_st ?(tid = 0) ~mem ~regs ~(ops : op array) () =
+(* An untraced state's ring: small enough to stay in the minor heap, so a
+   short resumed run allocates little. *)
+let ring_slots = 64
+
+let make_st ~tid ~traced ~mem ~regs ~(ops : op array) =
   {
     mem;
     regs;
@@ -418,18 +447,69 @@ let make_st ?(tid = 0) ~mem ~regs ~(ops : op array) () =
     steps = 0;
     halted = false;
     outputs = [];
-    ev = Array.make 4096 0;
+    ev = Array.make (if traced then 4096 else ring_slots) 0;
     evlen = 0;
+    traced;
   }
 
 (** Fresh machine on a fresh memory image, entering [main] (which must
     take no parameters), global initializers applied. *)
-let create ?(tid = 0) (d : t) : st =
+let create ?(tid = 0) ?(traced = true) (d : t) : st =
   let mem = Memory.create () in
   init_globals d mem;
   let mf = d.dfuncs.(d.main_idx) in
   if mf.d_nparams <> 0 then invalid_arg "Decode.create: main must take no params";
-  make_st ~tid ~mem ~regs:(Array.make mf.d_nregs 0) ~ops:mf.d_ops ()
+  make_st ~tid ~traced ~mem ~regs:(Array.make mf.d_nregs 0) ~ops:mf.d_ops
+
+type frame = {
+  fn : int;
+  blk : int;
+  idx : int;
+  regs : int array;
+  ret : int;
+}
+
+(** An untraced state on [mem] (global initializers NOT re-applied)
+    whose call stack is [frames], head the current frame, at call depth
+    [depth] (one less than the number of frames), having produced
+    [outputs] (oldest first); its step count starts at 0. No frames: a
+    halted state. A caller frame's position is the instruction after its
+    call, as [Machine] keeps it; a frame's [ret] lands in the caller's
+    register when it returns, as the call left it in the stack. *)
+let resume ?(tid = 0) (d : t) ~mem ~(frames : frame list) ~depth ~outputs : st =
+  let at (f : frame) =
+    let df = d.dfuncs.(f.fn) in
+    (df.d_ops, df.d_start.(f.blk) + f.idx)
+  in
+  match frames with
+  | [] ->
+    let st = make_st ~tid ~traced:false ~mem ~regs:[||] ~ops:[||] in
+    st.halted <- true;
+    st.outputs <- List.rev outputs;
+    st
+  | top :: callers ->
+    if depth <> List.length callers || depth >= Layout.max_frames then
+      invalid_arg "Decode.resume: depth must be the number of caller frames";
+    let ops, pc = at top in
+    let st = make_st ~tid ~traced:false ~mem ~regs:top.regs ~ops in
+    st.pc <- pc;
+    st.depth <- depth;
+    st.outputs <- List.rev outputs;
+    (* frame [i] (0 = top) sits at depth [depth - i]; its caller's slot
+       one below holds the caller's code, registers and pc, and where
+       frame [i]'s return value goes *)
+    List.iteri
+      (fun i (f : frame) ->
+        let slot = depth - i - 1 in
+        if slot >= 0 then st.stack_ret.(slot) <- f.ret;
+        if i > 0 then begin
+          let ops, pc = at f in
+          st.stack_ops.(depth - i) <- ops;
+          st.stack_regs.(depth - i) <- f.regs;
+          st.stack_pc.(depth - i) <- pc
+        end)
+      frames;
+    st
 
 let outputs st = List.rev st.outputs
 let steps st = st.steps
@@ -438,7 +518,9 @@ let halted st = st.halted
 
 (** The event stream as a [Trace.t]. Takes ownership of the buffer: call
     once, after the run. *)
-let trace st = Trace.of_array st.ev ~len:st.evlen
+let trace st =
+  if not st.traced then invalid_arg "Decode.trace: an untraced state keeps no trace";
+  Trace.of_array st.ev ~len:st.evlen
 
 (* the threaded-dispatch inner loop: one array load + one indirect call
    per reference-machine step *)
@@ -463,9 +545,10 @@ let trace_of_program ?fuel (p : Prog.t) : st * Trace.t =
   run ?fuel st;
   (st, trace st)
 
-(** Run functionally; returns the final state (memory + outputs). *)
+(** Run functionally, untraced; returns the final state (memory +
+    outputs). *)
 let run_functional ?fuel (p : Prog.t) : st =
-  let st = create (decode p) in
+  let st = create ~traced:false (decode p) in
   run ?fuel st;
   st
 
@@ -476,10 +559,13 @@ type spmd = {
   quantum : int;
 }
 
+let default_quantum = 32
+
 (** [create_spmd d ~threads ~worker]: [threads] decoded machines sharing
     one memory image, thread [t] entering [worker](t) — the decoded
     equivalent of [Multi.create], same round-robin quantum default. *)
-let create_spmd ?(quantum = 32) (d : t) ~threads ~worker : spmd =
+let create_spmd ?(quantum = default_quantum) ?(traced = true) (d : t) ~threads
+    ~worker : spmd =
   if threads <= 0 then invalid_arg "Decode.create_spmd: threads must be positive";
   if quantum <= 0 then invalid_arg "Decode.create_spmd: quantum must be positive";
   let wf =
@@ -495,24 +581,22 @@ let create_spmd ?(quantum = 32) (d : t) ~threads ~worker : spmd =
     Array.init threads (fun tid ->
         let regs = Array.make wf.d_nregs 0 in
         regs.(0) <- tid;
-        make_st ~tid ~mem ~regs ~ops:wf.d_ops ())
+        make_st ~tid ~traced ~mem ~regs ~ops:wf.d_ops)
   in
   { sts; quantum }
 
-exception Deadlock
-
 (** Run all threads to completion under the fixed round-robin quantum
-    schedule (bit-reproducible; identical interleaving to [Multi.run]). *)
+    schedule (bit-reproducible; identical interleaving to [Multi.run]).
+    Every pass steps some live thread, so a thread that spins forever
+    uses up the fuel. *)
 let run_spmd ?(fuel = 200_000_000) ?quantum (m : spmd) =
   let quantum = Option.value ~default:m.quantum quantum in
   let budget = ref fuel in
   let live () = Array.exists (fun st -> not st.halted) m.sts in
   while live () do
-    let progressed = ref false in
     Array.iter
       (fun st ->
         if not st.halted then begin
-          progressed := true;
           (* same budget accounting as [Multi.run]: one fuel unit per
              step, checked before the step executes *)
           let want = ref quantum in
@@ -524,8 +608,7 @@ let run_spmd ?(fuel = 200_000_000) ?quantum (m : spmd) =
             decr want
           done
         end)
-      m.sts;
-    if not !progressed then raise Deadlock
+      m.sts
   done
 
 (** SPMD trace generation: one commit trace per thread — the fast-path

@@ -93,14 +93,16 @@ let span_begin ?(cat = "") ?(args = []) name =
     d.stack <- (name, cat, now_us (), args) :: d.stack
   end
 
-let span_end () =
+let span_end ?(args = []) () =
   if !on then begin
     let d = Domain.DLS.get dls in
     match d.stack with
     | [] -> Atomic.incr unbalanced
-    | (name, cat, ts, args) :: rest ->
+    | (name, cat, ts, opened) :: rest ->
       d.stack <- rest;
-      push d (Span { name; cat; ts; dur = now_us () -. ts; tid = d.tid; args })
+      push d
+        (Span
+           { name; cat; ts; dur = now_us () -. ts; tid = d.tid; args = opened @ args })
   end
 
 (** Open spans on the calling domain (0 when balanced or disabled). *)

@@ -25,9 +25,11 @@ val now_us : unit -> float
 val span_begin :
   ?cat:string -> ?args:(string * float) list -> string -> unit
 
-(** Close the innermost open span (records a complete "X" event).
-    Unmatched calls are counted, never raised. *)
-val span_end : unit -> unit
+(** Close the innermost open span (records a complete "X" event),
+    adding [args] (known only at the end, such as a count of work done)
+    after the ones it opened with. Unmatched calls are counted, never
+    raised. *)
+val span_end : ?args:(string * float) list -> unit -> unit
 
 (** Open spans on the calling domain (0 when balanced or disabled). *)
 val open_depth : unit -> int

@@ -14,16 +14,20 @@
     Every crash experiment runs through one skeleton: run to the crash
     point, [cut_power], optionally [inject] a persistence-path fault,
     execute a recovery plan, [resume_lanes] at the chosen region and
-    [run_and_compare]. The cut picks the oldest unpersisted region R_o
-    within the RBT window and un-persists a random per-MC FIFO suffix of
-    R_o's own stores (stores to the same location always target the
-    same MC, so per-location visibility is a prefix — matching real
-    persist-path FIFOs) plus R_o's checkpoint-area stores. The blind plan
-    then reverts the younger regions' speculative NVM updates with the
-    undo logs; the hardened plan audits first ([check_rung]). The resume
-    evaluates the region's recovery slice to restore its live-in
-    registers (every other register is poisoned to catch liveness bugs)
-    and runs from the region's entry. Crash consistency holds iff the
+    [run_and_compare]. The run to the crash point steps the reference
+    [Machine] under the hooks that keep that state; everything unhooked
+    — the resumed runs and the golden run — runs on the untraced decoded
+    core ([Decode]), which a tracked run decodes once. The cut picks the
+    oldest unpersisted region R_o within the RBT window and un-persists
+    a random per-MC FIFO suffix of R_o's own stores (stores to the same
+    location always target the same MC, so per-location visibility is a
+    prefix — matching real persist-path FIFOs) plus R_o's
+    checkpoint-area stores. The blind plan then reverts the younger
+    regions' speculative NVM updates with the undo logs; the hardened
+    plan audits first ([check_rung]). The resume evaluates the region's
+    recovery slice to restore its live-in registers (every other
+    register is poisoned to catch liveness bugs) and runs from the
+    region's entry. Crash consistency holds iff the
     final NVM state and device output equal a failure-free run's.
 
     The persistency model is a value the tracked run carries: the cWSP
@@ -159,6 +163,7 @@ type lane = {
 type tracked = {
   lanes : lane array;
   compiled : Cwsp_compiler.Pipeline.compiled;
+  decoded : Decode.t; (* [compiled]'s program, for the resumed runs *)
   model : model;
   mutable region_count : int; (* the global region counter: the newest id *)
   mutable turn : int; (* schedule cursor: the lane whose quantum runs *)
@@ -176,16 +181,11 @@ let launch_machines linked = function
   | Main -> [| Machine.create linked |]
   | Worker { worker; threads } -> (Multi.create linked ~threads ~worker).machines
 
-(* Run [machines] (sharing one image) to completion, round-robin at
-   [Multi]'s quantum; one machine runs without the scheduler. *)
-let run_lanes ?fuel = function
-  | [| m |] -> Machine.run ?fuel m Machine.no_hooks
-  | machines ->
-    let m0 = machines.(0) in
-    Multi.run ?fuel
-      { linked = m0.Machine.linked; mem = m0.mem; machines;
-        quantum = Multi.default_quantum }
-      (fun _ -> Machine.no_hooks)
+(* Run decoded states (sharing one image) to completion, round-robin at
+   [Multi]'s quantum; one state runs without the scheduler. *)
+let run_decoded ?fuel = function
+  | [| st |] -> Decode.run ?fuel st
+  | sts -> Decode.run_spmd ?fuel { sts; quantum = Decode.default_quantum }
 
 let copy_frame (fr : Machine.frame) = { fr with regs = Array.copy fr.regs }
 
@@ -195,7 +195,8 @@ let copy_frame (fr : Machine.frame) = { fr with regs = Array.copy fr.regs }
    the program's or the worker's entry, or the resume point of a
    previous recovery. *)
 let create ~window ~flight ~(mode : Cwsp_compiler.Pipeline.persist_mode)
-    (compiled : Cwsp_compiler.Pipeline.compiled) (machines : Machine.t array) =
+    (compiled : Cwsp_compiler.Pipeline.compiled) decoded
+    (machines : Machine.t array) =
   (* The ring lives in the image the cut preserves. cWSP: the machines'
      own NVM, which the cut snapshots. Explicit: the durable image, where
      each append is its own flush+fence (the commit-word ordering is the
@@ -227,6 +228,7 @@ let create ~window ~flight ~(mode : Cwsp_compiler.Pipeline.persist_mode)
   {
     lanes = Array.mapi lane machines;
     compiled;
+    decoded;
     model;
     region_count = Array.length machines - 1;
     turn = 0;
@@ -452,13 +454,13 @@ let fifo_suffix rng logs (entries : Mc_logs.entry list) f =
       end)
     entries
 
-(* Resume thread [tid] of [compiled] on [mem] at the entry of region
-   [r], its call stack copied so a snapshot can be resumed again. A
-   boundary's region poisons the open frame's registers and evaluates
-   the boundary's recovery slice, which rebuilds the live-ins from the
-   thread's checkpoint slots; a region with a negative static id resumes
-   its snapshot's registers as they are. *)
-let resume ~tid (compiled : Cwsp_compiler.Pipeline.compiled) linked ~mem
+(* Thread [tid]'s call stack at the entry of region [r] on [mem], copied
+   so a snapshot can be resumed again. A boundary's region poisons the
+   open frame's registers and evaluates the boundary's recovery slice,
+   which rebuilds the live-ins from the thread's checkpoint slots; a
+   region with a negative static id resumes its snapshot's registers as
+   they are. *)
+let entry_frames ~tid (compiled : Cwsp_compiler.Pipeline.compiled) decoded ~mem
     (r : region_record) =
   let frames = List.map copy_frame r.frames in
   if r.static_id >= 0 then begin
@@ -466,7 +468,7 @@ let resume ~tid (compiled : Cwsp_compiler.Pipeline.compiled) linked ~mem
     Array.fill fr.regs 0 (Array.length fr.regs) poison;
     let slot reg = Memory.read mem (Layout.ckpt_slot ~tid ~depth:r.depth reg) in
     let addr_of g =
-      match Hashtbl.find_opt linked.Machine.global_addr g with
+      match Decode.global_addr decoded g with
       | Some a -> a
       | None -> failwith ("recovery slice references unknown global " ^ g)
     in
@@ -474,28 +476,52 @@ let resume ~tid (compiled : Cwsp_compiler.Pipeline.compiled) linked ~mem
       (fun (reg, expr) -> fr.regs.(reg) <- Cwsp_ckpt.Slice.eval ~slot ~addr_of expr)
       compiled.slices.(r.static_id)
   end;
-  Machine.resume ~tid linked ~mem ~frames ~depth:r.depth
+  frames
+
+(* A lane to re-execute to the end. *)
+type entry = {
+  e_tid : int;
+  e_frames : Machine.frame list; (* head = current frame *)
+  e_depth : int;
+  e_outputs : int list; (* produced since the lane's last resume point *)
+  e_released : int list; (* device output released before the crash *)
+}
+
+(* Lane [tid] resumed at region [r] on [mem], [released] already out. *)
+let entry_at ~tid compiled decoded ~mem ~released (r : region_record) =
+  { e_tid = tid; e_frames = entry_frames ~tid compiled decoded ~mem r;
+    e_depth = r.depth; e_outputs = []; e_released = released }
+
+let decoded_frame (fr : Machine.frame) =
+  { Decode.fn = fr.lf.findex; blk = fr.blk; idx = fr.idx; regs = fr.regs;
+    ret = Option.value ~default:(-1) fr.ret_to }
 
 type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
 
 (* The reference finished failure-free lanes provide: their shared
    image, every lane's output in lane order, their steps together. *)
-let golden_of_lanes (machines : Machine.t array) =
+let golden_of_lanes (sts : Decode.st array) =
   {
-    g_mem = machines.(0).mem;
-    g_outputs = List.concat_map Machine.outputs (Array.to_list machines);
-    g_steps = Array.fold_left (fun n (m : Machine.t) -> n + m.steps) 0 machines;
+    g_mem = Decode.memory sts.(0);
+    g_outputs = List.concat_map Decode.outputs (Array.to_list sts);
+    g_steps = Array.fold_left (fun n st -> n + Decode.steps st) 0 sts;
   }
 
-(** The reference a finished failure-free run [m] provides. *)
-let golden_of_run m = golden_of_lanes [| m |]
+(** The reference a finished failure-free run provides. *)
+let golden_of_run st = golden_of_lanes [| st |]
 
 (** Failure-free reference run of [launch], shared across a campaign's
     cells. *)
 let golden_of launch (compiled : Cwsp_compiler.Pipeline.compiled) =
-  let machines = launch_machines (Machine.link compiled.prog) launch in
-  run_lanes machines;
-  golden_of_lanes machines
+  let d = Decode.decode compiled.prog in
+  let sts =
+    match launch with
+    | Main -> [| Decode.create ~traced:false d |]
+    | Worker { worker; threads } ->
+      (Decode.create_spmd ~traced:false d ~threads ~worker).sts
+  in
+  run_decoded sts;
+  golden_of_lanes sts
 
 (* Run [f], which steps a resumed machine. A trap, a wild memory access
    (a poisoned or corrupted register used as a pointer) or a hang is a
@@ -503,8 +529,8 @@ let golden_of launch (compiled : Cwsp_compiler.Pipeline.compiled) =
 let stepping f =
   match f () with
   | v -> Ok v
-  | exception Machine.Trap msg -> Error ("recovered run trapped: " ^ msg)
-  | exception Machine.Fuel_exhausted -> Error "recovered run failed to halt"
+  | exception Decode.Trap msg -> Error ("recovered run trapped: " ^ msg)
+  | exception Decode.Fuel_exhausted -> Error "recovered run failed to halt"
   (* [Memory]'s fault on a misaligned or negative address. Only its own
      messages are matched: an index error elsewhere is a harness bug and
      must still escape. *)
@@ -512,43 +538,90 @@ let stepping f =
     ->
     Error ("recovered run faulted: " ^ msg)
 
-(* Run the resumed lanes — each a machine and the device output it
-   released before the crash — to completion and compare against the
-   golden run: each lane's released output plus its resumed run's, in
-   lane order, must be the golden stream, and the final NVM image the
-   golden image. Any failure to get there ([stepping]) or any NVM/IO
-   divergence is a wrong outcome — the oracle, independent of all
-   checksums — reported with its first difference. A hang is bounded by
-   a generous multiple of the failure-free step count. The
-   flight-recorder region is excluded: it is observability state,
-   written on the crashing path only, and legitimately differs from the
-   failure-free image. *)
-let run_and_compare golden (lanes : (int list * Machine.t) array) :
+(* A resumed run as a test's probe sees it ([with_resumed_probe]). *)
+type resumed = {
+  rs_start : Memory.t;
+  rs_lanes : entry array;
+  rs_fuel : int;
+  rs_sts : Decode.st array;
+  rs_result : (unit, string) result;
+}
+
+let probe_key : (resumed -> unit) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let with_resumed_probe f k =
+  let prev = Domain.DLS.get probe_key in
+  Domain.DLS.set probe_key (Some f);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set probe_key prev) k
+
+(* Run the resumed [lanes] on [mem] to completion, on the untraced
+   decoded core, and compare against the golden run: each lane's
+   released output plus its resumed run's, in lane order, must be the
+   golden stream, and the final NVM image the golden image. Any failure
+   to get there ([stepping]) or any NVM/IO divergence is a wrong outcome
+   — the oracle, independent of all checksums — reported with its first
+   difference. A hang is bounded by a generous multiple of the
+   failure-free step count. The flight-recorder region is excluded: it
+   is observability state, written on the crashing path only, and
+   legitimately differs from the failure-free image. *)
+let run_and_compare decoded golden ~mem (lanes : entry array) :
     (unit, string) result =
   let fuel = (4 * golden.g_steps) + 10_000 in
-  let machines = Array.map snd lanes in
-  match stepping (fun () -> run_lanes ~fuel machines) with
+  let probe = Domain.DLS.get probe_key in
+  (* the run consumes the image and the frames: a probe sees them as
+     they were *)
+  let start =
+    match probe with
+    | None -> None
+    | Some _ ->
+      Some
+        ( Memory.snapshot mem,
+          Array.map
+            (fun e -> { e with e_frames = List.map copy_frame e.e_frames })
+            lanes )
+  in
+  let sts =
+    Array.map
+      (fun e ->
+        Decode.resume ~tid:e.e_tid decoded ~mem
+          ~frames:(List.map decoded_frame e.e_frames) ~depth:e.e_depth
+          ~outputs:e.e_outputs)
+      lanes
+  in
+  if !Obs.on then Obs.span_begin ~cat:"recovery" "resumed_run";
+  let ran = stepping (fun () -> run_decoded ~fuel sts) in
+  if !Obs.on then
+    Obs.span_end
+      ~args:
+        [ ("steps",
+           float_of_int (Array.fold_left (fun n st -> n + Decode.steps st) 0 sts)) ]
+      ();
+  (match (probe, start) with
+  | Some f, Some (rs_start, rs_lanes) ->
+    f { rs_start; rs_lanes; rs_fuel = fuel; rs_sts = sts; rs_result = ran }
+  | _ -> ());
+  match ran with
   | Error e -> Error e
   | Ok () ->
-    let lanes = Array.to_list lanes in
-    if List.concat_map (fun (r, m) -> r @ Machine.outputs m) lanes <> golden.g_outputs
+    let lanes = Array.to_list (Array.map2 (fun e st -> (e.e_released, st)) lanes sts) in
+    if List.concat_map (fun (r, st) -> r @ Decode.outputs st) lanes <> golden.g_outputs
     then
       let count f = List.fold_left (fun n l -> n + List.length (f l)) 0 lanes in
       Error
         (Printf.sprintf
            "device I/O diverged: %d released + %d regenerated vs %d golden"
            (count fst)
-           (count (fun (_, m) -> Machine.outputs m))
+           (count (fun (_, st) -> Decode.outputs st))
            (List.length golden.g_outputs))
     else
       (* With a second core, recovery replays under another interleaving,
          which may leave a different checkpoint history without being
          wrong: N lanes compare the image outside the checkpoint area. *)
       let except =
-        if Array.length machines = 1 then Layout.is_flight_addr
+        if Array.length sts = 1 then Layout.is_flight_addr
         else fun a -> Layout.is_flight_addr a || Layout.is_ckpt_addr a
       in
-      let mem = machines.(0).mem in
       if Memory.equal_except ~except golden.g_mem mem then Ok ()
       else
         match Memory.first_diff_except ~except golden.g_mem mem with
@@ -593,8 +666,8 @@ type crash_state = {
   cs_slot_sums : (int, int) Hashtbl.t;
   cs_lanes : lane_cut array;
   cs_crash_step : int;
-  cs_linked : Machine.linked;
   cs_compiled : Cwsp_compiler.Pipeline.compiled;
+  cs_decoded : Decode.t;
 }
 
 (** Cut power now and build the surviving durable state. Each lane, in
@@ -672,8 +745,8 @@ let cut_power rng (t : tracked) : crash_state =
     cs_slot_sums = slot_sums;
     cs_lanes = lanes;
     cs_crash_step = steps t;
-    cs_linked = t.lanes.(0).machine.linked;
     cs_compiled = t.compiled;
+    cs_decoded = t.decoded;
   }
 
 (* The hardened ladder and the fault injectors work on one lane, the
@@ -1057,9 +1130,8 @@ let blind_plan cs ~logs =
 let resume_lanes cs w backs =
   Array.mapi
     (fun i (l : lane_cut) ->
-      ( l.lc_released,
-        resume ~tid:l.lc_tid cs.cs_compiled cs.cs_linked ~mem:w.w_mem
-          (List.nth l.lc_regions backs.(i)) ))
+      entry_at ~tid:l.lc_tid cs.cs_compiled cs.cs_decoded ~mem:w.w_mem
+        ~released:l.lc_released (List.nth l.lc_regions backs.(i)))
     cs.cs_lanes
 
 type fault_outcome = Recovered | Degraded | Refused
@@ -1124,7 +1196,9 @@ let c_sweep_rerun = Obs.Counter.make "recovery.sweep.rerun"
     flight region included) would replay the clean run step for step —
     it takes the clean verdict instead of re-running it. *)
 let execute_recovery cs golden ~backs ~plan ~restart ~sweep =
-  let verdict w = run_and_compare golden (resume_lanes cs w backs) in
+  let verdict w =
+    run_and_compare cs.cs_decoded golden ~mem:w.w_mem (resume_lanes cs w backs)
+  in
   let clean = world_of cs in
   run_plan clean plan;
   (* the resumed run mutates the image, so keep the recovered one *)
@@ -1204,7 +1278,9 @@ let crash_point ~golden t p =
     let image = Memory.snapshot e.nvm in
     List.iter (fun (addr, old) -> Memory.write image addr old) e.ckpt_undo;
     let r = current_region l in
-    let recovered = resume ~tid:0 t.compiled l.machine.linked ~mem:image r in
+    let recovered =
+      entry_at ~tid:0 t.compiled t.decoded ~mem:image ~released:(released l r) r
+    in
     let boundary, restored =
       if r.static_id < 0 then (0, 0)
       else (r.static_id, List.length t.compiled.slices.(r.static_id))
@@ -1219,7 +1295,7 @@ let crash_point ~golden t p =
         (fun msg ->
           Printf.sprintf "explicit-mode %s (crash@%d, boundary %d)" msg crash_step
             boundary)
-        (run_and_compare golden [| (released l r, recovered) |])
+        (run_and_compare t.decoded golden ~mem:image [| recovered |])
     in
     ( {
         fr_crash_step = crash_step;
@@ -1419,6 +1495,7 @@ let sweep ?(window = 16) ?(flight = false) ~mode ~launch ~golden
            dump does not depend on the other points of the sweep. *)
         let t =
           create ~window ~flight:(flight || flight_env) ~mode compiled
+            (Decode.decode compiled.prog)
             (launch_machines (Machine.link compiled.prog) launch)
         in
         (* the one run advances through the points in ascending
@@ -1475,6 +1552,7 @@ let validate_chain ?(window = 16) ~seed ~crash_points
     (compiled : Cwsp_compiler.Pipeline.compiled) : (int, string) result =
   let rng = Cwsp_util.Rng.create seed in
   let golden = golden_of Main compiled in
+  let decoded = Decode.decode compiled.prog in
   let rec go t crash_points released crashes =
     let next =
       match crash_points with
@@ -1488,23 +1566,30 @@ let validate_chain ?(window = 16) ~seed ~crash_points
       let w = world_of cs in
       run_plan w (blind_plan cs ~logs:cs.cs_logs);
       let lc = solo cs in
+      let r = List.nth lc.lc_regions lc.lc_nominal in
+      (* the resume is tracked again, so it runs on the hooked machine *)
       let m =
-        resume ~tid:0 compiled cs.cs_linked ~mem:w.w_mem
-          (List.nth lc.lc_regions lc.lc_nominal)
+        Machine.resume ~tid:0 t.lanes.(0).machine.linked ~mem:w.w_mem
+          ~frames:(entry_frames ~tid:0 compiled decoded ~mem:w.w_mem r)
+          ~depth:r.depth
       in
-      go (create ~window ~flight:false ~mode:Implicit compiled [| m |]) rest
+      go (create ~window ~flight:false ~mode:Implicit compiled decoded [| m |]) rest
         (released @ lc.lc_released) (crashes + 1)
     | verdict -> (
-      (* no more failures, or the program halted before the next one *)
+      (* no more failures, or the program halted before the next one: the
+         rest of the run, untracked, is the resumed run to compare *)
+      let m = t.lanes.(0).machine in
       match
         Result.bind verdict (fun _ ->
-            run_and_compare golden [| (released, t.lanes.(0).machine) |])
+            run_and_compare decoded golden ~mem:m.mem
+              [| { e_tid = 0; e_frames = m.frames; e_depth = m.depth;
+                   e_outputs = Machine.outputs m; e_released = released } |])
       with
       | Ok () -> Ok crashes
       | Error e -> Error (Printf.sprintf "%s (after %d crashes)" e crashes))
   in
   let machine = Machine.create (Machine.link compiled.prog) in
-  go (create ~window ~flight:false ~mode:Implicit compiled [| machine |])
+  go (create ~window ~flight:false ~mode:Implicit compiled decoded [| machine |])
     crash_points [] 0
 
 (** One explicit-persistency crash at [crash_at]: the explicit model's

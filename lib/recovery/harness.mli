@@ -19,7 +19,10 @@
     failure-free run. A sweep runs many crash points on one tracked
     run, of the cWSP model or of explicit flush/fence persistency
     ([sweep]): cutting power only reads the tracked state, so the run
-    steps on from one point to the next.
+    steps on from one point to the next. The run to a crash point steps
+    the reference [Machine] under the hooks that keep the hardware's
+    state; the unhooked runs — each resumed run to the end and the
+    golden run — step the untraced decoded core ([Cwsp_ir.Decode]).
 
     A run of N threads (Section VIII, "Recovery for Multi-Cores") is the
     same tracked run with N lanes — a machine and its region ring each —
@@ -44,13 +47,15 @@ type launch = Main | Worker of { worker : string; threads : int }
     Compute once per workload and share across cells. *)
 type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
 
-(** The reference run of [compiled] started as [launch]; threads step
-    round-robin at [Multi.default_quantum]. *)
+(** The reference run of [compiled] started as [launch], on the
+    untraced decoded core; threads step round-robin at
+    [Multi.default_quantum]. *)
 val golden_of : launch -> Cwsp_compiler.Pipeline.compiled -> golden
 
-(** The reference a finished failure-free run of the binary provides
-    (for callers that have already run it, e.g. to trace it). *)
-val golden_of_run : Machine.t -> golden
+(** The reference a finished failure-free decoded run of the binary
+    provides (for callers that have already run it, e.g. to trace it
+    with [Decode.trace_of_program]). *)
+val golden_of_run : Decode.st -> golden
 
 type fault_outcome =
   | Recovered  (** recovered at the nominal boundary *)
@@ -248,3 +253,42 @@ val validate_fault :
   crash_at:int ->
   Cwsp_compiler.Pipeline.compiled ->
   (fault_report, string) result
+
+(** {2 Differential testing}
+
+    Every resumed run — each crash point's recovery and every
+    mid-recovery sweep world, the explicit model's blind resume, and
+    [validate_chain]'s final run — starts from entries on one image and
+    runs on the untraced decoded core. A probe sees each such run, so a
+    test can hold it against the reference [Machine]. *)
+
+(** A lane to re-execute to the end: thread [e_tid] from call stack
+    [e_frames] (head the current frame) at call depth [e_depth], having
+    produced [e_outputs] since its last resume point, with [e_released]
+    the device output released before the crash. *)
+type entry = {
+  e_tid : int;
+  e_frames : Machine.frame list;
+  e_depth : int;
+  e_outputs : int list;
+  e_released : int list;
+}
+
+(** One resumed run as the probe sees it. *)
+type resumed = {
+  rs_start : Memory.t;  (** the image the lanes resumed on, before the run *)
+  rs_lanes : entry array;  (** the lanes as they resumed (copies) *)
+  rs_fuel : int;  (** the run's step budget *)
+  rs_sts : Decode.st array;  (** the decoded lanes after the run *)
+  rs_result : (unit, string) result;  (** the run's [stepping] verdict *)
+}
+
+(** [with_resumed_probe f k] runs [k ()] showing [f] every resumed run
+    the calling domain makes, after the run and before its comparison.
+    Only tests set it; without a probe nothing is copied. *)
+val with_resumed_probe : (resumed -> unit) -> (unit -> 'a) -> 'a
+
+(** How a resumed run's failure reads: [Error] for a trap, a wild memory
+    access ([Memory]'s own [Invalid_argument]) or running out of fuel;
+    any other exception escapes. *)
+val stepping : (unit -> 'a) -> ('a, string) result

@@ -98,6 +98,43 @@ let test_oracle_trace_roundtrip () =
   | None -> ()
   | Some i -> Alcotest.failf "trace differs from reference at event %d" i
 
+(* An untraced state runs the same closures into a 64-slot ring that
+   wraps: every workload (one core, and SPMD at 4 threads) must end with
+   the traced run's outputs, steps and image, and asking an untraced
+   state for its trace is an error, not a silently wrapped trace. *)
+let test_untraced_matches_traced () =
+  let open Cwsp_ir in
+  let same label (a : Decode.st) (b : Decode.st) =
+    if Decode.outputs a <> Decode.outputs b then Alcotest.failf "%s: outputs" label;
+    if Decode.steps a <> Decode.steps b then Alcotest.failf "%s: steps" label;
+    if not (Memory.equal (Decode.memory a) (Decode.memory b)) then
+      Alcotest.failf "%s: final image" label
+  in
+  List.iter
+    (fun (w : Cwsp_workloads.Defs.t) ->
+      let d = Decode.decode (Cwsp_core.Api.compiled w Cwsp_compiler.Pipeline.cwsp).prog in
+      let traced = Decode.create d and untraced = Decode.create ~traced:false d in
+      Decode.run traced;
+      Decode.run untraced;
+      same w.name traced untraced;
+      Alcotest.(check bool) (w.name ^ ": traced run kept its trace") true
+        (Trace.length (Decode.trace traced) > 64);
+      Alcotest.check_raises (w.name ^ ": no trace untraced")
+        (Invalid_argument "Decode.trace: an untraced state keeps no trace")
+        (fun () -> ignore (Decode.trace untraced)))
+    Cwsp_workloads.Registry.all;
+  List.iter
+    (fun (w : Cwsp_workloads.W_parallel.t) ->
+      let d = Decode.decode (w.pbuild ~scale:1 ~threads:4) in
+      let spmd traced = Decode.create_spmd ~traced d ~threads:4 ~worker:w.worker in
+      let traced = spmd true and untraced = spmd false in
+      Decode.run_spmd traced;
+      Decode.run_spmd untraced;
+      Array.iteri
+        (fun tid st -> same (Printf.sprintf "%s@4 thread %d" w.pname tid) st untraced.sts.(tid))
+        traced.sts)
+    Cwsp_workloads.W_parallel.all
+
 let () =
   Alcotest.run "decode"
     [
@@ -114,5 +151,7 @@ let () =
             `Slow test_fuzz_differential;
           Alcotest.test_case "oracle trace roundtrip" `Quick
             test_oracle_trace_roundtrip;
+          Alcotest.test_case "untraced run equals traced run" `Quick
+            test_untraced_matches_traced;
         ] );
     ]

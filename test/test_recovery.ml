@@ -979,6 +979,164 @@ let test_campaign_matches_run_cell () =
   Alcotest.(check int) "listed twice: twice the cells"
     (2 * List.length once.r_cells) (List.length twice.r_cells)
 
+(* ---- resumed runs on the decoded core ---- *)
+
+(* Every resumed run steps the untraced decoded core. The reference is
+   the reference interpreter: the same lanes, from the probe's copies of
+   the entries and the image, resumed with [Machine.resume] and run
+   under the same fuel — one lane alone, N lanes round-robin at
+   [Multi]'s quantum — through the same [stepping]. Both must give the
+   same outputs per lane, the same final image, the same step counts and
+   the same error text. *)
+type tally = {
+  mutable runs : int;
+  mutable ok : int;
+  mutable wild : int;
+  mutable no_fuel : int;
+  mutable in_callee : int; (* a lane resumed below a caller frame *)
+  mutable lanes_n : int; (* runs of more than one lane *)
+  mutable carried : int; (* a lane that resumed with outputs *)
+}
+
+let check_resumed linked tally label (rs : Cwsp_recovery.Harness.resumed) =
+  let open Cwsp_interp in
+  let module H = Cwsp_recovery.Harness in
+  let mem = Cwsp_ir.Memory.snapshot rs.rs_start in
+  let machines =
+    Array.map
+      (fun (e : H.entry) ->
+        let m = Machine.resume ~tid:e.e_tid linked ~mem ~frames:e.e_frames ~depth:e.e_depth in
+        m.outputs <- List.rev e.e_outputs;
+        m)
+      rs.rs_lanes
+  in
+  let reference =
+    H.stepping (fun () ->
+        match machines with
+        | [| m |] -> Machine.run ~fuel:rs.rs_fuel m Machine.no_hooks
+        | _ ->
+          Multi.run ~fuel:rs.rs_fuel
+            { linked; mem; machines; quantum = Multi.default_quantum }
+            (fun _ -> Machine.no_hooks))
+  in
+  let n = tally.runs in
+  let fail what = Alcotest.failf "%s: resumed run %d: %s differ" label n what in
+  let show = function Ok () -> "ok" | Error e -> e in
+  if show rs.rs_result <> show reference then
+    Alcotest.failf "%s: resumed run %d: decoded %S, reference %S" label n
+      (show rs.rs_result) (show reference);
+  Array.iteri
+    (fun i st ->
+      let m = machines.(i) in
+      if Cwsp_ir.Decode.outputs st <> Machine.outputs m then fail "outputs";
+      if Cwsp_ir.Decode.steps st <> Machine.steps m then fail "step counts")
+    rs.rs_sts;
+  if not (Cwsp_ir.Memory.equal mem (Cwsp_ir.Decode.memory rs.rs_sts.(0))) then
+    fail "final images";
+  tally.runs <- n + 1;
+  (match rs.rs_result with
+  | Ok () -> tally.ok <- tally.ok + 1
+  | Error e ->
+    if String.ends_with ~suffix:"failed to halt" e then tally.no_fuel <- tally.no_fuel + 1
+    else if String.starts_with ~prefix:"recovered run faulted" e then
+      tally.wild <- tally.wild + 1);
+  if Array.exists (fun (e : H.entry) -> e.e_depth > 0) rs.rs_lanes then
+    tally.in_callee <- tally.in_callee + 1;
+  if Array.length rs.rs_lanes > 1 then tally.lanes_n <- tally.lanes_n + 1;
+  if Array.exists (fun (e : H.entry) -> e.e_outputs <> []) rs.rs_lanes then
+    tally.carried <- tally.carried + 1
+
+(* The steps after which a run of [compiled] stands inside a callee. *)
+let callee_steps (compiled : Pipeline.compiled) =
+  let open Cwsp_interp in
+  let m = Machine.create (Machine.link compiled.prog) in
+  let inside = ref [] in
+  while m.status = Machine.Running do
+    Machine.step m Machine.no_hooks;
+    if m.depth > 0 then inside := m.steps :: !inside
+  done;
+  Array.of_list (List.rev !inside)
+
+let test_decoded_resume_matches_machine () =
+  let module H = Cwsp_recovery.Harness in
+  let tally =
+    { runs = 0; ok = 0; wild = 0; no_fuel = 0; in_callee = 0; lanes_n = 0; carried = 0 }
+  in
+  let probed label (compiled : Pipeline.compiled) f =
+    let linked = Cwsp_interp.Machine.link compiled.prog in
+    H.with_resumed_probe (check_resumed linked tally label) f
+  in
+  (* every fault class, hardened and blind, and the clean crash *)
+  let modes =
+    (false, None)
+    :: List.concat_map (fun c -> [ (true, Some c); (false, Some c) ]) Cwsp_recovery.Fault.all
+  in
+  (* slices that restore nothing: every live-in stays poisoned *)
+  let poisoned (c : Pipeline.compiled) =
+    { c with Pipeline.slices = Array.map (fun _ -> []) c.Pipeline.slices }
+  in
+  List.iter
+    (fun name ->
+      let w = Cwsp_workloads.Registry.find_exn name in
+      let implicit = Cwsp_core.Api.compiled w Pipeline.cwsp in
+      let explicit = Cwsp_core.Api.compiled w Pipeline.cwsp_explicit in
+      let g = H.golden_of Main implicit and ge = H.golden_of Main explicit in
+      let crash_ats steps = [ 1; steps / 5; steps / 2; 4 * steps / 5 ] in
+      let points =
+        List.concat
+          (List.mapi
+             (fun i crash_at ->
+               List.mapi
+                 (fun k (hardened, fault) ->
+                   { H.cp_at = crash_at; cp_seed = (17 * i) + k; cp_hardened = hardened;
+                     cp_fault = fault })
+                 modes)
+             (crash_ats g.g_steps))
+      in
+      let clean steps = List.map (fun c -> H.clean_point ~seed:c ~crash_at:c) (crash_ats steps) in
+      (* crashes inside the syscall path, whose return values main
+         checkpoints and outputs: resumes there start below callers *)
+      let inside =
+        let cs = callee_steps implicit in
+        List.concat
+          (List.init 6 (fun i ->
+               let crash_at = cs.(i * Array.length cs / 6) in
+               List.init 8 (fun seed -> H.clean_point ~seed ~crash_at)))
+      in
+      probed name implicit (fun () ->
+          ignore (H.sweep ~mode:Implicit ~launch:Main ~golden:g implicit (points @ inside));
+          (* a golden that claims no steps leaves the fuel floor: these
+             resumed runs run out of it *)
+          ignore
+            (H.sweep ~mode:Implicit ~launch:Main ~golden:{ g with g_steps = 0 } implicit
+               (clean g.g_steps));
+          (* the last delta runs past the halt: the final compare resumes
+             a halted lane that carries its outputs *)
+          ignore
+            (H.validate_chain ~seed:3 ~crash_points:[ g.g_steps / 3; 50; 400 ] implicit);
+          ignore
+            (H.validate_chain ~seed:4 ~crash_points:[ g.g_steps / 2; g.g_steps ] implicit));
+      probed (name ^ " poisoned") implicit (fun () ->
+          ignore
+            (H.sweep ~mode:Implicit ~launch:Main ~golden:g (poisoned implicit)
+               (clean g.g_steps)));
+      probed (name ^ " explicit") explicit (fun () ->
+          ignore (H.sweep ~mode:Explicit ~launch:Main ~golden:ge explicit (clean ge.g_steps))))
+    [ "lu-ncg"; "fft" ];
+  let compiled, launch, golden = lanes_of "psweep" ~threads:4 in
+  probed "psweep x4" compiled (fun () ->
+      ignore
+        (H.sweep ~mode:Implicit ~launch ~golden compiled
+           (List.map (fun c -> H.clean_point ~seed:c ~crash_at:c)
+              [ golden.g_steps / 4; golden.g_steps / 2; 3 * golden.g_steps / 4 ])));
+  (* not vacuous: every kind of resumed run happened *)
+  List.iter
+    (fun (what, n) ->
+      if n = 0 then Alcotest.failf "no resumed run %s (of %d)" what tally.runs)
+    [ ("recovered", tally.ok); ("went wild", tally.wild);
+      ("ran out of fuel", tally.no_fuel); ("resumed inside a callee", tally.in_callee);
+      ("ran N lanes", tally.lanes_n); ("carried outputs", tally.carried) ]
+
 (* The explicit model has no fault classes: a hardened or faulted point
    must be refused outright, not reported as a clean recovery from a
    fault that was never injected. *)
@@ -1082,5 +1240,7 @@ let () =
             test_sweep_lanes_match_one_point;
           Alcotest.test_case "N-lane sweep rejects fault points" `Quick
             test_lanes_reject_faults;
+          Alcotest.test_case "decoded resumes match the reference machine" `Quick
+            test_decoded_resume_matches_machine;
         ] );
     ]
