@@ -129,7 +129,10 @@ let renumber (funcs : (string * Prog.func * (int, Slice.t) Hashtbl.t) list) :
   in
   (funcs', Array.of_list (List.rev !slices), Array.of_list (List.rev !owners))
 
-let compile_prog ~config (p : Prog.t) : compiled =
+(* The half of a compile that does not depend on the persistency mode:
+   validate, optimize, form regions, insert and prune checkpoints,
+   renumber. Its reports count the instructions before the back end. *)
+let front_end ~config (p : Prog.t) : compiled =
   Validate.check_exn p;
   let p =
     if config.optimize then begin
@@ -142,7 +145,6 @@ let compile_prog ~config (p : Prog.t) : compiled =
   in
   Validate.check_exn p;
   if not config.region_formation then
-    run_post_compile_hook
     {
       prog = p;
       cconfig = config;
@@ -191,30 +193,69 @@ let compile_prog ~config (p : Prog.t) : compiled =
     let prog =
       { p with funcs = List.map (fun (f : Prog.func) -> (f.name, f)) funcs' }
     in
+    { prog; cconfig = config; slices; boundary_owner = owners;
+      reports = List.rev !reports }
+  end
+
+(* The mode's half, on a front end: explicit flush/pfence insertion, the
+   final check and instruction recount, the hook. The arrays are copied,
+   so no two results share one. *)
+let back_end ~config (fe : compiled) : compiled =
+  let c =
+    {
+      fe with
+      cconfig = config;
+      slices = Array.copy fe.slices;
+      boundary_owner = Array.copy fe.boundary_owner;
+    }
+  in
+  if not config.region_formation then run_post_compile_hook c
+  else begin
     (* Explicit persistency: discharge durability obligations after the
        ids are final (inserted flushes never add boundaries or ckpts, so
        the global numbering and the slice tables stay valid). *)
     let prog =
       match config.persist_mode with
-      | Implicit -> prog
+      | Implicit -> fe.prog
       | Explicit ->
         Obs.span_begin ~cat:"compiler" "persist_insert";
-        let prog = Persist_insert.run prog in
+        let prog = Persist_insert.run fe.prog in
         Obs.span_end ();
         prog
     in
     Validate.check_exn prog;
     let reports =
-      List.rev_map
+      List.map
         (fun r ->
           match List.assoc_opt r.fr_name prog.funcs with
           | Some fn -> { r with static_instrs = Prog.instr_count fn }
           | None -> r)
-        !reports
+        fe.reports
     in
-    run_post_compile_hook
-      { prog; cconfig = config; slices; boundary_owner = owners; reports }
+    run_post_compile_hook { c with prog; reports }
   end
+
+(* The last front end this domain built, held by an ephemeron on its
+   source: the source is compared by physical equality (a [Prog.t] is
+   immutable), and once the caller drops it the front end goes too. A
+   hit also needs the same configuration with the persistency mode
+   erased, which the front end was built under. A fuzz exec compiles
+   each program under [cwsp] and then [cwsp_explicit], so the second
+   compile reuses the first one's front end. *)
+let last_front : (Prog.t, compiled) Ephemeron.K1.t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let compile_prog ~config (p : Prog.t) : compiled =
+  let key = { config with persist_mode = Implicit } in
+  let fe =
+    match Option.bind (Domain.DLS.get last_front) (fun e -> Ephemeron.K1.query e p) with
+    | Some fe when fe.cconfig = key -> fe
+    | _ ->
+      let fe = front_end ~config:key p in
+      Domain.DLS.set last_front (Some (Ephemeron.K1.make p fe));
+      fe
+  in
+  back_end ~config fe
 
 let compile ?(config = cwsp) (p : Prog.t) : compiled =
   if not !Obs.on then compile_prog ~config p

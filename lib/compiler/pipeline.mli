@@ -65,7 +65,20 @@ type compiled = {
 val nboundaries : compiled -> int
 
 (** Run the configured pipeline; validates before and after, then applies
-    the post-compile hook (if installed) to the result. *)
+    the post-compile hook (if installed) to the result.
+
+    A compile is a front end that does not depend on [persist_mode]
+    (validate, optimize, form regions, insert and prune checkpoints,
+    renumber) and a back end for the mode ([Persist_insert] when
+    [Explicit], the final validation, the instruction recount, the
+    hook). Each domain keeps its last front end, keyed by the source,
+    compared by physical equality ([Prog.t] is immutable), and by the
+    configuration with [persist_mode] erased: a [cwsp_explicit] compile
+    right after a [cwsp] compile of the same program runs only the back
+    end. The memo holds its front end through an ephemeron on the
+    source, so it never keeps a program alive. The result equals a cold
+    compile's, its arrays are its own, and the hook and the
+    [compiler.*] counters run on every call. *)
 val compile : ?config:config -> Prog.t -> compiled
 
 (** Install a function applied to every [compile] result — the injection

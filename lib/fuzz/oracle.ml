@@ -62,43 +62,35 @@ let not_data a = Layout.is_ckpt_addr a || Layout.is_flight_addr a
 
 exception Wild of int
 
-(* Screen the data access [m] is about to make: negative, misaligned,
-   checkpoint-area or flight-recorder addresses mean the mutant
-   manufactured a pointer no sane program holds — such inputs are
-   discarded before they can fault the instrumented stack (or stomp the
-   forensic ring) for uninteresting reasons. *)
+(* A data address the mutant manufactured and no sane program holds:
+   negative, misaligned, in the checkpoint area or in the flight ring.
+   Such inputs are discarded before they can fault the instrumented
+   stack (or stomp the forensic ring) for uninteresting reasons. *)
+let wild a = a < 0 || a land 7 <> 0 || not_data a
+
+let screen a = if wild a then raise (Wild a)
+
+(* [screen] for the reference machine: the data access [m] is about to
+   make *)
 let screen_step (m : Machine.t) =
   match m.frames with
   | fr :: _ when fr.idx < Array.length fr.lf.code.(fr.blk) -> (
-    let screen base off =
-      let a = fr.regs.(base) + off in
-      if a < 0 || a land 7 <> 0 || Layout.is_ckpt_addr a || Layout.is_flight_addr a
-      then raise (Wild a)
-    in
     match fr.lf.code.(fr.blk).(fr.idx) with
-    | Types.Load (_, b, o) | Types.Store (b, o, _) | Types.Flush (b, o) ->
-      screen b o
-    | Types.Atomic_rmw (_, _, b, o, _) | Types.Cas (_, b, o, _, _) -> screen b o
+    | Types.Load (_, b, o) | Types.Store (b, o, _) | Types.Flush (b, o)
+    | Types.Atomic_rmw (_, _, b, o, _) | Types.Cas (_, b, o, _, _) ->
+      screen (fr.regs.(b) + o)
     | _ -> ())
   | _ -> ()
 
-(* Step the source program's [main] under the screen. *)
+(* Run the source program's [main] under the screen, untraced. *)
 let baseline_run (prog : Prog.t) : (base_run, string) result =
   Obs.time ~cat:"fuzz" "baseline_run" (fun () ->
-    let m = Machine.create (Machine.link prog) in
-    let steps = ref 0 in
-    try
-      while m.status = Machine.Running && !steps < baseline_fuel do
-        incr steps;
-        screen_step m;
-        Machine.step m Machine.no_hooks
-      done;
-      if m.status = Machine.Running then Error "fuel"
-      else Ok { br_outputs = Machine.outputs m; br_mem = m.mem }
-    with
-    | Wild _ -> Error "wild"
-    | Machine.Trap _ -> Error "trap"
-    | _ -> Error "trap")
+    let st = Decode.create ~traced:false (Decode.decode ~screen prog) in
+    match Decode.run ~fuel:baseline_fuel st with
+    | () -> Ok { br_outputs = Decode.outputs st; br_mem = Decode.memory st }
+    | exception Decode.Fuel_exhausted -> Error "fuel"
+    | exception Wild _ -> Error "wild"
+    | exception _ -> Error "trap")
 
 (* The dynamic race monitor over an SPMD worker, every thread's accesses
    under the same screen as [baseline_run]: the baseline only runs

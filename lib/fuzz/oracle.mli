@@ -1,10 +1,11 @@
 (** The WITCHER-style output-equivalence oracle, one program at a time.
 
-    A program is first run uninstrumented (the baseline), with every
-    dynamic memory access screened: anything touching the hardware
-    checkpoint area or a negative address is a wild program — discarded,
-    not a finding (mutation freely manufactures such pointers, and they
-    would fault the instrumented run for reasons that indict nobody).
+    A program is first run uninstrumented (the baseline) on the untraced
+    decoded core, with every dynamic memory access screened: a negative,
+    misaligned, checkpoint-area or flight-ring address makes it a wild
+    program — discarded, not a finding (mutation freely manufactures
+    such pointers, and they would fault the instrumented run for
+    reasons that indict nobody).
 
     Surviving programs are compiled under [cwsp] and [cwsp-explicit] and
     pushed through the whole stack: verifier-rule firings become
@@ -63,6 +64,22 @@ type eval = {
   e_findings : finding list;
   e_discarded : string option;  (** why the input left the pool early *)
 }
+
+(** {2 The screened baseline} *)
+
+(** Steps the baseline may take before the program counts as
+    non-terminating ([Error "fuel"]). *)
+val baseline_fuel : int
+
+type base_run = { br_outputs : int list; br_mem : Memory.t }
+
+(** Run [prog]'s [main] untraced on [Decode] for at most
+    [baseline_fuel] steps, every data access screened: [Error "wild"]
+    on the first negative, misaligned, checkpoint-area or flight-ring
+    address, ["fuel"] when the steps run out, ["trap"] on any other
+    exception from the run. Outcomes equal the reference [Machine]
+    stepped under the same screen. *)
+val baseline_run : Prog.t -> (base_run, string) result
 
 (** Crash points derived from the trace's actual boundary structure: one
     step index per inter-boundary interval (including the tail after the

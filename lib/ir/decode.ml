@@ -128,7 +128,7 @@ let block_starts (f : Prog.func) =
   done;
   start
 
-let compile_func (d : t) (df : dfunc) (f : Prog.func) : op array =
+let compile_func ?screen (d : t) (df : dfunc) (f : Prog.func) : op array =
   let start = df.d_start in
   let ops = Array.make start.(Array.length f.blocks) (fun (_ : st) -> 0) in
   let compile_instr pc (ins : Types.instr) : op =
@@ -261,10 +261,15 @@ let compile_func (d : t) (df : dfunc) (f : Prog.func) : op array =
       fun st ->
         emit st ev_pfence;
         next
+    | Ckpt r when r >= Layout.ckpt_slots_per_frame ->
+      (* no slot: fails as the reference's [Layout.ckpt_slot] does, when
+         it executes, not when it is decoded *)
+      fun st ->
+        ignore (Layout.ckpt_slot ~tid:st.tid ~depth:st.depth r);
+        next
     | Ckpt r ->
       (* slot = ckpt_base + (((tid*F + depth land (F-1)) * S + r) * 8):
          everything but the depth term is fixed at decode time *)
-      assert (r < Layout.ckpt_slots_per_frame);
       let frame_bytes = Layout.ckpt_slots_per_frame * Layout.word in
       let dmask = Layout.max_frames - 1 in
       fun st ->
@@ -363,12 +368,26 @@ let compile_func (d : t) (df : dfunc) (f : Prog.func) : op array =
           st.stack_pc.(dpt)
         end
   in
+  (* [screen] sees a data access's address before the access runs *)
+  let screened (ins : Types.instr) (op : op) : op =
+    match (screen, ins) with
+    | ( Some screen,
+        ( Load (_, base, off)
+        | Store (base, off, _)
+        | Flush (base, off)
+        | Atomic_rmw (_, _, base, off, _)
+        | Cas (_, base, off, _, _) ) ) ->
+      fun st ->
+        screen (st.regs.(base) + off);
+        op st
+    | _ -> op
+  in
   Array.iteri
     (fun b (blk : Prog.block) ->
       let pc = ref start.(b) in
       List.iter
         (fun ins ->
-          ops.(!pc) <- compile_instr !pc ins;
+          ops.(!pc) <- screened ins (compile_instr !pc ins);
           incr pc)
         blk.instrs;
       ops.(!pc) <- compile_term blk.term)
@@ -377,8 +396,9 @@ let compile_func (d : t) (df : dfunc) (f : Prog.func) : op array =
 
 (** One-shot pre-decode of a (validated) program. Global addresses are
     assigned exactly as [Machine.link] assigns them, so memory images and
-    event payloads are directly comparable. *)
-let decode (p : Prog.t) : t =
+    event payloads are directly comparable. With [screen], every data
+    access first calls it on its address. *)
+let decode ?screen (p : Prog.t) : t =
   let fidx = Hashtbl.create 16 in
   List.iteri (fun i (name, _) -> Hashtbl.replace fidx name i) p.funcs;
   let dfuncs =
@@ -412,7 +432,7 @@ let decode (p : Prog.t) : t =
   let d = { source = p; dfuncs; fidx; global_addr; main_idx } in
   (* pass 2: compile bodies (call closures capture forward dfuncs) *)
   List.iteri
-    (fun i (_, f) -> dfuncs.(i).d_ops <- compile_func d dfuncs.(i) f)
+    (fun i (_, f) -> dfuncs.(i).d_ops <- compile_func ?screen d dfuncs.(i) f)
     p.funcs;
   d
 

@@ -29,8 +29,13 @@ type t
 type st
 
 (** One-shot pre-decode. Global addresses are laid out exactly as
-    [Machine.link] lays them out. *)
-val decode : Prog.t -> t
+    [Machine.link] lays them out. With [screen], each [Load], [Store],
+    [Flush], [Atomic_rmw] and [Cas] calls [screen] on its address
+    (base register plus offset) before it runs, and whatever [screen]
+    raises propagates out of [run]; without it no closure changes.
+    Decoding itself raises nothing on a validated program: an
+    instruction the reference rejects fails when it executes. *)
+val decode : ?screen:(int -> unit) -> Prog.t -> t
 
 (** The address of global [g] in that layout, if the program has it. *)
 val global_addr : t -> string -> int option

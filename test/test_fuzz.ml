@@ -191,6 +191,171 @@ let test_verifier_clean () =
       done)
     Cwsp_compiler.Pipeline.[ cwsp; cwsp_no_prune; regions_only ]
 
+(* ---- the decoded baseline against the reference machine ---- *)
+
+module Oracle = Cwsp_fuzz.Oracle
+module Machine = Cwsp_interp.Machine
+
+(* The screened baseline as the reference machine runs it: step [main]
+   for at most [Oracle.baseline_fuel] steps, each data access screened
+   before its step. *)
+let reference_baseline (prog : Prog.t) : (Oracle.base_run, string) result =
+  let wild a =
+    a < 0 || a land 7 <> 0 || Layout.is_ckpt_addr a || Layout.is_flight_addr a
+  in
+  let screen_step (m : Machine.t) =
+    match m.frames with
+    | fr :: _ when fr.idx < Array.length fr.lf.code.(fr.blk) -> (
+      match fr.lf.code.(fr.blk).(fr.idx) with
+      | Types.Load (_, b, o) | Types.Store (b, o, _) | Types.Flush (b, o)
+      | Types.Atomic_rmw (_, _, b, o, _) | Types.Cas (_, b, o, _, _) ->
+        if wild (fr.regs.(b) + o) then raise Exit
+      | _ -> ())
+    | _ -> ()
+  in
+  let m = Machine.create (Machine.link prog) in
+  let steps = ref 0 in
+  try
+    while m.status = Machine.Running && !steps < Oracle.baseline_fuel do
+      incr steps;
+      screen_step m;
+      Machine.step m Machine.no_hooks
+    done;
+    if m.status = Machine.Running then Error "fuel"
+    else Ok { Oracle.br_outputs = Machine.outputs m; br_mem = m.mem }
+  with
+  | Exit -> Error "wild"
+  | _ -> Error "trap"
+
+let outcome_name = function Ok _ -> "ok" | Error why -> why
+
+(* [main] counts to [iters], then [pad] moves, then returns *)
+let counting_program ~iters ~pad =
+  let open Builder in
+  let b = program () in
+  func b "main" ~nparams:0 (fun fb ->
+      ignore (loop fb ~from:(Imm 0) ~below:(Imm iters) (fun _ -> ()));
+      for _ = 1 to pad do
+        ignore (mov fb (Imm 0))
+      done;
+      ret fb None);
+  set_main b "main";
+  finish b
+
+(* [main] runs one data access at [addr], through a register *)
+let one_access addr access =
+  let open Builder in
+  let b = program () in
+  func b "main" ~nparams:0 (fun fb ->
+      let r = imm fb addr in
+      access fb r;
+      call_void fb "__out" [ Imm 1 ];
+      ret fb None);
+  set_main b "main";
+  finish b
+
+(* [main] recurses past the call-depth limit: a trap *)
+let deep_recursion () =
+  let open Builder in
+  let b = program () in
+  func b "down" ~nparams:0 (fun fb ->
+      call_void fb "down" [];
+      ret fb None);
+  func b "main" ~nparams:0 (fun fb ->
+      call_void fb "down" [];
+      ret fb None);
+  set_main b "main";
+  finish b
+
+(* [main] holds a checkpoint of a register past a frame's slots, which
+   the reference rejects only when it executes: in a block that never
+   runs ([executed] false) or in the entry block *)
+let oversized_ckpt ~executed =
+  let r = Layout.ckpt_slots_per_frame in
+  let ckpt = { Prog.instrs = [ Types.Ckpt r ]; term = Types.Ret None } in
+  let main =
+    {
+      Prog.name = "main";
+      nparams = 0;
+      nregs = r + 1;
+      blocks =
+        (if executed then [| ckpt |]
+         else [| { instrs = []; term = Types.Ret None }; ckpt |]);
+    }
+  in
+  { Prog.globals = []; funcs = [ ("main", main) ]; main = "main" }
+
+let test_decoded_baseline () =
+  (* the two agree on [prog]; their outcome *)
+  let check name prog =
+    let got = Oracle.baseline_run prog and want = reference_baseline prog in
+    (match (got, want) with
+    | Ok g, Ok w ->
+      if g.br_outputs <> w.br_outputs then Alcotest.failf "%s: outputs differ" name;
+      if not (Memory.equal g.br_mem w.br_mem) then
+        Alcotest.failf "%s: final memory differs" name
+    | Error g, Error w when g = w -> ()
+    | _ ->
+      Alcotest.failf "%s: decoded baseline %s, reference %s" name
+        (outcome_name got) (outcome_name want));
+    outcome_name want
+  in
+  let expect want name prog = Alcotest.(check string) name want (check name prog) in
+  (* the fuel boundary: a program that halts on exactly the last step
+     the baseline may take, and one that needs one step more *)
+  let fuel = Oracle.baseline_fuel in
+  let steps_of prog = Machine.steps (Machine.run_functional ~fuel:(2 * fuel) prog) in
+  let s0 = steps_of (counting_program ~iters:0 ~pad:0) in
+  let per_iter = steps_of (counting_program ~iters:1 ~pad:0) - s0 in
+  let iters = (fuel - s0) / per_iter and pad = (fuel - s0) mod per_iter in
+  let exact = counting_program ~iters ~pad in
+  Alcotest.(check int) "boundary program length" fuel (steps_of exact);
+  expect "ok" "halts at the fuel limit" exact;
+  expect "fuel" "one step past the fuel limit"
+    (counting_program ~iters ~pad:(pad + 1));
+  (* one wild address per screened access kind and per wild class *)
+  List.iteri
+    (fun i addr ->
+      List.iteri
+        (fun j access ->
+          expect "wild" (Printf.sprintf "wild %d/%d" i j) (one_access addr access))
+        Builder.
+          [
+            (fun fb r -> ignore (load fb r 0));
+            (fun fb r -> store fb r 0 (Imm 7));
+            (fun fb r -> flush fb r 0);
+            (fun fb r -> ignore (atomic_rmw fb Types.Add r 0 (Imm 1)));
+            (fun fb r -> ignore (cas fb r 0 ~expected:(Imm 0) ~desired:(Imm 1)));
+          ])
+    [ -8; Layout.global_base + 3; Layout.ckpt_base; Layout.flight_base + 64 ];
+  expect "trap" "deep recursion" (deep_recursion ());
+  List.iter
+    (fun (executed, want) ->
+      let prog = oversized_ckpt ~executed in
+      Validate.check_exn prog;
+      expect want (Printf.sprintf "oversized checkpoint (executed %b)" executed) prog)
+    [ (false, "ok"); (true, "trap") ];
+  (* generator programs, SPMD mains and mutation stacks *)
+  for seed = 1 to 60 do
+    ignore (check (Printf.sprintf "gen %d" seed) (Fuzz_gen.gen_program seed))
+  done;
+  for seed = 1 to 30 do
+    let prog = fst (Fuzz_gen.gen_spmd_program seed) in
+    ignore (check (Printf.sprintf "spmd %d" seed) prog)
+  done;
+  let rng = Rng.create 0xba5e in
+  for stack = 1 to 240 do
+    let donor = Fuzz_gen.gen_program (1000 + stack) in
+    let prog = ref (Fuzz_gen.gen_program (2000 + (stack mod 40))) in
+    for depth = 1 to 1 + (stack mod 6) do
+      match Cwsp_fuzz.Mutate.mutate rng ~donor !prog with
+      | Some (_, p) ->
+        prog := p;
+        ignore (check (Printf.sprintf "mutant %d.%d" stack depth) p)
+      | None -> ()
+    done
+  done
+
 let () =
   (* have every compile below re-checked by the static verifier *)
   Cwsp_verify.Verify.install_pipeline_hook ();
@@ -210,5 +375,7 @@ let () =
             test_spmd_semantic_equivalence;
           Alcotest.test_case "verifier clean (80 programs x 3 configs)" `Slow
             test_verifier_clean;
+          Alcotest.test_case "decoded baseline matches the reference machine" `Slow
+            test_decoded_baseline;
         ] );
     ]

@@ -208,6 +208,57 @@ let test_explicit_preserves_behaviour () =
   Alcotest.(check (list int))
     "same device outputs" (run imp.prog) (run exp.prog)
 
+(* ---- the shared front end: an explicit compile after an implicit one ---- *)
+
+let same_compile name (a : Pipeline.compiled) (b : Pipeline.compiled) =
+  if a.prog <> b.prog then Alcotest.failf "%s: programs differ" name;
+  if a.slices <> b.slices then Alcotest.failf "%s: slices differ" name;
+  if a.boundary_owner <> b.boundary_owner then
+    Alcotest.failf "%s: boundary owners differ" name;
+  if a.reports <> b.reports then Alcotest.failf "%s: reports differ" name;
+  if a.cconfig <> b.cconfig then Alcotest.failf "%s: configs differ" name
+
+(* A compile on a fresh domain, whose memo is empty. *)
+let cold config prog =
+  Domain.join (Domain.spawn (fun () -> Pipeline.compile ~config prog))
+
+let test_front_end_memo () =
+  let calls = ref 0 in
+  Pipeline.set_post_compile_hook (fun _ -> incr calls);
+  let sources =
+    List.map
+      (fun (w : Cwsp_workloads.Defs.t) -> (w.name, w.build ~scale:1))
+      Cwsp_workloads.Registry.all
+    @ List.init 20 (fun i ->
+          (Printf.sprintf "gen %d" (i + 1), Cwsp_fuzz.Gen.gen_program (i + 1)))
+    @ List.init 10 (fun i ->
+          ( Printf.sprintf "spmd %d" (i + 1),
+            fst (Cwsp_fuzz.Gen.gen_spmd_program (i + 1)) ))
+  in
+  let pruning_differs = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      let want = cold Pipeline.cwsp_explicit prog in
+      calls := 0;
+      (* the explicit compile reuses the implicit one's front end *)
+      let pruned = Pipeline.compile ~config:Pipeline.cwsp prog in
+      same_compile (name ^ " after cwsp") want
+        (Pipeline.compile ~config:Pipeline.cwsp_explicit prog);
+      (* an equal but physically distinct source *)
+      ignore (Pipeline.compile ~config:Pipeline.cwsp prog);
+      same_compile (name ^ " on a copy") want
+        (Pipeline.compile ~config:Pipeline.cwsp_explicit { prog with main = prog.main });
+      (* a front end without pruning is never reused for one with it *)
+      let unpruned = Pipeline.compile ~config:Pipeline.cwsp_no_prune prog in
+      if unpruned.prog <> pruned.prog then incr pruning_differs;
+      same_compile (name ^ " after cwsp-no-prune") want
+        (Pipeline.compile ~config:Pipeline.cwsp_explicit prog);
+      Alcotest.(check int) (name ^ ": one hook call per compile") 6 !calls)
+    sources;
+  (* the no-prune case has teeth only where pruning changes something *)
+  if !pruning_differs = 0 then Alcotest.fail "pruning changed no source's compile";
+  Pipeline.set_post_compile_hook ignore
+
 let () =
   Alcotest.run "persist"
     [
@@ -219,6 +270,8 @@ let () =
           Alcotest.test_case "insertion minimal" `Quick test_insertion_minimal;
           Alcotest.test_case "pool-width determinism" `Quick
             test_jobs_determinism;
+          Alcotest.test_case "explicit compile reuses the front end" `Slow
+            test_front_end_memo;
         ] );
       ( "oracle",
         [
