@@ -227,6 +227,31 @@ let test_mutants_dynamic () =
   if not (hung os) then
     Alcotest.fail "drop-release: spinners should exhaust their fuel"
 
+(* Every verdict the monitor gives, pinned: the sweep outcomes (races,
+   hangs, quanta) over the mutation corpus and 30 generated SPMD
+   programs, digested. A change to the executing core or to the
+   monitor's event handling that moves any one verdict moves it. *)
+let test_sweep_digest () =
+  let progs =
+    List.map corpus_prog [ Base; Drop_acquire; Widen_stride; Drop_release; Plain_accum ]
+    @ List.init 30 (fun i -> fst (Fuzz_gen.gen_spmd_program (i + 1)))
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (o : Race_monitor.outcome) ->
+          Printf.bprintf b "q%d hung=%b" o.quantum o.hung;
+          List.iter
+            (fun (r : Race_monitor.race) ->
+              Printf.bprintf b " 0x%x:%d/%d" r.r_addr r.r_tid r.r_prev)
+            o.races;
+          Buffer.add_char b '\n')
+        (Race_monitor.sweep ~fuel:400_000 p ~threads:3 ~worker:"worker"))
+    progs;
+  Alcotest.(check string) "sweep outcome digest" "43be7f78be75fe9d54c493cc92b47b3e"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---- 3. tid-affine disjointness ---- *)
 
 let test_tid_affine () =
@@ -381,6 +406,8 @@ let () =
             test_registry_monitor;
           Alcotest.test_case "mutation corpus: dynamic misbehaviour" `Slow
             test_mutants_dynamic;
+          Alcotest.test_case "sweep outcome digest (corpus + 30 programs)" `Quick
+            test_sweep_digest;
           Alcotest.test_case "quantum regression" `Quick test_quantum;
         ] );
       ( "cross",
