@@ -108,8 +108,8 @@ let run_inner list workload input emit config persist_mode dump_ir report
             let base_prog =
               (Pipeline.compile ~config:Pipeline.baseline source_prog).prog
             in
-            let _, tr_base = Cwsp_interp.Machine.trace_of_program base_prog in
-            let _, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
+            let _, tr_base = Cwsp_ir.Decode.trace_of_program base_prog in
+            let _, tr = Cwsp_ir.Decode.trace_of_program compiled.prog in
             let base = Cwsp_sim.Engine.run_trace cfg Cwsp_sim.Engine.Baseline tr_base in
             let st =
               Cwsp_sim.Engine.run_trace cfg

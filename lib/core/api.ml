@@ -15,7 +15,7 @@
     when stored, and a [Stats.t] is only mutated by the engine run that
     produces it. *)
 
-open Cwsp_interp
+open Cwsp_ir
 open Cwsp_compiler
 open Cwsp_sim
 open Cwsp_workloads

@@ -9,7 +9,7 @@
     mutex-protected and safe to populate from multiple domains
     ([Executor]). *)
 
-open Cwsp_interp
+open Cwsp_ir
 open Cwsp_compiler
 open Cwsp_sim
 open Cwsp_workloads

@@ -21,7 +21,7 @@ let percentile lens p =
 let series =
   let over_lengths col metric =
     Exp.trace_series col Cwsp_compiler.Pipeline.cwsp (fun tr ->
-        metric (Cwsp_interp.Trace.region_lengths tr))
+        metric (Cwsp_ir.Trace.region_lengths tr))
   in
   [
     over_lengths "mean" avg;

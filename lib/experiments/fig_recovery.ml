@@ -27,7 +27,7 @@ let plan () =
 
 let validate_workload ?(crashes = 12) (w : Defs.t) =
   let tr = Cwsp_core.Api.trace w Cwsp_compiler.Pipeline.cwsp in
-  let total = Cwsp_interp.Trace.length tr in
+  let total = Cwsp_ir.Trace.length tr in
   let ok = ref 0 and failed = ref 0 and restored = ref 0 in
   let points =
     List.init crashes (fun i -> (7000 + i, 1 + (i * (total - 2) / crashes)))

@@ -49,4 +49,4 @@ val bucket : int -> int
 (** Region-shape feature cells of a compiled program plus one dynamic
     trace of it. *)
 val shape_cells :
-  Cwsp_compiler.Pipeline.compiled -> trace:Cwsp_interp.Trace.t -> string list
+  Cwsp_compiler.Pipeline.compiled -> trace:Cwsp_ir.Trace.t -> string list

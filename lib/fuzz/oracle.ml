@@ -5,7 +5,6 @@
 open Cwsp_ir
 open Cwsp_util
 module Pipeline = Cwsp_compiler.Pipeline
-module Machine = Cwsp_interp.Machine
 module Harness = Cwsp_recovery.Harness
 module Fault = Cwsp_recovery.Fault
 module Verify = Cwsp_verify.Verify
@@ -70,22 +69,11 @@ let wild a = a < 0 || a land 7 <> 0 || not_data a
 
 let screen a = if wild a then raise (Wild a)
 
-(* [screen] for the reference machine: the data access [m] is about to
-   make *)
-let screen_step (m : Machine.t) =
-  match m.frames with
-  | fr :: _ when fr.idx < Array.length fr.lf.code.(fr.blk) -> (
-    match fr.lf.code.(fr.blk).(fr.idx) with
-    | Types.Load (_, b, o) | Types.Store (b, o, _) | Types.Flush (b, o)
-    | Types.Atomic_rmw (_, _, b, o, _) | Types.Cas (_, b, o, _, _) ->
-      screen (fr.regs.(b) + o)
-    | _ -> ())
-  | _ -> ()
-
 (* Run the source program's [main] under the screen, untraced. *)
 let baseline_run (prog : Prog.t) : (base_run, string) result =
   Obs.time ~cat:"fuzz" "baseline_run" (fun () ->
-    let st = Decode.create ~traced:false (Decode.decode ~screen prog) in
+    let hooks = { Decode.no_hooks with access = Some (fun _ _ a -> screen a) } in
+    let st = Decode.create ~traced:false (Decode.decode ~hooks prog) in
     match Decode.run ~fuel:baseline_fuel st with
     | () -> Ok { br_outputs = Decode.outputs st; br_mem = Decode.memory st }
     | exception Decode.Fuel_exhausted -> Error "fuel"
@@ -97,7 +85,7 @@ let baseline_run (prog : Prog.t) : (base_run, string) result =
    [main], so a worker's wild pointer first shows up here. *)
 let monitor (prog : Prog.t) =
   match
-    Cwsp_interp.Race_monitor.observe ~fuel:400_000 ~screen:screen_step prog
+    Cwsp_interp.Race_monitor.observe ~fuel:400_000 ~screen prog
       ~threads:3 ~worker:"worker"
   with
   | o -> Ok o

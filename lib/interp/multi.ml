@@ -54,12 +54,10 @@ let create ?(quantum = default_quantum) (linked : Machine.linked) ~threads ~work
   { linked; mem; machines; quantum }
 
 (** Run all threads to completion. [hooks t] supplies the per-thread
-    hooks (e.g. one trace per thread); [screen m] sees each thread's
-    machine before every step and may raise to stop the run. Raises
-    [Machine.Fuel_exhausted] if the combined budget runs out; every pass
-    steps some running thread, so a thread left spinning uses it up. *)
-let run ?(fuel = 200_000_000) ?quantum ?(screen = ignore) (t : t)
-    (hooks : int -> Machine.hooks) =
+    hooks (e.g. one trace per thread). Raises [Machine.Fuel_exhausted]
+    if the combined budget runs out; every pass steps some running
+    thread, so a thread left spinning uses it up. *)
+let run ?(fuel = 200_000_000) ?quantum (t : t) (hooks : int -> Machine.hooks) =
   let quantum = Option.value ~default:t.quantum quantum in
   let hs = Array.init (Array.length t.machines) hooks in
   let budget = ref fuel in
@@ -74,7 +72,6 @@ let run ?(fuel = 200_000_000) ?quantum ?(screen = ignore) (t : t)
             if m.Machine.status = Machine.Running then begin
               if !budget <= 0 then raise Machine.Fuel_exhausted;
               decr budget;
-              screen m;
               Machine.step m hs.(i)
             end
           done

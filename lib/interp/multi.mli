@@ -27,17 +27,9 @@ val default_quantum : int
 val create : ?quantum:int -> Machine.linked -> threads:int -> worker:string -> t
 
 (** Run all threads round-robin to completion. [hooks tid] supplies the
-    per-thread hooks; [screen m] is shown each thread's machine before
-    every step it takes (to vet the instruction about to run) and may
-    raise to stop the run. Raises [Machine.Fuel_exhausted] when the
-    combined budget runs out; a thread left spinning uses it up. *)
-val run :
-  ?fuel:int ->
-  ?quantum:int ->
-  ?screen:(Machine.t -> unit) ->
-  t ->
-  (int -> Machine.hooks) ->
-  unit
+    per-thread hooks. Raises [Machine.Fuel_exhausted] when the combined
+    budget runs out; a thread left spinning uses it up. *)
+val run : ?fuel:int -> ?quantum:int -> t -> (int -> Machine.hooks) -> unit
 
 (** SPMD trace generation: one commit trace per thread. *)
 val traces_of_program :

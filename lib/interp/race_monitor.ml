@@ -1,9 +1,12 @@
 (** Dynamic data-race monitor: the race tier's executable cross-check.
 
     [Cwsp_verify.Race_check] certifies SPMD programs race-free
-    statically; this monitor watches one concrete interleaving of
-    [Multi.run] and reports every pair of conflicting accesses that the
-    execution's happens-before order leaves unordered. A certificate is
+    statically; this monitor watches one concrete interleaving of the
+    decoded core's round-robin SPMD schedule ([Decode.run_spmd]) through
+    the decode-time hooks — a load at its access, a plain store with its
+    value, an atomic with whether it wrote — and reports every pair of
+    conflicting accesses that the execution's happens-before order
+    leaves unordered. A certificate is
     corroborated when monitored runs (across several scheduling quanta)
     stay race-free; a mutant that defeats the static tier must also
     misbehave here, or the static rule caught nothing real.
@@ -14,7 +17,7 @@
       monitor keeps the last-write epoch [(w_tid, w_clk)] and a read
       vector, and flags any access that the recorded epoch does not
       happen-before;
-    - any word an [Atomic] event ever targets is a {e sync word} from
+    - any word an atomic ever targets is a {e sync word} from
       then on. Atomics that write (RMWs, successful CAS) form a
       release/acquire chain ([vc_t ⊔= L\[a\]; L\[a\] := vc_t]) —
       exactly how the spinlock's CAS and [atomic_rmw] unlock publish a
@@ -57,7 +60,7 @@ type outcome = {
 (* Per-word monitor state. [l] and [r] are allocated lazily: most words
    are only ever written by one thread and need neither. *)
 type cell = {
-  mutable sync : bool; (* some Atomic event targeted this word *)
+  mutable sync : bool; (* some atomic targeted this word *)
   mutable l : int array option; (* release VC (lock words) *)
   mutable w_tid : int;
   mutable w_clk : int; (* last-write epoch; 0 = never written *)
@@ -68,10 +71,8 @@ type cell = {
 let join dst src =
   Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src
 
-let observe ?(fuel = 200_000_000) ?(quantum = 32) ?screen (p : Prog.t)
-    ~threads ~worker : outcome =
-  let linked = Machine.link p in
-  let t = Multi.create ~quantum linked ~threads ~worker in
+let observe ?(fuel = 200_000_000) ?(quantum = Decode.default_quantum)
+    ?(screen = ignore) (p : Prog.t) ~threads ~worker : outcome =
   let vc = Array.init threads (fun i ->
       let c = Array.make threads 0 in
       c.(i) <- 1;
@@ -139,74 +140,66 @@ let observe ?(fuel = 200_000_000) ?(quantum = 32) ?screen (p : Prog.t)
       Array.iteri (fun i v -> if vc.(tid).(i) < v then ok := false) l;
       !ok
   in
-  (* [on_store] fires before [on_event] for the same instruction, so the
-     stored value is buffered per thread until the event classifies it.
-     [wrote] marks that the current instruction actually wrote memory —
-     a *failed* CAS fires the Atomic event with no store, which is how
-     the monitor tells a spinning acquire attempt from a successful
-     one. The flag is cleared at the end of every event (each
-     instruction commits exactly one). *)
-  let pending = Array.make threads 0 in
-  let wrote = Array.make threads false in
-  let hooks tid =
+  let shared addr = not (Layout.is_ckpt_addr addr) in
+  let load tid addr =
+    let c = cell addr in
+    check_write c addr tid;
+    record_read c tid
+  in
+  let plain_store tid addr value =
+    let c = cell addr in
+    if c.sync && value = 0 && holds_sync c tid then release c tid
+    else begin
+      check_write c addr tid;
+      check_reads c addr tid;
+      record_write c tid ~plain:true
+    end
+  in
+  let atomic tid addr ~wrote =
+    let c = cell addr in
+    c.sync <- true;
+    if c.w_plain then check_write c addr tid;
+    if wrote then begin
+      (* RMW or successful CAS: a full acquire+release link. The chain
+         orders it against every earlier atomic on the word, so only
+         plain state is checked. *)
+      check_reads c addr tid;
+      (match c.l with Some l -> join vc.(tid) l | None -> ());
+      record_write c tid ~plain:false;
+      release c tid
+    end
+    else
+      (* Failed CAS: an atomic read — acquire edge only. It must NOT
+         release (a spinner overwriting [l] with its own VC would let
+         the holder's later unlock store fail the [holds_sync] test) and
+         writes nothing, so only the plain-write state is checked. *)
+      match c.l with Some l -> join vc.(tid) l | None -> ()
+  in
+  let hooks =
     {
-      Machine.on_store =
-        (fun ~addr:_ ~old:_ ~value ->
-          pending.(tid) <- value;
-          wrote.(tid) <- true);
-      on_event =
-        (fun ev ->
-          let tag = Event.tag ev in
-          if tag = Event.tag_load || tag = Event.tag_store
-             || tag = Event.tag_atomic
-          then begin
-            let addr = Event.payload ev in
-            if not (Layout.is_ckpt_addr addr) then begin
-              let c = cell addr in
-              if tag = Event.tag_load then begin
-                check_write c addr tid;
-                record_read c tid
-              end
-              else if tag = Event.tag_store then begin
-                if c.sync && pending.(tid) = 0 && holds_sync c tid then
-                  release c tid
-                else begin
-                  check_write c addr tid;
-                  check_reads c addr tid;
-                  record_write c tid ~plain:true
-                end
-              end
-              else if wrote.(tid) then begin
-                (* Atomic that wrote (RMW or successful CAS): a full
-                   acquire+release link. The chain orders it against
-                   every earlier atomic on the word, so only plain
-                   state is checked. *)
-                c.sync <- true;
-                if c.w_plain then check_write c addr tid;
-                check_reads c addr tid;
-                (match c.l with Some l -> join vc.(tid) l | None -> ());
-                record_write c tid ~plain:false;
-                release c tid
-              end
-              else begin
-                (* Failed CAS: an atomic read — acquire edge only. It
-                   must NOT release (a spinner overwriting [l] with its
-                   own VC would let the holder's later unlock store fail
-                   the [holds_sync] test) and writes nothing, so only
-                   the plain-write state is checked. *)
-                c.sync <- true;
-                if c.w_plain then check_write c addr tid;
-                match c.l with Some l -> join vc.(tid) l | None -> ()
-              end
-            end
-          end;
-          wrote.(tid) <- false);
+      Decode.no_hooks with
+      access =
+        Some
+          (fun st kind addr ->
+            screen addr;
+            if kind = Event.Load && shared addr then load (Decode.tid st) addr);
+      store =
+        Some
+          (fun st kind ~addr ~old:_ ~value ->
+            if kind = Event.Store && shared addr then plain_store (Decode.tid st) addr value);
+      atomic =
+        Some
+          (fun st ~addr ~value:_ ~wrote -> if shared addr then atomic (Decode.tid st) addr ~wrote);
     }
   in
+  let m =
+    Decode.create_spmd ~quantum ~traced:false (Decode.decode ~hooks p) ~threads
+      ~worker
+  in
   let hung =
-    match Multi.run ~fuel ?screen t hooks with
+    match Decode.run_spmd ~fuel m with
     | () -> false
-    | exception Machine.Fuel_exhausted -> true
+    | exception Decode.Fuel_exhausted -> true
   in
   let rs = Hashtbl.fold (fun _ r acc -> r :: acc) races [] in
   {

@@ -1,5 +1,6 @@
 (** Dynamic data-race monitor: vector-clock (FastTrack-style)
-    happens-before checking over one concrete [Multi.run] interleaving.
+    happens-before checking over one concrete interleaving of the
+    decoded core's round-robin SPMD schedule ([Decode.run_spmd]).
 
     The executable counterpart of the static race tier
     ([Cwsp_verify.Race_check]): a static race-freedom certificate is
@@ -27,12 +28,12 @@ type outcome = {
     given round-robin [quantum] (default 32). [Fuel_exhausted] is
     reported as [hung], not raised: a mutant that drops an unlock leaves
     its siblings spinning, and a spinning thread steps on until it uses
-    up the fuel; that is a verdict, not an error. [screen] is handed to [Multi.run]: whatever
-    it raises propagates. *)
+    up the fuel; that is a verdict, not an error. [screen] sees every
+    data access's address before it runs: whatever it raises propagates. *)
 val observe :
   ?fuel:int ->
   ?quantum:int ->
-  ?screen:(Machine.t -> unit) ->
+  ?screen:(int -> unit) ->
   Prog.t ->
   threads:int ->
   worker:string ->

@@ -1,4 +1,3 @@
-(** Re-export: commit-event traces now live in [Cwsp_ir.Trace] (shared by
-    the reference interpreter here and the decoded core in [Cwsp_ir]). *)
+(** Re-export of [Cwsp_ir.Trace]: only cwspbench/figures.ml reads it, until ROADMAP item 11. *)
 
 include Cwsp_ir.Trace

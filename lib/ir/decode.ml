@@ -2,8 +2,9 @@
     validated [Prog.t] into flat, closure-compiled code.
 
     [Machine] (lib/interp) is the *reference* semantics: an explicit-state
-    stepper whose frames the recovery/fault harnesses snapshot and resume.
-    This module is the *fast path* the benchmark harness runs: every name
+    stepper the tests hold this module against. This module is what
+    everything else runs — trace generation, the crash harness's hooked
+    run and its resumed runs, the race monitor, the fuzz baseline: every name
     is resolved once at decode time — call targets and the [__out]
     intrinsic to function indices, globals to absolute addresses,
     checkpoint slots to a per-thread base plus a depth displacement — so
@@ -24,7 +25,9 @@
     [resume] starts a state from a reference-machine call stack (function
     index, block, instruction index, registers and return register per
     frame): each function keeps its block start offsets, so a frame's
-    position is one flat pc.
+    position is one flat pc. [frames] reads a state's stack back in the
+    same terms. [decode ~hooks] wraps the plain closure of each
+    instruction a hook watches ([instrument]) and no other.
 
     Decode invariants (asserted by the differential oracle,
     [Cwsp_interp.Oracle], and test/test_decode.ml):
@@ -42,9 +45,6 @@
 exception Trap of string
 exception Fuel_exhausted
 
-(** Name of the output intrinsic (see [Machine.out_intrinsic], which
-    aliases this): [call __out(v)] appends [v] to the observable output
-    vector. *)
 let out_intrinsic = "__out"
 
 type st = {
@@ -67,17 +67,31 @@ type st = {
   mutable ev : int array;
   mutable evlen : int;
   traced : bool;
+  funcs : dfunc array; (* the program it runs, read back by [frames] *)
 }
 
 and op = st -> int
 
-type dfunc = {
+and dfunc = {
   d_name : string;
   d_nregs : int;   (* register-file size: max 1 nregs, >= nparams *)
   d_nparams : int;
   d_start : int array; (* block [b]'s first flat pc; last entry = code size *)
   mutable d_ops : op array; (* filled in pass 2 (callees may be forward) *)
 }
+
+type hooks = {
+  access : (st -> Event.kind -> int -> unit) option;
+  store : (st -> Event.kind -> addr:int -> old:int -> value:int -> unit) option;
+  boundary : (st -> int -> unit) option;
+  atomic : (st -> addr:int -> value:int -> wrote:bool -> unit) option;
+  flush : (st -> int -> unit) option;
+  fence : (st -> unit) option;
+}
+
+let no_hooks =
+  { access = None; store = None; boundary = None; atomic = None; flush = None;
+    fence = None }
 
 type t = {
   source : Prog.t;
@@ -128,7 +142,7 @@ let block_starts (f : Prog.func) =
   done;
   start
 
-let compile_func ?screen (d : t) (df : dfunc) (f : Prog.func) : op array =
+let compile_func (h : hooks) (d : t) (df : dfunc) (f : Prog.func) : op array =
   let start = df.d_start in
   let ops = Array.make start.(Array.length f.blocks) (fun (_ : st) -> 0) in
   let compile_instr pc (ins : Types.instr) : op =
@@ -368,17 +382,67 @@ let compile_func ?screen (d : t) (df : dfunc) (f : Prog.func) : op array =
           st.stack_pc.(dpt)
         end
   in
-  (* [screen] sees a data access's address before the access runs *)
-  let screened (ins : Types.instr) (op : op) : op =
-    match (screen, ins) with
-    | ( Some screen,
-        ( Load (_, base, off)
-        | Store (base, off, _)
-        | Flush (base, off)
-        | Atomic_rmw (_, _, base, off, _)
-        | Cas (_, base, off, _, _) ) ) ->
+  (* The hooks wrap the plain closure of the instruction they watch; an
+     instruction no hook watches keeps its plain closure. A hook after
+     the instruction sees the state positioned after it, as [frames]
+     reads it. *)
+  let instrument (ins : Types.instr) (op : op) : op =
+    let after f : op = fun st -> let pc = op st in st.pc <- pc; f st; pc in
+    let write kind addr f : op =
       fun st ->
-        screen (st.regs.(base) + off);
+        let a = addr st in
+        let old = Memory.read st.mem a in
+        let pc = op st in
+        st.pc <- pc;
+        f st kind ~addr:a ~old ~value:(Memory.read st.mem a);
+        pc
+    in
+    let op =
+      match (ins, h) with
+      | Store (base, off, _), { store = Some f; _ } ->
+        write Event.Store (fun st -> st.regs.(base) + off) f
+      | Ckpt r, { store = Some f; _ } when r < Layout.ckpt_slots_per_frame ->
+        write Event.Ckpt (fun st -> Layout.ckpt_slot ~tid:st.tid ~depth:st.depth r) f
+      | (Atomic_rmw (_, _, base, off, _) | Cas (_, base, off, _, _)), { store; atomic; _ }
+        when store <> None || atomic <> None ->
+        (* a CAS writes iff the word held its expected operand, read
+           before the closure overwrites its destination register *)
+        let wrote : st -> int -> bool =
+          match ins with
+          | Cas (_, _, _, Reg r, _) -> fun st old -> old = st.regs.(r)
+          | Cas (_, _, _, Imm v, _) -> fun _ old -> old = v
+          | _ -> fun _ _ -> true
+        in
+        let store = Option.value store ~default:(fun _ _ ~addr:_ ~old:_ ~value:_ -> ()) in
+        let atomic = Option.value atomic ~default:(fun _ ~addr:_ ~value:_ ~wrote:_ -> ()) in
+        fun st ->
+          let addr = st.regs.(base) + off in
+          let old = Memory.read st.mem addr in
+          let wrote = wrote st old in
+          let pc = op st in
+          st.pc <- pc;
+          let value = Memory.read st.mem addr in
+          if wrote then store st Event.Atomic ~addr ~old ~value;
+          atomic st ~addr ~value ~wrote;
+          pc
+      | Flush (base, off), { flush = Some f; _ } -> after (fun st -> f st (st.regs.(base) + off))
+      | (Fence | Pfence), { fence = Some f; _ } -> after f
+      | Boundary id, { boundary = Some f; _ } -> after (fun st -> f st id)
+      | _ -> op
+    in
+    match (ins, h.access) with
+    | ( ( Load (_, base, off) | Store (base, off, _) | Flush (base, off)
+        | Atomic_rmw (_, _, base, off, _) | Cas (_, base, off, _, _) ),
+        Some f ) ->
+      let kind =
+        match ins with
+        | Load _ -> Event.Load
+        | Store _ -> Event.Store
+        | Flush _ -> Event.Flush
+        | _ -> Event.Atomic
+      in
+      fun st ->
+        f st kind (st.regs.(base) + off);
         op st
     | _ -> op
   in
@@ -387,18 +451,14 @@ let compile_func ?screen (d : t) (df : dfunc) (f : Prog.func) : op array =
       let pc = ref start.(b) in
       List.iter
         (fun ins ->
-          ops.(!pc) <- screened ins (compile_instr !pc ins);
+          ops.(!pc) <- instrument ins (compile_instr !pc ins);
           incr pc)
         blk.instrs;
       ops.(!pc) <- compile_term blk.term)
     f.blocks;
   ops
 
-(** One-shot pre-decode of a (validated) program. Global addresses are
-    assigned exactly as [Machine.link] assigns them, so memory images and
-    event payloads are directly comparable. With [screen], every data
-    access first calls it on its address. *)
-let decode ?screen (p : Prog.t) : t =
+let decode ?(hooks = no_hooks) (p : Prog.t) : t =
   let fidx = Hashtbl.create 16 in
   List.iteri (fun i (name, _) -> Hashtbl.replace fidx name i) p.funcs;
   let dfuncs =
@@ -432,11 +492,10 @@ let decode ?screen (p : Prog.t) : t =
   let d = { source = p; dfuncs; fidx; global_addr; main_idx } in
   (* pass 2: compile bodies (call closures capture forward dfuncs) *)
   List.iteri
-    (fun i (_, f) -> dfuncs.(i).d_ops <- compile_func ?screen d dfuncs.(i) f)
+    (fun i (_, f) -> dfuncs.(i).d_ops <- compile_func hooks d dfuncs.(i) f)
     p.funcs;
   d
 
-(** The address [decode] gave global [g], if the program has one. *)
 let global_addr (d : t) g = Hashtbl.find_opt d.global_addr g
 
 (* ---- execution ---- *)
@@ -452,7 +511,7 @@ let init_globals (d : t) mem =
    short resumed run allocates little. *)
 let ring_slots = 64
 
-let make_st ~tid ~traced ~mem ~regs ~(ops : op array) =
+let make_st (d : t) ~tid ~traced ~mem ~regs ~(ops : op array) =
   {
     mem;
     regs;
@@ -470,16 +529,15 @@ let make_st ~tid ~traced ~mem ~regs ~(ops : op array) =
     ev = Array.make (if traced then 4096 else ring_slots) 0;
     evlen = 0;
     traced;
+    funcs = d.dfuncs;
   }
 
-(** Fresh machine on a fresh memory image, entering [main] (which must
-    take no parameters), global initializers applied. *)
 let create ?(tid = 0) ?(traced = true) (d : t) : st =
   let mem = Memory.create () in
   init_globals d mem;
   let mf = d.dfuncs.(d.main_idx) in
   if mf.d_nparams <> 0 then invalid_arg "Decode.create: main must take no params";
-  make_st ~tid ~traced ~mem ~regs:(Array.make mf.d_nregs 0) ~ops:mf.d_ops
+  make_st d ~tid ~traced ~mem ~regs:(Array.make mf.d_nregs 0) ~ops:mf.d_ops
 
 type frame = {
   fn : int;
@@ -489,29 +547,23 @@ type frame = {
   ret : int;
 }
 
-(** An untraced state on [mem] (global initializers NOT re-applied)
-    whose call stack is [frames], head the current frame, at call depth
-    [depth] (one less than the number of frames), having produced
-    [outputs] (oldest first); its step count starts at 0. No frames: a
-    halted state. A caller frame's position is the instruction after its
-    call, as [Machine] keeps it; a frame's [ret] lands in the caller's
-    register when it returns, as the call left it in the stack. *)
-let resume ?(tid = 0) (d : t) ~mem ~(frames : frame list) ~depth ~outputs : st =
+let resume ?(tid = 0) (d : t) ~mem ~(frames : frame list) ~outputs : st =
   let at (f : frame) =
     let df = d.dfuncs.(f.fn) in
     (df.d_ops, df.d_start.(f.blk) + f.idx)
   in
   match frames with
   | [] ->
-    let st = make_st ~tid ~traced:false ~mem ~regs:[||] ~ops:[||] in
+    let st = make_st d ~tid ~traced:false ~mem ~regs:[||] ~ops:[||] in
     st.halted <- true;
     st.outputs <- List.rev outputs;
     st
   | top :: callers ->
-    if depth <> List.length callers || depth >= Layout.max_frames then
-      invalid_arg "Decode.resume: depth must be the number of caller frames";
+    let depth = List.length callers in
+    if depth >= Layout.max_frames then
+      invalid_arg "Decode.resume: deeper than the checkpoint area";
     let ops, pc = at top in
-    let st = make_st ~tid ~traced:false ~mem ~regs:top.regs ~ops in
+    let st = make_st d ~tid ~traced:false ~mem ~regs:top.regs ~ops in
     st.pc <- pc;
     st.depth <- depth;
     st.outputs <- List.rev outputs;
@@ -531,13 +583,33 @@ let resume ?(tid = 0) (d : t) ~mem ~(frames : frame list) ~depth ~outputs : st =
       frames;
     st
 
+let frames st : frame list =
+  let frame ops pc regs depth =
+    let fn = ref 0 in
+    while st.funcs.(!fn).d_ops != ops do incr fn done;
+    (* the block holding [pc]: the last whose start is at or below it *)
+    let start = st.funcs.(!fn).d_start in
+    let lo = ref 0 and hi = ref (Array.length start - 2) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if start.(mid) <= pc then lo := mid else hi := mid - 1
+    done;
+    let ret = if depth > 0 then st.stack_ret.(depth - 1) else -1 in
+    { fn = !fn; blk = !lo; idx = pc - start.(!lo); regs; ret }
+  in
+  if st.halted then []
+  else
+    frame st.ops st.pc st.regs st.depth
+    :: List.init st.depth (fun i ->
+           let k = st.depth - 1 - i in
+           frame st.stack_ops.(k) st.stack_pc.(k) st.stack_regs.(k) k)
+
 let outputs st = List.rev st.outputs
 let steps st = st.steps
+let tid st = st.tid
 let memory st = st.mem
 let halted st = st.halted
 
-(** The event stream as a [Trace.t]. Takes ownership of the buffer: call
-    once, after the run. *)
 let trace st =
   if not st.traced then invalid_arg "Decode.trace: an untraced state keeps no trace";
   Trace.of_array st.ev ~len:st.evlen
@@ -550,23 +622,16 @@ let run_steps st ~(limit : int) =
     st.pc <- (Array.unsafe_get st.ops st.pc) st
   done
 
-(** Run until halt or until [fuel] steps have been executed; raises
-    [Fuel_exhausted] if the budget runs out first (same contract as
-    [Machine.run]). *)
 let run ?(fuel = 50_000_000) st =
   let limit = st.steps + fuel in
   run_steps st ~limit;
   if not st.halted then raise Fuel_exhausted
 
-(** Decode, run to completion, return (final state, trace). The fast-path
-    equivalent of [Machine.trace_of_program]. *)
 let trace_of_program ?fuel (p : Prog.t) : st * Trace.t =
   let st = create (decode p) in
   run ?fuel st;
   (st, trace st)
 
-(** Run functionally, untraced; returns the final state (memory +
-    outputs). *)
 let run_functional ?fuel (p : Prog.t) : st =
   let st = create ~traced:false (decode p) in
   run ?fuel st;
@@ -577,13 +642,12 @@ let run_functional ?fuel (p : Prog.t) : st =
 type spmd = {
   sts : st array;
   quantum : int;
+  mutable turn : int;
+  mutable used : int;
 }
 
 let default_quantum = 32
 
-(** [create_spmd d ~threads ~worker]: [threads] decoded machines sharing
-    one memory image, thread [t] entering [worker](t) — the decoded
-    equivalent of [Multi.create], same round-robin quantum default. *)
 let create_spmd ?(quantum = default_quantum) ?(traced = true) (d : t) ~threads
     ~worker : spmd =
   if threads <= 0 then invalid_arg "Decode.create_spmd: threads must be positive";
@@ -601,40 +665,29 @@ let create_spmd ?(quantum = default_quantum) ?(traced = true) (d : t) ~threads
     Array.init threads (fun tid ->
         let regs = Array.make wf.d_nregs 0 in
         regs.(0) <- tid;
-        make_st ~tid ~traced ~mem ~regs ~ops:wf.d_ops)
+        make_st d ~tid ~traced ~mem ~regs ~ops:wf.d_ops)
   in
-  { sts; quantum }
+  { sts; quantum; turn = 0; used = 0 }
 
-(** Run all threads to completion under the fixed round-robin quantum
-    schedule (bit-reproducible; identical interleaving to [Multi.run]).
-    Every pass steps some live thread, so a thread that spins forever
-    uses up the fuel. *)
-let run_spmd ?(fuel = 200_000_000) ?quantum (m : spmd) =
-  let quantum = Option.value ~default:m.quantum quantum in
+let run_spmd ?(fuel = 200_000_000) (m : spmd) =
   let budget = ref fuel in
-  let live () = Array.exists (fun st -> not st.halted) m.sts in
-  while live () do
-    Array.iter
-      (fun st ->
-        if not st.halted then begin
-          (* same budget accounting as [Multi.run]: one fuel unit per
-             step, checked before the step executes *)
-          let want = ref quantum in
-          while !want > 0 && not st.halted do
-            if !budget <= 0 then raise Fuel_exhausted;
-            decr budget;
-            st.steps <- st.steps + 1;
-            st.pc <- (Array.unsafe_get st.ops st.pc) st;
-            decr want
-          done
-        end)
-      m.sts
+  while Array.exists (fun st -> not st.halted) m.sts do
+    let st = m.sts.(m.turn) in
+    (* same budget accounting as [Multi.run]: one fuel unit per step,
+       checked before the step executes *)
+    while m.used < m.quantum && not st.halted do
+      if !budget <= 0 then raise Fuel_exhausted;
+      decr budget;
+      st.steps <- st.steps + 1;
+      st.pc <- (Array.unsafe_get st.ops st.pc) st;
+      m.used <- m.used + 1
+    done;
+    m.turn <- (m.turn + 1) mod Array.length m.sts;
+    m.used <- 0
   done
 
-(** SPMD trace generation: one commit trace per thread — the fast-path
-    equivalent of [Multi.traces_of_program]. *)
 let spmd_traces_of_program ?fuel ?quantum (p : Prog.t) ~threads ~worker :
     spmd * Trace.t array =
-  let m = create_spmd (decode p) ~threads ~worker in
-  run_spmd ?fuel ?quantum m;
+  let m = create_spmd ?quantum (decode p) ~threads ~worker in
+  run_spmd ?fuel m;
   (m, Array.map trace m.sts)

@@ -28,14 +28,37 @@ type t
 (** A running (or finished) decoded machine. *)
 type st
 
-(** One-shot pre-decode. Global addresses are laid out exactly as
-    [Machine.link] lays them out. With [screen], each [Load], [Store],
-    [Flush], [Atomic_rmw] and [Cas] calls [screen] on its address
-    (base register plus offset) before it runs, and whatever [screen]
-    raises propagates out of [run]; without it no closure changes.
-    Decoding itself raises nothing on a validated program: an
-    instruction the reference rejects fails when it executes. *)
-val decode : ?screen:(int -> unit) -> Prog.t -> t
+(** Instrumentation baked into the closures when a program is decoded.
+    A hook sees the running state; an instruction no hook watches keeps
+    the closure an uninstrumented decode gives it, so [no_hooks] decodes
+    the plain core. Per instruction, [access] runs before it and the
+    others after it, [store] before [atomic]; a hook after an
+    instruction sees the state positioned after it, so [frames] reads
+    where a resume there would start. Whatever a hook raises propagates
+    out of the run. *)
+type hooks = {
+  access : (st -> Event.kind -> int -> unit) option;
+      (** before a data access: [Load], [Store], [Atomic] (RMW or CAS) or
+          [Flush], and its address (base register plus offset) *)
+  store : (st -> Event.kind -> addr:int -> old:int -> value:int -> unit) option;
+      (** a memory write by a [Store], a [Ckpt] or an [Atomic], with the
+          word's value before and after it. A failed CAS writes nothing. *)
+  boundary : (st -> int -> unit) option;  (** a region boundary, its id *)
+  atomic : (st -> addr:int -> value:int -> wrote:bool -> unit) option;
+      (** an atomic: its address, the word after it, and whether it
+          wrote (a failed CAS did not) *)
+  flush : (st -> int -> unit) option;  (** a flush, its address *)
+  fence : (st -> unit) option;  (** a [Fence] or a [Pfence] *)
+}
+
+val no_hooks : hooks
+
+(** One-shot pre-decode, instrumented with [hooks] (default
+    [no_hooks]). Global addresses are laid out exactly as
+    [Machine.link] lays them out. Decoding itself raises nothing on a
+    validated program: an instruction the reference rejects fails when
+    it executes. *)
+val decode : ?hooks:hooks -> Prog.t -> t
 
 (** The address of global [g] in that layout, if the program has it. *)
 val global_addr : t -> string -> int option
@@ -58,22 +81,19 @@ type frame = {
           value, or -1 *)
 }
 
-(** [resume d ~mem ~frames ~depth ~outputs]: an untraced state on [mem]
+(** [resume d ~mem ~frames ~outputs]: an untraced state on [mem]
     (global initializers are NOT re-applied) whose call stack is
-    [frames], head the current frame, as [Machine.resume] would run it. [depth] is the
-    call depth, which picks the checkpoint slots, and must be one less
-    than the number of frames ([Invalid_argument] otherwise); [outputs]
-    are the outputs already produced, oldest first, which [outputs]
-    then continues. The step count starts at 0. With no frames the
-    state is halted. *)
-val resume :
-  ?tid:int ->
-  t ->
-  mem:Memory.t ->
-  frames:frame list ->
-  depth:int ->
-  outputs:int list ->
-  st
+    [frames], head the current frame, as [Machine.resume] would run it.
+    The call depth, which picks the checkpoint slots, is the number of
+    caller frames ([Invalid_argument] past [Layout.max_frames]);
+    [outputs] are the outputs already produced, oldest first, which
+    [outputs] then continues. The step count starts at 0. With no
+    frames the state is halted. *)
+val resume : ?tid:int -> t -> mem:Memory.t -> frames:frame list -> outputs:int list -> st
+
+(** Run until halt or until the step count reaches [limit]; stops
+    without raising. *)
+val run_steps : st -> limit:int -> unit
 
 (** Run until halt or until [fuel] steps (default 50M, as [Machine.run]);
     raises [Fuel_exhausted] if the budget runs out first. *)
@@ -83,6 +103,12 @@ val run : ?fuel:int -> st -> unit
 val outputs : st -> int list
 
 val steps : st -> int
+val tid : st -> int
+
+(** The call stack, head the current frame, as [resume] takes it; empty
+    once halted. [regs] are the live register arrays, not copies. *)
+val frames : st -> frame list
+
 val memory : st -> Memory.t
 val halted : st -> bool
 
@@ -103,6 +129,8 @@ val run_functional : ?fuel:int -> Prog.t -> st
 type spmd = {
   sts : st array;
   quantum : int;
+  mutable turn : int;  (** the thread whose quantum runs next *)
+  mutable used : int;  (** ... and how much of that quantum has run *)
 }
 
 (** The round-robin instruction quantum, [Multi.default_quantum]'s. *)
@@ -116,11 +144,12 @@ val create_spmd :
   ?quantum:int -> ?traced:bool -> t -> threads:int -> worker:string -> spmd
 
 (** Run all threads to completion under the fixed round-robin quantum
-    schedule (default 32, identical interleaving to [Multi.run]): one
-    fuel unit per step, checked before it, [Fuel_exhausted] when the
-    budget (default 200M, shared) runs out. A thread left spinning uses
-    up the fuel. *)
-val run_spmd : ?fuel:int -> ?quantum:int -> spmd -> unit
+    schedule (identical interleaving to [Multi.run]): one fuel unit per
+    step, checked before it, [Fuel_exhausted] when the budget (default
+    200M, shared) runs out. A thread left spinning uses up the fuel. The
+    schedule's cursor stays in the [spmd], so a run the fuel stopped
+    goes on, when run again, exactly as one run that never stopped. *)
+val run_spmd : ?fuel:int -> spmd -> unit
 
 (** One commit trace per thread — fast-path equivalent of
     [Multi.traces_of_program]. *)

@@ -1,49 +1,26 @@
-(** Power-failure injection and the cWSP recovery protocol (Section VII) —
-    the validation the paper explicitly leaves as future work ("No Power
-    Failure Recovery Test", Section VIII).
+(** Power-failure injection and the cWSP recovery protocol (Section VII);
+    harness.mli describes the skeleton every crash experiment runs.
 
-    The harness executes a compiled program while maintaining exactly the
-    state the cWSP hardware keeps:
+    The tracked run keeps exactly the state the cWSP hardware keeps: the
+    per-region undo logs at the memory controllers ((addr, old) pairs
+    tagged with the dynamic region index), the register checkpoints
+    (ordinary stores to the NVM checkpoint area made by the program
+    itself) and the compiler's recovery-slice table. Everything runs on
+    the decoded core ([Decode]): the run to the crash point on a decode
+    whose store, boundary, atomic, flush and fence hooks keep that state
+    ([hooks]), the resumed runs and the golden run on the plain untraced
+    core, which a tracked run decodes once. The cut picks R_o, the
+    oldest unpersisted region in the RBT window, and un-persists a random
+    per-MC FIFO suffix of its own stores (stores to the same location
+    always target the same MC, so per-location visibility is a prefix —
+    matching real persist-path FIFOs) plus R_o's checkpoint-area stores.
 
-    - per-region undo logs at the memory controllers (here: (addr, old)
-      pairs tagged with the dynamic region index);
-    - the register checkpoints, which are ordinary stores to the NVM
-      checkpoint area made by the program itself;
-    - the recovery-slice table produced by the compiler.
-
-    Every crash experiment runs through one skeleton: run to the crash
-    point, [cut_power], optionally [inject] a persistence-path fault,
-    execute a recovery plan, [resume_lanes] at the chosen region and
-    [run_and_compare]. The run to the crash point steps the reference
-    [Machine] under the hooks that keep that state; everything unhooked
-    — the resumed runs and the golden run — runs on the untraced decoded
-    core ([Decode]), which a tracked run decodes once. The cut picks the
-    oldest unpersisted region R_o within the RBT window and un-persists
-    a random per-MC FIFO suffix of R_o's own stores (stores to the same
-    location always target the same MC, so per-location visibility is a
-    prefix — matching real persist-path FIFOs) plus R_o's
-    checkpoint-area stores. The blind plan then reverts the younger
-    regions' speculative NVM updates with the undo logs; the hardened
-    plan audits first ([check_rung]). The resume evaluates the region's
-    recovery slice to restore its live-in registers (every other
-    register is poisoned to catch liveness bugs) and runs from the
-    region's entry. Crash consistency holds iff the
-    final NVM state and device output equal a failure-free run's.
-
-    The persistency model is a value the tracked run carries: the cWSP
-    hardware above, or explicit flush/fence persistency, whose durable
-    image survives the cut and resumes blindly at the newest boundary
-    through the same resume and compare. A sweep runs many crash points
-    on one tracked run, in ascending order: everything after the run
-    step works on copies of the tracked state.
-
-    N threads are N lanes of the one tracked run, each a machine and
-    its region ring, sharing the NVM image, the MC logs, the global
-    region counter and the recorder; one thread is the one-lane case.
-    Each lane draws its own R_o at the cut and resumes from it
-    independently (Section VIII). Two rules hold only with a second
-    core: an atomic ends its lane's region at once ([hooks]), and the
-    final comparison skips the checkpoint area ([run_and_compare]).
+    The persistency model is a value the tracked run carries ([model]).
+    N threads are N lanes of the one tracked run, each a region ring
+    and a decoded state of the run's one schedule; two rules hold only
+    with a second core: an atomic ends its lane's region at once
+    ([hooks]), and the final comparison skips the checkpoint area
+    ([run_and_compare]).
 
     Call frames *below* the recovery point are restored from the boundary
     snapshot: they model the NVM-resident stack (spilled registers and
@@ -51,7 +28,6 @@
     machine; our IR keeps them in interpreter frames). *)
 
 open Cwsp_ir
-open Cwsp_interp
 module Obs = Cwsp_obs.Obs
 module Recorder = Cwsp_flight.Recorder
 
@@ -77,10 +53,9 @@ type region_record = {
        opens on a full register snapshot: a lane's region 0 (its entry,
        or a post-recovery resume point) and, on N lanes, the region an
        atomic opens *)
-  frames : Machine.frame list;
+  frames : Decode.frame list;
     (* snapshot at region entry; for a boundary, the open frame's
        register contents are dead ([boundary_frames]) *)
-  depth : int;
   outputs_at_entry : int;
     (* device outputs produced before this region started: the
        region-buffered I/O (Section VIII) released once every earlier
@@ -133,16 +108,11 @@ type model =
       pending : (int, int) Hashtbl.t; (* flushed, not yet fenced: addr -> value *)
       mutable pending_atomic : (int * int) option;
         (* an atomic's (addr, value) awaiting its closing boundary *)
-      mutable last_store : (int * int) option;
-        (* the store the current instruction just performed, so the
-           atomic event can claim its value (hook order is
-           store-then-event) *)
       mutable ckpt_undo : (int * int) list; (* open region's ckpt (addr, old) *)
     }
 
-(* One thread of a tracked run: its machine and its region ring. *)
+(* One thread of a tracked run: its region ring. *)
 type lane = {
-  machine : Machine.t;
   ring : region_record array;
     (* the lane's tracked regions, [head] the newest. cWSP: a fixed ring
        of window+1 slots, where the window is the RBT size (max
@@ -162,84 +132,44 @@ type lane = {
    persistency model, one global region counter and one recorder. *)
 type tracked = {
   lanes : lane array;
+  mutable sched : Decode.spmd;
+    (* the lanes' decoded states, thread [tid] lane [tid], and their
+       round-robin cursor. Set once, after the hooked decode the states
+       run: the hooks are fixed when the program is decoded, and they
+       reach a lane by its thread id *)
   compiled : Cwsp_compiler.Pipeline.compiled;
-  decoded : Decode.t; (* [compiled]'s program, for the resumed runs *)
+  decoded : Decode.t; (* [compiled]'s program, unhooked, for the resumed runs *)
   model : model;
   mutable region_count : int; (* the global region counter: the newest id *)
-  mutable turn : int; (* schedule cursor: the lane whose quantum runs *)
-  mutable used : int; (* ... and how much of its quantum it has run *)
   recorder : Recorder.t option;
     (* the flight ring, formatted when the run records inside the image
        the cut preserves; the boundary hook appends to it *)
 }
 
-(** What a run starts: [main], or [worker](tid) on each of [threads]
-    threads ([Cwsp_interp.Multi]). *)
 type launch = Main | Worker of { worker : string; threads : int }
 
-let launch_machines linked = function
-  | Main -> [| Machine.create linked |]
-  | Worker { worker; threads } -> (Multi.create linked ~threads ~worker).machines
+(* Fresh untraced states of [launch] on one new image. *)
+let launch_states decoded = function
+  | Main -> [| Decode.create ~traced:false decoded |]
+  | Worker { worker; threads } ->
+    (Decode.create_spmd ~traced:false decoded ~threads ~worker).sts
+
+(* Decoded states sharing one image, round-robin at [Decode.default_quantum]
+   from the first. *)
+let schedule sts = { Decode.sts; quantum = Decode.default_quantum; turn = 0; used = 0 }
 
 (* Run decoded states (sharing one image) to completion, round-robin at
-   [Multi]'s quantum; one state runs without the scheduler. *)
+   [Decode.default_quantum]; one state runs without the scheduler. *)
 let run_decoded ?fuel = function
   | [| st |] -> Decode.run ?fuel st
-  | sts -> Decode.run_spmd ?fuel { sts; quantum = Decode.default_quantum }
+  | sts -> Decode.run_spmd ?fuel (schedule sts)
 
-let copy_frame (fr : Machine.frame) = { fr with regs = Array.copy fr.regs }
-
-(* A run of [compiled] from [machines], one lane each, under [mode]'s
-   model. Each lane's region 0 snapshots its machine's frames as they
-   stand, so a crash before the lane's first boundary resumes there:
-   the program's or the worker's entry, or the resume point of a
-   previous recovery. *)
-let create ~window ~flight ~(mode : Cwsp_compiler.Pipeline.persist_mode)
-    (compiled : Cwsp_compiler.Pipeline.compiled) decoded
-    (machines : Machine.t array) =
-  (* The ring lives in the image the cut preserves. cWSP: the machines'
-     own NVM, which the cut snapshots. Explicit: the durable image, where
-     each append is its own flush+fence (the commit-word ordering is the
-     failure-atomicity), so the ring survives the deterministic crash
-     whole. *)
-  let mem = machines.(0).mem in
-  let model, slots, ring_image =
-    match mode with
-    | Implicit ->
-      (Cwsp { logs = Mc_logs.create ~n_mcs:2; slot_vals = Slots.create 64 },
-       window + 1, mem)
-    | Explicit ->
-      let nvm = Memory.snapshot mem in
-      ( Explicit
-          { nvm; pending = Hashtbl.create 64; pending_atomic = None;
-            last_store = None; ckpt_undo = [] },
-        1,
-        nvm )
-  in
-  let lane tid (m : Machine.t) =
-    let region0 =
-      { region_index = tid; static_id = -1;
-        frames = List.map copy_frame m.frames; depth = m.depth;
-        outputs_at_entry = 0; has_sync = false }
-    in
-    { machine = m; ring = Array.make slots region0; head = 0; tracked_n = 1;
-      sync_floor = -1 }
-  in
-  {
-    lanes = Array.mapi lane machines;
-    compiled;
-    decoded;
-    model;
-    region_count = Array.length machines - 1;
-    turn = 0;
-    used = 0;
-    recorder = (if flight then Some (Recorder.format ring_image) else None);
-  }
+let copy_frame (fr : Decode.frame) = { fr with regs = Array.copy fr.regs }
 
 let current_region l = l.ring.(l.head)
 
 (* Instructions run so far, all lanes together. *)
-let steps t = Array.fold_left (fun n l -> n + l.machine.steps) 0 t.lanes
+let steps t = Array.fold_left (fun n st -> n + Decode.steps st) 0 t.sched.sts
 
 (* Call-stack snapshot at a boundary. The open frame's registers are
    dead there — recovery poisons them and rebuilds the live-ins from the
@@ -247,8 +177,7 @@ let steps t = Array.fold_left (fun n l -> n + l.machine.steps) 0 t.lanes
    live register array (resumes copy it before poisoning). Caller frames
    are NVM-resident stack state and are copied whole. *)
 let boundary_frames = function
-  | (top : Machine.frame) :: callers ->
-    { top with regs = top.regs } :: List.map copy_frame callers
+  | top :: callers -> top :: List.map copy_frame callers
   | [] -> []
 
 (* A lane's tracked regions, newest first (position 0 is the open
@@ -260,38 +189,37 @@ let tracked_regions l =
 (* Region-buffered I/O: the device output released before region [r]
    began, once every earlier region persisted; the rest is still
    buffered. Oldest first. *)
-let released l (r : region_record) =
-  List.filteri (fun i _ -> i < r.outputs_at_entry) (Machine.outputs l.machine)
+let released st (r : region_record) =
+  List.filteri (fun i _ -> i < r.outputs_at_entry) (Decode.outputs st)
 
-(* Lane [l] opens the run's next region (a boundary's [static_id], or
-   -1 on a full register snapshot) in its ring's next slot, which
-   overwrites the oldest once the ring is full. *)
-let open_region t l static_id =
+(* Lane [l], whose state is [st], opens the run's next region (a
+   boundary's [static_id], or -1 on a full register snapshot) in its
+   ring's next slot, which overwrites the oldest once the ring is full. *)
+let open_region t l st static_id =
   let cap = Array.length l.ring in
   let next = (l.head + 1) mod cap in
   if l.tracked_n < cap then l.tracked_n <- l.tracked_n + 1;
   t.region_count <- t.region_count + 1;
-  let m = l.machine in
+  let frames = Decode.frames st in
   l.ring.(next) <-
     {
       region_index = t.region_count;
       static_id;
       frames =
-        (if static_id < 0 then List.map copy_frame m.frames
-         else boundary_frames m.frames);
-      depth = m.depth;
-      outputs_at_entry = List.length m.outputs;
+        (if static_id < 0 then List.map copy_frame frames else boundary_frames frames);
+      outputs_at_entry = List.length (Decode.outputs st);
       has_sync = false;
     };
   l.head <- next
 
-(* Lane [l]'s instrumentation, one model's closures: the match runs
-   once here, never per store or event. *)
-let hooks t l : Machine.hooks =
-  let m = l.machine in
+(* The instrumentation of a tracked run, one model's hooks: the match
+   runs once here, when the program is decoded, never per store or
+   boundary. Each hook reaches its lane by thread id. *)
+let hooks t : Decode.hooks =
+  let lane st = t.lanes.(Decode.tid st) in
   match t.model with
   | Cwsp c ->
-    let next_region static_id =
+    let next_region l st static_id =
       (* once the ring is full, the oldest region falls out of the
          tracking window and is treated as persisted (non-speculative):
          the MCs reclaim its log arrays, exactly the hardware's
@@ -299,9 +227,10 @@ let hooks t l : Machine.hooks =
       let cap = Array.length l.ring in
       if l.tracked_n = cap then
         Mc_logs.deallocate c.logs ~region:l.ring.((l.head + 1) mod cap).region_index;
-      open_region t l static_id
+      open_region t l st static_id
     in
-    let on_boundary static_id =
+    let boundary st static_id =
+      let l = lane st in
       (* closing a region that contained a sync primitive seals it: the
          drain semantics of Section VIII guarantee everything up to and
          including it is persistent *)
@@ -314,79 +243,80 @@ let hooks t l : Machine.hooks =
       (match t.recorder with
       | Some r ->
         let live = Mc_logs.live_entries c.logs in
-        Recorder.append r ~kind:Recorder.Boundary m.steps static_id live
+        Recorder.append r ~kind:Recorder.Boundary (Decode.steps st) static_id live
           (if cur.has_sync then 1 else 0);
         Recorder.append r ~kind:Recorder.Telemetry l.tracked_n live l.sync_floor
           (Slots.length c.slot_vals)
       | None -> ());
-      next_region static_id
+      next_region l st static_id
     in
-    let on_atomic =
-      if Array.length t.lanes = 1 then fun () -> (current_region l).has_sync <- true
-      else fun () ->
+    let atomic =
+      if Array.length t.lanes = 1 then fun st ~addr:_ ~value:_ ~wrote:_ ->
+        (current_region (lane st)).has_sync <- true
+      else fun st ~addr:_ ~value:_ ~wrote:_ ->
         (* A second core may already have read what the atomic wrote
            (Section VIII), so this lane must never roll back past it:
            the atomic ends its region at once, sealed by the drain at
            sync, and the next region opens on a full register snapshot. *)
+        let l = lane st in
         l.sync_floor <- (current_region l).region_index;
-        next_region (-1)
+        next_region l st (-1)
     in
     {
-      on_event =
-        (fun ev ->
-          let tag = Event.tag ev in
-          if tag = Event.tag_boundary then on_boundary (Event.payload ev)
-          else if tag = Event.tag_atomic then on_atomic ());
-      on_store =
-        (fun ~addr ~old ~value ->
-          (* every speculative store is undo-logged on arrival at its MC,
-             tagged with its lane's open region *)
-          Mc_logs.log c.logs ~region:(current_region l).region_index ~addr ~old
-            ~value;
-          if Layout.is_ckpt_addr addr then Slots.replace c.slot_vals addr value);
+      Decode.no_hooks with
+      store =
+        Some
+          (fun st _ ~addr ~old ~value ->
+            (* every speculative store is undo-logged on arrival at its
+               MC, tagged with its lane's open region *)
+            Mc_logs.log c.logs ~region:(current_region (lane st)).region_index ~addr
+              ~old ~value;
+            if Layout.is_ckpt_addr addr then Slots.replace c.slot_vals addr value);
+      boundary = Some boundary;
+      atomic = Some atomic;
     }
   | Explicit e ->
-    let drain () =
+    let drain _ =
       Hashtbl.iter (fun addr v -> Memory.write e.nvm addr v) e.pending;
       Hashtbl.reset e.pending
     in
     {
-      on_store =
-        (fun ~addr ~old:_ ~value ->
-          if Layout.is_ckpt_addr addr then begin
-            (* hardware persist path of the checkpoint engine:
-               write-through, journaled until the region's boundary
-               commits the run *)
-            let nold = Memory.read e.nvm addr in
-            Memory.write e.nvm addr value;
-            e.ckpt_undo <- (addr, nold) :: e.ckpt_undo
-          end
-          else e.last_store <- Some (addr, value));
-      on_event =
-        (fun ev ->
-          let tag = Event.tag ev in
-          if tag = Event.tag_flush then begin
-            let addr = Event.payload ev in
+      Decode.no_hooks with
+      store =
+        Some
+          (fun _ _ ~addr ~old:_ ~value ->
+            if Layout.is_ckpt_addr addr then begin
+              (* hardware persist path of the checkpoint engine:
+                 write-through, journaled until the region's boundary
+                 commits the run *)
+              let nold = Memory.read e.nvm addr in
+              Memory.write e.nvm addr value;
+              e.ckpt_undo <- (addr, nold) :: e.ckpt_undo
+            end);
+      flush =
+        Some
+          (fun st addr ->
             if not (Layout.is_ckpt_addr addr) then
               (* the writeback captures the line's current cache contents *)
-              Hashtbl.replace e.pending addr (Memory.read m.mem addr)
-          end
-          else if tag = Event.tag_pfence || tag = Event.tag_fence then drain ()
-          else if tag = Event.tag_atomic then begin
+              Hashtbl.replace e.pending addr (Memory.read (Decode.memory st) addr));
+      fence = Some drain;
+      atomic =
+        Some
+          (fun st ~addr ~value ~wrote ->
             (* full sync: drains the persist stream; its own write is a
                failure-atomic unit completing at the closing boundary *)
-            drain ();
-            match e.last_store with
-            | Some (a, v) when a = Event.payload ev -> e.pending_atomic <- Some (a, v)
-            | _ -> ()
-          end
-          else if tag = Event.tag_boundary then begin
+            drain st;
+            if wrote && not (Layout.is_ckpt_addr addr) then
+              e.pending_atomic <- Some (addr, value));
+      boundary =
+        Some
+          (fun st id ->
             (* flight recorder: boundary commit in the explicit model,
                with the flushed-but-unfenced set as persist telemetry *)
             (match t.recorder with
             | Some r ->
-              Recorder.append r ~kind:Recorder.Boundary m.steps
-                (Event.payload ev) (Hashtbl.length e.pending)
+              Recorder.append r ~kind:Recorder.Boundary (Decode.steps st) id
+                (Hashtbl.length e.pending)
                 (match e.pending_atomic with Some _ -> 1 | None -> 0)
             | None -> ());
             (match e.pending_atomic with
@@ -394,37 +324,67 @@ let hooks t l : Machine.hooks =
             | None -> ());
             e.pending_atomic <- None;
             e.ckpt_undo <- [];
-            open_region t l (Event.payload ev)
-          end;
-          (* an event ends the instruction whose store an atomic claims *)
-          e.last_store <- None);
+            open_region t (lane st) st id);
     }
 
-let running t = Array.exists (fun l -> l.machine.status = Machine.Running) t.lanes
+(* A tracked run of [compiled] under [mode]'s model, one lane per entry:
+   thread [tid] resumes call stack [entries.(tid)] on [mem], stepping a
+   decode under [hooks]. Each lane's region 0 snapshots its entry, so a
+   crash before the lane's first boundary resumes there: the program's
+   or the worker's entry, or the resume point of a previous recovery. *)
+let create ~window ~flight ~(mode : Cwsp_compiler.Pipeline.persist_mode)
+    (compiled : Cwsp_compiler.Pipeline.compiled) decoded ~mem
+    (entries : Decode.frame list array) =
+  (* The ring lives in the image the cut preserves. cWSP: the lanes'
+     own NVM, which the cut snapshots. Explicit: the durable image, where
+     each append is its own flush+fence (the commit-word ordering is the
+     failure-atomicity), so the ring survives the deterministic crash
+     whole. *)
+  let model, slots, ring_image =
+    match mode with
+    | Implicit ->
+      (Cwsp { logs = Mc_logs.create ~n_mcs:2; slot_vals = Slots.create 64 },
+       window + 1, mem)
+    | Explicit ->
+      let nvm = Memory.snapshot mem in
+      ( Explicit
+          { nvm; pending = Hashtbl.create 64; pending_atomic = None; ckpt_undo = [] },
+        1,
+        nvm )
+  in
+  let t =
+    {
+      lanes =
+        Array.mapi
+          (fun tid frames ->
+            let region0 =
+              { region_index = tid; static_id = -1; frames = List.map copy_frame frames;
+                outputs_at_entry = 0; has_sync = false }
+            in
+            { ring = Array.make slots region0; head = 0; tracked_n = 1; sync_floor = -1 })
+          entries;
+      sched = schedule [||];
+      compiled;
+      decoded;
+      model;
+      region_count = Array.length entries - 1;
+      recorder = (if flight then Some (Recorder.format ring_image) else None);
+    }
+  in
+  let hooked = Decode.decode ~hooks:(hooks t) compiled.prog in
+  let resume tid frames = Decode.resume ~tid hooked ~mem ~frames ~outputs:[] in
+  t.sched <- schedule (Array.mapi resume entries);
+  t
 
 (** Run until [crash_at] instructions have executed on all lanes
-    together (or to completion). Lanes step round-robin as [Multi]
-    schedules them, a quantum each; the schedule cursor stays in the run,
-    so stopping at a point and going on steps exactly as one run that
-    never stopped. Returns [true] if the program halted first. *)
+    together (or to completion), on the lanes' round-robin schedule,
+    whose cursor stays in the run: stopping at a point and going on
+    steps exactly as one run that never stopped. Returns [true] if the
+    program halted first. *)
 let run_to t crash_at =
-  let hs = Array.map (hooks t) t.lanes in
-  let total = ref (steps t) in
-  while !total < crash_at && running t do
-    let m = t.lanes.(t.turn).machine and h = hs.(t.turn) in
-    let before = m.steps in
-    let stop = before + min (Multi.default_quantum - t.used) (crash_at - !total) in
-    while m.status = Machine.Running && m.steps < stop do
-      Machine.step m h
-    done;
-    t.used <- t.used + (m.steps - before);
-    total := !total + (m.steps - before);
-    if m.status = Machine.Halted || t.used = Multi.default_quantum then begin
-      t.turn <- (t.turn + 1) mod Array.length t.lanes;
-      t.used <- 0
-    end
-  done;
-  not (running t)
+  match Decode.run_spmd ~fuel:(crash_at - steps t) t.sched with
+  | () -> true
+  | exception Decode.Fuel_exhausted -> false
 
 (* ---- crash helpers ---- *)
 
@@ -466,7 +426,8 @@ let entry_frames ~tid (compiled : Cwsp_compiler.Pipeline.compiled) decoded ~mem
   if r.static_id >= 0 then begin
     let fr = List.hd frames in
     Array.fill fr.regs 0 (Array.length fr.regs) poison;
-    let slot reg = Memory.read mem (Layout.ckpt_slot ~tid ~depth:r.depth reg) in
+    let depth = List.length r.frames - 1 in
+    let slot reg = Memory.read mem (Layout.ckpt_slot ~tid ~depth reg) in
     let addr_of g =
       match Decode.global_addr decoded g with
       | Some a -> a
@@ -481,8 +442,7 @@ let entry_frames ~tid (compiled : Cwsp_compiler.Pipeline.compiled) decoded ~mem
 (* A lane to re-execute to the end. *)
 type entry = {
   e_tid : int;
-  e_frames : Machine.frame list; (* head = current frame *)
-  e_depth : int;
+  e_frames : Decode.frame list; (* head = current frame *)
   e_outputs : int list; (* produced since the lane's last resume point *)
   e_released : int list; (* device output released before the crash *)
 }
@@ -490,11 +450,7 @@ type entry = {
 (* Lane [tid] resumed at region [r] on [mem], [released] already out. *)
 let entry_at ~tid compiled decoded ~mem ~released (r : region_record) =
   { e_tid = tid; e_frames = entry_frames ~tid compiled decoded ~mem r;
-    e_depth = r.depth; e_outputs = []; e_released = released }
-
-let decoded_frame (fr : Machine.frame) =
-  { Decode.fn = fr.lf.findex; blk = fr.blk; idx = fr.idx; regs = fr.regs;
-    ret = Option.value ~default:(-1) fr.ret_to }
+    e_outputs = []; e_released = released }
 
 type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
 
@@ -510,16 +466,8 @@ let golden_of_lanes (sts : Decode.st array) =
 (** The reference a finished failure-free run provides. *)
 let golden_of_run st = golden_of_lanes [| st |]
 
-(** Failure-free reference run of [launch], shared across a campaign's
-    cells. *)
 let golden_of launch (compiled : Cwsp_compiler.Pipeline.compiled) =
-  let d = Decode.decode compiled.prog in
-  let sts =
-    match launch with
-    | Main -> [| Decode.create ~traced:false d |]
-    | Worker { worker; threads } ->
-      (Decode.create_spmd ~traced:false d ~threads ~worker).sts
-  in
+  let sts = launch_states (Decode.decode compiled.prog) launch in
   run_decoded sts;
   golden_of_lanes sts
 
@@ -585,7 +533,7 @@ let run_and_compare decoded golden ~mem (lanes : entry array) :
     Array.map
       (fun e ->
         Decode.resume ~tid:e.e_tid decoded ~mem
-          ~frames:(List.map decoded_frame e.e_frames) ~depth:e.e_depth
+          ~frames:e.e_frames
           ~outputs:e.e_outputs)
       lanes
   in
@@ -685,7 +633,7 @@ let cut_power rng (t : tracked) : crash_state =
     | Cwsp c -> (c.logs, c.slot_vals)
     | Explicit _ -> invalid_arg "Harness.cut_power: not a cWSP run"
   in
-  let mem = Memory.snapshot t.lanes.(0).machine.mem in
+  let mem = Memory.snapshot (Decode.memory t.sched.sts.(0)) in
   let slot_sums = Hashtbl.create (Slots.length slot_vals) in
   Slots.iter
     (fun a v -> Hashtbl.replace slot_sums a (Fault.value_sum v))
@@ -736,7 +684,7 @@ let cut_power rng (t : tracked) : crash_state =
         r_o_entries
     end;
     { lc_tid = tid; lc_regions = regions; lc_nominal = back;
-      lc_released = released l r_o; lc_sync_floor = l.sync_floor }
+      lc_released = released t.sched.sts.(tid) r_o; lc_sync_floor = l.sync_floor }
   in
   let lanes = Array.mapi cut t.lanes in
   {
@@ -779,7 +727,8 @@ let slice_slot_addrs cs (r : region_record) =
     cs.cs_compiled.slices.(r.static_id)
     |> List.concat_map (fun (_, e) -> Cwsp_ckpt.Slice.slot_refs e)
     |> List.sort_uniq compare
-    |> List.map (fun reg -> Layout.ckpt_slot ~tid:(solo cs).lc_tid ~depth:r.depth reg)
+    |> List.map (fun reg ->
+           Layout.ckpt_slot ~tid:(solo cs).lc_tid ~depth:(List.length r.frames - 1) reg)
 
 (* ---- fault injection into a crash state ---- *)
 
@@ -1271,15 +1220,15 @@ let crash_point ~golden t p =
   let flight = t.recorder <> None in
   match t.model with
   | Explicit e ->
-    let l = t.lanes.(0) in
-    let crash_step = l.machine.steps in
+    let l = t.lanes.(0) and st = t.sched.sts.(0) in
+    let crash_step = Decode.steps st in
     (* newest-first replay of the open region's ckpt undo restores the
        slots as of the newest boundary *)
     let image = Memory.snapshot e.nvm in
     List.iter (fun (addr, old) -> Memory.write image addr old) e.ckpt_undo;
     let r = current_region l in
     let recovered =
-      entry_at ~tid:0 t.compiled t.decoded ~mem:image ~released:(released l r) r
+      entry_at ~tid:0 t.compiled t.decoded ~mem:image ~released:(released st r) r
     in
     let boundary, restored =
       if r.static_id < 0 then (0, 0)
@@ -1463,11 +1412,6 @@ let crash_point ~golden t p =
       ladder lc.lc_nominal []
     end
 
-(** Crash [compiled], started as [launch], at every one of [points] on
-    one tracked run of [mode]'s model, stepped to each in ascending
-    order; results in input order. The explicit model has no fault
-    classes, and the hardened ladder and the injectors work on one lane:
-    such a point is rejected rather than reported clean. *)
 let sweep ?(window = 16) ?(flight = false) ~mode ~launch ~golden
     (compiled : Cwsp_compiler.Pipeline.compiled) points : outcome list =
   let lanes = match launch with Main -> 1 | Worker { threads; _ } -> threads in
@@ -1494,9 +1438,10 @@ let sweep ?(window = 16) ?(flight = false) ~mode ~launch ~golden
            off. Each point dumps the ring as its own crash left it, so a
            dump does not depend on the other points of the sweep. *)
         let t =
-          create ~window ~flight:(flight || flight_env) ~mode compiled
-            (Decode.decode compiled.prog)
-            (launch_machines (Machine.link compiled.prog) launch)
+          let decoded = Decode.decode compiled.prog in
+          let sts = launch_states decoded launch in
+          create ~window ~flight:(flight || flight_env) ~mode compiled decoded
+            ~mem:(Decode.memory sts.(0)) (Array.map Decode.frames sts)
         in
         (* the one run advances through the points in ascending
            crash-step order (stable); results in input order *)
@@ -1518,16 +1463,6 @@ let one_point ?window ?flight ~mode ?golden compiled p =
   | [ r ] -> r
   | _ -> assert false
 
-(** Validate one adversarial crash. Runs [compiled] to [crash_at], cuts
-    power, injects [fault] into the surviving state (for
-    [Recovery_crash] the injection IS a second power failure swept
-    across every recovery step), then recovers — hardened (audit +
-    degradation ladder + staged idempotent plan) or blind (trust
-    everything, legacy ordering) — and compares the final state against
-    a failure-free run. The returned report says what the adversary did,
-    what the audits detected, and whether the final state is right;
-    [Refused] means recovery proved it could not proceed safely and
-    stopped without committing any image. *)
 let validate_fault ?window ?golden ?flight ~hardened ?fault ~seed ~crash_at
     (compiled : Cwsp_compiler.Pipeline.compiled) :
     (fault_report, string) result =
@@ -1535,24 +1470,20 @@ let validate_fault ?window ?golden ?flight ~hardened ?fault ~seed ~crash_at
     (one_point ?window ?flight ~mode:Implicit ?golden compiled
        { cp_at = crash_at; cp_seed = seed; cp_hardened = hardened; cp_fault = fault })
 
-(** Clean crash: [validate_fault] with no fault and the blind plan — the
-    nominal protocol on a correct persistence path. A wrong final state
-    is an [Error] carrying the first difference. *)
 let validate ?window ~seed ~crash_at
     (compiled : Cwsp_compiler.Pipeline.compiled) : (fault_report, string) result
     =
   require_clean
     (one_point ?window ~mode:Implicit compiled (clean_point ~seed ~crash_at))
 
-(** Multi-failure validation: run to [c], crash, recover with the blind
-    plan, resume, crash again at the next point of [crash_points] —
-    recovery itself must be crash consistent. Compares the final NVM
-    state and the exactly-once I/O stream against a failure-free run. *)
 let validate_chain ?(window = 16) ~seed ~crash_points
     (compiled : Cwsp_compiler.Pipeline.compiled) : (int, string) result =
   let rng = Cwsp_util.Rng.create seed in
   let golden = golden_of Main compiled in
   let decoded = Decode.decode compiled.prog in
+  let track ~mem frames =
+    create ~window ~flight:false ~mode:Implicit compiled decoded ~mem [| frames |]
+  in
   let rec go t crash_points released crashes =
     let next =
       match crash_points with
@@ -1567,33 +1498,26 @@ let validate_chain ?(window = 16) ~seed ~crash_points
       run_plan w (blind_plan cs ~logs:cs.cs_logs);
       let lc = solo cs in
       let r = List.nth lc.lc_regions lc.lc_nominal in
-      (* the resume is tracked again, so it runs on the hooked machine *)
-      let m =
-        Machine.resume ~tid:0 t.lanes.(0).machine.linked ~mem:w.w_mem
-          ~frames:(entry_frames ~tid:0 compiled decoded ~mem:w.w_mem r)
-          ~depth:r.depth
-      in
-      go (create ~window ~flight:false ~mode:Implicit compiled decoded [| m |]) rest
-        (released @ lc.lc_released) (crashes + 1)
+      (* the resume is tracked again, so it runs hooked *)
+      go
+        (track ~mem:w.w_mem (entry_frames ~tid:0 compiled decoded ~mem:w.w_mem r))
+        rest (released @ lc.lc_released) (crashes + 1)
     | verdict -> (
       (* no more failures, or the program halted before the next one: the
          rest of the run, untracked, is the resumed run to compare *)
-      let m = t.lanes.(0).machine in
+      let st = t.sched.sts.(0) in
       match
         Result.bind verdict (fun _ ->
-            run_and_compare decoded golden ~mem:m.mem
-              [| { e_tid = 0; e_frames = m.frames; e_depth = m.depth;
-                   e_outputs = Machine.outputs m; e_released = released } |])
+            run_and_compare decoded golden ~mem:(Decode.memory st)
+              [| { e_tid = 0; e_frames = Decode.frames st;
+                   e_outputs = Decode.outputs st; e_released = released } |])
       with
       | Ok () -> Ok crashes
       | Error e -> Error (Printf.sprintf "%s (after %d crashes)" e crashes))
   in
-  let machine = Machine.create (Machine.link compiled.prog) in
-  go (create ~window ~flight:false ~mode:Implicit compiled decoded [| machine |])
-    crash_points [] 0
+  let st = Decode.create ~traced:false decoded in
+  go (track ~mem:(Decode.memory st) (Decode.frames st)) crash_points [] 0
 
-(** One explicit-persistency crash at [crash_at]: the explicit model's
-    one-point [sweep], a wrong final state an [Error]. *)
 let validate_explicit ?flight ~crash_at
     (compiled : Cwsp_compiler.Pipeline.compiled) : (fault_report, string) result
     =

@@ -19,13 +19,15 @@
     failure-free run. A sweep runs many crash points on one tracked
     run, of the cWSP model or of explicit flush/fence persistency
     ([sweep]): cutting power only reads the tracked state, so the run
-    steps on from one point to the next. The run to a crash point steps
-    the reference [Machine] under the hooks that keep the hardware's
-    state; the unhooked runs — each resumed run to the end and the
-    golden run — step the untraced decoded core ([Cwsp_ir.Decode]).
+    steps on from one point to the next. Every run steps the decoded
+    core ([Cwsp_ir.Decode]): the run to a crash point under decode-time
+    hooks that keep the hardware's state, the unhooked runs — each
+    resumed run to the end and the golden run — on the plain untraced
+    core.
 
     A run of N threads (Section VIII, "Recovery for Multi-Cores") is the
-    same tracked run with N lanes — a machine and its region ring each —
+    same tracked run with N lanes — a decoded state and its region ring
+    each —
     over one NVM image, one set of MC logs, one global region counter
     and one recorder. At the cut each lane draws its own recovery point
     and suffix; the blind plan reverts every lane's younger regions in
@@ -36,10 +38,9 @@
     interleaving may leave another checkpoint history). *)
 
 open Cwsp_ir
-open Cwsp_interp
 
 (** What a run starts: [main], or [worker](tid) on each of [threads]
-    threads sharing one NVM image ([Cwsp_interp.Multi]). *)
+    threads sharing one NVM image ([Decode.create_spmd]). *)
 type launch = Main | Worker of { worker : string; threads : int }
 
 (** A failure-free reference run: final NVM image, device outputs (each
@@ -49,7 +50,7 @@ type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
 
 (** The reference run of [compiled] started as [launch], on the
     untraced decoded core; threads step round-robin at
-    [Multi.default_quantum]. *)
+    [Decode.default_quantum]. *)
 val golden_of : launch -> Cwsp_compiler.Pipeline.compiled -> golden
 
 (** The reference a finished failure-free decoded run of the binary
@@ -154,13 +155,13 @@ val require_clean : outcome -> (fault_report, string) result
 
     [launch] gives the lanes. Point [cp_at] counts the instructions of
     all lanes together, which step round-robin at
-    [Multi.default_quantum]; the schedule carries over from one point to
+    [Decode.default_quantum]; the schedule carries over from one point to
     the next. On more than one lane only the blind plan on a faultless
     path runs: a hardened or faulted point raises [Invalid_argument], and
     so does the [Explicit] model.
 
     [flight:true] formats a flight-recorder ring once per sweep, inside
-    the image the crash preserves (the tracked machine's NVM for cWSP,
+    the image the crash preserves (the tracked lanes' NVM for cWSP,
     the durable image for explicit): boundary commits and persist
     telemetry are recorded as the program runs (epoch 0); each crash
     re-attaches the ring surviving in its own crash image, and a new
@@ -260,16 +261,15 @@ val validate_fault :
     mid-recovery sweep world, the explicit model's blind resume, and
     [validate_chain]'s final run — starts from entries on one image and
     runs on the untraced decoded core. A probe sees each such run, so a
-    test can hold it against the reference [Machine]. *)
+    test can hold it against a reference. *)
 
 (** A lane to re-execute to the end: thread [e_tid] from call stack
-    [e_frames] (head the current frame) at call depth [e_depth], having
-    produced [e_outputs] since its last resume point, with [e_released]
-    the device output released before the crash. *)
+    [e_frames] (head the current frame), having produced [e_outputs]
+    since its last resume point, with [e_released] the device output
+    released before the crash. *)
 type entry = {
   e_tid : int;
-  e_frames : Machine.frame list;
-  e_depth : int;
+  e_frames : Decode.frame list;
   e_outputs : int list;
   e_released : int list;
 }

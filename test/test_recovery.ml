@@ -983,7 +983,8 @@ let test_campaign_matches_run_cell () =
 
 (* Every resumed run steps the untraced decoded core. The reference is
    the reference interpreter: the same lanes, from the probe's copies of
-   the entries and the image, resumed with [Machine.resume] and run
+   the entries (their decoded frames converted to [Machine] frames) and
+   the image, resumed with [Machine.resume] and run
    under the same fuel — one lane alone, N lanes round-robin at
    [Multi]'s quantum — through the same [stepping]. Both must give the
    same outputs per lane, the same final image, the same step counts and
@@ -1005,7 +1006,13 @@ let check_resumed linked tally label (rs : Cwsp_recovery.Harness.resumed) =
   let machines =
     Array.map
       (fun (e : H.entry) ->
-        let m = Machine.resume ~tid:e.e_tid linked ~mem ~frames:e.e_frames ~depth:e.e_depth in
+        let frame (fr : Cwsp_ir.Decode.frame) =
+          { Machine.lf = linked.Machine.lfuncs.(fr.fn); regs = fr.regs; blk = fr.blk;
+            idx = fr.idx; ret_to = (if fr.ret >= 0 then Some fr.ret else None) }
+        in
+        let frames = List.map frame e.e_frames in
+        let depth = List.length frames - 1 in
+        let m = Machine.resume ~tid:e.e_tid linked ~mem ~frames ~depth in
         m.outputs <- List.rev e.e_outputs;
         m)
       rs.rs_lanes
@@ -1040,7 +1047,7 @@ let check_resumed linked tally label (rs : Cwsp_recovery.Harness.resumed) =
     if String.ends_with ~suffix:"failed to halt" e then tally.no_fuel <- tally.no_fuel + 1
     else if String.starts_with ~prefix:"recovered run faulted" e then
       tally.wild <- tally.wild + 1);
-  if Array.exists (fun (e : H.entry) -> e.e_depth > 0) rs.rs_lanes then
+  if Array.exists (fun (e : H.entry) -> List.length e.e_frames > 1) rs.rs_lanes then
     tally.in_callee <- tally.in_callee + 1;
   if Array.length rs.rs_lanes > 1 then tally.lanes_n <- tally.lanes_n + 1;
   if Array.exists (fun (e : H.entry) -> e.e_outputs <> []) rs.rs_lanes then
