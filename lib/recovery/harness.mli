@@ -25,7 +25,7 @@
     resumed run to the end and the golden run — on the plain untraced
     core.
 
-    A run of N threads (Section VIII, "Recovery for Multi-Cores") is the
+    A run of N threads (Section VIII, multi-core recovery) is the
     same tracked run with N lanes — a decoded state and its region ring
     each —
     over one NVM image, one set of MC logs, one global region counter
