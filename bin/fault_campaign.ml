@@ -19,6 +19,10 @@ let default_workloads =
 
 let split_csv s = String.split_on_char ',' s |> List.filter (fun x -> x <> "")
 
+(* A count option: a negative value is a usage error, not a crash. *)
+let set_count r name =
+  Arg.Int (fun n -> if n < 0 then raise (Arg.Bad (name ^ " must be >= 0")) else r := n)
+
 let () =
   let workloads = ref default_workloads in
   let classes = ref Cwsp_recovery.Fault.all in
@@ -48,9 +52,9 @@ let () =
                   | None -> raise (Arg.Bad ("unknown fault class " ^ n)))
                 (split_csv s)),
         "C1,C2,...  fault classes (default: all five)" );
-      ("--seeds", Arg.Set_int seeds, "N  repetitions per (workload, class) cell (default 20)");
+      ("--seeds", set_count seeds "--seeds", "N  repetitions per (workload, class) cell (default 20)");
       ("--jobs", Arg.Set_int jobs, "N  run N cells at a time on the domain pool");
-      ("--window", Arg.Set_int window, "N  RBT window (default 16)");
+      ("--window", set_count window "--window", "N  RBT window (default 16)");
       ("--master-seed", Arg.Set_int master_seed, "N  campaign master seed (default 2024)");
       ( "--unhardened",
         Arg.Clear hardened,

@@ -1,6 +1,6 @@
 (** Static SPMD data-race analysis.
 
-    The SPMD interpreter ([Cwsp_interp.Multi]) is sequentially
+    The SPMD runs ([Decode.run_spmd]) are sequentially
     consistent *for data-race-free programs* (Section VIII) — this
     analysis discharges that premise. Over a program whose threads all
     run one worker function, it classifies every cross-thread

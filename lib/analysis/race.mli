@@ -2,7 +2,7 @@
     Eraser-style lockset analysis (on the shared [Dataflow] solver) +
     bottom-up [Interproc] summaries, classifying every cross-thread
     conflicting access pair of an SPMD worker. Discharges the
-    SC-for-DRF premise [Cwsp_interp.Multi] states (Section VIII). *)
+    SC-for-DRF premise of [Decode.run_spmd] (Section VIII). *)
 
 open Cwsp_ir
 module Ta = Tid_affine

@@ -15,7 +15,7 @@
     Like [Alias], reasoning is object-bounded: addresses derived from a
     global are assumed to stay inside that global, so accesses to
     different globals never conflict. The dynamic monitor
-    ([Cwsp_interp.Race_monitor]) cross-checks this premise on executed
+    ([Cwsp_fuzz.Race_monitor]) cross-checks this premise on executed
     interleavings.
 
     Interval bounds use [min_int]/[max_int] as -inf/+inf sentinels; any

@@ -85,7 +85,7 @@ let baseline_run (prog : Prog.t) : (base_run, string) result =
    [main], so a worker's wild pointer first shows up here. *)
 let monitor (prog : Prog.t) =
   match
-    Cwsp_interp.Race_monitor.observe ~fuel:400_000 ~screen prog
+    Race_monitor.observe ~fuel:400_000 ~screen prog
       ~threads:3 ~worker:"worker"
   with
   | o -> Ok o

@@ -600,18 +600,20 @@ type lane_cut = {
   lc_sync_floor : int;
 }
 
-(** The surviving durable state at the instant power is lost, before any
-    recovery runs and before any fault is injected into it: the NVM
+(** The surviving durable state at the instant power is lost: the NVM
     image (with each lane's chosen un-persisted suffix of its R_o's
     stores removed), the MC log arrays, the checkpoint-area shadow
-    checksums, and the tracking metadata recovery needs. It is a pure
-    value — injectors mutate it, and both the blind and the hardened
-    protocols can be run (repeatedly, for the crash-during-recovery
-    sweep) against copies of it. *)
+    checksums, the recovery intent record, and the tracking metadata
+    recovery needs. Injectors damage it and recovery consumes it; only
+    a crash-during-recovery sweep, which needs the untouched cut for
+    each run, recovers on copies ([copy_state]). No plan reverts a
+    flight-ring word and no resumed run writes one, so a consumed
+    state's ring still dumps what the crash recorded. *)
 type crash_state = {
   cs_mem : Memory.t;
   cs_logs : Mc_logs.t;
   cs_slot_sums : (int, int) Hashtbl.t;
+  mutable cs_intent : int option; (* the hardened plan's durable rung pin *)
   cs_lanes : lane_cut array;
   cs_crash_step : int;
   cs_compiled : Cwsp_compiler.Pipeline.compiled;
@@ -691,6 +693,7 @@ let cut_power rng (t : tracked) : crash_state =
     cs_mem = mem;
     cs_logs = Mc_logs.copy logs;
     cs_slot_sums = slot_sums;
+    cs_intent = None;
     cs_lanes = lanes;
     cs_crash_step = steps t;
     cs_compiled = t.compiled;
@@ -997,33 +1000,27 @@ type recovery_step =
   | S_truncate (* drop all MC logs (and headers) *)
   | S_slice of int * Cwsp_ckpt.Slice.expr (* restore one live-in register *)
 
-type world = {
-  w_mem : Memory.t;
-  w_logs : Mc_logs.t;
-  w_sums : (int, int) Hashtbl.t;
-  mutable w_intent : int option;
-}
-
-let world_of cs =
+(* A copy of [cs] that recovery can consume, leaving [cs] untouched. *)
+let copy_state cs =
   {
-    w_mem = Memory.snapshot cs.cs_mem;
-    w_logs = Mc_logs.copy cs.cs_logs;
-    w_sums = Hashtbl.copy cs.cs_slot_sums;
-    w_intent = None;
+    cs with
+    cs_mem = Memory.snapshot cs.cs_mem;
+    cs_logs = Mc_logs.copy cs.cs_logs;
+    cs_slot_sums = Hashtbl.copy cs.cs_slot_sums;
   }
 
-let exec_step w = function
-  | S_intent r -> w.w_intent <- Some r
+let exec_step cs = function
+  | S_intent r -> cs.cs_intent <- Some r
   | S_revert (addr, v) ->
-      Memory.write w.w_mem addr v;
+      Memory.write cs.cs_mem addr v;
       (* recovery's writes go through the MCs like any store: slot
          metadata follows the slot *)
       if Layout.is_ckpt_addr addr then
-        Hashtbl.replace w.w_sums addr (Fault.value_sum v)
-  | S_truncate -> Mc_logs.reset w.w_logs
+        Hashtbl.replace cs.cs_slot_sums addr (Fault.value_sum v)
+  | S_truncate -> Mc_logs.reset cs.cs_logs
   | S_slice _ -> () (* registers are volatile; materialized at resume *)
 
-let run_plan w plan = List.iter (exec_step w) plan
+let run_plan cs plan = List.iter (exec_step cs) plan
 
 (* Undo-log reverts of [regions] (ids), the records [keep] selects, in
    replay order: newest region first and newest record first. *)
@@ -1060,26 +1057,26 @@ let build_plan cs ~back ~skip =
     lane's younger regions plus its R_o's checkpoint stores, in
     descending global region id, and — the vulnerability the hardened
     ordering fixes — free the log space while loading the records into
-    volatile buffers, BEFORE the reverts are applied. Built from [logs]
-    so a restart after a mid-recovery crash sees whatever log state
-    survived. *)
-let blind_plan cs ~logs =
+    volatile buffers, BEFORE the reverts are applied. Built from [cs]'s
+    logs as they are, so a restart after a mid-recovery crash sees
+    whatever log state survived. *)
+let blind_plan cs =
   let lanes = Array.to_list cs.cs_lanes in
   let r_o (l : lane_cut) = List.nth l.lc_regions l.lc_nominal in
   let r_os = List.map (fun l -> (r_o l).region_index) lanes in
   (S_truncate
-   :: revert_steps ~logs
+   :: revert_steps ~logs:cs.cs_logs
         (List.concat_map (fun l -> regions_upto l l.lc_nominal) lanes)
         (fun r (e : Mc_logs.entry) ->
           (not (List.mem r r_os)) || Layout.is_ckpt_addr e.e_addr))
   @ List.concat_map (fun l -> slice_steps cs (r_o l)) lanes
 
 (* Resume every lane at its rung, position [backs.(i)] of lane [i], on
-   [w]'s memory: the lanes [run_and_compare] runs. *)
-let resume_lanes cs w backs =
+   [cs]'s memory: the lanes [run_and_compare] runs. *)
+let resume_lanes cs backs =
   Array.mapi
     (fun i (l : lane_cut) ->
-      entry_at ~tid:l.lc_tid cs.cs_compiled cs.cs_decoded ~mem:w.w_mem
+      entry_at ~tid:l.lc_tid cs.cs_compiled cs.cs_decoded ~mem:cs.cs_mem
         ~released:l.lc_released (List.nth l.lc_regions backs.(i)))
     cs.cs_lanes
 
@@ -1134,39 +1131,40 @@ let c_sweep_reused = Obs.Counter.make "recovery.sweep.reused"
 let c_sweep_rerun = Obs.Counter.make "recovery.sweep.rerun"
 
 (** One recovery against a crash state. [restart] receives the
-    post-second-crash world and must bring recovery to completion the
+    post-second-crash state and must bring recovery to completion the
     way the protocol under test would. Returns the crash-free recovery's
     comparison and the number of sweep runs that ended wrong. When
-    [sweep] is empty only the crash-free recovery runs.
+    [sweep] is empty only the crash-free recovery runs, on [cs] itself;
+    otherwise each run recovers on its own copy of the untouched [cs].
 
     Sweep resumes are memoized on the recovered image: [resume_lanes] and
-    [run_and_compare] read nothing of a world but its memory, so a sweep
-    world whose image equals the clean recovery's (the whole image,
-    flight region included) would replay the clean run step for step —
+    [run_and_compare] read nothing of a state's durable parts but its
+    memory, so a sweep state whose image equals the clean recovery's
+    (flight region included) would replay the clean run step for step —
     it takes the clean verdict instead of re-running it. *)
 let execute_recovery cs golden ~backs ~plan ~restart ~sweep =
-  let verdict w =
-    run_and_compare cs.cs_decoded golden ~mem:w.w_mem (resume_lanes cs w backs)
+  let verdict s =
+    run_and_compare s.cs_decoded golden ~mem:s.cs_mem (resume_lanes s backs)
   in
-  let clean = world_of cs in
+  let clean = if sweep = [] then cs else copy_state cs in
   run_plan clean plan;
   (* the resumed run mutates the image, so keep the recovered one *)
   let clean_image =
-    if sweep = [] then None else Some (Memory.snapshot clean.w_mem)
+    if sweep = [] then None else Some (Memory.snapshot clean.cs_mem)
   in
   let clean_verdict = verdict clean in
   let once k =
-    let w = world_of cs in
-    List.iteri (fun i s -> if i <= k then exec_step w s) plan;
+    let s = copy_state cs in
+    List.iteri (fun i step -> if i <= k then exec_step s step) plan;
     (* power failed; volatile state (loaded plan, registers) is gone *)
-    restart w;
+    restart s;
     match clean_image with
-    | Some img when Memory.equal img w.w_mem ->
+    | Some img when Memory.equal img s.cs_mem ->
       Obs.Counter.incr c_sweep_reused;
       Result.is_ok clean_verdict
     | _ ->
       Obs.Counter.incr c_sweep_rerun;
-      Result.is_ok (verdict w)
+      Result.is_ok (verdict s)
   in
   (clean_verdict, List.length (List.filter (fun k -> not (once k)) sweep))
 
@@ -1340,10 +1338,10 @@ let crash_point ~golden t p =
     let recover ~backs ~outcome ~detections ~plan ~restart =
       let sweep = if want_sweep then sweep_cuts plan ~max_reverts:8 else [] in
       (* mid-recovery power failures re-attach the ring of the sweep
-         world's image and open yet another epoch before replaying *)
-      let restart w =
-        crash_epoch t w.w_mem Recorder.Restart 0 0 0 0;
-        restart w
+         state's image and open yet another epoch before replaying *)
+      let restart s =
+        crash_epoch t s.cs_mem Recorder.Restart 0 0 0 0;
+        restart s
       in
       let verdict, failures =
         execute_recovery cs golden ~backs ~plan ~restart ~sweep
@@ -1367,8 +1365,8 @@ let crash_point ~golden t p =
          whatever logs survived — after the premature truncation,
          usually nothing. *)
       recover ~backs:nominal ~outcome:Recovered ~detections:[]
-        ~plan:(blind_plan cs ~logs:cs.cs_logs)
-        ~restart:(fun w -> run_plan w (blind_plan cs ~logs:w.w_logs))
+        ~plan:(blind_plan cs)
+        ~restart:(fun s -> run_plan s (blind_plan s))
     else begin
       (* hardened protocol: audit, degrade, or refuse *)
       let lc = solo cs in
@@ -1392,14 +1390,14 @@ let crash_point ~golden t p =
                + live logs -> reverts are absolute writes, replay them
                and truncate; intent + empty logs -> all durable work is
                done, only the volatile slice remains *)
-            let restart w =
-              match w.w_intent with
-              | None -> run_plan w plan
+            let restart s =
+              match s.cs_intent with
+              | None -> run_plan s plan
               | Some _ ->
-                if Mc_logs.live_entries w.w_logs > 0 then
+                if Mc_logs.live_entries s.cs_logs > 0 then
                   List.iter
                     (function
-                      | (S_revert _ | S_truncate) as s -> exec_step w s
+                      | (S_revert _ | S_truncate) as step -> exec_step s step
                       | _ -> ())
                     plan
             in
@@ -1494,13 +1492,12 @@ let validate_chain ?(window = 16) ~seed ~crash_points
     match next with
     | Ok (Some rest) ->
       let cs = cut_power rng t in
-      let w = world_of cs in
-      run_plan w (blind_plan cs ~logs:cs.cs_logs);
+      run_plan cs (blind_plan cs);
       let lc = solo cs in
       let r = List.nth lc.lc_regions lc.lc_nominal in
       (* the resume is tracked again, so it runs hooked *)
       go
-        (track ~mem:w.w_mem (entry_frames ~tid:0 compiled decoded ~mem:w.w_mem r))
+        (track ~mem:cs.cs_mem (entry_frames ~tid:0 compiled decoded ~mem:cs.cs_mem r))
         rest (released @ lc.lc_released) (crashes + 1)
     | verdict -> (
       (* no more failures, or the program halted before the next one: the

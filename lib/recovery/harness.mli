@@ -128,10 +128,11 @@ val require_clean : outcome -> (fault_report, string) result
 (** Crash [compiled], started as [launch], at every point on one tracked
     run of [mode]'s persistency model, scored against [golden] (the
     reference run of the same launch): the run steps to each
-    point in ascending [cp_at] order, and each point's crash, recovery,
-    resume and comparison work on copies of the state there, so every
-    result equals the one-point sweep's. Results come back in input
-    order.
+    point in ascending [cp_at] order, and each point's cut copies the
+    state there once (image, MC logs, slot checksums); injection,
+    recovery and the resumed run consume that copy (a recovery-crash
+    sweep recovers on copies of it), so every result equals the
+    one-point sweep's. Results come back in input order.
 
     [mode] is a parameter, not read from [compiled.cconfig], because a
     binary's config label need not name the model it was built for: the

@@ -156,7 +156,7 @@ let add_lcg b =
 
 (* spin_lock(addr): CAS loop until 0 -> 1 succeeds. Progress is
    guaranteed under the deterministic round-robin scheduler of
-   [Cwsp_interp.Multi]. The CAS is a sync point, hence a region boundary
+   [Decode.run_spmd]. The CAS is a sync point, hence a region boundary
    and a persist-drain point (Section VIII). *)
 let add_spin_lock b =
   func b "spin_lock" ~nparams:1 (fun fb ->

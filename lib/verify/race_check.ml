@@ -1,12 +1,12 @@
 (** Verifier tier 7: static SPMD data-race freedom.
 
-    [Cwsp_interp.Multi] is sequentially consistent *for data-race-free
-    programs* (Section VIII); every multi-core result rests on that
-    premise, and this tier is what discharges it. The actual analysis —
-    tid-affine disjointness, the lockset dataflow with the named lock
-    patterns, and the bottom-up interprocedural summaries — lives in
-    [Cwsp_analysis.Race]; this module maps its findings onto the
-    verifier's diagnostic surface:
+    The SPMD runs ([Cwsp_ir.Decode.run_spmd]) are sequentially
+    consistent *for data-race-free programs* (Section VIII); every
+    multi-core result rests on that premise, and this tier is what
+    discharges it. The actual analysis — tid-affine disjointness, the
+    lockset dataflow with the named lock patterns, and the bottom-up
+    interprocedural summaries — lives in [Cwsp_analysis.Race]; this
+    module maps its findings onto the verifier's diagnostic surface:
 
     - [data-race] (error): a cross-thread conflicting pair whose locks
       prove no exclusion (disjoint locksets, broken release discipline,
@@ -21,7 +21,7 @@
 
     The tier arms itself only on programs with an SPMD entry (a unary
     ["worker"] function); everything else is vacuously certified. Its
-    dynamic counterpart is [Cwsp_interp.Race_monitor], which
+    dynamic counterpart is [Cwsp_fuzz.Race_monitor], which
     cross-checks certificates on executed interleavings. *)
 
 open Cwsp_ir

@@ -78,8 +78,8 @@ let run ?(sem = true) (c : Pipeline.compiled) : Diag.t list =
   in
   let race =
     (* SPMD data-race freedom is a property of the final program under
-       every configuration (the SC-for-DRF premise of [Multi]), so the
-       tier arms on the entry convention alone. *)
+       every configuration (the SC-for-DRF premise of [Decode.run_spmd]),
+       so the tier arms on the entry convention alone. *)
     if Race_check.spmd_entry prog <> None then
       timed h_race "tier:race" (fun () -> Race_check.check prog)
     else []

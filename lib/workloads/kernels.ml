@@ -251,7 +251,7 @@ let transactions fb ~accounts ~n_accounts ~lock_g ~iters ~work ?(think = 12) () 
            recognizes exactly this shape — a plain store of 0 to a word
            some *guarded* acquire targets — as [Cwsp_analysis.Race]'s
            [Tso_release], so the critical section still certifies; the
-           dynamic monitor ([Cwsp_interp.Race_monitor]) blesses the same
+           dynamic monitor ([Cwsp_fuzz.Race_monitor]) blesses the same
            store as a release edge only when the storing thread actually
            holds the word's synchronization. Any other value, any other
            word, or a non-holder's store stays an ordinary (checked)

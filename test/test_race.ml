@@ -19,6 +19,7 @@
 
 open Cwsp_ir
 module Fuzz_gen = Cwsp_fuzz.Gen
+module Race_monitor = Cwsp_fuzz.Race_monitor
 open Cwsp_interp
 module Ta = Cwsp_analysis.Tid_affine
 module Race = Cwsp_analysis.Race
