@@ -452,6 +452,171 @@ let test_persist_commit_points () =
   Alcotest.(check bool) "call commits (clears the map)" true
     (Persist_order.Site_map.is_empty t.Persist_order.outb.(0))
 
+(* ---- pinned answers of the address analyses ---- *)
+
+let sym_str = function
+  | Alias.Exact (g, o) -> Printf.sprintf "%s+%d" g o
+  | Alias.Within g -> g ^ "+?"
+  | Alias.Any -> "*"
+
+let av_str = function
+  | Tid_affine.Bot -> "_"
+  | Tid_affine.Top -> "T"
+  | Tid_affine.V { base; k; lo; hi } ->
+    Printf.sprintf "%s%+d*t[%d,%d]"
+      (match base with
+      | Tid_affine.Bnum -> "#"
+      | Tid_affine.Bglob g -> g
+      | Tid_affine.Bparam p -> Printf.sprintf "p%d" p)
+      k lo hi
+
+let rule_str = function
+  | Race.Rdata_race -> "data-race"
+  | Race.Runlocked_shared_write -> "unlocked"
+  | Race.Rtid_overlap_unprovable -> "tid-overlap"
+  | Race.Rredundant_atomic -> "redundant-atomic"
+
+(* One program's four answers, appended to [b]: every function's alias
+   accesses and persist sites, its tid-affine block entry states with no
+   tid parameter and with parameter 0, and the race findings of its SPMD
+   worker. An analysis that raises is recorded by its exception. *)
+let dump_analyses b (p : Prog.t) =
+  let guard name f =
+    try f () with e -> Printf.bprintf b "%s raised %s\n" name (Printexc.to_string e)
+  in
+  List.iter
+    (fun (name, fn) ->
+      Printf.bprintf b "func %s\n" name;
+      guard "accesses" (fun () ->
+          List.iter
+            (fun (a : Alias.access) ->
+              Printf.bprintf b "a %d,%d %b%b %s\n" a.a_bi a.a_ii a.reads a.writes
+                (sym_str a.sym))
+            (Alias.accesses fn));
+      guard "mem_sites" (fun () ->
+          List.iter
+            (fun ((bi, ii), k, sym) ->
+              Printf.bprintf b "m %d,%d %s %s\n" bi ii
+                (match k with
+                | Alias.Sk_store -> "st"
+                | Alias.Sk_flush -> "fl"
+                | Alias.Sk_atomic -> "at")
+                (sym_str sym))
+            (Alias.mem_sites fn));
+      List.iter
+        (fun tid_param ->
+          guard "tid_affine" (fun () ->
+              let states, reachable = Tid_affine.block_entry_states ?tid_param fn in
+              Array.iteri
+                (fun bi st ->
+                  Printf.bprintf b "t %d %b:" bi reachable.(bi);
+                  Array.iter (fun v -> Printf.bprintf b " %s" (av_str v)) st;
+                  Buffer.add_char b '\n')
+                states))
+        [ None; Some 0 ])
+    p.funcs;
+  match Race.spmd_entry p with
+  | None -> ()
+  | Some worker ->
+    guard "race" (fun () ->
+        List.iter
+          (fun (f : Race.finding) ->
+            Printf.bprintf b "r %s %d,%d %s\n" (rule_str f.f_rule) f.f_bi f.f_ii
+              f.f_msg)
+          (Race.check p ~worker))
+
+(* A worker whose loads, atomics and calls overwrite their own base or
+   argument register: a walk must resolve each address from the state
+   before the instruction, which no generated program exercises. *)
+let self_based_prog () =
+  let open Builder in
+  let b = program () in
+  global b "g" ~size:64 ();
+  func b "touch" ~nparams:1 (fun fb ->
+      store fb (param fb 0) 0 (Imm 1);
+      ret fb (Some (Reg (param fb 0))));
+  func b "worker" ~nparams:1 (fun fb ->
+      let base () = la fb "g" in
+      let p = base () in
+      emit fb (Types.Load (p, p, 8));
+      let q = base () in
+      emit fb (Types.Atomic_rmw (Types.Add, q, q, 16, Imm 1));
+      let r = base () in
+      emit fb (Types.Cas (r, r, 24, Imm 0, Imm 1));
+      let c = base () in
+      emit fb (Types.Call ("touch", [ Reg c ], Some c));
+      let s = base () in
+      List.iter (fun off -> store fb s off (Imm 2)) [ 0; 8; 16; 24 ];
+      ret fb None);
+  func b "main" ~nparams:0 (fun fb ->
+      call_void fb "worker" [ Imm 0 ];
+      ret fb None);
+  set_main b "main";
+  finish b
+
+(* The corpus: every registry workload and every parallel workload (at 1
+   and 4 threads) under the five compile configs, then generated,
+   generated-SPMD and mutated programs, and [self_based_prog]. *)
+let analysis_corpus () =
+  let module Pipeline = Cwsp_compiler.Pipeline in
+  let module Gen = Cwsp_fuzz.Gen in
+  let configs =
+    Pipeline.
+      [ baseline; regions_only; cwsp_no_prune; cwsp; cwsp_explicit ]
+  in
+  let compiled label prog =
+    List.map
+      (fun config ->
+        ( label ^ "/" ^ Pipeline.config_name config,
+          (Pipeline.compile ~config prog).Pipeline.prog ))
+      configs
+  in
+  let rng = Cwsp_util.Rng.create 0xa11a5 in
+  let mutated stack =
+    let seed_prog s =
+      if stack mod 2 = 0 then Gen.gen_program s else fst (Gen.gen_spmd_program s)
+    in
+    let donor = seed_prog (3000 + stack) in
+    let prog = ref (seed_prog (4000 + (stack mod 50))) in
+    for _ = 1 to 1 + (stack mod 4) do
+      match Cwsp_fuzz.Mutate.mutate rng ~donor !prog with
+      | Some (_, p) -> prog := p
+      | None -> ()
+    done;
+    (Printf.sprintf "mutant %d" stack, !prog)
+  in
+  List.concat_map
+    (fun (w : Cwsp_workloads.Defs.t) -> compiled w.name (w.build ~scale:1))
+    Cwsp_workloads.Registry.all
+  @ List.concat_map
+      (fun (w : Cwsp_workloads.W_parallel.t) ->
+        List.concat_map
+          (fun threads ->
+            compiled
+              (Printf.sprintf "%s@%d" w.pname threads)
+              (w.pbuild ~scale:1 ~threads))
+          [ 1; 4 ])
+      Cwsp_workloads.W_parallel.all
+  @ List.init 120 (fun i -> (Printf.sprintf "gen %d" i, Gen.gen_program (i + 1)))
+  @ List.init 60 (fun i ->
+        (Printf.sprintf "spmd %d" i, fst (Gen.gen_spmd_program (i + 1))))
+  @ List.init 200 (fun stack -> mutated (stack + 1))
+  @ [ ("self-based", self_based_prog ()) ]
+
+(* Byte-identity pin for the address analyses: a refactor of their
+   fixpoint or of the block walks over their states must leave every
+   answer over the corpus unchanged. *)
+let test_analyses_pinned () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (label, p) ->
+      Printf.bprintf b "== %s\n" label;
+      dump_analyses b p)
+    (analysis_corpus ());
+  Alcotest.(check string) "analysis answers digest"
+    "ae1f880b2a5df19ad98505ecff300a4d"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -492,5 +657,10 @@ let () =
           Alcotest.test_case "diamond join" `Quick test_persist_diamond_join;
           Alcotest.test_case "loop fixpoint" `Quick test_persist_loop_fixpoint;
           Alcotest.test_case "commit points" `Quick test_persist_commit_points;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "alias, tid-affine and race answers" `Slow
+            test_analyses_pinned;
         ] );
     ]
