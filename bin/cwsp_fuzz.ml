@@ -17,6 +17,13 @@
 
     Exit status: 0 clean, 1 findings (2 on usage errors). *)
 
+(* A count option below [least] is a usage error, not a crash. *)
+let set_count r name ~least =
+  Arg.Int
+    (fun n ->
+      if n < least then raise (Arg.Bad (Printf.sprintf "%s must be >= %d" name least))
+      else r := n)
+
 let () =
   let dir = ref "" in
   let execs = ref 2000 in
@@ -40,9 +47,11 @@ let () =
   Arg.parse
     [
       ("--corpus", Arg.Set_string dir, "DIR  campaign directory (required)");
-      ("--execs", Arg.Set_int execs, "N  total exec indices to cover (default 2000)");
+      ( "--execs",
+        set_count execs "--execs" ~least:0,
+        "N  total exec indices to cover (default 2000)" );
       ( "--batch",
-        Arg.Set_int batch,
+        set_count batch "--batch" ~least:1,
         "N  execs per batch = state-save granularity (default 64)" );
       ("--jobs", Arg.Set_int jobs, "N  evaluate N programs at a time on the domain pool");
       ( "--shard",

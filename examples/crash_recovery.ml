@@ -95,14 +95,13 @@ let () =
   Printf.printf "\ninstrumented insert_front:\n%s\n" (Pp.func_str fn);
 
   (* golden run *)
-  let golden = Cwsp_interp.Machine.run_functional compiled.prog in
-  let expected = List.hd (Cwsp_interp.Machine.outputs golden) in
+  let golden, tr = Cwsp_ir.Decode.trace_of_program compiled.prog in
+  let expected = List.hd (Cwsp_ir.Decode.outputs golden) in
   Printf.printf "failure-free checksum: %d\n" expected;
 
   (* crash at EVERY instruction of a band covering several insertions,
      plus a coarse sweep over the whole execution *)
-  let _, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
-  let total = Cwsp_interp.Trace.length tr in
+  let total = Cwsp_ir.Trace.length tr in
   let failures = ref 0 and runs = ref 0 in
   let try_crash crash_at seed =
     incr runs;

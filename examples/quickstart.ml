@@ -45,17 +45,16 @@ let () =
   print_string (Cwsp_compiler.Pipeline.report_to_string compiled);
 
   (* 2. the instrumented binary behaves exactly like the original *)
-  let m = Cwsp_interp.Machine.run_functional compiled.prog in
+  let m, tr_cwsp = Cwsp_ir.Decode.trace_of_program compiled.prog in
   Printf.printf "\nprogram output: %s (expected %d)\n"
-    (String.concat "," (List.map string_of_int (Cwsp_interp.Machine.outputs m)))
+    (String.concat "," (List.map string_of_int (Cwsp_ir.Decode.outputs m)))
     (511 * 512 / 2);
 
   (* 3. trace once, replay under the baseline and under cWSP hardware *)
   let baseline =
     Cwsp_compiler.Pipeline.compile ~config:Cwsp_compiler.Pipeline.baseline prog
   in
-  let _, tr_base = Cwsp_interp.Machine.trace_of_program baseline.prog in
-  let _, tr_cwsp = Cwsp_interp.Machine.trace_of_program compiled.prog in
+  let _, tr_base = Cwsp_ir.Decode.trace_of_program baseline.prog in
   let cfg = Cwsp_sim.Config.default in
   let st_base = Cwsp_sim.Engine.run_trace cfg Cwsp_sim.Engine.Baseline tr_base in
   let st_cwsp =
@@ -66,7 +65,7 @@ let () =
     (100.0 *. (Cwsp_sim.Stats.slowdown st_cwsp ~baseline:st_base -. 1.0));
 
   (* 4. cut power at a few points and check crash consistency *)
-  let total = Cwsp_interp.Trace.length tr_cwsp in
+  let total = Cwsp_ir.Trace.length tr_cwsp in
   let ok = ref 0 in
   let points = 20 in
   for i = 0 to points - 1 do

@@ -76,8 +76,8 @@ let () =
 
   (* attribute each dynamic instruction to a layer, then crash inside the
      kernel-heavy band *)
-  let _, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
-  let total = Cwsp_interp.Trace.length tr in
+  let _, tr = Cwsp_ir.Decode.trace_of_program compiled.prog in
+  let total = Cwsp_ir.Trace.length tr in
   let failures = ref 0 and runs = ref 0 in
   for i = 0 to 299 do
     incr runs;

@@ -97,74 +97,51 @@ type access = {
   sym : sym;
 }
 
-(* Provenance fixpoint: symbolic register state at entry of every block,
-   plus the reachability mask. Shared by [accesses] and [mem_sites]. *)
-let block_entry_states (fn : Prog.func) =
-  let n = Array.length fn.blocks in
-  let nregs = max 1 fn.nregs in
-  let entry_state () =
-    Array.init nregs (fun r -> if r < fn.nparams then Unknown else Bot)
+(* Every data memory instruction of [fn]'s reachable blocks with its
+   resolved address, in program order: the one walk [accesses] and
+   [mem_sites] filter. *)
+let sites (fn : Prog.func) =
+  let entry =
+    Array.init (max 1 fn.nregs) (fun r -> if r < fn.nparams then Unknown else Bot)
   in
-  let bot_state () = Array.make nregs Bot in
-  let states = Array.init n (fun i -> if i = 0 then entry_state () else bot_state ()) in
-  let rpo = Cfg.reverse_postorder fn in
-  let reachable = Cfg.reachable fn in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun bi ->
-        let state = Array.copy states.(bi) in
-        List.iter (fun ins -> transfer state ins) fn.blocks.(bi).instrs;
-        List.iter
-          (fun s ->
-            let merged = Array.mapi (fun r p -> join_prov p state.(r)) states.(s) in
-            if not (Array.for_all2 equal_prov merged states.(s)) then begin
-              states.(s) <- merged;
-              changed := true
-            end)
-          (Cfg.successors fn bi))
-      rpo
-  done;
-  (states, reachable)
+  let states, reachable =
+    Dataflow.register_states
+      { bottom = Bot; equal = equal_prov; step = transfer;
+        (* no widening: offsets join to [AnyOff] at once; the full arity
+           keeps the sweep's call direct *)
+        join = (fun ~widen:_ a b -> join_prov a b) }
+      ~entry fn
+  in
+  let result = ref [] in
+  Array.iteri
+    (fun bi (blk : Prog.block) ->
+      if reachable.(bi) then
+        Dataflow.walk_block transfer states.(bi) blk (fun ii ins state ->
+            match ins with
+            | Types.Load (_, base, off)
+            | Types.Store (base, off, _)
+            | Types.Flush (base, off)
+            | Types.Atomic_rmw (_, _, base, off, _)
+            | Types.Cas (_, base, off, _, _) ->
+              result := (bi, ii, ins, resolve_addr state.(base) off) :: !result
+            | _ -> ()))
+    fn.blocks;
+  List.rev !result
 
 (** Flow-sensitive resolution of every data memory access of [fn].
     Checkpoint writes are excluded: the checkpoint area is hardware-managed
     and never read by program loads (only by the recovery runtime), so it
     cannot participate in a memory antidependence. *)
 let accesses (fn : Prog.func) : access list =
-  let n = Array.length fn.blocks in
-  let states, reachable = block_entry_states fn in
-  let result = ref [] in
-  for bi = 0 to n - 1 do
-    if reachable.(bi) then begin
-      let state = Array.copy states.(bi) in
-      List.iteri
-        (fun ii ins ->
-          (match ins with
-          | Types.Load (_, base, off) ->
-            result :=
-              { a_bi = bi; a_ii = ii; reads = true; writes = false;
-                sym = resolve_addr state.(base) off }
-              :: !result
-          | Types.Store (base, off, _) ->
-            result :=
-              { a_bi = bi; a_ii = ii; reads = false; writes = true;
-                sym = resolve_addr state.(base) off }
-              :: !result
-          | Types.Atomic_rmw (_, _, base, off, _) | Types.Cas (_, base, off, _, _) ->
-            result :=
-              { a_bi = bi; a_ii = ii; reads = true; writes = true;
-                sym = resolve_addr state.(base) off }
-              :: !result
-          | Types.Bin _ | Types.Cmp _ | Types.Mov _ | Types.La _ | Types.Call _
-          | Types.Fence | Types.Flush _ | Types.Pfence | Types.Ckpt _
-          | Types.Boundary _ -> ());
-          transfer state ins)
-        fn.blocks.(bi).instrs
-    end
-  done;
-  List.rev !result
+  List.filter_map
+    (fun (a_bi, a_ii, ins, sym) ->
+      let access reads writes = Some { a_bi; a_ii; reads; writes; sym } in
+      match ins with
+      | Types.Load _ -> access true false
+      | Types.Store _ -> access false true
+      | Types.Atomic_rmw _ | Types.Cas _ -> access true true
+      | _ -> None)
+    (sites fn)
 
 (** The kind of persist-relevant memory site at one position. *)
 type site_kind = Sk_store | Sk_flush | Sk_atomic
@@ -175,24 +152,12 @@ type site_kind = Sk_store | Sk_flush | Sk_atomic
     irrelevant to durability and excluded; so are checkpoint writes (the
     hardware checkpoint persist path handles them in every mode). *)
 let mem_sites (fn : Prog.func) : ((int * int) * site_kind * sym) list =
-  let n = Array.length fn.blocks in
-  let states, reachable = block_entry_states fn in
-  let result = ref [] in
-  for bi = 0 to n - 1 do
-    if reachable.(bi) then begin
-      let state = Array.copy states.(bi) in
-      List.iteri
-        (fun ii ins ->
-          (match ins with
-          | Types.Store (base, off, _) ->
-            result := ((bi, ii), Sk_store, resolve_addr state.(base) off) :: !result
-          | Types.Flush (base, off) ->
-            result := ((bi, ii), Sk_flush, resolve_addr state.(base) off) :: !result
-          | Types.Atomic_rmw (_, _, base, off, _) | Types.Cas (_, base, off, _, _) ->
-            result := ((bi, ii), Sk_atomic, resolve_addr state.(base) off) :: !result
-          | _ -> ());
-          transfer state ins)
-        fn.blocks.(bi).instrs
-    end
-  done;
-  List.rev !result
+  List.filter_map
+    (fun (bi, ii, ins, sym) ->
+      let site kind = Some ((bi, ii), kind, sym) in
+      match ins with
+      | Types.Store _ -> site Sk_store
+      | Types.Flush _ -> site Sk_flush
+      | Types.Atomic_rmw _ | Types.Cas _ -> site Sk_atomic
+      | _ -> None)
+    (sites fn)

@@ -1,5 +1,5 @@
-(** Generic block-level worklist dataflow solver — see the interface for
-    the contract. The engine is direction-agnostic: it works over an
+(** The block-level fixpoint engines — see the interface for the
+    contract. The worklist engine is direction-agnostic: it works over an
     abstract edge relation ([flow_preds] feeding each node, [flow_succs]
     to requeue) which is the CFG for forward problems and the reversed
     CFG for backward ones. *)
@@ -101,3 +101,60 @@ module Make (P : PROBLEM) = struct
     | `Forward -> { inb = pre; outb = post }
     | `Backward -> { inb = post; outb = pre }
 end
+
+type 'a registers = {
+  bottom : 'a;
+  equal : 'a -> 'a -> bool;
+  join : widen:bool -> 'a -> 'a -> 'a;
+  step : 'a array -> Types.instr -> unit;
+}
+
+(* An entry widens once it has changed this many times. *)
+let widen_delay = 3
+
+let register_states d ~entry (fn : Prog.func) =
+  let n = Array.length fn.blocks and nregs = Array.length entry in
+  let states =
+    Array.init n (fun i -> if i = 0 then entry else Array.make nregs d.bottom)
+  in
+  let updates = Array.make n 0 in
+  let rpo = Cfg.reverse_postorder fn in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun bi ->
+        let state = Array.copy states.(bi) in
+        List.iter (d.step state) fn.blocks.(bi).instrs;
+        List.iter
+          (fun s ->
+            let old = states.(s) in
+            let widen = updates.(s) >= widen_delay in
+            let join r = d.join ~widen old.(r) state.(r) in
+            (* Copy the entry only if a join moves it; the registers
+               before the first moved one keep their equal old values. *)
+            let r = ref 0 in
+            while !r < nregs && d.equal (join !r) old.(!r) do
+              incr r
+            done;
+            if !r < nregs then begin
+              let merged = Array.copy old in
+              for r = !r to nregs - 1 do
+                merged.(r) <- join r
+              done;
+              states.(s) <- merged;
+              updates.(s) <- updates.(s) + 1;
+              changed := true
+            end)
+          (Cfg.successors fn bi))
+      rpo
+  done;
+  (states, Cfg.reachable fn)
+
+let walk_block step entry (blk : Prog.block) f =
+  let state = Array.copy entry in
+  List.iteri
+    (fun ii ins ->
+      f ii ins state;
+      step state ins)
+    blk.instrs

@@ -1,19 +1,22 @@
-(** Generic block-level worklist dataflow solver.
+(** The repository's two block-level fixpoint engines.
 
-    One fixpoint engine shared by every analysis in the repository:
-    [Liveness] (backward, set union), the reaching-definitions facts the
-    verifier's checkpoint checks consume, and the symbolic
-    translation-validation domain of [Cwsp_verify.Sem_check]. A client
-    supplies a join-semilattice with a bottom element and a per-block
-    transfer function; the solver iterates block states to a fixpoint
-    over the CFG in the requested direction.
+    - The worklist solver ([Make]) iterates a join-semilattice with a
+      per-block transfer to a fixpoint, forward or backward. Its clients
+      are [Liveness], [Reaching_defs], [Persist_order], [Race]'s lockset
+      and [Cwsp_verify.Sem_check].
+    - The register-state sweep ([register_states], with [walk_block]
+      for reading a block's states back) runs a per-register abstract
+      domain forward with delayed widening. Its clients are [Alias] and
+      [Tid_affine].
 
-    The solver is deliberately *unparameterized over convergence proofs*:
-    domains of unbounded height (e.g. symbolic expressions) must make
-    their [join] collapse disagreement to a finite set of values (top or
-    join-point symbols). A round cap guards against domains that fail to
-    do so; exceeding it raises rather than silently delivering a
-    non-fixpoint. *)
+    [Dominators] keeps its own algorithm (Cooper–Harvey–Kennedy).
+
+    The worklist solver is deliberately *unparameterized over
+    convergence proofs*: domains of unbounded height (e.g. symbolic
+    expressions) must make their [join] collapse disagreement to a
+    finite set of values (top or join-point symbols). A round cap guards
+    against domains that fail to do so; exceeding it raises rather than
+    silently delivering a non-fixpoint. *)
 
 open Cwsp_ir
 
@@ -63,3 +66,36 @@ module Make (P : PROBLEM) : sig
       keep [D.bottom]. Raises [Failure] if the domain fails to converge
       within the round cap. *)
 end
+
+(** A per-register abstract domain. [join ~widen old next] merges an
+    incoming state into a block's entry; with [widen] it must jump
+    growing bounds far enough that loops terminate. [equal] must mean
+    interchangeable: where a join returns a value equal to the old one,
+    the entry keeps the old one. [step] abstracts one instruction over a
+    register state in place. *)
+type 'a registers = {
+  bottom : 'a;
+  equal : 'a -> 'a -> bool;
+  join : widen:bool -> 'a -> 'a -> 'a;
+  step : 'a array -> Types.instr -> unit;
+}
+
+val register_states :
+  'a registers -> entry:'a array -> Prog.func -> 'a array array * bool array
+(** Per-block entry register states and the reachability mask. Sweeps
+    the reachable blocks in reverse postorder until nothing changes,
+    joining each block's exit state into its successors' entries; an
+    entry joins plainly for its first three changes and widens after
+    that, so diamond joins stay precise and loops terminate. [entry] is
+    block 0's state; every other block starts at [bottom]. *)
+
+val walk_block :
+  ('a array -> Types.instr -> unit) ->
+  'a array ->
+  Prog.block ->
+  (int -> Types.instr -> 'a array -> unit) ->
+  unit
+(** [walk_block step entry blk f] calls [f ii ins state] for each
+    instruction of [blk] in order, [state] being the register state
+    just before it (a copy of [entry] stepped through the earlier
+    instructions). [f] must not keep or mutate [state]. *)

@@ -254,13 +254,9 @@ module Lockset_problem = struct
     match s with
     | None -> None
     | Some ls ->
-      let av = Array.copy ctx.av.(bi) in
       let state = ref ls in
-      List.iteri
-        (fun ii ins ->
-          state := apply_effect !state (effect_of ctx av ~bi ~ii ins);
-          Ta.step av ins)
-        fn.blocks.(bi).instrs;
+      Dataflow.walk_block Ta.step ctx.av.(bi) fn.blocks.(bi) (fun ii ins av ->
+          state := apply_effect !state (effect_of ctx av ~bi ~ii ins));
       Some !state
 end
 
@@ -285,11 +281,9 @@ let analyze ~(lookup : string -> Ip.summary option) ?tid_param (fn : Prog.func)
   let lock_objs : (Ta.place, unit) Hashtbl.t = Hashtbl.create 4 in
   Array.iteri
     (fun bi (blk : Prog.block) ->
-      if reachable.(bi) then begin
-        let st = Array.copy av.(bi) in
-        List.iteri
-          (fun ii ins ->
-            (match ins with
+      if reachable.(bi) then
+        Dataflow.walk_block Ta.step av.(bi) blk (fun ii ins st ->
+            match ins with
             | Types.Cas (_, base, off, _, _) -> (
               match atomic_pattern ins with
               | Some Cas_acquire when Hashtbl.mem guarded (bi, ii) ->
@@ -307,10 +301,7 @@ let analyze ~(lookup : string -> Ip.summary option) ?tid_param (fn : Prog.func)
                     if Ta.exact_place p then Hashtbl.replace lock_objs p ())
                   (inst.Ip.s_acquired @ inst.Ip.s_released)
               | None -> ())
-            | _ -> ());
-            Ta.step st ins)
-          blk.instrs
-      end)
+            | _ -> ()))
     fn.blocks;
   let ctx = { fn; av; guarded; lock_objs; lookup } in
   let solved = Lockset_solver.solve ctx fn in
@@ -322,15 +313,13 @@ let analyze ~(lookup : string -> Ip.summary option) ?tid_param (fn : Prog.func)
   Array.iteri
     (fun bi (blk : Prog.block) ->
       if reachable.(bi) then begin
-        let st = Array.copy av.(bi) in
         let ls =
           ref
             (match solved.inb.(bi) with
             | Some ls -> ls
             | None -> { must = []; may = []; rel = [] })
         in
-        List.iteri
-          (fun ii ins ->
+        Dataflow.walk_block Ta.step av.(bi) blk (fun ii ins st ->
             let eff = effect_of ctx st ~bi ~ii ins in
             (match (eff, ins) with
             | Erelease _, Types.Atomic_rmw (_, _, base, off, _) ->
@@ -369,9 +358,7 @@ let analyze ~(lookup : string -> Ip.summary option) ?tid_param (fn : Prog.func)
                   locks = !ls.must; bi; ii; path = "" }
                 :: !accesses
             | _ -> ());
-            ls := apply_effect !ls eff;
-            Ta.step st ins)
-          blk.instrs;
+            ls := apply_effect !ls eff);
         match blk.term with
         | Types.Ret _ ->
           let out =

@@ -33,9 +33,7 @@ type base = Bnum | Bglob of string | Bparam of int
 type t = Bot | Top | V of { base : base; k : int; lo : int; hi : int }
 
 let const c = V { base = Bnum; k = 0; lo = c; hi = c }
-let of_global g = V { base = Bglob g; k = 0; lo = 0; hi = 0 }
-let of_param p = V { base = Bparam p; k = 0; lo = 0; hi = 0 }
-let of_tid = V { base = Bnum; k = 1; lo = 0; hi = 0 }
+let at_base base = V { base; k = 0; lo = 0; hi = 0 }
 
 (* Exact 63-bit addition/multiplication; [None] on overflow. *)
 let checked_add a b =
@@ -265,7 +263,7 @@ let step (state : t array) (ins : Types.instr) =
     | Types.Lshr | Types.Ashr -> set d (shr_av x y))
   | Types.Cmp (_, d, _, _) -> set d (V { base = Bnum; k = 0; lo = 0; hi = 1 })
   | Types.Mov (d, src) -> set d (get src)
-  | Types.La (d, g) -> set d (of_global g)
+  | Types.La (d, g) -> set d (at_base (Bglob g))
   | Types.Load (d, _, _) -> set d Top
   | Types.Atomic_rmw (_, d, _, _, _) | Types.Cas (d, _, _, _, _) -> set d Top
   | Types.Call (_, _, Some d) -> set d Top
@@ -273,51 +271,19 @@ let step (state : t array) (ins : Types.instr) =
   | Types.Store _ | Types.Fence | Types.Flush _ | Types.Pfence | Types.Ckpt _
   | Types.Boundary _ -> ()
 
-(** Entry state for [fn]: with [tid_param] the designated parameter is
-    the symbolic thread id ([k = 1]); remaining parameters are opaque
-    [Bparam] bases so callee summaries stay substitutable. *)
-let entry_state ?tid_param (fn : Prog.func) : t array =
-  Array.init (max 1 fn.nregs) (fun r ->
-      if r < fn.nparams then
-        if tid_param = Some r then of_tid else of_param r
-      else Bot)
-
-(** Per-block entry states (same shape as [Alias.block_entry_states]):
-    an RPO fixpoint with delayed widening — a block's entry joins
-    plainly for its first few updates, then widens, so diamond joins
-    keep precise bounds while loops terminate. *)
+(** Per-block entry states and the reachability mask: the shared
+    register-state sweep ([Dataflow.register_states]) over this domain.
+    With [tid_param] the designated parameter is the symbolic thread id
+    ([k = 1]); the remaining parameters are opaque [Bparam] bases so
+    callee summaries stay substitutable. *)
 let block_entry_states ?tid_param (fn : Prog.func) : t array array * bool array =
-  let n = Array.length fn.blocks in
-  let nregs = max 1 fn.nregs in
-  let states =
-    Array.init n (fun i ->
-        if i = 0 then entry_state ?tid_param fn else Array.make nregs Bot)
+  let entry =
+    Array.init (max 1 fn.nregs) (fun r ->
+        if r >= fn.nparams then Bot
+        else if tid_param = Some r then V { base = Bnum; k = 1; lo = 0; hi = 0 }
+        else at_base (Bparam r))
   in
-  let updates = Array.make n 0 in
-  let rpo = Cfg.reverse_postorder fn in
-  let reachable = Cfg.reachable fn in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun bi ->
-        let state = Array.copy states.(bi) in
-        List.iter (fun ins -> step state ins) fn.blocks.(bi).instrs;
-        List.iter
-          (fun s ->
-            let widen = updates.(s) > 2 in
-            let merged =
-              Array.mapi (fun r old -> join ~widen old state.(r)) states.(s)
-            in
-            if not (Array.for_all2 equal merged states.(s)) then begin
-              states.(s) <- merged;
-              updates.(s) <- updates.(s) + 1;
-              changed := true
-            end)
-          (Cfg.successors fn bi))
-      rpo
-  done;
-  (states, reachable)
+  Dataflow.register_states { bottom = Bot; equal; join; step } ~entry fn
 
 (* ---- places and cross-thread disjointness ---- *)
 

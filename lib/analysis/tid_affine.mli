@@ -6,14 +6,10 @@
 
 open Cwsp_ir
 
-val ninf : int
 val pinf : int
 
 (** Exact 63-bit addition, [None] on overflow. *)
 val checked_add : int -> int -> int option
-
-(** Exact 63-bit multiplication, [None] on overflow. *)
-val checked_mul : int -> int -> int option
 
 (** Interval-bound addition: the infinity sentinels absorb, finite
     overflow is [None]. *)
@@ -24,27 +20,13 @@ type base = Bnum | Bglob of string | Bparam of int
 type t = Bot | Top | V of { base : base; k : int; lo : int; hi : int }
 
 val const : int -> t
-val of_global : string -> t
-val of_param : int -> t
-
-(** The symbolic thread id: [0 + 1*tid + [0,0]]. *)
-val of_tid : t
-
-val equal : t -> t -> bool
-
-(** [join ~widen old next]: least upper bound; with [widen], bounds that
-    strictly grow relative to [old] jump to their infinity. *)
-val join : widen:bool -> t -> t -> t
 
 (** Abstract one instruction over a mutable register state. *)
 val step : t array -> Types.instr -> unit
 
-(** Entry register state; [tid_param] marks the parameter holding the
-    thread id, remaining parameters get opaque [Bparam] bases. *)
-val entry_state : ?tid_param:int -> Prog.func -> t array
-
-(** Per-block entry states and the reachability mask: RPO fixpoint with
-    delayed widening (precise diamond joins, terminating loops). *)
+(** Per-block entry states and the reachability mask, from
+    [Dataflow.register_states]. [tid_param] marks the parameter holding
+    the thread id; the remaining parameters get opaque [Bparam] bases. *)
 val block_entry_states :
   ?tid_param:int -> Prog.func -> t array array * bool array
 

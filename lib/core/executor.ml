@@ -31,7 +31,7 @@
     a span carrying its queue wait, each phase emits a per-domain
     utilization sample, task durations feed the [executor.task_us]
     histogram, and plan sizes feed the dedupe counters. With tracing off
-    the pool takes exactly one extra branch per phase. *)
+    a task costs one extra branch. *)
 
 module Obs = Cwsp_obs.Obs
 
@@ -57,73 +57,50 @@ let c_groups = Obs.Counter.make "executor.groups.unique"
 
 (* Work-stealing-free pool: an atomic cursor over an immutable task
    array. Tasks are coarse (whole simulation runs), so contention on the
-   cursor is negligible. [label], when tracing, names task [i]'s span;
-   [cat] prefixes the utilization sample and categorizes the spans. *)
+   cursor is negligible. When tracing, [label] names task [i]'s span,
+   [cat] categorizes the spans and prefixes the utilization sample. *)
 let run_pool ~jobs ?(cat = "executor") ?label (tasks : (unit -> unit) array) =
   let n = Array.length tasks in
-  if n = 0 then ()
-  else if not !Obs.on then begin
-    (* fast path: identical to the untraced pool, no per-task overhead *)
-    if jobs <= 1 || n = 1 then Array.iter (fun f -> f ()) tasks
-    else begin
-      let cursor = Atomic.make 0 in
-      let worker () =
-        let rec loop () =
-          let i = Atomic.fetch_and_add cursor 1 in
-          if i < n then begin
-            tasks.(i) ();
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let spawned = List.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      List.iter Domain.join spawned
-    end
-  end
-  else begin
-    let width = if jobs <= 1 || n = 1 then 1 else min jobs n in
-    let t_phase = Obs.now_us () in
+  if n > 0 then begin
+    let traced = !Obs.on in
+    let width = if jobs <= 1 || n <= 1 then 1 else min jobs n in
+    let t_phase = if traced then Obs.now_us () else 0.0 in
     let busy = Array.make width 0.0 in
     let run_task w i =
-      let t0 = Obs.now_us () in
-      let name = match label with Some f -> f i | None -> "task" in
-      Obs.span_begin ~cat ~args:[ ("queue_wait_us", t0 -. t_phase) ] name;
-      Fun.protect ~finally:Obs.span_end tasks.(i);
-      let dur = Obs.now_us () -. t0 in
-      busy.(w) <- busy.(w) +. dur;
-      Obs.Hist.add h_task dur
+      if not traced then tasks.(i) ()
+      else begin
+        let t0 = Obs.now_us () in
+        let name = match label with Some f -> f i | None -> "task" in
+        Obs.span_begin ~cat ~args:[ ("queue_wait_us", t0 -. t_phase) ] name;
+        Fun.protect ~finally:Obs.span_end tasks.(i);
+        let dur = Obs.now_us () -. t0 in
+        busy.(w) <- busy.(w) +. dur;
+        Obs.Hist.add h_task dur
+      end
     in
-    if width = 1 then
-      for i = 0 to n - 1 do
-        run_task 0 i
-      done
-    else begin
-      let cursor = Atomic.make 0 in
-      let worker w () =
-        let rec loop () =
-          let i = Atomic.fetch_and_add cursor 1 in
-          if i < n then begin
-            run_task w i;
-            loop ()
-          end
-        in
-        loop ()
+    let cursor = Atomic.make 0 in
+    let worker w () =
+      let rec loop () =
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i < n then begin
+          run_task w i;
+          loop ()
+        end
       in
-      let spawned =
-        List.init (width - 1) (fun k -> Domain.spawn (worker (k + 1)))
-      in
-      worker 0 ();
-      List.iter Domain.join spawned
-    end;
-    let wall = Obs.now_us () -. t_phase in
-    Obs.counter_event
-      ~name:(cat ^ ".utilization")
-      ~ts_us:(Obs.now_us ())
-      (List.init width (fun w ->
-           ( Printf.sprintf "domain%d" w,
-             if wall > 0.0 then busy.(w) /. wall else 0.0 )))
+      loop ()
+    in
+    let spawned = List.init (width - 1) (fun k -> Domain.spawn (worker (k + 1))) in
+    worker 0 ();
+    List.iter Domain.join spawned;
+    if traced then begin
+      let wall = Obs.now_us () -. t_phase in
+      Obs.counter_event
+        ~name:(cat ^ ".utilization")
+        ~ts_us:(Obs.now_us ())
+        (List.init width (fun w ->
+             ( Printf.sprintf "domain%d" w,
+               if wall > 0.0 then busy.(w) /. wall else 0.0 )))
+    end
   end
 
 (** Parallel map over the domain pool with deterministic results: each

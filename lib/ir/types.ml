@@ -14,7 +14,7 @@
     "architectural registers" map onto these directly for checkpointing
     purposes. *)
 
-type reg = int [@@deriving show, eq]
+type reg = int
 
 type binop =
   | Add
@@ -28,15 +28,13 @@ type binop =
   | Shl
   | Lshr
   | Ashr
-[@@deriving show { with_path = false }, eq]
 
-type cmpop = Eq | Ne | Lt | Le | Gt | Ge [@@deriving show { with_path = false }, eq]
+type cmpop = Eq | Ne | Lt | Le | Gt | Ge
 
 type operand = Reg of reg | Imm of int
-[@@deriving show { with_path = false }, eq]
 
 (** Label of a basic block within its function (index into [Func.blocks]). *)
-type label = int [@@deriving show, eq]
+type label = int
 
 type instr =
   | Bin of binop * reg * operand * operand  (** dst <- a op b *)
@@ -59,13 +57,11 @@ type instr =
   | Ckpt of reg                             (** compiler-inserted register checkpoint *)
   | Boundary of int                         (** compiler-inserted region boundary; id
                                                 indexes per-function recovery metadata *)
-[@@deriving show { with_path = false }, eq]
 
 type term =
   | Jmp of label
   | Br of reg * label * label   (** if reg <> 0 then ifso else ifnot *)
   | Ret of operand option
-[@@deriving show { with_path = false }, eq]
 
 (** Registers read by an instruction. *)
 let uses_of_operand = function Reg r -> [ r ] | Imm _ -> []
