@@ -69,7 +69,11 @@ type dstate = {
 
 let mu = Mutex.create ()
 let dstates : dstate list ref = ref []
-let ring_cap = ref 8192
+(* Per-domain ring capacity, allocated on a domain's first event (so
+   only when tracing). A traced [bench -- fig13 fig14 --jobs 2] puts
+   about 11k events on its busiest domain; 64k slots (512 KiB) keep a
+   run of that size whole with room to spare. *)
+let ring_cap = ref 65_536
 let unbalanced = Atomic.make 0
 
 let dls : dstate Domain.DLS.key =

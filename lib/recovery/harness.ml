@@ -60,6 +60,7 @@ type region_record = {
     (* device outputs produced before this region started: the
        region-buffered I/O (Section VIII) released once every earlier
        region persisted *)
+  entry_step : int; (* the lane's step count at region entry *)
   mutable has_sync : bool;
     (* an atomic committed inside this region. Sync primitives persist
        synchronously with their trailing checkpoints as one
@@ -144,6 +145,9 @@ type tracked = {
   recorder : Recorder.t option;
     (* the flight ring, formatted when the run records inside the image
        the cut preserves; the boundary hook appends to it *)
+  live : Cwsp_analysis.Liveness.t Lazy.t array;
+    (* [compiled]'s liveness by function index, computed at most once
+       per tracked run, when a resume first reaches the crash step *)
 }
 
 type launch = Main | Worker of { worker : string; threads : int }
@@ -208,6 +212,7 @@ let open_region t l st static_id =
       frames =
         (if static_id < 0 then List.map copy_frame frames else boundary_frames frames);
       outputs_at_entry = List.length (Decode.outputs st);
+      entry_step = Decode.steps st;
       has_sync = false;
     };
   l.head <- next
@@ -359,7 +364,7 @@ let create ~window ~flight ~(mode : Cwsp_compiler.Pipeline.persist_mode)
           (fun tid frames ->
             let region0 =
               { region_index = tid; static_id = -1; frames = List.map copy_frame frames;
-                outputs_at_entry = 0; has_sync = false }
+                outputs_at_entry = 0; entry_step = 0; has_sync = false }
             in
             { ring = Array.make slots region0; head = 0; tracked_n = 1; sync_floor = -1 })
           entries;
@@ -369,6 +374,10 @@ let create ~window ~flight ~(mode : Cwsp_compiler.Pipeline.persist_mode)
       model;
       region_count = Array.length entries - 1;
       recorder = (if flight then Some (Recorder.format ring_image) else None);
+      live =
+        Array.of_list
+          (List.map (fun (_, fn) -> lazy (Cwsp_analysis.Liveness.compute fn))
+             compiled.prog.funcs);
     }
   in
   let hooked = Decode.decode ~hooks:(hooks t) compiled.prog in
@@ -445,12 +454,13 @@ type entry = {
   e_frames : Decode.frame list; (* head = current frame *)
   e_outputs : int list; (* produced since the lane's last resume point *)
   e_released : int list; (* device output released before the crash *)
+  e_step : int; (* the lane's step count at the entry, on the tracked run *)
 }
 
 (* Lane [tid] resumed at region [r] on [mem], [released] already out. *)
 let entry_at ~tid compiled decoded ~mem ~released (r : region_record) =
   { e_tid = tid; e_frames = entry_frames ~tid compiled decoded ~mem r;
-    e_outputs = []; e_released = released }
+    e_outputs = []; e_released = released; e_step = r.entry_step }
 
 type golden = { g_mem : Memory.t; g_outputs : int list; g_steps : int }
 
@@ -493,6 +503,7 @@ type resumed = {
   rs_fuel : int;
   rs_sts : Decode.st array;
   rs_result : (unit, string) result;
+  rs_converged : bool;
 }
 
 let probe_key : (resumed -> unit) option Domain.DLS.key =
@@ -503,6 +514,50 @@ let with_resumed_probe f k =
   Domain.DLS.set probe_key (Some f);
   Fun.protect ~finally:(fun () -> Domain.DLS.set probe_key prev) k
 
+(* Do [st], a resumed lane, and [ff], the failure-free lane, stand in
+   states the rest of the run cannot tell apart: the same frames at the
+   same positions, equal registers wherever they are live there, the
+   same device output ([released] ahead of [st]'s) and the same image
+   outside the flight ring. A dead register is written before it is
+   read, and a caller's [ret] register is written by the return, so
+   from here the two runs step alike. *)
+let same_state live ~released st ff =
+  let rec frames callee_ret (a : Decode.frame list) (b : Decode.frame list) =
+    match (a, b) with
+    | [], [] -> true
+    | x :: a, y :: b ->
+      x.fn = y.fn && x.blk = y.blk && x.idx = y.idx && x.ret = y.ret
+      && Cwsp_analysis.Liveness.(
+           IntSet.for_all
+             (fun r -> r = callee_ret || x.regs.(r) = y.regs.(r))
+             (live_before (Lazy.force live.(x.fn)) ~bi:x.blk ~ii:x.idx))
+      && frames x.ret a b
+    | _ -> false
+  in
+  frames (-1) (Decode.frames st) (Decode.frames ff)
+  && released @ Decode.outputs st = Decode.outputs ff
+  && Memory.equal_except ~except:Layout.is_flight_addr (Decode.memory ff)
+       (Decode.memory st)
+
+(* The early exit of a one-lane resume: step [st], resumed from [e], to
+   the crash step of [t], the tracked run standing there, and tell
+   whether it rebuilt its lane's failure-free state. If it did, the
+   machine is deterministic, so the rest of the run is the failure-free
+   tail and ends as the golden run: halted after [golden.g_steps] steps
+   in all, the resume after [g_steps - e_step], well inside its fuel. A
+   golden run that claims fewer steps than the crash step is not this
+   run's reference, and gets no exit. *)
+let rebuilt (t : tracked) golden (e : entry) st =
+  let ff = t.sched.sts.(e.e_tid) in
+  let k = Decode.steps ff in
+  k <= golden.g_steps
+  &&
+  (Decode.run_steps st ~limit:(k - e.e_step);
+   Decode.steps st = k - e.e_step && same_state t.live ~released:e.e_released st ff)
+
+let c_converged = Obs.Counter.make "recovery.resume.converged"
+let c_full = Obs.Counter.make "recovery.resume.full"
+
 (* Run the resumed [lanes] on [mem] to completion, on the untraced
    decoded core, and compare against the golden run: each lane's
    released output plus its resumed run's, in lane order, must be the
@@ -512,8 +567,17 @@ let with_resumed_probe f k =
    difference. A hang is bounded by a generous multiple of the
    failure-free step count. The flight-recorder region is excluded: it
    is observability state, written on the crashing path only, and
-   legitimately differs from the failure-free image. *)
-let run_and_compare decoded golden ~mem (lanes : entry array) :
+   legitimately differs from the failure-free image.
+
+   Given [tracked], the run that crashed, standing at its crash step, a
+   one-lane resume first steps to that step and stops there with [Ok]
+   if it rebuilt the failure-free state ([rebuilt]); otherwise the same
+   run goes on with the fuel it has left and is compared at the end.
+   N lanes always run to the end: a resume restarts the scheduler's
+   cursor, so its lanes reach the crash step under another
+   interleaving. So does [validate_chain]'s last run, which has no
+   crash step. *)
+let run_and_compare ?tracked decoded golden ~mem (lanes : entry array) :
     (unit, string) result =
   let fuel = (4 * golden.g_steps) + 10_000 in
   let probe = Domain.DLS.get probe_key in
@@ -538,7 +602,16 @@ let run_and_compare decoded golden ~mem (lanes : entry array) :
       lanes
   in
   if !Obs.on then Obs.span_begin ~cat:"recovery" "resumed_run";
-  let ran = stepping (fun () -> run_decoded ~fuel sts) in
+  let converged = ref false in
+  let ran =
+    stepping (fun () ->
+        match (sts, tracked) with
+        | [| st |], Some t ->
+          if rebuilt t golden lanes.(0) st then converged := true
+          else Decode.run ~fuel:(fuel - Decode.steps st) st
+        | _ -> run_decoded ~fuel sts)
+  in
+  Obs.Counter.incr (if !converged then c_converged else c_full);
   if !Obs.on then
     Obs.span_end
       ~args:
@@ -547,10 +620,12 @@ let run_and_compare decoded golden ~mem (lanes : entry array) :
       ();
   (match (probe, start) with
   | Some f, Some (rs_start, rs_lanes) ->
-    f { rs_start; rs_lanes; rs_fuel = fuel; rs_sts = sts; rs_result = ran }
+    f { rs_start; rs_lanes; rs_fuel = fuel; rs_sts = sts; rs_result = ran;
+        rs_converged = !converged }
   | _ -> ());
   match ran with
   | Error e -> Error e
+  | Ok () when !converged -> Ok ()
   | Ok () ->
     let lanes = Array.to_list (Array.map2 (fun e st -> (e.e_released, st)) lanes sts) in
     if List.concat_map (fun (r, st) -> r @ Decode.outputs st) lanes <> golden.g_outputs
@@ -616,8 +691,10 @@ type crash_state = {
   mutable cs_intent : int option; (* the hardened plan's durable rung pin *)
   cs_lanes : lane_cut array;
   cs_crash_step : int;
-  cs_compiled : Cwsp_compiler.Pipeline.compiled;
-  cs_decoded : Decode.t;
+  cs_tracked : tracked;
+    (* the run that crashed, standing at the crash step and only read
+       while the point recovers: its lanes are the failure-free state a
+       resume is held against ([run_and_compare]) *)
 }
 
 (** Cut power now and build the surviving durable state. Each lane, in
@@ -696,8 +773,7 @@ let cut_power rng (t : tracked) : crash_state =
     cs_intent = None;
     cs_lanes = lanes;
     cs_crash_step = steps t;
-    cs_compiled = t.compiled;
-    cs_decoded = t.decoded;
+    cs_tracked = t;
   }
 
 (* The hardened ladder and the fault injectors work on one lane, the
@@ -727,7 +803,7 @@ let newest_per_addr cs =
 let slice_slot_addrs cs (r : region_record) =
   if r.static_id < 0 then []
   else
-    cs.cs_compiled.slices.(r.static_id)
+    cs.cs_tracked.compiled.slices.(r.static_id)
     |> List.concat_map (fun (_, e) -> Cwsp_ckpt.Slice.slot_refs e)
     |> List.sort_uniq compare
     |> List.map (fun reg ->
@@ -1038,7 +1114,7 @@ let regions_upto (l : lane_cut) back =
 let slice_steps cs (rung : region_record) =
   if rung.static_id < 0 then []
   else
-    List.map (fun (r, e) -> S_slice (r, e)) cs.cs_compiled.slices.(rung.static_id)
+    List.map (fun (r, e) -> S_slice (r, e)) cs.cs_tracked.compiled.slices.(rung.static_id)
 
 (** Hardened full-revert plan for rung [back]: replay EVERY record of
     every region at positions <= back (minus proven-immaterial corrupt
@@ -1076,7 +1152,7 @@ let blind_plan cs =
 let resume_lanes cs backs =
   Array.mapi
     (fun i (l : lane_cut) ->
-      entry_at ~tid:l.lc_tid cs.cs_compiled cs.cs_decoded ~mem:cs.cs_mem
+      entry_at ~tid:l.lc_tid cs.cs_tracked.compiled cs.cs_tracked.decoded ~mem:cs.cs_mem
         ~released:l.lc_released (List.nth l.lc_regions backs.(i)))
     cs.cs_lanes
 
@@ -1144,7 +1220,8 @@ let c_sweep_rerun = Obs.Counter.make "recovery.sweep.rerun"
     it takes the clean verdict instead of re-running it. *)
 let execute_recovery cs golden ~backs ~plan ~restart ~sweep =
   let verdict s =
-    run_and_compare s.cs_decoded golden ~mem:s.cs_mem (resume_lanes s backs)
+    run_and_compare ~tracked:s.cs_tracked s.cs_tracked.decoded golden ~mem:s.cs_mem
+      (resume_lanes s backs)
   in
   let clean = if sweep = [] then cs else copy_state cs in
   run_plan clean plan;
@@ -1242,7 +1319,7 @@ let crash_point ~golden t p =
         (fun msg ->
           Printf.sprintf "explicit-mode %s (crash@%d, boundary %d)" msg crash_step
             boundary)
-        (run_and_compare t.decoded golden ~mem:image [| recovered |])
+        (run_and_compare ~tracked:t t.decoded golden ~mem:image [| recovered |])
     in
     ( {
         fr_crash_step = crash_step;
@@ -1507,7 +1584,8 @@ let validate_chain ?(window = 16) ~seed ~crash_points
         Result.bind verdict (fun _ ->
             run_and_compare decoded golden ~mem:(Decode.memory st)
               [| { e_tid = 0; e_frames = Decode.frames st;
-                   e_outputs = Decode.outputs st; e_released = released } |])
+                   e_outputs = Decode.outputs st; e_released = released;
+                   e_step = Decode.steps st } |])
       with
       | Ok () -> Ok crashes
       | Error e -> Error (Printf.sprintf "%s (after %d crashes)" e crashes))

@@ -16,14 +16,15 @@
     with the undo logs; hardened: audit first); resume at the chosen
     region, evaluating its recovery slice into a poisoned register
     file; and compare the final NVM image and device output with a
-    failure-free run. A sweep runs many crash points on one tracked
+    failure-free run (a one-lane resume stops at the crash step once it
+    has rebuilt the failure-free state there: Differential testing,
+    below). A sweep runs many crash points on one tracked
     run, of the cWSP model or of explicit flush/fence persistency
     ([sweep]): cutting power only reads the tracked state, so the run
     steps on from one point to the next. Every run steps the decoded
     core ([Cwsp_ir.Decode]): the run to a crash point under decode-time
     hooks that keep the hardware's state, the unhooked runs — each
-    resumed run to the end and the golden run — on the plain untraced
-    core.
+    resumed run and the golden run — on the plain untraced core.
 
     A run of N threads (Section VIII, multi-core recovery) is the
     same tracked run with N lanes — a decoded state and its region ring
@@ -182,7 +183,10 @@ val require_clean : outcome -> (fault_report, string) result
     perf baselines.
 
     When tracing ([Obs.on]), the sweep is one [sweep] span (category
-    [recovery]) whose [points] arg is the number of points. *)
+    [recovery]) whose [points] arg is the number of points, and the
+    counters [recovery.resume.converged] and [recovery.resume.full]
+    count the resumed runs that stopped at the crash step and those
+    that ran to the end. *)
 val sweep :
   ?window:int ->
   ?flight:bool ->
@@ -262,17 +266,34 @@ val validate_fault :
     mid-recovery sweep world, the explicit model's blind resume, and
     [validate_chain]'s final run — starts from entries on one image and
     runs on the untraced decoded core. A probe sees each such run, so a
-    test can hold it against a reference. *)
+    test can hold it against a reference.
 
-(** A lane to re-execute to the end: thread [e_tid] from call stack
-    [e_frames] (head the current frame), having produced [e_outputs]
-    since its last resume point, with [e_released] the device output
-    released before the crash. *)
+    A resumed run of one lane stops early. It first steps to the crash
+    step: from its entry, as many steps as the tracked lane ran from the
+    region's entry to the crash. There it is held against the tracked
+    lane, which the crash left untouched: the same frames at the same
+    positions, equal registers wherever [Cwsp_analysis.Liveness] of the
+    compiled program says they are live, the same released plus
+    regenerated output, and the same image outside the flight ring. If
+    all four are equal, the run has rebuilt the failure-free state; the
+    core is deterministic and a dead register is written before it is
+    read, so the rest is the failure-free tail, and the run is [Ok]
+    without stepping it. Otherwise the same run goes on to the end with
+    the fuel it has left and is compared there, so every verdict is the
+    full run's. N-lane resumes and [validate_chain]'s final run always
+    run to the end. *)
+
+(** A lane to re-execute: thread [e_tid] from call stack [e_frames]
+    (head the current frame), having produced [e_outputs] since its
+    last resume point, with [e_released] the device output released
+    before the crash; [e_step] is the lane's step count at the entry on
+    the tracked run. *)
 type entry = {
   e_tid : int;
   e_frames : Decode.frame list;
   e_outputs : int list;
   e_released : int list;
+  e_step : int;
 }
 
 (** One resumed run as the probe sees it. *)
@@ -280,8 +301,14 @@ type resumed = {
   rs_start : Memory.t;  (** the image the lanes resumed on, before the run *)
   rs_lanes : entry array;  (** the lanes as they resumed (copies) *)
   rs_fuel : int;  (** the run's step budget *)
-  rs_sts : Decode.st array;  (** the decoded lanes after the run *)
+  rs_sts : Decode.st array;
+      (** the decoded lanes after the run: at the crash step when it
+          converged, else at its end *)
   rs_result : (unit, string) result;  (** the run's [stepping] verdict *)
+  rs_converged : bool;
+      (** the run stopped at the crash step, having rebuilt the
+          failure-free state there: [rs_sts] can run on with the fuel
+          left, and must end as the golden run *)
 }
 
 (** [with_resumed_probe f k] runs [k ()] showing [f] every resumed run

@@ -988,7 +988,9 @@ let test_campaign_matches_run_cell () =
    under the same fuel — one lane alone, N lanes round-robin at
    [Multi]'s quantum — through the same [stepping]. Both must give the
    same outputs per lane, the same final image, the same step counts and
-   the same error text. *)
+   the same error text. A run that converged stopped at the crash step:
+   the probe runs it on to its end with the fuel it has left, and the
+   end must also be the golden run's. *)
 type tally = {
   mutable runs : int;
   mutable ok : int;
@@ -997,16 +999,19 @@ type tally = {
   mutable in_callee : int; (* a lane resumed below a caller frame *)
   mutable lanes_n : int; (* runs of more than one lane *)
   mutable carried : int; (* a lane that resumed with outputs *)
+  mutable converged : int; (* a run that stopped at the crash step *)
 }
 
-let check_resumed linked tally label (rs : Cwsp_recovery.Harness.resumed) =
+let check_resumed linked (golden : Cwsp_recovery.Harness.golden) tally label
+    (rs : Cwsp_recovery.Harness.resumed) =
   let open Cwsp_interp in
   let module H = Cwsp_recovery.Harness in
+  let module Decode = Cwsp_ir.Decode in
   let mem = Cwsp_ir.Memory.snapshot rs.rs_start in
   let machines =
     Array.map
       (fun (e : H.entry) ->
-        let frame (fr : Cwsp_ir.Decode.frame) =
+        let frame (fr : Decode.frame) =
           { Machine.lf = linked.Machine.lfuncs.(fr.fn); regs = fr.regs; blk = fr.blk;
             idx = fr.idx; ret_to = (if fr.ret >= 0 then Some fr.ret else None) }
         in
@@ -1029,19 +1034,41 @@ let check_resumed linked tally label (rs : Cwsp_recovery.Harness.resumed) =
   let n = tally.runs in
   let fail what = Alcotest.failf "%s: resumed run %d: %s differ" label n what in
   let show = function Ok () -> "ok" | Error e -> e in
-  if show rs.rs_result <> show reference then
+  let result =
+    if not rs.rs_converged then rs.rs_result
+    else begin
+      if rs.rs_result <> Ok () then fail "a converged run's verdict and ok";
+      match rs.rs_sts with
+      | [| st |] ->
+        H.stepping (fun () -> Decode.run ~fuel:(rs.rs_fuel - Decode.steps st) st)
+      | _ -> Alcotest.failf "%s: resumed run %d: %d lanes converged" label n
+               (Array.length rs.rs_sts)
+    end
+  in
+  if show result <> show reference then
     Alcotest.failf "%s: resumed run %d: decoded %S, reference %S" label n
-      (show rs.rs_result) (show reference);
+      (show result) (show reference);
   Array.iteri
     (fun i st ->
       let m = machines.(i) in
-      if Cwsp_ir.Decode.outputs st <> Machine.outputs m then fail "outputs";
-      if Cwsp_ir.Decode.steps st <> Machine.steps m then fail "step counts")
+      if Decode.outputs st <> Machine.outputs m then fail "outputs";
+      if Decode.steps st <> Machine.steps m then fail "step counts")
     rs.rs_sts;
-  if not (Cwsp_ir.Memory.equal mem (Cwsp_ir.Decode.memory rs.rs_sts.(0))) then
+  if not (Cwsp_ir.Memory.equal mem (Decode.memory rs.rs_sts.(0))) then
     fail "final images";
+  if rs.rs_converged then begin
+    tally.converged <- tally.converged + 1;
+    let st = rs.rs_sts.(0) in
+    if rs.rs_lanes.(0).e_released @ Decode.outputs st <> golden.g_outputs then
+      fail "a converged run's outputs and the golden";
+    if
+      not
+        (Cwsp_ir.Memory.equal_except ~except:Cwsp_ir.Layout.is_flight_addr golden.g_mem
+           (Decode.memory st))
+    then fail "a converged run's final image and the golden"
+  end;
   tally.runs <- n + 1;
-  (match rs.rs_result with
+  (match result with
   | Ok () -> tally.ok <- tally.ok + 1
   | Error e ->
     if String.ends_with ~suffix:"failed to halt" e then tally.no_fuel <- tally.no_fuel + 1
@@ -1064,14 +1091,26 @@ let callee_steps (compiled : Pipeline.compiled) =
   done;
   Array.of_list (List.rev !inside)
 
+(* The steps after which a run of [compiled] has just crossed a region
+   boundary. *)
+let boundary_steps (compiled : Pipeline.compiled) =
+  let module Decode = Cwsp_ir.Decode in
+  let crossed = ref [] in
+  let hooks =
+    { Decode.no_hooks with boundary = Some (fun st _ -> crossed := Decode.steps st :: !crossed) }
+  in
+  Decode.run (Decode.create ~traced:false (Decode.decode ~hooks compiled.prog));
+  Array.of_list (List.rev !crossed)
+
 let test_decoded_resume_matches_machine () =
   let module H = Cwsp_recovery.Harness in
   let tally =
-    { runs = 0; ok = 0; wild = 0; no_fuel = 0; in_callee = 0; lanes_n = 0; carried = 0 }
+    { runs = 0; ok = 0; wild = 0; no_fuel = 0; in_callee = 0; lanes_n = 0; carried = 0;
+      converged = 0 }
   in
-  let probed label (compiled : Pipeline.compiled) f =
+  let probed label golden (compiled : Pipeline.compiled) f =
     let linked = Cwsp_interp.Machine.link compiled.prog in
-    H.with_resumed_probe (check_resumed linked tally label) f
+    H.with_resumed_probe (check_resumed linked golden tally label) f
   in
   (* every fault class, hardened and blind, and the clean crash *)
   let modes =
@@ -1110,7 +1149,7 @@ let test_decoded_resume_matches_machine () =
                let crash_at = cs.(i * Array.length cs / 6) in
                List.init 8 (fun seed -> H.clean_point ~seed ~crash_at)))
       in
-      probed name implicit (fun () ->
+      probed name g implicit (fun () ->
           ignore (H.sweep ~mode:Implicit ~launch:Main ~golden:g implicit (points @ inside));
           (* a golden that claims no steps leaves the fuel floor: these
              resumed runs run out of it *)
@@ -1123,15 +1162,43 @@ let test_decoded_resume_matches_machine () =
             (H.validate_chain ~seed:3 ~crash_points:[ g.g_steps / 3; 50; 400 ] implicit);
           ignore
             (H.validate_chain ~seed:4 ~crash_points:[ g.g_steps / 2; g.g_steps ] implicit));
-      probed (name ^ " poisoned") implicit (fun () ->
-          ignore
-            (H.sweep ~mode:Implicit ~launch:Main ~golden:g (poisoned implicit)
-               (clean g.g_steps)));
-      probed (name ^ " explicit") explicit (fun () ->
+      (* With slices that restore nothing, a point whose real slice
+         restores live-ins must not recover. Window 0 resumes every
+         crash at its open region, so a crash right after a boundary
+         resumes standing at the crash step, before any poisoned
+         register is read. *)
+      probed (name ^ " poisoned") g implicit (fun () ->
+          let after_boundary =
+            let bs = boundary_steps implicit in
+            List.init 8 (fun i -> H.clean_point ~seed:i ~crash_at:bs.(i * Array.length bs / 8))
+          in
+          List.iter
+            (fun (window, points) ->
+              let restores =
+                List.map
+                  (function
+                    | Ok ((r : H.fault_report), _) -> r.fr_restored > 0 | Error _ -> false)
+                  (H.sweep ~window ~mode:Implicit ~launch:Main ~golden:g implicit points)
+              in
+              if not (List.mem true restores) then
+                Alcotest.failf "%s: no point at window %d restores a live-in" name window;
+              List.iter2
+                (fun (p : H.point) (restores, o) ->
+                  match o with
+                  | Ok (_, Ok ()) when restores ->
+                    Alcotest.failf "%s poisoned: crash@%d recovered at window %d" name
+                      p.cp_at window
+                  | _ -> ())
+                points
+                (List.combine restores
+                   (H.sweep ~window ~mode:Implicit ~launch:Main ~golden:g (poisoned implicit)
+                      points)))
+            [ (16, clean g.g_steps); (0, after_boundary) ]);
+      probed (name ^ " explicit") ge explicit (fun () ->
           ignore (H.sweep ~mode:Explicit ~launch:Main ~golden:ge explicit (clean ge.g_steps))))
     [ "lu-ncg"; "fft" ];
   let compiled, launch, golden = lanes_of "psweep" ~threads:4 in
-  probed "psweep x4" compiled (fun () ->
+  probed "psweep x4" golden compiled (fun () ->
       ignore
         (H.sweep ~mode:Implicit ~launch ~golden compiled
            (List.map (fun c -> H.clean_point ~seed:c ~crash_at:c)
@@ -1142,7 +1209,8 @@ let test_decoded_resume_matches_machine () =
       if n = 0 then Alcotest.failf "no resumed run %s (of %d)" what tally.runs)
     [ ("recovered", tally.ok); ("went wild", tally.wild);
       ("ran out of fuel", tally.no_fuel); ("resumed inside a callee", tally.in_callee);
-      ("ran N lanes", tally.lanes_n); ("carried outputs", tally.carried) ]
+      ("ran N lanes", tally.lanes_n); ("carried outputs", tally.carried);
+      ("converged", tally.converged) ]
 
 (* The explicit model has no fault classes: a hardened or faulted point
    must be refused outright, not reported as a clean recovery from a
